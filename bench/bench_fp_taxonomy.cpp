@@ -12,9 +12,10 @@
  * Part 2 — ablations:
  *   - local-variable projection with vs without equality substitution
  *     (a naive drop loses [0]-relations and changes report counts);
- *   - the random drop of one entry per IPP (Section 4.5): reports at
- *     caller level depend on which entry survives, measured by running
- *     with several drop seeds.
+ *   - the drop of one entry per IPP (Section 4.5): reports at caller
+ *     level depend on which entry survives. The paper drops at random;
+ *     this checker keeps the entry that loses the least information, so
+ *     the surviving entry (and the caller's report) is fixed.
  */
 
 #include <cstdio>
@@ -31,14 +32,9 @@
 namespace {
 
 std::set<std::string>
-reportedFunctions(const rid::kernel::Corpus &corpus, uint64_t drop_seed)
+reportedFunctions(const rid::kernel::Corpus &corpus)
 {
-    rid::analysis::AnalyzerOptions opts;
-    opts.drop_seed = drop_seed;
-    // This study measures seed-to-seed report variation; the default
-    // deterministic drop would make every seed identical.
-    opts.deterministic_drop = false;
-    rid::Rid tool(opts);
+    rid::Rid tool;
     tool.loadSpecText(rid::kernel::dpmSpecText());
     for (const auto &file : corpus.files)
         tool.addSource(file.text);
@@ -69,7 +65,7 @@ main()
         mix.counts[kind] = 10;
     }
     auto corpus = rid::kernel::generateCorpus(mix);
-    auto reported = reportedFunctions(corpus, 0x5eed);
+    auto reported = reportedFunctions(corpus);
 
     std::printf("== Section 6.4: detection matrix per pattern ==\n\n");
     std::printf("%-24s %8s %8s %10s  %s\n", "pattern", "bug?", "hits",
@@ -145,16 +141,17 @@ main()
                     "local into conditions on [0])\n");
     }
 
-    std::printf("\n== ablation: random entry drop and redundant caller "
-                "reports (Section 4.5) ==\n\n");
+    std::printf("\n== ablation: entry drop and redundant caller reports "
+                "(Section 4.5) ==\n\n");
     {
         // opt_get() has an IPP (the option bit is outside the
         // abstraction); after the report one of its two entries is
-        // dropped at random. The caller compensates correctly at
-        // runtime, but under either surviving summary its two paths
-        // disagree, so the caller is re-reported — a redundant cascade —
-        // and WHICH deltas get reported depends on the surviving entry,
-        // i.e. on the drop seed.
+        // dropped. The caller compensates correctly at runtime, but
+        // under either surviving summary its two paths disagree, so the
+        // caller is re-reported — a redundant cascade — and WHICH deltas
+        // get reported depends on the surviving entry. The paper's
+        // random drop varied it from seed to seed (EXPERIMENTS.md keeps
+        // the last such run); the information-loss drop fixes it.
         const char *source = R"(
 int opt_get(struct device *dev, int flags) {
     if (flags & 1)
@@ -168,31 +165,23 @@ int balanced_caller(struct device *dev, int flags) {
     return 0;
 }
 )";
-        std::printf("%12s %14s %26s\n", "drop seed", "total reports",
-                    "caller deltas reported");
-        for (uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-            rid::analysis::AnalyzerOptions opts;
-            opts.drop_seed = seed;
-            opts.deterministic_drop = false;
-            rid::Rid tool(opts);
-            tool.loadSpecText(rid::kernel::dpmSpecText());
-            tool.addSource(source);
-            auto result = tool.run();
-            std::string deltas;
-            for (const auto &report : result.reports) {
-                if (report.function == "balanced_caller") {
-                    deltas += "(" + std::to_string(report.delta_a) +
-                              " vs " + std::to_string(report.delta_b) +
-                              ") ";
-                }
+        rid::Rid tool;
+        tool.loadSpecText(rid::kernel::dpmSpecText());
+        tool.addSource(source);
+        auto result = tool.run();
+        std::string deltas;
+        for (const auto &report : result.reports) {
+            if (report.function == "balanced_caller") {
+                deltas += "(" + std::to_string(report.delta_a) + " vs " +
+                          std::to_string(report.delta_b) + ") ";
             }
-            std::printf("%12llu %14zu %26s\n",
-                        static_cast<unsigned long long>(seed),
-                        result.reports.size(), deltas.c_str());
         }
-        std::printf("(the correct caller is re-reported under every "
-                    "seed — the redundancy of Section 4.5 —\nand the "
-                    "surviving entry decides which delta pair appears)\n");
+        std::printf("%14s %26s\n", "total reports",
+                    "caller deltas reported");
+        std::printf("%14zu %26s\n", result.reports.size(), deltas.c_str());
+        std::printf("(the correct caller is re-reported — the redundancy "
+                    "of Section 4.5 —\nand the surviving entry decides "
+                    "which delta pair appears)\n");
     }
 
     std::printf("\n== ablation: Section 5.4 abstraction extensions ==\n\n");

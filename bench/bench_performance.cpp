@@ -8,10 +8,9 @@
  *   - classification scales roughly linearly in corpus size;
  *   - per-function analysis cost is dominated by path enumeration and
  *     constraint solving and is bounded by the path/subcase caps;
- *   - SCC-level parallel analysis (Section 5.3) and path-level parallel
- *     symbolic execution (Section 7) distribute the work off the main
- *     thread with bit-identical results (wall-clock gains require a
- *     multi-core host; the reference container has one core).
+ *   - SCC-level parallel analysis (Section 5.3) distributes the work off
+ *     the main thread with bit-identical results (wall-clock gains
+ *     require a multi-core host).
  */
 
 #include <benchmark/benchmark.h>
@@ -281,72 +280,6 @@ BENCHMARK(BM_AnalyzeCorpusThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_AnalyzePathsParallel(benchmark::State &state)
-{
-    // Section 7 future work: symbolic execution of the paths of one
-    // wide function in parallel.
-    std::string src = "int wide(struct device *dev, int a) {\n"
-                      "    int r = 0;\n";
-    for (int i = 0; i < 9; i++) {
-        src += "    if (a > " + std::to_string(i) + ") r = " +
-               std::to_string(i) + ";\n";
-    }
-    src += "    int s = pm_runtime_get_sync(dev);\n"
-           "    if (s < 0) return s;\n"
-           "    r = op(dev);\n"
-           "    pm_runtime_put(dev);\n"
-           "    return r;\n}\nint op(struct device *dev);\n";
-    rid::ir::Module module = rid::frontend::compile(src);
-    for (auto _ : state) {
-        rid::summary::SummaryDb db;
-        rid::summary::loadSpecsInto(rid::kernel::dpmSpecText(), db);
-        rid::analysis::AnalyzerOptions opts;
-        opts.path_threads = static_cast<int>(state.range(0));
-        opts.max_paths = 4096;
-        rid::analysis::Analyzer analyzer(module, db, opts);
-        analyzer.run();
-        benchmark::DoNotOptimize(analyzer.reports().size());
-    }
-    // Note: end-to-end gains are bounded by the sequential IPP phase
-    // that follows path execution (Amdahl); the per-path execution
-    // itself parallelizes cleanly.
-}
-BENCHMARK(BM_AnalyzePathsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_AnalyzeCorpusPrefixSharing(benchmark::State &state)
-{
-    // The tentpole comparison: enumerate-then-replay re-steps every
-    // shared path prefix once per path (Arg 0), the prefix-sharing tree
-    // walk steps each CFG-tree edge once and skips infeasible subtrees
-    // (Arg 1). Same reports, same summaries, fewer block steps and
-    // solver queries.
-    auto mix = rid::kernel::CorpusMix::paperCalibrated(0.01);
-    auto corpus = rid::kernel::generateCorpus(mix);
-    rid::ir::Module module;
-    for (const auto &file : corpus.files)
-        module.absorb(rid::frontend::compile(file.text));
-    uint64_t blocks = 0;
-    uint64_t pruned = 0;
-    for (auto _ : state) {
-        rid::summary::SummaryDb db;
-        rid::summary::loadSpecsInto(rid::kernel::dpmSpecText(), db);
-        rid::analysis::AnalyzerOptions opts;
-        opts.prefix_sharing = state.range(0) != 0;
-        rid::analysis::Analyzer analyzer(module, db, opts);
-        analyzer.run();
-        blocks = analyzer.stats().blocks_executed;
-        pruned = analyzer.stats().subtrees_pruned;
-        benchmark::DoNotOptimize(analyzer.reports().size());
-    }
-    state.counters["blocks_executed"] = static_cast<double>(blocks);
-    state.counters["subtrees_pruned"] = static_cast<double>(pruned);
-}
-BENCHMARK(BM_AnalyzeCorpusPrefixSharing)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_AnalyzeCorpusResume(benchmark::State &state)
 {
     // Warm-resume workload: a cold run seeds the durable store outside
@@ -385,13 +318,10 @@ BENCHMARK(BM_AnalyzeCorpusResume)->Unit(benchmark::kMillisecond);
 
 /**
  * Machine-readable trajectory record: run the repeated-overlap corpus
- * workload with the query cache off and on, then with the replay and
- * prefix-sharing execution engines, and write solver/cache counters,
- * block/prune counters and per-phase wall times to
- * BENCH_performance.json. The schema is documented in DESIGN.md
- * ("Solver query cache", "Prefix-sharing symbolic execution"); each
- * field under "cache_off"/"cache_on"/"prefix_off"/"prefix_on" is
- * RunResult::statsJson(). A final pair of runs measures the provenance
+ * workload with the query cache off and on, and write solver/cache
+ * counters and per-phase wall times to BENCH_performance.json. The
+ * schema is documented in DESIGN.md ("Solver query cache"); each field
+ * under "cache_off"/"cache_on" is RunResult::statsJson(). A further pair of runs measures the provenance
  * journal cost (journal off vs on; see docs/PROVENANCE.md) —
  * "provenance_overhead" is the relative symexec slowdown journal-on —
  * and the durable-store resume differential ("resume_hit_rate",
@@ -407,11 +337,9 @@ writeBenchJson(const char *path)
     auto mix = rid::kernel::CorpusMix::paperCalibrated(0.01);
     auto corpus = rid::kernel::generateCorpus(mix);
 
-    auto runOnce = [&](bool cache, bool prefix = true,
-                       const std::string &provenance = "") {
+    auto runOnce = [&](bool cache, const std::string &provenance = "") {
         rid::analysis::AnalyzerOptions opts;
         opts.use_query_cache = cache;
-        opts.prefix_sharing = prefix;
         opts.provenance_path = provenance;
         rid::Rid tool(opts);
         tool.loadSpecText(rid::kernel::dpmSpecText());
@@ -434,32 +362,12 @@ writeBenchJson(const char *path)
         checks_off ? 1.0 - static_cast<double>(checks_on) / checks_off
                    : 0.0;
 
-    // Prefix-sharing comparison: same corpus, query cache off for both
-    // engines — the cache memoizes exactly the repeated prefix queries
-    // the tree walk avoids issuing, so comparing uncached runs isolates
-    // the engine delta instead of measuring cache hits.
-    auto [replay, replay_wall] = runOnce(false, /*prefix=*/false);
-    auto [tree, tree_wall] = runOnce(false, /*prefix=*/true);
-    uint64_t blocks_replay = replay.stats.blocks_executed;
-    uint64_t blocks_tree = tree.stats.blocks_executed;
-    // Fraction of replay block steps that were redundant re-execution
-    // of shared prefixes (or infeasible subtrees).
-    double redundant_ratio =
-        blocks_replay
-            ? 1.0 - static_cast<double>(blocks_tree) / blocks_replay
-            : 0.0;
-    double symexec_reduction =
-        replay.stats.symexec_seconds > 0
-            ? 1.0 - tree.stats.symexec_seconds /
-                        replay.stats.symexec_seconds
-            : 0.0;
-
     // Provenance journal overhead: the journal is rendered and written
     // after analysis, so the symbolic-execution phase should be all but
     // untouched (acceptance bound: <10% symexec overhead journal-on).
     std::string journal_path = std::string(path) + ".provenance.jsonl";
     auto [joff, joff_wall] = runOnce(true);
-    auto [jon, jon_wall] = runOnce(true, /*prefix=*/true, journal_path);
+    auto [jon, jon_wall] = runOnce(true, journal_path);
     double journal_overhead =
         joff.stats.symexec_seconds > 0
             ? jon.stats.symexec_seconds / joff.stats.symexec_seconds - 1.0
@@ -553,20 +461,6 @@ writeBenchJson(const char *path)
     out << "  \"theory_check_reduction\": " << reduction << ",\n";
     out << "  \"cache_hit_rate\": " << on.stats.query_cache.hitRate()
         << ",\n";
-    out << "  \"prefix_off\": " << replay.statsJson() << ",\n";
-    out << "  \"prefix_on\": " << tree.statsJson() << ",\n";
-    out << "  \"wall_seconds_prefix_off\": " << replay_wall << ",\n";
-    out << "  \"wall_seconds_prefix_on\": " << tree_wall << ",\n";
-    out << "  \"blocks_executed_prefix_off\": " << blocks_replay << ",\n";
-    out << "  \"blocks_executed_prefix_on\": " << blocks_tree << ",\n";
-    out << "  \"subtrees_pruned_prefix_on\": "
-        << tree.stats.subtrees_pruned << ",\n";
-    out << "  \"redundant_block_ratio\": " << redundant_ratio << ",\n";
-    out << "  \"symexec_seconds_prefix_off\": "
-        << replay.stats.symexec_seconds << ",\n";
-    out << "  \"symexec_seconds_prefix_on\": "
-        << tree.stats.symexec_seconds << ",\n";
-    out << "  \"symexec_reduction\": " << symexec_reduction << ",\n";
     out << "  \"wall_seconds_journal_off\": " << joff_wall << ",\n";
     out << "  \"wall_seconds_journal_on\": " << jon_wall << ",\n";
     out << "  \"symexec_seconds_journal_off\": "
@@ -609,16 +503,12 @@ writeBenchJson(const char *path)
         << triage_run.stats.query_cache.crossPassRate() << "\n";
     out << "}\n";
     std::printf("wrote %s (theory checks %llu -> %llu, hit rate %.2f; "
-                "prefix sharing: blocks %llu -> %llu, symexec -%.0f%%; "
                 "resume hit rate %.2f, warm symexec %.3fs; "
                 "interning: instantiations %llu -> %llu (-%.0f%%), "
                 "%llu entries compacted)\n",
                 path, static_cast<unsigned long long>(checks_off),
                 static_cast<unsigned long long>(checks_on),
                 on.stats.query_cache.hitRate(),
-                static_cast<unsigned long long>(blocks_replay),
-                static_cast<unsigned long long>(blocks_tree),
-                symexec_reduction * 100,
                 store_warm.stats.store.hitRate(),
                 store_warm.stats.symexec_seconds,
                 static_cast<unsigned long long>(ei_off),

@@ -342,6 +342,17 @@ main(int argc, char **argv)
         std::printf("%s", rid::analysis::cfgToDot(*fn).c_str());
         return 0;
     }
+    if (dot_callgraph) {
+        // Color by the classification the analysis would run: the same
+        // seeds, restricted to the --domains filter.
+        rid::analysis::CallGraph cg(tool.module());
+        rid::analysis::FunctionClassifier classifier(
+            tool.module(), cg,
+            tool.summaries().namesWithChanges(domain_filter));
+        std::printf("%s", rid::analysis::callGraphToDot(cg, &classifier)
+                              .c_str());
+        return 0;
+    }
 
     rid::RunResult result;
     try {
@@ -351,16 +362,6 @@ main(int argc, char **argv)
         // and silently not getting it would be worse than failing.
         std::fprintf(stderr, "ridc: %s\n", e.what());
         return 2;
-    }
-    if (dot_callgraph) {
-        rid::analysis::CallGraph cg(tool.module());
-        rid::summary::SummaryDb db;
-        // Color by a fresh classification over the loaded specs.
-        std::vector<std::string> seeds = tool.summaries().namesWithChanges();
-        rid::analysis::FunctionClassifier classifier(tool.module(), seeds);
-        std::printf("%s", rid::analysis::callGraphToDot(cg, &classifier)
-                              .c_str());
-        return 0;
     }
     if (json) {
         std::printf("%s\n", rid::toJson(result).c_str());

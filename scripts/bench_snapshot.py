@@ -24,10 +24,6 @@ FIELDS = [
     "cache_hit_rate",
     "wall_seconds_off",
     "wall_seconds_on",
-    "wall_seconds_prefix_off",
-    "wall_seconds_prefix_on",
-    "redundant_block_ratio",
-    "symexec_reduction",
     "symexec_seconds_journal_off",
     "symexec_seconds_journal_on",
     "provenance_overhead",
@@ -79,9 +75,8 @@ def main() -> int:
     for field in FIELDS:
         if field in record:
             snap[field] = record[field]
-    for engine in ("cache_off", "prefix_on"):
-        if engine in record and "reports" in record[engine]:
-            snap[f"reports_{engine}"] = record[engine]["reports"]
+    if "cache_off" in record and "reports" in record["cache_off"]:
+        snap["reports_cache_off"] = record["cache_off"]["reports"]
 
     # BENCH_truth.json (the injected-truth scoring harness): keep the
     # dimensionless per-run scores and scale markers; per-domain detail

@@ -7,23 +7,21 @@
 # compares threads {1,4} x query-cache {on,off} x tracing {off,on});
 # running the binary twice catches run-to-run nondeterminism that a single
 # in-process comparison cannot (e.g. ASLR-dependent container ordering).
-# The determinism suite also carries the engine differential: the
-# prefix-sharing tree executor vs the enumerate-then-replay reference,
-# byte-identical over the corpus, under budgets and under faults.
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
-# tree, building only the chaos test), runs the engine differential and
-# the tree-executor unit suite under the same sanitizers (the COW store
-# and persistent condition chain are exactly the kind of shared-
-# ownership code ASan exists for), runs the summary-compaction unit
+# tree, building only the chaos test), runs the tree-executor unit suite
+# under the same sanitizers — including the engine differential
+# (TreeExecDifferential: executeFunctionTree vs its enumerate-then-replay
+# reference on every function of the determinism corpus) — since the COW
+# store and persistent condition chain are exactly the kind of shared-
+# ownership code ASan exists for, runs the summary-compaction unit
 # suite plus the compaction/interning determinism differentials under
 # ASan (the sharded instantiation cache is shared mutable state),
 # refreshes BENCH_performance.json
 # at the repo root (the microbenchmarks themselves are skipped via a
 # non-matching filter — only the trajectory-record workload runs,
-# including the prefix_off/prefix_on engine comparison and the
-# provenance journal off/on overhead pair plus the durable-store
-# cold/warm resume differential), exercises the tracing path end to end
+# including the provenance journal off/on overhead pair plus the
+# durable-store cold/warm resume differential), exercises the tracing path end to end
 # on a small DPM corpus, round-trips the provenance journal through
 # `ridc explain` and `ridc diff-runs` (including a torn-tail journal),
 # and SIGKILLs a store-backed `ridc` scan mid-run to prove `--resume`
@@ -64,17 +62,17 @@ cmake --build build-asan -j --target test_store
 ./build-asan/tests/test_store
 
 echo "== sanitizer smoke (ASan+UBSan prefix-sharing engine) =="
-cmake --build build-asan -j --target test_analysis_tree_exec \
-    --target test_analyzer_determinism
+cmake --build build-asan -j --target test_analysis_tree_exec
+# The whole suite, so the engine differential (TreeExecDifferential.*)
+# cannot drop out of the run unnoticed the way a stale filter would.
 ./build-asan/tests/test_analysis_tree_exec
-./build-asan/tests/test_analyzer_determinism \
-    --gtest_filter='AnalyzerDeterminismTest.PrefixSharing*'
 
 # The sharded instantiation cache is cross-thread shared mutable state
 # (per-shard mutexes guarding LRU lists), and compaction runs solver
 # proofs over freshly merged formulas — both are prime ASan territory.
 echo "== sanitizer smoke (ASan+UBSan compaction + interning) =="
-cmake --build build-asan -j --target test_summary_compact
+cmake --build build-asan -j --target test_summary_compact \
+    --target test_analyzer_determinism
 ./build-asan/tests/test_summary_compact
 ./build-asan/tests/test_analyzer_determinism \
     --gtest_filter='*Compaction*:*Interning*'

@@ -3,9 +3,10 @@
  * Whole-module analysis driver.
  *
  * Runs the full RID pipeline on an IR module: call-graph construction,
- * function classification, and a bottom-up traversal that enumerates
- * paths, summarizes them symbolically, checks inconsistent path pairs and
- * stores the resulting function summaries. Category-2 functions are only
+ * function classification, and a bottom-up traversal that executes each
+ * function's paths symbolically in one prefix-sharing CFG-tree walk,
+ * checks inconsistent path pairs and stores the resulting function
+ * summaries. Category-2 functions are only
  * analyzed when simple enough (conditional-branch budget); category-3
  * functions are skipped entirely. SCC levels may be processed in parallel
  * for large corpora.
@@ -179,28 +180,11 @@ struct AnalyzerOptions
     int max_cat2_branches = 3;
     /** Prune infeasible states during symbolic execution. */
     bool prune_infeasible = true;
-    /** Execute each function as one prefix-sharing CFG-tree walk
-     *  (analysis/symexec.h, executeFunctionTree) instead of enumerating
-     *  paths and replaying each from the entry block. Output-identical
-     *  to the replay pipeline — kept as a toggle for differential
-     *  testing and as the reference semantics. */
-    bool prefix_sharing = true;
     /** Classify first and skip category-3 functions (Section 5.2).
      *  Disabled: every defined function is fully analyzed. */
     bool classify = true;
     /** Worker threads for SCC-level parallelism (1 = sequential). */
     int threads = 1;
-    /** Worker threads for path-level parallelism inside one function
-     *  (the Section 7 future-work item: "symbolically executing
-     *  multiple paths in parallel"). 1 = sequential. */
-    int path_threads = 1;
-    /** Seed for the inconsistent-entry drop choice (only consulted when
-     *  deterministic_drop is off). */
-    uint64_t drop_seed = 0x5eed;
-    /** Deterministic IPP drop choice (IppOptions::deterministic_drop):
-     *  on, outputs are independent of drop_seed; off restores the
-     *  paper's seeded-random drop for differential testing. */
-    bool deterministic_drop = true;
     /** Compact each computed summary before it enters the database:
      *  merge entries indistinguishable at every call boundary (identical
      *  changes/stores/ret) into one disjunctive entry and drop entries
@@ -209,7 +193,7 @@ struct AnalyzerOptions
      *  with the pass on or off — pinned by the determinism suite. */
     bool compact_summaries = true;
     /** Hash-cons callee-entry instantiations in a sharded cache shared
-     *  across all path and SCC workers (summary/inst_cache.h).
+     *  across all SCC workers (summary/inst_cache.h).
      *  Semantically invisible; only instantiation cost changes. */
     bool intern_instantiations = true;
     /** Capacity of the shared instantiation cache (entries). */
@@ -220,8 +204,8 @@ struct AnalyzerOptions
      *  enabling only `ref` reproduces the pre-domain run exactly. */
     std::vector<std::string> enabled_domains;
     /** Share one memoized solver-verdict cache (smt/query_cache.h)
-     *  between every solver of the run — across SCC-level workers,
-     *  path-level workers and the IPP phase. Results are identical with
+     *  between every solver of the run — across SCC-level workers and
+     *  the IPP phase. Results are identical with
      *  the cache on or off; only repeated-query cost changes. */
     bool use_query_cache = true;
     /** Capacity of the shared query cache (entries). */
@@ -309,14 +293,13 @@ struct AnalyzerStats
     size_t functions_defaulted = 0;
     size_t paths_enumerated = 0;
     size_t entries_computed = 0;
-    /** Basic blocks stepped during symbolic execution. Under prefix
-     *  sharing each CFG-tree edge counts once; under replay a shared
-     *  prefix counts once per path replaying it. */
+    /** Basic blocks stepped during symbolic execution; each CFG-tree
+     *  edge counts once, however many paths share it. */
     size_t blocks_executed = 0;
-    /** State-set forks at conditional branches (prefix sharing only). */
+    /** State-set forks at conditional branches. */
     size_t state_forks = 0;
     /** CFG subtrees skipped because their path condition was
-     *  unsatisfiable (prefix sharing with pruning enabled only). */
+     *  unsatisfiable (pruning enabled only). */
     size_t subtrees_pruned = 0;
     size_t functions_truncated = 0;
     /** Functions degraded to the default summary by budget expiry. */

@@ -1,8 +1,5 @@
 #include "analysis/classifier.h"
 
-#include <algorithm>
-#include <set>
-
 #include "analysis/slicer.h"
 #include "obs/trace.h"
 
@@ -24,13 +21,16 @@ categoryName(Category c)
 
 FunctionClassifier::FunctionClassifier(
     const ir::Module &mod, const std::vector<std::string> &seeds)
+    : FunctionClassifier(mod, CallGraph(mod), seeds)
+{}
+
+FunctionClassifier::FunctionClassifier(
+    const ir::Module &mod, const CallGraph &cg,
+    const std::vector<std::string> &seeds)
     : mod_(mod)
 {
     obs::Span span("phase", "classify-module");
-
-    CallGraph cg(mod);
     span.arg("functions", std::to_string(cg.size()));
-    std::set<std::string> seed_set(seeds.begin(), seeds.end());
 
     const size_t n = cg.size();
     std::vector<bool> rc_changing(n, false);

@@ -50,11 +50,16 @@ class FunctionClassifier
 {
   public:
     /**
-     * Classify every function of @p mod.
+     * Classify every function of @p mod over its call graph @p cg (only
+     * read during construction).
      *
      * @param seeds names of the refcount APIs (functions whose predefined
      *              summaries change refcounts)
      */
+    FunctionClassifier(const ir::Module &mod, const CallGraph &cg,
+                       const std::vector<std::string> &seeds);
+
+    /** As above, over a call graph built from @p mod for the purpose. */
     FunctionClassifier(const ir::Module &mod,
                        const std::vector<std::string> &seeds);
 

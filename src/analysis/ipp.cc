@@ -1,7 +1,6 @@
 #include "analysis/ipp.h"
 
 #include <algorithm>
-#include <random>
 #include <sstream>
 
 #include "obs/failpoint.h"
@@ -40,9 +39,9 @@ uint64_t
 BugReport::computeFingerprint(uint64_t function_fingerprint) const
 {
     // Normalized witness shape: every ingredient is byte-stable across
-    // engines/threads/cache settings (pinned by the determinism suite),
-    // so the fingerprint is too. Solver evidence and callee chains stay
-    // out — they carry run-configuration detail (cache hits).
+    // threads/cache settings (pinned by the determinism suite), so the
+    // fingerprint is too. Solver evidence and callee chains stay out —
+    // they carry run-configuration detail (cache hits).
     using smt::fpBytes;
     using smt::fpCombine;
     uint64_t h = fpCombine(function_fingerprint, fpBytes(function));
@@ -129,8 +128,6 @@ checkAndMerge(const std::string &function,
     span.arg("entries", std::to_string(entries.size()));
 
     IppResult result;
-    std::mt19937_64 rng(opts.drop_seed ^
-                        std::hash<std::string>()(function));
 
     auto policyOf = [&opts](const std::string &d) {
         return opts.domains ? opts.domains->policyOf(d)
@@ -274,34 +271,28 @@ checkAndMerge(const std::string &function,
                     report.queries.push_back(overlap_query);
                     result.reports.push_back(std::move(report));
                 }
-                // Drop one entry of the pair to stop cascading reports.
-                // Deterministic mode minimizes cross-domain information
-                // loss: an entry whose counters all reappear in some
-                // surviving sibling is redundant evidence, while one
-                // carrying the only effect on a counter is the sole
-                // witness for it — prefer dropping the covered entry.
-                size_t drop;
-                if (opts.deterministic_drop) {
-                    auto uncoveredKeys = [&entries](size_t victim) {
-                        size_t uncovered = 0;
-                        for (const auto &[rc, delta] :
-                             entries[victim].changes) {
-                            (void)delta;
-                            bool covered = false;
-                            for (size_t k = 0;
-                                 k < entries.size() && !covered; k++) {
-                                covered = k != victim &&
-                                          entries[k].changes.count(rc);
-                            }
-                            if (!covered)
-                                uncovered++;
+                // Drop one entry of the pair to stop cascading reports,
+                // minimizing cross-domain information loss: an entry
+                // whose counters all reappear in some surviving sibling
+                // is redundant evidence, while one carrying the only
+                // effect on a counter is the sole witness for it —
+                // prefer dropping the covered entry.
+                auto uncoveredKeys = [&entries](size_t victim) {
+                    size_t uncovered = 0;
+                    for (const auto &[rc, delta] : entries[victim].changes) {
+                        (void)delta;
+                        bool covered = false;
+                        for (size_t k = 0; k < entries.size() && !covered;
+                             k++) {
+                            covered = k != victim &&
+                                      entries[k].changes.count(rc);
                         }
-                        return uncovered;
-                    };
-                    drop = uncoveredKeys(j) <= uncoveredKeys(i) ? j : i;
-                } else {
-                    drop = (rng() & 1) ? i : j;
-                }
+                        if (!covered)
+                            uncovered++;
+                    }
+                    return uncovered;
+                };
+                size_t drop = uncoveredKeys(j) <= uncoveredKeys(i) ? j : i;
                 entries.erase(entries.begin() + drop);
                 changed = true;
             }

@@ -9,9 +9,10 @@
  * from outside, yet they change a refcount differently — a refcount bug
  * no matter which path reflects the intended behaviour (Section 3.2).
  *
- * For each IPP one entry is dropped (the paper drops randomly; we use a
- * seeded RNG so runs are reproducible) to avoid cascading reports at call
- * sites. Consistent overlapping entries with identical changes are merged
+ * For each IPP one entry is dropped to avoid cascading reports at call
+ * sites. The paper drops one at random; here the choice minimizes
+ * information loss (see IppOptions), so outputs depend on no seed.
+ * Consistent overlapping entries with identical changes are merged
  * with disjunction. The surviving set is the function summary.
  */
 
@@ -85,8 +86,8 @@ struct BugReport
 
     /** Stable 64-bit report identity (0 until stamped by the analyzer):
      *  function body fingerprint x domain x counter x kind x witness
-     *  shape. Byte-stable across engines, thread counts and cache
-     *  settings; the cross-run dedup key of `ridc diff-runs`. */
+     *  shape. Byte-stable across thread counts and cache settings; the
+     *  cross-run dedup key of `ridc diff-runs`. */
     uint64_t fingerprint = 0;
     /** ir::Function::fingerprint() of the reported function. */
     uint64_t function_fp = 0;
@@ -112,22 +113,18 @@ struct BugReport
 
     /** Derive the stable report fingerprint from the witness shape.
      *  Deterministic function of fields the determinism suite already
-     *  pins byte-identical across engines/threads/cache configs. */
+     *  pins byte-identical across threads/cache configs. */
     uint64_t computeFingerprint(uint64_t function_fingerprint) const;
 };
 
+/**
+ * Options of checkAndMerge(). Of each inconsistent pair it drops the entry
+ * more of whose (domain, counter) keys are still covered by the surviving
+ * entries, so the summary keeps a witness for as many counters as
+ * possible; ties drop the later entry.
+ */
 struct IppOptions
 {
-    /** Seed for the drop-one-of-the-pair choice (legacy mode only). */
-    uint64_t drop_seed = 0x5eed;
-    /** Replace the paper's seeded-random drop with a deterministic
-     *  choice that minimizes cross-domain information loss: of the
-     *  inconsistent pair, drop the entry more of whose (domain,
-     *  counter) keys are still covered by the surviving entries, so the
-     *  summary keeps a witness for as many counters as possible. Ties
-     *  drop the later entry. Removes every drop_seed dependence from
-     *  outputs; the seeded path is kept for differential testing. */
-    bool deterministic_drop = true;
     /** Declared effect domains; null means every domain is checked with
      *  the default `ipp` policy (pre-domain behavior). */
     const summary::DomainTable *domains = nullptr;

@@ -1,10 +1,7 @@
 #include "analysis/symexec.h"
 
-#include <atomic>
 #include <cassert>
-#include <future>
 #include <map>
-#include <mutex>
 #include <utility>
 
 #include "analysis/cow.h"
@@ -586,31 +583,22 @@ class TreeExecutor
 {
   public:
     TreeExecutor(const ir::Function &fn, const summary::SummaryDb &db,
-                 const TreeExecOptions &opts)
-        : fn_(fn), db_(db), opts_(opts)
+                 smt::Solver &solver, const TreeExecOptions &opts)
+        : fn_(fn), db_(db), solver_(solver), opts_(opts),
+          visits_(fn.numBlocks(), 0)
     {}
 
+    /** Walk the tree once; the executor is spent afterwards. */
     TreeExecResult
-    run(smt::Solver &solver)
+    run()
     {
-        TreeExecResult res = opts_.path_threads > 1 && opts_.make_solver
-                                 ? runParallel(solver)
-                                 : runSequential(solver);
-        finalize(res);
-        return res;
+        if (enterable(0))
+            dfs(0, initialStates());
+        finalize();
+        return std::move(res_);
     }
 
   private:
-    /** Mutable context of one tree walk (sequential or one worker). */
-    struct RunCtx
-    {
-        smt::Solver *solver;
-        std::vector<int> *visits;
-        TreeExecResult *res;
-        int path_cap;
-        bool stop = false;
-    };
-
     /** How one block's instruction list left the state set. */
     struct BlockStep
     {
@@ -624,29 +612,18 @@ class TreeExecutor
             children;
     };
 
-    /** One node of the phase-A frontier: either a completed path (its
-     *  outcome is final) or a pending subtree root. */
-    struct WorkUnit
-    {
-        bool completed = false;
-        PathOutcome outcome;
-        ir::BlockId block = 0;
-        std::vector<TreeState> states;
-        std::vector<int> visits;
-    };
-
     /** Mirror of the path enumerator's per-child entry checks. */
     bool
-    enterable(const RunCtx &ctx, ir::BlockId b) const
+    enterable(ir::BlockId b) const
     {
-        return (*ctx.visits)[b] < opts_.max_visits &&
+        return visits_[b] < opts_.max_visits &&
                !blockCallsAssertFail(fn_.block(b));
     }
 
     bool
-    pruneState(RunCtx &ctx, const TreeState &s) const
+    pruneState(const TreeState &s) const
     {
-        return opts_.prune_infeasible && !ctx.solver->isSatChain(s.cons);
+        return opts_.prune_infeasible && !solver_.isSatChain(s.cons);
     }
 
     std::vector<TreeState>
@@ -663,34 +640,36 @@ class TreeExecutor
     /** Stamp the structural truncation flags and globally consistent
      *  path indices once the completed list is final. */
     void
-    finalize(TreeExecResult &res) const
+    finalize()
     {
-        if (static_cast<int>(res.completed.size()) >= opts_.max_paths) {
-            res.truncated = true;
-            res.path_cap_hit = true;
+        if (static_cast<int>(res_.completed.size()) >= opts_.max_paths) {
+            res_.truncated = true;
+            res_.path_cap_hit = true;
         }
-        for (size_t i = 0; i < res.completed.size(); i++)
-            for (auto &e : res.completed[i].entries)
+        for (size_t i = 0; i < res_.completed.size(); i++)
+            for (auto &e : res_.completed[i].entries)
                 e.origin.path_index = static_cast<int>(i);
     }
 
-    BlockStep stepBlock(RunCtx &ctx, ir::BlockId b,
-                        std::vector<TreeState> states);
-    void dfs(RunCtx &ctx, ir::BlockId b, std::vector<TreeState> states);
-    TreeExecResult runSequential(smt::Solver &solver);
-    TreeExecResult runParallel(smt::Solver &solver);
+    BlockStep stepBlock(ir::BlockId b, std::vector<TreeState> states);
+    void dfs(ir::BlockId b, std::vector<TreeState> states);
 
     const ir::Function &fn_;
     const summary::SummaryDb &db_;
+    smt::Solver &solver_;
     const TreeExecOptions &opts_;
+    /** Times each block appears on the current DFS path. */
+    std::vector<int> visits_;
+    TreeExecResult res_;
+    /** Set once the budget or the path cap ends the walk. */
+    bool stop_ = false;
 };
 
 TreeExecutor::BlockStep
-TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
-                        std::vector<TreeState> states)
+TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
 {
     const auto &bb = fn_.block(b);
-    ctx.res->blocks_executed++;
+    res_.blocks_executed++;
     BlockStep step;
     for (size_t idx = 0; idx < bb.instrs.size(); idx++) {
         const ir::Instruction &in = bb.instrs[idx];
@@ -748,7 +727,7 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
             break;
           case ir::Opcode::Branch:
             // Terminator: one unconditional successor.
-            if (enterable(ctx, in.target))
+            if (enterable(in.target))
                 step.children.emplace_back(in.target, std::move(states));
             step.kind = step.children.empty() ? BlockStep::Dead
                                               : BlockStep::Continue;
@@ -761,14 +740,14 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
             // replay does with its tagged part vector (Figure 6).
             std::vector<ir::BlockId> sides;
             for (ir::BlockId sb : {in.target, in.target_else})
-                if (enterable(ctx, sb))
+                if (enterable(sb))
                     sides.push_back(sb);
             if (sides.size() > 1)
                 for (auto &s : states)
                     s.vmap.freeze();  // forks share, not copy, the env
             for (size_t k = 0; k < sides.size(); k++) {
                 if (k > 0)
-                    ctx.res->forks++;
+                    res_.forks++;
                 std::vector<TreeState> side_states =
                     k + 1 < sides.size() ? states : std::move(states);
                 bool taken = sides[k] == in.target;
@@ -779,14 +758,14 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
                         cond = valueOf(in.a, fn_, s.vmap);
                     Formula lit = branchCondition(cond, taken);
                     s.cons = s.cons.withoutSource(&in).extended(&in, lit);
-                    if (!pruneState(ctx, s))
+                    if (!pruneState(s))
                         kept.push_back(std::move(s));
                 }
                 if (kept.empty()) {
                     // Infeasible side: the whole subtree below it is
                     // skipped. Replay enumerates and re-executes every
                     // path through it just to watch each die here.
-                    ctx.res->subtrees_pruned++;
+                    res_.subtrees_pruned++;
                     continue;
                 }
                 step.children.emplace_back(sides[k], std::move(kept));
@@ -824,12 +803,12 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
                 for (size_t ei = 0; ei < callee->entries.size(); ei++) {
                     if (static_cast<int>(next.size()) >=
                         opts_.max_subcases) {
-                        ctx.res->truncated = true;
+                        res_.truncated = true;
                         break;
                     }
                     summary::CallInstantiation inst = instantiateCallEntry(
                         *callee, ei, actuals, temp_name, !in.dst.empty(),
-                        opts_.inst_cache, ctx.res->entries_instantiated);
+                        opts_.inst_cache, res_.entries_instantiated);
 
                     TreeState forked = s;
                     forked.callees.push_back(in.callee);
@@ -845,7 +824,7 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
                                         inst.result
                                             ? inst.result
                                             : Expr::temp(temp_name));
-                    if (!pruneState(ctx, forked))
+                    if (!pruneState(forked))
                         next.push_back(std::move(forked));
                 }
             }
@@ -864,7 +843,7 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
                         retval, s.cons.parts(), s.changes, s.stores,
                         s.change_lines, s.callees, in.line, 0));
                 } else {
-                    ctx.res->truncated = true;
+                    res_.truncated = true;
                 }
             }
             step.kind = BlockStep::Returned;
@@ -874,13 +853,13 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
         if (states.empty()) {
             // Every state died mid-block (an unsatisfiable call entry
             // constraint): the continuation below is unreachable.
-            ctx.res->subtrees_pruned++;
+            res_.subtrees_pruned++;
             step.kind = BlockStep::Dead;
             return step;
         }
         if (static_cast<int>(states.size()) > opts_.max_subcases) {
             states.resize(opts_.max_subcases);
-            ctx.res->truncated = true;
+            res_.truncated = true;
         }
     }
     // Verified IR guarantees a terminator ended the block above.
@@ -890,225 +869,38 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
 }
 
 void
-TreeExecutor::dfs(RunCtx &ctx, ir::BlockId b, std::vector<TreeState> states)
+TreeExecutor::dfs(ir::BlockId b, std::vector<TreeState> states)
 {
-    if (ctx.stop)
+    if (stop_)
         return;
     if (opts_.budget && opts_.budget->expired()) {
-        ctx.res->deadline_hit = true;
-        ctx.stop = true;
+        res_.deadline_hit = true;
+        stop_ = true;
         return;
     }
-    if (static_cast<int>(ctx.res->completed.size()) >= ctx.path_cap) {
-        ctx.res->truncated = true;
-        ctx.res->path_cap_hit = true;
-        ctx.stop = true;
+    if (static_cast<int>(res_.completed.size()) >= opts_.max_paths) {
+        res_.truncated = true;
+        res_.path_cap_hit = true;
+        stop_ = true;
         return;
     }
-    (*ctx.visits)[b]++;
-    BlockStep step = stepBlock(ctx, b, std::move(states));
+    visits_[b]++;
+    BlockStep step = stepBlock(b, std::move(states));
     switch (step.kind) {
       case BlockStep::Returned:
-        ctx.res->completed.push_back(std::move(step.outcome));
+        res_.completed.push_back(std::move(step.outcome));
         break;
       case BlockStep::Continue:
         for (auto &[child, child_states] : step.children) {
-            if (ctx.stop)
+            if (stop_)
                 break;
-            dfs(ctx, child, std::move(child_states));
+            dfs(child, std::move(child_states));
         }
         break;
       case BlockStep::Dead:
         break;
     }
-    (*ctx.visits)[b]--;
-}
-
-TreeExecResult
-TreeExecutor::runSequential(smt::Solver &solver)
-{
-    TreeExecResult res;
-    std::vector<int> visits(fn_.numBlocks(), 0);
-    RunCtx ctx{&solver, &visits, &res, opts_.max_paths};
-    if (enterable(ctx, 0))
-        dfs(ctx, 0, initialStates());
-    return res;
-}
-
-TreeExecResult
-TreeExecutor::runParallel(smt::Solver &solver)
-{
-    TreeExecResult res;  // phase-A flags and counters accumulate here
-    std::vector<WorkUnit> units;
-    std::vector<int> root_visits(fn_.numBlocks(), 0);
-    {
-        RunCtx probe{&solver, &root_visits, &res, opts_.max_paths};
-        if (enterable(probe, 0)) {
-            WorkUnit root;
-            root.block = 0;
-            root.states = initialStates();
-            root.visits = root_visits;
-            units.push_back(std::move(root));
-        }
-    }
-
-    // Phase A (sequential): repeatedly expand the leftmost pending unit
-    // — exactly the block the sequential walk would execute next — until
-    // enough independent sibling subtrees are exposed to feed the
-    // workers. The unit list is always completed-outcomes first, pending
-    // subtrees after, in DFS order, which makes the phase-C merge a
-    // plain in-order concatenation.
-    size_t first_pending = 0;
-    size_t completed_count = 0;
-    const size_t target = static_cast<size_t>(opts_.path_threads) * 4;
-    while (true) {
-        while (first_pending < units.size() &&
-               units[first_pending].completed)
-            first_pending++;
-        if (first_pending >= units.size())
-            break;  // tree fully executed during expansion
-        if (units.size() - first_pending >= target)
-            break;  // enough parallel work exposed
-        if (opts_.budget && opts_.budget->expired()) {
-            res.deadline_hit = true;
-            break;
-        }
-        if (completed_count >= static_cast<size_t>(opts_.max_paths)) {
-            // Path cap consumed while expanding: the sequential walk
-            // stops here; pending subtrees stay unexplored.
-            res.truncated = true;
-            res.path_cap_hit = true;
-            units.resize(first_pending);
-            break;
-        }
-        WorkUnit unit = std::move(units[first_pending]);
-        RunCtx ctx{&solver, &unit.visits, &res, opts_.max_paths};
-        unit.visits[unit.block]++;
-        BlockStep step = stepBlock(ctx, unit.block, std::move(unit.states));
-        switch (step.kind) {
-          case BlockStep::Returned: {
-            WorkUnit done;
-            done.completed = true;
-            done.outcome = std::move(step.outcome);
-            units[first_pending] = std::move(done);
-            completed_count++;
-            break;
-          }
-          case BlockStep::Continue: {
-            std::vector<WorkUnit> children;
-            children.reserve(step.children.size());
-            for (auto &[child, child_states] : step.children) {
-                WorkUnit cu;
-                cu.block = child;
-                cu.states = std::move(child_states);
-                cu.visits = unit.visits;
-                children.push_back(std::move(cu));
-            }
-            units.erase(units.begin() +
-                        static_cast<ptrdiff_t>(first_pending));
-            units.insert(units.begin() +
-                             static_cast<ptrdiff_t>(first_pending),
-                         std::make_move_iterator(children.begin()),
-                         std::make_move_iterator(children.end()));
-            break;
-          }
-          case BlockStep::Dead:
-            units.erase(units.begin() +
-                        static_cast<ptrdiff_t>(first_pending));
-            break;
-        }
-    }
-
-    // Phase B (parallel): each pending subtree runs a full local walk on
-    // its own solver; results are kept per unit index so phase C can
-    // merge them back in deterministic DFS order.
-    size_t n_pending = units.size() - first_pending;
-    std::vector<TreeExecResult> worker_res(n_pending);
-    if (n_pending > 0 && !res.deadline_hit) {
-        std::atomic<size_t> cursor{0};
-        std::mutex merge_mutex;
-        std::exception_ptr worker_fault;
-        smt::Solver::Stats wstats;
-        int workers = std::min<int>(opts_.path_threads,
-                                    static_cast<int>(n_pending));
-        std::vector<std::future<void>> futures;
-        futures.reserve(static_cast<size_t>(workers));
-        for (int w = 0; w < workers; w++) {
-            futures.push_back(std::async(std::launch::async, [&]() {
-                obs::ScopedTracer scoped(opts_.tracer);
-                // Thread-local failpoint context does not inherit
-                // across threads; re-establish it per worker.
-                obs::FailpointScope worker_scope(fn_.name());
-                smt::Solver local_solver = opts_.make_solver();
-                try {
-                    while (true) {
-                        size_t i = cursor.fetch_add(1);
-                        if (i >= n_pending)
-                            break;
-                        WorkUnit &u = units[first_pending + i];
-                        RunCtx wctx{&local_solver, &u.visits,
-                                    &worker_res[i], opts_.max_paths};
-                        dfs(wctx, u.block, std::move(u.states));
-                        if (static_cast<int>(
-                                worker_res[i].completed.size()) >=
-                            opts_.max_paths) {
-                            worker_res[i].truncated = true;
-                            worker_res[i].path_cap_hit = true;
-                        }
-                    }
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(merge_mutex);
-                    if (!worker_fault)
-                        worker_fault = std::current_exception();
-                }
-                std::lock_guard<std::mutex> lock(merge_mutex);
-                wstats += local_solver.stats();
-            }));
-        }
-        for (auto &f : futures)
-            f.get();
-        if (worker_fault)
-            std::rethrow_exception(worker_fault);
-        res.worker_solver_stats = wstats;
-    }
-
-    // Phase C: in-order merge under the global path cap. Everything
-    // before first_pending is a completed path in DFS order.
-    for (size_t i = 0; i < first_pending; i++)
-        res.completed.push_back(std::move(units[i].outcome));
-    for (auto &wr : worker_res) {
-        int remaining = opts_.max_paths -
-                        static_cast<int>(res.completed.size());
-        if (remaining <= 0) {
-            // The cap landed on an earlier subtree; this one's results
-            // are speculative work the sequential walk never does.
-            res.truncated = true;
-            res.path_cap_hit = true;
-            break;
-        }
-        bool within_cap =
-            static_cast<int>(wr.completed.size()) <= remaining &&
-            !wr.path_cap_hit;
-        int take = std::min<int>(remaining,
-                                 static_cast<int>(wr.completed.size()));
-        for (int k = 0; k < take; k++)
-            res.completed.push_back(std::move(wr.completed[k]));
-        if (within_cap) {
-            res.truncated = res.truncated || wr.truncated;
-        } else {
-            // The global cap lands inside this subtree: the sequential
-            // walk stops exactly at the cap, and anything the worker
-            // saw beyond it is masked by the cap's own truncation.
-            res.truncated = true;
-            res.path_cap_hit = true;
-        }
-        res.deadline_hit = res.deadline_hit || wr.deadline_hit;
-        res.blocks_executed += wr.blocks_executed;
-        res.forks += wr.forks;
-        res.subtrees_pruned += wr.subtrees_pruned;
-        res.entries_instantiated += wr.entries_instantiated;
-    }
-    return res;
+    visits_[b]--;
 }
 
 } // anonymous namespace
@@ -1123,8 +915,7 @@ executeFunctionTree(const ir::Function &fn, const summary::SummaryDb &db,
     obs::failpoint("analysis.paths.enumerate");
     obs::Span span("phase", "symexec-tree");
     span.arg("fn", fn.name());
-    TreeExecutor exec(fn, db, opts);
-    TreeExecResult res = exec.run(solver);
+    TreeExecResult res = TreeExecutor(fn, db, solver, opts).run();
     span.arg("paths", std::to_string(res.completed.size()));
     return res;
 }

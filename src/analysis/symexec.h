@@ -15,7 +15,6 @@
 #define RID_ANALYSIS_SYMEXEC_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,10 +23,6 @@
 #include "smt/solver.h"
 #include "summary/db.h"
 #include "summary/inst_cache.h"
-
-namespace rid::obs {
-class Tracer;
-}
 
 namespace rid::analysis {
 
@@ -98,28 +93,20 @@ struct TreeExecOptions
      *  with prefix sharing this also skips the whole CFG subtree below
      *  an infeasible branch side. */
     bool prune_infeasible = true;
-    /** Checked once per executed tree node (the replay pipeline checks
-     *  once per enumerated block and once per replayed block). */
+    /** Checked once per executed tree node (executePath checks once per
+     *  replayed block). */
     const obs::Budget *budget = nullptr;
     /** Cap on completed paths; with pruning enabled only feasible
      *  completed paths count against it. */
     int max_paths = 100;
     /** Loop unrolling: max times one block may appear on a path. */
     int max_visits = 2;
-    /** Worker threads for subtree-level parallelism (<=1: sequential). */
-    int path_threads = 1;
-    /** Per-worker solver factory; required when path_threads > 1 (the
-     *  shared caller solver is not thread-safe). */
-    std::function<smt::Solver()> make_solver;
-    /** Tracer re-established inside each worker thread; may be null. */
-    obs::Tracer *tracer = nullptr;
-    /** Optional shared callee-instantiation cache; as ExecOptions. The
-     *  cache is thread-safe and shared across path workers. */
+    /** Optional shared callee-instantiation cache; as ExecOptions. */
     summary::InstCache *inst_cache = nullptr;
 };
 
-/** The summary entries of one completed feasible path, in the order the
- *  replay engine would emit them. */
+/** The summary entries of one completed feasible path, in the order
+ *  executePath would emit them. */
 struct PathOutcome
 {
     std::vector<summary::SummaryEntry> entries;
@@ -148,19 +135,16 @@ struct TreeExecResult
     /** Callee summary entries instantiated from scratch (as ExecResult;
      *  cache hits are not counted). */
     uint64_t entries_instantiated = 0;
-    /** Aggregated stats of per-worker solvers (path_threads > 1); the
-     *  caller's own solver accumulates sequential work as usual. */
-    smt::Solver::Stats worker_solver_stats;
 };
 
 /**
  * Execute every path of @p fn in one depth-first walk of the CFG tree,
  * forking state at conditional branches instead of replaying shared
- * prefixes per path. Equivalent to enumeratePaths + executePath per
- * path: completed outcomes appear in enumeration order and concatenate
- * to the same entry list (infeasible paths contribute no entries under
- * either engine). With path_threads > 1, independent subtrees execute
- * on worker threads and are merged back in deterministic DFS order.
+ * prefixes per path. This is the analyzer's engine. It is equivalent to
+ * enumeratePaths + executePath per path, which remain as its test
+ * reference: completed outcomes appear in enumeration order and
+ * concatenate to the same entry list (infeasible paths contribute no
+ * entries under either).
  */
 TreeExecResult executeFunctionTree(const ir::Function &fn,
                                    const summary::SummaryDb &db,

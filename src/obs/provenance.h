@@ -5,8 +5,8 @@
  *
  * Every bug report (RID's and the cpychecker baseline's) carries a
  * stable 64-bit fingerprint derived from the function-body fingerprint
- * and the normalized witness shape — byte-stable across engines, thread
- * counts and cache settings — plus a structured provenance record: the
+ * and the normalized witness shape — byte-stable across thread counts
+ * and cache settings — plus a structured provenance record: the
  * witness path pair (constraints, line spans, net changes), the solver
  * queries that decided it (with cache hit/miss and fuel spent), the
  * callee-summary instantiation chain, and budget/degradation context.

@@ -19,7 +19,7 @@
  * Concurrency. The cache is sharded by fingerprint; each shard holds an
  * independent mutex, LRU list and index, so worker threads touching
  * different formulas rarely contend. One instance is shared by every
- * Solver the Analyzer creates, across SCC-level and path-level workers.
+ * Solver the Analyzer creates, across SCC-level workers.
  */
 
 #ifndef RID_SMT_QUERY_CACHE_H

@@ -251,7 +251,9 @@ configFingerprint(const summary::SummaryDb &db,
 {
     using smt::fpBytes;
     using smt::fpCombine;
-    uint64_t h = fpBytes("rid-store-config-v3");
+    // Bump the version whenever the set of hashed inputs changes, so a
+    // store written under the old set misses instead of aliasing.
+    uint64_t h = fpBytes("rid-store-config-v4");
 
     // Declared effect domains (name-ordered) and their policies.
     for (const auto &d : db.domains().all()) {
@@ -267,9 +269,8 @@ configFingerprint(const summary::SummaryDb &db,
     // Summaries imported before the run (separate-file seeds).
     h = fpCombine(h, fpBytes(db.saveComputed()));
 
-    // Output-affecting analyzer options. Engine (prefix_sharing),
-    // threading and cache toggles are excluded: the determinism suite
-    // pins them output-identical. The summary-check hook contributes
+    // Output-affecting analyzer options. Threading and cache toggles
+    // are excluded: the determinism suite pins them output-identical. The summary-check hook contributes
     // only its presence — two different callbacks hash alike, so runs
     // alternating checks over one store must use distinct directories.
     h = fpCombine(h, static_cast<uint64_t>(
@@ -280,15 +281,11 @@ configFingerprint(const summary::SummaryDb &db,
                          static_cast<int64_t>(opts.max_cat2_branches)));
     h = fpCombine(h, static_cast<uint64_t>(opts.prune_infeasible));
     h = fpCombine(h, static_cast<uint64_t>(opts.classify));
-    h = fpCombine(h, opts.drop_seed);
-    // Semantics-affecting toggles of the compaction/interning PR:
-    // deterministic_drop changes which IPP entry is dropped and
     // compact_summaries changes the stored summary shape, so a resume
     // across a flip must re-analyze. intern_instantiations is
     // output-invisible but hashed anyway — flipping it mid-store is a
     // config change, and a spurious re-analysis is cheaper than trusting
     // the differential suite forever.
-    h = fpCombine(h, static_cast<uint64_t>(opts.deterministic_drop));
     h = fpCombine(h, static_cast<uint64_t>(opts.compact_summaries));
     h = fpCombine(h, static_cast<uint64_t>(opts.intern_instantiations));
     h = fpCombine(h, static_cast<uint64_t>(opts.enabled_domains.size()));

@@ -41,10 +41,10 @@ constexpr uint8_t kFrameCheckpoint = 2;
  * Fingerprint of everything besides the function body that determines a
  * function's analysis output: the declared effect domains, every
  * predefined/imported summary, and the output-affecting AnalyzerOptions
- * (caps, classification, drop seed, enabled domains, summary-check
- * presence). A stale fingerprint misses every key, falling back to
- * clean re-analysis. Engine/thread/cache toggles are excluded — the
- * determinism suite pins them output-identical.
+ * (caps, classification, enabled domains, summary-check presence). A
+ * stale fingerprint misses every key, falling back to clean re-analysis.
+ * Thread and cache toggles are excluded — the determinism suite pins
+ * them output-identical.
  */
 uint64_t configFingerprint(const summary::SummaryDb &db,
                            const analysis::AnalyzerOptions &opts);

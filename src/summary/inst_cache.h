@@ -18,8 +18,7 @@
  * *shape*, not once per path.
  *
  * Concurrency mirrors smt::QueryCache: fingerprint-sharded LRU shards,
- * one mutex each, shared by every path-level and SCC-level worker of a
- * run. Hits verify the full key (fingerprints AND the actual/result
+ * one mutex each, shared by every SCC-level worker of a run. Hits verify the full key (fingerprints AND the actual/result
  * expressions structurally) before use, so a 64-bit collision degrades
  * to a miss, never a wrong instantiation. The cache is semantically
  * invisible: with it on or off the engines produce byte-identical

@@ -106,7 +106,6 @@ TriagePass::hpExecFor(const std::string &function)
         topts.max_subcases = opts_.max_subcases;
         topts.max_paths = opts_.max_paths;
         topts.budget = &budget;
-        topts.path_threads = 1;
         try {
             analysis::TreeExecResult res =
                 analysis::executeFunctionTree(*fn, db_, solver, topts);

@@ -34,8 +34,8 @@
  * Determinism: the pass runs sequentially, every budget is fuel-only
  * (no wall clock), the solver consumes fuel before consulting the shared
  * query cache, and higher-precision execution is single-threaded — so
- * tiers and ranks are byte-identical across path_threads settings, both
- * engines and cache on/off (pinned by the determinism suite).
+ * tiers and ranks are byte-identical across SCC thread counts and cache
+ * on/off (pinned by the determinism suite).
  *
  * Tier semantics, ranking key and query shapes: docs/TRIAGE.md.
  */

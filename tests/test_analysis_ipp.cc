@@ -137,23 +137,6 @@ TEST(Ipp, ThreeWayChainResolves)
     }
 }
 
-TEST(Ipp, DropIsSeedDeterministic)
-{
-    auto run = [](uint64_t seed) {
-        smt::Solver solver;
-        IppOptions opts;
-        opts.drop_seed = seed;
-        auto result = checkAndMerge(
-            "f",
-            {entry(retEq(0), 1, Expr::intConst(0)),
-             entry(retEq(0), 0, Expr::intConst(0))},
-            solver, opts);
-        return result.entries[0].changes.empty();
-    };
-    EXPECT_EQ(run(1), run(1));
-    EXPECT_EQ(run(42), run(42));
-}
-
 TEST(Ipp, ReportCarriesConstraintsAndDeltas)
 {
     smt::Solver solver;

@@ -4,7 +4,9 @@
  * data structures: the copy-on-write value map (analysis/cow.h), the
  * persistent path-condition chain (smt/cond_chain.h) plus its
  * Solver::checkChain contract, the executeFunctionTree equivalence
- * with enumerate-then-replay, the blocks/forks/pruned counters, and
+ * with its enumerate-then-replay reference (on hand-written functions
+ * and on every function of the determinism corpus after a full run),
+ * the blocks/forks/pruned counters, and
  * the feasible-only truncation semantics (with pruning enabled,
  * max_paths counts only feasible completed paths and the truncation
  * diagnostic says how many infeasible subtrees were pruned).
@@ -21,6 +23,7 @@
 #include "core/rid.h"
 #include "frontend/lower.h"
 #include "kernel/dpm_specs.h"
+#include "kernel/generator.h"
 #include "smt/cond_chain.h"
 #include "smt/solver.h"
 #include "summary/spec.h"
@@ -334,6 +337,76 @@ TEST_F(TreeExecTest, PrunesContradictedSubtrees)
     EXPECT_EQ(tree.completed.size(), 3u);
 }
 
+// ------------------------------------------ corpus-wide differential
+
+/** Figure 9 of the paper; with the calibrated corpus below it forms the
+ *  determinism suite's corpus (test_analyzer_determinism.cc). */
+const char *kFigure9Source = R"(
+int usb_autopm_get_interface(struct usb_interface *intf) {
+    int status;
+    status = pm_runtime_get_sync(&intf->dev);
+    if (status < 0)
+        pm_runtime_put_sync(&intf->dev);
+    if (status > 0)
+        status = 0;
+    return status;
+}
+int idmouse_open(struct usb_interface *interface) {
+    int result;
+    result = usb_autopm_get_interface(interface);
+    if (result)
+        goto error;
+    result = idmouse_create_image(interface);
+    if (result)
+        goto error;
+    usb_autopm_put_interface(interface);
+error:
+    return result;
+}
+int idmouse_create_image(struct usb_interface *i);
+void usb_autopm_put_interface(struct usb_interface *i);
+)";
+
+TEST(TreeExecDifferential, MatchesReplayOnEveryFunctionOfTheCorpus)
+{
+    // The analyzer runs only executeFunctionTree; enumeratePaths +
+    // executePath stay as its reference semantics. After a default run
+    // over the determinism corpus, every defined function must produce
+    // the same entries, in the same order, under both against the run's
+    // final summary database. A function whose structural paths exceed
+    // the cap is skipped: there the enumerator counts infeasible paths
+    // against the cap and the tree walk does not (see
+    // TreeExecTruncation below).
+    Rid tool;
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.addSource(kFigure9Source);
+    auto corpus =
+        kernel::generateCorpus(kernel::CorpusMix::paperCalibrated(0.001));
+    for (const auto &file : corpus.files)
+        tool.addSource(file.text);
+    RunResult result = tool.run();
+    const summary::SummaryDb &db = tool.summaries();
+
+    size_t compared = 0, with_entries = 0;
+    for (const auto &fn : tool.module().functions()) {
+        if (fn->isDeclaration() || db.hasPredefined(fn->name()))
+            continue;
+        if (analysis::enumeratePaths(*fn, 100).truncated)
+            continue;
+        EngineRun replay = runReplay(*fn, db);
+        auto tree = runTree(*fn, db);
+        ASSERT_EQ(treeEntries(tree), replay.entries) << fn->name();
+        EXPECT_EQ(tree.truncated, replay.truncated) << fn->name();
+        compared++;
+        if (!replay.entries.empty())
+            with_entries++;
+    }
+    // Non-vacuity: at least every function the run analyzed was compared.
+    EXPECT_GE(compared, result.stats.functions_analyzed);
+    EXPECT_GT(with_entries, 0u);
+    EXPECT_GT(result.stats.functions_analyzed, 0u);
+}
+
 // --------------------------------- feasible-only truncation semantics
 
 RunResult
@@ -362,26 +435,23 @@ correlatedDiamonds(int n)
 
 TEST(TreeExecTruncation, PathCapCountsOnlyFeasiblePaths)
 {
-    // Satellite contract: with pruning enabled, max_paths is spent on
-    // feasible completed paths only. 16 structural paths trip a 4-path
-    // cap under enumerate-then-replay, but the tree walk prunes the 14
-    // contradicted subtrees and completes the 2 feasible paths without
-    // ever touching the cap.
+    // With pruning enabled, max_paths is spent on feasible completed
+    // paths only. 16 structural paths trip a 4-path cap in the path
+    // enumerator, but the tree walk prunes the 14 contradicted subtrees
+    // and completes the 2 feasible paths without ever touching the cap.
     std::string source = correlatedDiamonds(4);
 
-    analysis::AnalyzerOptions prefix_on;
-    prefix_on.max_paths = 4;
-    RunResult with_pruning = runAnalyzer(source, prefix_on);
-    EXPECT_EQ(with_pruning.stats.functions_truncated, 0u);
-    EXPECT_EQ(with_pruning.stats.paths_enumerated, 2u);
-    EXPECT_TRUE(with_pruning.reports.empty());
+    ir::Module mod = frontend::compile(source);
+    const ir::Function *fn = mod.find("corr");
+    ASSERT_NE(fn, nullptr);
+    EXPECT_TRUE(analysis::enumeratePaths(*fn, 4).truncated);
 
-    analysis::AnalyzerOptions prefix_off;
-    prefix_off.max_paths = 4;
-    prefix_off.prefix_sharing = false;
-    RunResult replay = runAnalyzer(source, prefix_off);
-    EXPECT_EQ(replay.stats.functions_truncated, 1u);
-    EXPECT_TRUE(replay.reports.empty());
+    analysis::AnalyzerOptions opts;
+    opts.max_paths = 4;
+    RunResult result = runAnalyzer(source, opts);
+    EXPECT_EQ(result.stats.functions_truncated, 0u);
+    EXPECT_EQ(result.stats.paths_enumerated, 2u);
+    EXPECT_TRUE(result.reports.empty());
 }
 
 TEST(TreeExecTruncation, CapHitDiagnosticReportsPrunedSubtrees)
@@ -420,17 +490,6 @@ TEST(TreeExecTruncation, CapHitDiagnosticReportsPrunedSubtrees)
             << d.reason;
     }
     EXPECT_TRUE(found);
-
-    // The replay engine never prunes, so its cap diagnostic stays the
-    // plain one.
-    opts.prefix_sharing = false;
-    RunResult replay = runAnalyzer(source, opts);
-    for (const auto &d : replay.diagnostics) {
-        if (d.function == "wide") {
-            EXPECT_EQ(d.reason.find("after pruning"), std::string::npos)
-                << d.reason;
-        }
-    }
 }
 
 } // anonymous namespace

@@ -2,14 +2,16 @@
  * @file
  * Determinism regression suite for the whole analyzer.
  *
- * analyzer.cc claims its results are deterministic: path-level results
- * are collected per path index, SCC levels only parallelize independent
- * components, and the IPP drop choice is seeded. This suite pins those
- * guarantees down across the full option matrix the shared query cache
- * introduced: threads/path_threads in {1, 4} x query cache {on, off}
- * must all produce byte-identical sorted report sets AND byte-identical
- * summary exports on a representative corpus (the synthetic DPM corpus
- * plus the paper's Figure 9 wrapper example).
+ * analyzer.cc claims its results are deterministic: SCC levels only
+ * parallelize independent components, and the IPP drop choice depends on
+ * the entries alone. This suite pins those guarantees down across the
+ * option matrix: SCC threads in {1, 4} x query cache {on, off} (plus
+ * budgets, faults, domain filters, compaction and interning) must all
+ * produce byte-identical sorted report sets AND byte-identical summary
+ * exports on a representative corpus (the synthetic DPM corpus plus the
+ * paper's Figure 9 wrapper example). The engine itself is checked
+ * against its enumerate-then-replay reference in
+ * test_analysis_tree_exec.cc.
  */
 
 #include <gtest/gtest.h>
@@ -65,24 +67,22 @@ void usb_autopm_put_interface(struct usb_interface *i);
  * spans), which must not perturb any result.
  */
 std::string
-runDigest(const kernel::Corpus &corpus, int threads, int path_threads,
-          bool cache, bool trace = false, double run_deadline = 0,
+runDigest(const kernel::Corpus &corpus, int threads, bool cache,
+          bool trace = false, double run_deadline = 0,
           double fn_deadline = 0, uint64_t solver_fuel = 0,
-          bool prefix_sharing = true, const std::string &failpoints = "",
+          const std::string &failpoints = "",
           const std::vector<std::string> &enabled_domains = {},
           bool load_domain_specs = false, bool compact = true,
           bool intern = true)
 {
     analysis::AnalyzerOptions opts;
     opts.threads = threads;
-    opts.path_threads = path_threads;
     opts.use_query_cache = cache;
     opts.compact_summaries = compact;
     opts.intern_instantiations = intern;
     opts.run_deadline_seconds = run_deadline;
     opts.function_deadline_seconds = fn_deadline;
     opts.function_solver_fuel = solver_fuel;
-    opts.prefix_sharing = prefix_sharing;
     opts.failpoints = failpoints;
     opts.enabled_domains = enabled_domains;
     if (trace) {
@@ -152,14 +152,13 @@ kernel::Corpus AnalyzerDeterminismTest::multi_corpus_;
 
 TEST_F(AnalyzerDeterminismTest, ThreadsByCacheMatrixIsByteIdentical)
 {
-    std::string baseline = runDigest(corpus_, 1, 1, false);
+    std::string baseline = runDigest(corpus_, 1, false);
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4}) {
         for (bool cache : {false, true}) {
             if (threads == 1 && !cache)
                 continue;  // that is the baseline itself
-            EXPECT_EQ(runDigest(corpus_, threads, threads, cache),
-                      baseline)
+            EXPECT_EQ(runDigest(corpus_, threads, cache), baseline)
                 << "threads=" << threads << " cache=" << cache;
         }
     }
@@ -170,10 +169,9 @@ TEST_F(AnalyzerDeterminismTest, TracingDoesNotPerturbResults)
     // Span recording (including per-query solver spans) must be purely
     // observational: the digest stays byte-identical to the untraced
     // baseline at every thread count.
-    std::string baseline = runDigest(corpus_, 1, 1, true);
+    std::string baseline = runDigest(corpus_, 1, true);
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(corpus_, threads, threads, true, true),
-                  baseline)
+        EXPECT_EQ(runDigest(corpus_, threads, true, true), baseline)
             << "threads=" << threads << " trace=on";
     }
 }
@@ -183,19 +181,19 @@ TEST_F(AnalyzerDeterminismTest, RepeatedRunsAreByteIdentical)
     // Same configuration twice: catches any residual run-to-run
     // nondeterminism (iteration over pointer-keyed containers, races on
     // the shared cache, ...).
-    EXPECT_EQ(runDigest(corpus_, 4, 4, true), runDigest(corpus_, 4, 4, true));
+    EXPECT_EQ(runDigest(corpus_, 4, true), runDigest(corpus_, 4, true));
 }
 
 TEST_F(AnalyzerDeterminismTest, GenerousBudgetIsByteIdenticalToNoBudget)
 {
     // The degradation ladder promises: a budget that never fires leaves
     // the run byte-identical to an unbudgeted one — attaching budgets to
-    // the solver, path enumerator and symexec must be purely
-    // observational until expiry. An hour-scale deadline and huge fuel
-    // allowance cannot plausibly fire on this corpus.
-    std::string baseline = runDigest(corpus_, 1, 1, true);
+    // the solver and symexec must be purely observational until expiry.
+    // An hour-scale deadline and huge fuel allowance cannot plausibly
+    // fire on this corpus.
+    std::string baseline = runDigest(corpus_, 1, true);
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(corpus_, threads, threads, true, false,
+        EXPECT_EQ(runDigest(corpus_, threads, true, false,
                             /*run_deadline=*/3600,
                             /*fn_deadline=*/3600,
                             /*solver_fuel=*/1ull << 60),
@@ -204,100 +202,19 @@ TEST_F(AnalyzerDeterminismTest, GenerousBudgetIsByteIdenticalToNoBudget)
     }
 }
 
-TEST_F(AnalyzerDeterminismTest, PrefixSharingMatchesReplayEngine)
-{
-    // The tentpole differential: the prefix-sharing tree executor and
-    // the enumerate-then-replay pipeline must produce byte-identical
-    // reports, summaries AND diagnostics over the full corpus, at every
-    // thread count and cache setting. The replay engine is the
-    // reference semantics; any divergence is a bug in the tree walk.
-    std::string replay = runDigest(corpus_, 1, 1, false, false, 0, 0, 0,
-                                   /*prefix_sharing=*/false);
-    ASSERT_FALSE(replay.empty());
-    for (int threads : {1, 4}) {
-        for (bool cache : {false, true}) {
-            EXPECT_EQ(runDigest(corpus_, threads, threads, cache, false,
-                                0, 0, 0, /*prefix_sharing=*/true),
-                      replay)
-                << "prefix_sharing=on threads=" << threads
-                << " cache=" << cache;
-            EXPECT_EQ(runDigest(corpus_, threads, threads, cache, false,
-                                0, 0, 0, /*prefix_sharing=*/false),
-                      replay)
-                << "prefix_sharing=off threads=" << threads
-                << " cache=" << cache;
-        }
-    }
-}
-
-TEST_F(AnalyzerDeterminismTest, PrefixSharingMatchesReplayUnderBudgets)
-{
-    // Generous budgets (which never fire) must leave both engines
-    // byte-identical to each other: budget plumbing — per-node checks in
-    // the tree walk, per-block checks under replay — is purely
-    // observational until expiry.
-    std::string replay =
-        runDigest(corpus_, 1, 1, true, false, /*run_deadline=*/3600,
-                  /*fn_deadline=*/3600, /*solver_fuel=*/1ull << 60,
-                  /*prefix_sharing=*/false);
-    EXPECT_EQ(runDigest(corpus_, 1, 1, true, false, 3600, 3600,
-                        1ull << 60, /*prefix_sharing=*/true),
-              replay);
-
-    // Solver fuel of 1: any function issuing at least one non-trivial
-    // query degrades to Timeout ("budget: fuel"). The engines issue
-    // different query COUNTS (that is the whole point of prefix
-    // sharing) but the set of functions making >= 1 query is the same,
-    // so fuel accounting degrades the same functions with the same
-    // diagnostics under both engines.
-    std::string replay_fuel =
-        runDigest(corpus_, 1, 1, false, false, 0, 0, /*solver_fuel=*/1,
-                  /*prefix_sharing=*/false);
-    EXPECT_EQ(runDigest(corpus_, 1, 1, false, false, 0, 0, 1,
-                        /*prefix_sharing=*/true),
-              replay_fuel);
-    EXPECT_NE(replay_fuel.find("budget: fuel"), std::string::npos);
-}
-
-TEST_F(AnalyzerDeterminismTest, PrefixSharingMatchesReplayUnderFaults)
-{
-    // Targeted always-faults fire on the first hit inside the victim
-    // function under either engine, so fault isolation (degrade the
-    // victim, keep every bystander byte-identical) must make whole-run
-    // digests engine-independent. Covers the shared per-path site, the
-    // path-discovery site the tree walk subsumes, and a solver fault.
-    for (const char *spec :
-         {"analysis.symexec.path@idmouse_open=always",
-          "analysis.paths.enumerate@usb_autopm_get_interface=always",
-          "smt.solver.check@idmouse_open=always"}) {
-        std::string replay = runDigest(corpus_, 1, 1, true, false, 0, 0,
-                                       0, /*prefix_sharing=*/false, spec);
-        EXPECT_EQ(runDigest(corpus_, 1, 1, true, false, 0, 0, 0,
-                            /*prefix_sharing=*/true, spec),
-                  replay)
-            << "failpoints=" << spec;
-        EXPECT_NE(replay.find("degraded"), std::string::npos)
-            << "fault did not fire under spec " << spec << ":\n"
-            << replay;
-    }
-}
-
 TEST_F(AnalyzerDeterminismTest, RefOnlyDomainFilterIsByteIdentical)
 {
     // The effect-domain differential, part 1: enabling only the `ref`
     // domain must reproduce the pre-domain run exactly — same reports,
-    // same summaries, same diagnostics — across thread counts and both
-    // engines. The filter machinery (seed selection, the IPP pre-pass)
-    // must be invisible when it selects everything there is.
-    std::string baseline = runDigest(corpus_, 1, 1, false);
+    // same summaries, same diagnostics — across thread counts. The
+    // filter machinery (seed selection, the IPP pre-pass) must be
+    // invisible when it selects everything there is.
+    std::string baseline = runDigest(corpus_, 1, false);
     for (int threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            EXPECT_EQ(runDigest(corpus_, threads, threads, false, false,
-                                0, 0, 0, prefix, "", {"ref"}),
-                      baseline)
-                << "threads=" << threads << " prefix=" << prefix
-                << " domains=ref";
-        }
+        EXPECT_EQ(runDigest(corpus_, threads, false, false, 0, 0, 0, "",
+                            {"ref"}),
+                  baseline)
+            << "threads=" << threads << " domains=ref";
     }
 }
 
@@ -307,9 +224,9 @@ TEST_F(AnalyzerDeterminismTest, DomainSpecsDoNotPerturbRefScan)
     // balanced-policy domains and so activate the balanced pre-pass)
     // must not change a single byte of the refcount scan when the
     // corpus never calls a lock/alloc primitive.
-    std::string baseline = runDigest(corpus_, 1, 1, false);
-    EXPECT_EQ(runDigest(corpus_, 1, 1, false, false, 0, 0, 0, true, "",
-                        {}, /*load_domain_specs=*/true),
+    std::string baseline = runDigest(corpus_, 1, false);
+    EXPECT_EQ(runDigest(corpus_, 1, false, false, 0, 0, 0, "", {},
+                        /*load_domain_specs=*/true),
               baseline);
 }
 
@@ -318,26 +235,23 @@ TEST_F(AnalyzerDeterminismTest, MultiDomainScanIsByteIdentical)
     // A corpus that mixes refcount, lock and alloc patterns, analyzed
     // with all three domains' specs loaded, must stay byte-identical
     // across the same matrix the refcount corpus is pinned on.
-    std::string baseline = runDigest(multi_corpus_, 1, 1, false, false,
-                                     0, 0, 0, true, "", {}, true);
+    std::string baseline =
+        runDigest(multi_corpus_, 1, false, false, 0, 0, 0, "", {}, true);
     ASSERT_NE(baseline.find("unbalanced at return"), std::string::npos)
         << "multi-domain corpus produced no balanced-policy reports";
     for (int threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            EXPECT_EQ(runDigest(multi_corpus_, threads, threads, true,
-                                false, 0, 0, 0, prefix, "", {}, true),
-                      baseline)
-                << "threads=" << threads << " prefix=" << prefix
-                << " multi-domain";
-        }
+        EXPECT_EQ(runDigest(multi_corpus_, threads, true, false, 0, 0, 0,
+                            "", {}, true),
+                  baseline)
+            << "threads=" << threads << " multi-domain";
     }
     // Filtering the same corpus down to `ref` suppresses every
     // balanced-policy report deterministically.
-    std::string ref_only = runDigest(multi_corpus_, 1, 1, false, false,
-                                     0, 0, 0, true, "", {"ref"}, true);
+    std::string ref_only = runDigest(multi_corpus_, 1, false, false, 0, 0,
+                                     0, "", {"ref"}, true);
     EXPECT_EQ(ref_only.find("unbalanced at return"), std::string::npos);
-    EXPECT_EQ(runDigest(multi_corpus_, 4, 4, true, false, 0, 0, 0, true,
-                        "", {"ref"}, true),
+    EXPECT_EQ(runDigest(multi_corpus_, 4, true, false, 0, 0, 0, "",
+                        {"ref"}, true),
               ref_only);
 }
 
@@ -347,23 +261,20 @@ TEST_F(AnalyzerDeterminismTest, CompactionPreservesReportsAndDiagnostics)
     // AFTER the function's own reports and diagnostics are final, so
     // toggling it may only change the summary export — reports and
     // diagnostics must stay byte-identical to the uncompacted run,
-    // across thread counts and both engines.
-    std::string baseline = stripSummaries(
-        runDigest(corpus_, 1, 1, false, false, 0, 0, 0, true, "", {},
-                  false, /*compact=*/false));
+    // across thread counts.
+    std::string baseline =
+        stripSummaries(runDigest(corpus_, 1, false, false, 0, 0, 0, "", {},
+                                 false, /*compact=*/false));
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool compact : {false, true}) {
-                if (threads == 1 && prefix && !compact)
-                    continue;  // the baseline itself
-                EXPECT_EQ(stripSummaries(runDigest(
-                              corpus_, threads, threads, false, false, 0,
-                              0, 0, prefix, "", {}, false, compact)),
-                          baseline)
-                    << "threads=" << threads << " prefix=" << prefix
-                    << " compact=" << compact;
-            }
+        for (bool compact : {false, true}) {
+            if (threads == 1 && !compact)
+                continue;  // the baseline itself
+            EXPECT_EQ(stripSummaries(runDigest(corpus_, threads, false,
+                                               false, 0, 0, 0, "", {},
+                                               false, compact)),
+                      baseline)
+                << "threads=" << threads << " compact=" << compact;
         }
     }
 }
@@ -373,25 +284,21 @@ TEST_F(AnalyzerDeterminismTest, InterningIsByteIdenticalIncludingSummaries)
     // The instantiation cache is pure memoization: a hit returns exactly
     // what a fresh instantiate() would have produced, so the FULL digest
     // — reports, summaries and diagnostics — is byte-identical with the
-    // cache off and on, across thread counts and both engines.
+    // cache off and on, across thread counts.
     // (Compaction is off so the summaries section exercises the raw
     // per-entry path.)
     std::string baseline =
-        runDigest(corpus_, 1, 1, false, false, 0, 0, 0, true, "", {},
-                  false, /*compact=*/false, /*intern=*/false);
+        runDigest(corpus_, 1, false, false, 0, 0, 0, "", {}, false,
+                  /*compact=*/false, /*intern=*/false);
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool intern : {false, true}) {
-                if (threads == 1 && prefix && !intern)
-                    continue;  // the baseline itself
-                EXPECT_EQ(runDigest(corpus_, threads, threads, false,
-                                    false, 0, 0, 0, prefix, "", {},
-                                    false, false, intern),
-                          baseline)
-                    << "threads=" << threads << " prefix=" << prefix
-                    << " intern=" << intern;
-            }
+        for (bool intern : {false, true}) {
+            if (threads == 1 && !intern)
+                continue;  // the baseline itself
+            EXPECT_EQ(runDigest(corpus_, threads, false, false, 0, 0, 0, "",
+                                {}, false, false, intern),
+                      baseline)
+                << "threads=" << threads << " intern=" << intern;
         }
     }
 }
@@ -422,11 +329,10 @@ class InjectedDeterminismTest : public ::testing::Test
      *  and the tier-suffixed rendering — any tier or rank divergence
      *  across configurations shows up byte-for-byte. */
     static std::string
-    triageDigest(int path_threads, bool prefix_sharing, bool cache)
+    triageDigest(int threads, bool cache)
     {
         analysis::AnalyzerOptions opts;
-        opts.path_threads = path_threads;
-        opts.prefix_sharing = prefix_sharing;
+        opts.threads = threads;
         opts.use_query_cache = cache;
         opts.triage = true;
         Rid tool(opts);
@@ -454,11 +360,10 @@ class InjectedDeterminismTest : public ::testing::Test
     /** Sorted fingerprint set of one run (one fpHex + report line per
      *  report), asserting every report is stamped. */
     static std::string
-    fingerprintDigest(int path_threads, bool prefix_sharing, bool cache)
+    fingerprintDigest(int threads, bool cache)
     {
         analysis::AnalyzerOptions opts;
-        opts.path_threads = path_threads;
-        opts.prefix_sharing = prefix_sharing;
+        opts.threads = threads;
         opts.use_query_cache = cache;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
@@ -484,12 +389,10 @@ class InjectedDeterminismTest : public ::testing::Test
     }
 
     static ScoredRun
-    run(int path_threads, bool prefix_sharing, bool compact = true,
-        bool intern = true)
+    run(int threads, bool compact = true, bool intern = true)
     {
         analysis::AnalyzerOptions opts;
-        opts.path_threads = path_threads;
-        opts.prefix_sharing = prefix_sharing;
+        opts.threads = threads;
         opts.compact_summaries = compact;
         opts.intern_instantiations = intern;
         Rid tool(opts);
@@ -519,26 +422,21 @@ kernel::InjectedCorpus InjectedDeterminismTest::triage_injected_;
 TEST_F(InjectedDeterminismTest, TriageTiersAndRanksAreConfigInvariant)
 {
     // The triage contract: tiers and ranks are byte-identical across
-    // path_threads {1, 4} x both engines x query cache {on, off}. The
-    // digest is the rank-ordered report list, so a rank permutation is
-    // as visible as a tier flip.
-    std::string baseline =
-        triageDigest(1, /*prefix_sharing=*/false, /*cache=*/false);
+    // threads {1, 4} x query cache {on, off}. The digest is the
+    // rank-ordered report list, so a rank permutation is as visible as
+    // a tier flip.
+    std::string baseline = triageDigest(1, /*cache=*/false);
     ASSERT_FALSE(baseline.empty());
     // Non-vacuity: both tier extremes are present in the baseline.
     ASSERT_NE(baseline.find("{confirmed}"), std::string::npos)
         << baseline;
     ASSERT_NE(baseline.find("{refuted}"), std::string::npos) << baseline;
-    for (int path_threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool cache : {false, true}) {
-                if (path_threads == 1 && !prefix && !cache)
-                    continue;  // the baseline itself
-                EXPECT_EQ(triageDigest(path_threads, prefix, cache),
-                          baseline)
-                    << "path_threads=" << path_threads
-                    << " prefix_sharing=" << prefix << " cache=" << cache;
-            }
+    for (int threads : {1, 4}) {
+        for (bool cache : {false, true}) {
+            if (threads == 1 && !cache)
+                continue;  // the baseline itself
+            EXPECT_EQ(triageDigest(threads, cache), baseline)
+                << "threads=" << threads << " cache=" << cache;
         }
     }
 }
@@ -547,10 +445,10 @@ TEST_F(InjectedDeterminismTest, InjectedScoresAreEngineAndThreadInvariant)
 {
     // The ground-truth scores are a *measurement* — they must not move
     // with the execution strategy. Scale-0.05 injected corpus: reports
-    // byte-identical and precision/recall identical across path_threads
-    // {1, 4} and both engines (the replay pipeline is the reference).
+    // byte-identical and precision/recall identical across threads
+    // {1, 4}.
     ASSERT_GT(injected_.injections.size(), 10u);
-    ScoredRun baseline = run(1, /*prefix_sharing=*/false);
+    ScoredRun baseline = run(1);
     ASSERT_FALSE(baseline.digest.empty());
     // The clean-mix injected corpus scores perfectly in the reference
     // configuration (the bench gate's smoke invariant).
@@ -559,29 +457,19 @@ TEST_F(InjectedDeterminismTest, InjectedScoresAreEngineAndThreadInvariant)
     EXPECT_EQ(baseline.score.total.tp,
               static_cast<int>(injected_.injections.size()));
 
-    for (int path_threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            if (path_threads == 1 && !prefix)
-                continue;  // the baseline itself
-            ScoredRun other = run(path_threads, prefix);
-            EXPECT_EQ(other.digest, baseline.digest)
-                << "path_threads=" << path_threads
-                << " prefix_sharing=" << prefix;
-            EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
-            EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
-            EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
-            EXPECT_EQ(other.score.total.precision(),
-                      baseline.score.total.precision());
-            EXPECT_EQ(other.score.total.recall(),
-                      baseline.score.total.recall());
-            ASSERT_EQ(other.score.by_domain.size(),
-                      baseline.score.by_domain.size());
-            for (const auto &[domain, counts] : baseline.score.by_domain) {
-                const auto &oc = other.score.by_domain.at(domain);
-                EXPECT_EQ(oc.precision(), counts.precision()) << domain;
-                EXPECT_EQ(oc.recall(), counts.recall()) << domain;
-            }
-        }
+    ScoredRun other = run(4);
+    EXPECT_EQ(other.digest, baseline.digest);
+    EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
+    EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
+    EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
+    EXPECT_EQ(other.score.total.precision(),
+              baseline.score.total.precision());
+    EXPECT_EQ(other.score.total.recall(), baseline.score.total.recall());
+    ASSERT_EQ(other.score.by_domain.size(), baseline.score.by_domain.size());
+    for (const auto &[domain, counts] : baseline.score.by_domain) {
+        const auto &oc = other.score.by_domain.at(domain);
+        EXPECT_EQ(oc.precision(), counts.precision()) << domain;
+        EXPECT_EQ(oc.recall(), counts.recall()) << domain;
     }
 }
 
@@ -590,32 +478,21 @@ TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
     // Ground-truth scores on the injected corpus must survive both
     // perf attacks: report digests and per-domain precision/recall are
     // identical with compaction and interning toggled in every
-    // combination, across path_threads {1, 4} and both engines.
-    ScoredRun baseline =
-        run(1, /*prefix_sharing=*/false, /*compact=*/false,
-            /*intern=*/false);
+    // combination, across threads {1, 4}.
+    ScoredRun baseline = run(1, /*compact=*/false, /*intern=*/false);
     ASSERT_FALSE(baseline.digest.empty());
-    for (int path_threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool compact : {false, true}) {
-                for (bool intern : {false, true}) {
-                    if (path_threads == 1 && !prefix && !compact &&
-                        !intern)
-                        continue;  // the baseline itself
-                    ScoredRun other =
-                        run(path_threads, prefix, compact, intern);
-                    EXPECT_EQ(other.digest, baseline.digest)
-                        << "path_threads=" << path_threads
-                        << " prefix=" << prefix
-                        << " compact=" << compact
-                        << " intern=" << intern;
-                    EXPECT_EQ(other.score.total.tp,
-                              baseline.score.total.tp);
-                    EXPECT_EQ(other.score.total.fp,
-                              baseline.score.total.fp);
-                    EXPECT_EQ(other.score.total.fn,
-                              baseline.score.total.fn);
-                }
+    for (int threads : {1, 4}) {
+        for (bool compact : {false, true}) {
+            for (bool intern : {false, true}) {
+                if (threads == 1 && !compact && !intern)
+                    continue;  // the baseline itself
+                ScoredRun other = run(threads, compact, intern);
+                EXPECT_EQ(other.digest, baseline.digest)
+                    << "threads=" << threads << " compact=" << compact
+                    << " intern=" << intern;
+                EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
+                EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
+                EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
             }
         }
     }
@@ -624,23 +501,18 @@ TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
 TEST_F(InjectedDeterminismTest, FingerprintsAreConfigInvariant)
 {
     // The provenance contract: report fingerprints are a stable identity,
-    // byte-identical across path_threads {1, 4} x both engines x query
-    // cache {on, off} on the injected smoke corpus. Any configuration
-    // leaking into the fingerprint recipe (e.g. cache hit/miss evidence)
-    // breaks cross-run diffing and shows up here.
-    std::string baseline =
-        fingerprintDigest(1, /*prefix_sharing=*/false, /*cache=*/false);
+    // byte-identical across threads {1, 4} x query cache {on, off} on the
+    // injected smoke corpus. Any configuration leaking into the
+    // fingerprint recipe (e.g. cache hit/miss evidence) breaks cross-run
+    // diffing and shows up here.
+    std::string baseline = fingerprintDigest(1, /*cache=*/false);
     ASSERT_FALSE(baseline.empty());
-    for (int path_threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool cache : {false, true}) {
-                if (path_threads == 1 && !prefix && !cache)
-                    continue;  // the baseline itself
-                EXPECT_EQ(fingerprintDigest(path_threads, prefix, cache),
-                          baseline)
-                    << "path_threads=" << path_threads
-                    << " prefix_sharing=" << prefix << " cache=" << cache;
-            }
+    for (int threads : {1, 4}) {
+        for (bool cache : {false, true}) {
+            if (threads == 1 && !cache)
+                continue;  // the baseline itself
+            EXPECT_EQ(fingerprintDigest(threads, cache), baseline)
+                << "threads=" << threads << " cache=" << cache;
         }
     }
 }
@@ -650,8 +522,8 @@ TEST_F(AnalyzerDeterminismTest, CacheDoesNotChangeReportCount)
     // Cheap cross-check on the Figure 9 example alone: the cache must
     // not create or mask reports.
     kernel::Corpus empty;
-    std::string with = runDigest(empty, 1, 1, true);
-    std::string without = runDigest(empty, 1, 1, false);
+    std::string with = runDigest(empty, 1, true);
+    std::string without = runDigest(empty, 1, false);
     EXPECT_EQ(with, without);
     EXPECT_NE(with.find("idmouse_open"), std::string::npos)
         << "Figure 9 bug not reported; digest:\n"

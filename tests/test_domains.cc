@@ -164,7 +164,6 @@ TEST(MultiDomainCorpus, SeededBugsFoundWithZeroFalsePositives)
 
     analysis::AnalyzerOptions opts;
     opts.threads = 4;
-    opts.path_threads = 4;
     Rid tool(opts);
     tool.loadSpecText(kernel::dpmSpecText());
     tool.loadSpecText(kernel::lockSpecText());

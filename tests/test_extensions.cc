@@ -362,5 +362,38 @@ TEST(RidcCli, DomainsFilterControlsTheScan)
     EXPECT_NE(quiet.output.find("0 report(s)"), std::string::npos);
 }
 
+/** The DOT node line of @p fn in a --dot-callgraph rendering. */
+std::string
+dotNodeLine(const std::string &dot, const std::string &fn)
+{
+    size_t at = dot.find("[label=\"" + fn + "\"");
+    if (at == std::string::npos)
+        return "";
+    size_t begin = dot.rfind('\n', at) + 1;
+    return dot.substr(begin, dot.find('\n', at) - begin);
+}
+
+TEST(RidcCli, DotCallgraphColorsByTheDomainFilter)
+{
+    // The call graph is colored by the classification the scan would
+    // run: with only `ref` enabled the lock API seeds nothing, so the
+    // lock-taking caller is category 3.
+    std::string lock = writeTemp("cli_lock.spec",
+                                 kernel::lockSpecText());
+    std::string src = writeTemp("cli_lock.c", kLockLeakSource);
+    CliResult ref_only = runCli("--spec " + lock +
+                                " --domains ref --dot-callgraph " + src);
+    EXPECT_EQ(ref_only.exit_code, 0);
+    EXPECT_NE(dotNodeLine(ref_only.output, "leaky").find("lightgray"),
+              std::string::npos)
+        << ref_only.output;
+
+    CliResult all = runCli("--spec " + lock + " --dot-callgraph " + src);
+    EXPECT_EQ(all.exit_code, 0);
+    EXPECT_NE(dotNodeLine(all.output, "leaky").find("lightcoral"),
+              std::string::npos)
+        << all.output;
+}
+
 } // anonymous namespace
 } // namespace rid

@@ -57,7 +57,6 @@ tracedRun(int threads, const kernel::Corpus *corpus = nullptr)
     auto tracer = std::make_shared<obs::Tracer>();
     analysis::AnalyzerOptions opts;
     opts.threads = threads;
-    opts.path_threads = threads;
     opts.tracer = tracer;
     Rid tool(opts);
     tool.loadSpecText(kernel::dpmSpecText());
@@ -218,6 +217,29 @@ TEST(Tracer, SpanCountMatchesAnalyzedFunctions)
             fn_spans++;
     EXPECT_EQ(fn_spans, result.stats.functions_analyzed);
     EXPECT_GT(fn_spans, 0u);
+}
+
+TEST(Tracer, AnalyzerBuildsOneCallGraphPerRun)
+{
+    // The classifier and the bottom-up traversal share one call graph,
+    // built under its own pipeline span before classification starts.
+    auto corpus =
+        kernel::generateCorpus(kernel::CorpusMix::paperCalibrated(0.001));
+    for (int threads : {1, 4}) {
+        auto [tracer, result] = tracedRun(threads, &corpus);
+        std::vector<obs::TraceEvent> callgraph, classify;
+        for (const auto &e : tracer->sortedEvents()) {
+            if (std::string(e.name) == "callgraph")
+                callgraph.push_back(e);
+            else if (std::string(e.name) == "classify")
+                classify.push_back(e);
+        }
+        ASSERT_EQ(callgraph.size(), 1u) << "threads=" << threads;
+        ASSERT_EQ(classify.size(), 1u) << "threads=" << threads;
+        EXPECT_EQ(std::string(callgraph[0].cat), "pipeline");
+        EXPECT_EQ(callgraph[0].tid, classify[0].tid);
+        EXPECT_LT(callgraph[0].seq, classify[0].seq);
+    }
 }
 
 /** Project an export to its deterministic identity (drop timings). */

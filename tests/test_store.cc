@@ -259,13 +259,12 @@ TEST(StoreConfig, FingerprintTracksSpecsAndOutputAffectingOptions)
     filtered.enabled_domains = {"ref"};
     EXPECT_NE(base, store::configFingerprint(dpm_db, filtered));
 
-    // Engine/thread/cache toggles are pinned output-identical by the
+    // Thread and cache toggles are pinned output-identical by the
     // determinism suite and must NOT invalidate the store.
-    analysis::AnalyzerOptions engine = opts;
-    engine.prefix_sharing = !engine.prefix_sharing;
-    engine.threads = 4;
-    engine.use_query_cache = false;
-    EXPECT_EQ(base, store::configFingerprint(dpm_db, engine));
+    analysis::AnalyzerOptions tuned = opts;
+    tuned.threads = 4;
+    tuned.use_query_cache = false;
+    EXPECT_EQ(base, store::configFingerprint(dpm_db, tuned));
 }
 
 // ----------------------------------------------------------- end to end

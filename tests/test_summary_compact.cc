@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for bottom-up summary compaction (summary/compact.h), the
- * instantiation cache (summary/inst_cache.h) and the deterministic IPP
- * drop choice (analysis/ipp.h, IppOptions::deterministic_drop).
+ * instantiation cache (summary/inst_cache.h) and the IPP drop choice
+ * (analysis/ipp.h, IppOptions).
  */
 
 #include <gtest/gtest.h>
@@ -262,35 +262,6 @@ TEST(InstCache, EvictsLeastRecentlyUsedWithinCapacity)
     EXPECT_LE(stats.entries, cache.capacity());
 }
 
-TEST(IppDeterministicDrop, SurvivorIsIndependentOfDropSeed)
-{
-    // An inconsistent pair under the deterministic policy must resolve
-    // to the same surviving entry for every drop seed.
-    auto makeEntries = []() {
-        std::vector<SummaryEntry> entries;
-        entries.push_back(entryWith(Formula::top(), {{"pm", 1}}, Expr()));
-        entries.push_back(
-            entryWith(Formula::top(), {{"pm", 2}, {"rc", 5}}, Expr()));
-        return entries;
-    };
-    std::string first_export;
-    for (uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull}) {
-        smt::Solver solver;
-        analysis::IppOptions opts;
-        opts.drop_seed = seed;
-        opts.deterministic_drop = true;
-        auto ipp = analysis::checkAndMerge("f", makeEntries(), solver,
-                                           opts);
-        EXPECT_FALSE(ipp.reports.empty());
-        FunctionSummary s = summaryOf(std::move(ipp.entries));
-        std::string exported = serializeSummary(s);
-        if (first_export.empty())
-            first_export = exported;
-        else
-            EXPECT_EQ(exported, first_export) << "seed " << seed;
-    }
-}
-
 TEST(IppDeterministicDrop, PrefersDroppingTheCoveredEntry)
 {
     // Entry 0's only counter (pm) reappears in entry 1, while entry 1
@@ -301,10 +272,7 @@ TEST(IppDeterministicDrop, PrefersDroppingTheCoveredEntry)
     entries.push_back(
         entryWith(Formula::top(), {{"pm", 2}, {"rc", 5}}, Expr()));
     smt::Solver solver;
-    analysis::IppOptions opts;
-    opts.deterministic_drop = true;
-    auto ipp = analysis::checkAndMerge("f", std::move(entries), solver,
-                                       opts);
+    auto ipp = analysis::checkAndMerge("f", std::move(entries), solver);
     ASSERT_EQ(ipp.entries.size(), 1u);
     EXPECT_EQ(ipp.entries[0].changes.size(), 2u);
 }
@@ -314,7 +282,7 @@ TEST(CompactionDifferential, ReportsAndDiagnosticsAreIdentical)
     // End-to-end precision/recall preservation smoke: the calibrated
     // corpus must report the same bugs (byte-identical, same order)
     // with compaction and interning off and on. The determinism suite
-    // pins the same property across engines and thread counts.
+    // pins the same property across thread counts.
     auto corpus =
         kernel::generateCorpus(kernel::CorpusMix::paperCalibrated(0.01));
     auto runWith = [&](bool compact, bool intern) {
