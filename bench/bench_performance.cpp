@@ -497,6 +497,8 @@ writeBenchJson(const char *path)
     out << "  \"wall_seconds_triage\": " << triage_wall << ",\n";
     out << "  \"triage_seconds\": " << triage_run.triage.seconds
         << ",\n";
+    out << "  \"triage_hp_units_lowered\": "
+        << triage_run.triage.hp_units_lowered << ",\n";
     out << "  \"cross_pass_cache_hits\": "
         << triage_run.stats.query_cache.cross_pass_hits << ",\n";
     out << "  \"cross_pass_cache_hit_rate\": "

@@ -42,6 +42,7 @@ FIELDS = [
     "symexec_seconds_inst_on",
     "triage_seconds",
     "wall_seconds_triage",
+    "triage_hp_units_lowered",
     "cross_pass_cache_hits",
     "cross_pass_cache_hit_rate",
 ]

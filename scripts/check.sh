@@ -16,7 +16,8 @@
 # store and persistent condition chain are exactly the kind of shared-
 # ownership code ASan exists for, runs the summary-compaction unit
 # suite plus the compaction/interning determinism differentials under
-# ASan (the sharded instantiation cache is shared mutable state),
+# ASan (the sharded instantiation cache is shared mutable state), runs
+# the triage suite under ASan (per-unit higher-precision module lifetime),
 # refreshes BENCH_performance.json
 # at the repo root (the microbenchmarks themselves are skipped via a
 # non-matching filter — only the trajectory-record workload runs,
@@ -76,6 +77,13 @@ cmake --build build-asan -j --target test_summary_compact \
 ./build-asan/tests/test_summary_compact
 ./build-asan/tests/test_analyzer_determinism \
     --gtest_filter='*Compaction*:*Interning*'
+
+# The triage pass lowers each reporting unit on demand and frees it once
+# its last reported function has run; ASan checks that no higher-
+# precision IR is touched after its unit is gone.
+echo "== sanitizer smoke (ASan+UBSan per-unit triage lowering) =="
+cmake --build build-asan -j --target test_triage
+./build-asan/tests/test_triage
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

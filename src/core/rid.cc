@@ -119,6 +119,7 @@ RunResult::str() const
            << " low-confidence, " << triage.refuted << " refuted; "
            << triage.hp_functions_executed << " function(s) re-executed ("
            << triage.hp_functions_incomplete << " incomplete), "
+           << triage.hp_units_lowered << " unit(s) re-lowered, "
            << triage.extension_searches << " extension search(es), "
            << triage.downstream_releases_found << " downstream release(s)\n";
     }
@@ -314,6 +315,7 @@ RunResult::statsJson() const
             .value(uint64_t{triage.hp_functions_executed});
         w.key("hp_functions_incomplete")
             .value(uint64_t{triage.hp_functions_incomplete});
+        w.key("hp_units_lowered").value(uint64_t{triage.hp_units_lowered});
         w.key("extension_searches")
             .value(uint64_t{triage.extension_searches});
         w.key("downstream_releases_found")
@@ -395,12 +397,6 @@ Rid::addSourceTolerant(const std::string &name,
         file_errors_.push_back(FileDiagnostic{name, e.what()});
         return false;
     }
-}
-
-void
-Rid::addModule(ir::Module mod)
-{
-    module_.absorb(std::move(mod));
 }
 
 bool
@@ -535,7 +531,10 @@ Rid::run()
         topts.lower = lower_opts_;
         triage::TriagePass pass(module_, db_, sources_,
                                 analyzer.queryCache(), topts);
-        pass.run(result.reports);
+        {
+            obs::ScopedTracer scoped(analyzer.tracer().get());
+            pass.run(result.reports);
+        }
         result.triage = pass.stats();
         // The cache snapshot in AnalyzerStats predates the pass; refresh
         // it so statsJson's cross-pass counters see the triage traffic.

@@ -133,9 +133,6 @@ class Rid
         return file_errors_;
     }
 
-    /** Add an already-lowered IR module. */
-    void addModule(ir::Module mod);
-
     /** Import previously computed summaries (separate-file analysis,
      *  Section 5.3). */
     void importSummaries(const std::string &spec_text);
@@ -165,8 +162,8 @@ class Rid
     std::vector<FileDiagnostic> file_errors_;
     /** Retained (name, source) pairs of every successfully added unit,
      *  kept so the triage pass can re-lower reported functions at higher
-     *  precision. Modules added pre-lowered (addModule) have no source
-     *  here; their reports triage as `unverified`. */
+     *  precision. addSource() absorbs exactly one module per retained
+     *  source, so a function's ir::Function::unit() indexes this list. */
     std::vector<std::pair<std::string, std::string>> sources_;
     /** Durable analysis store, opened lazily by the first run() when
      *  AnalyzerOptions::store_path is set and reused by later runs (so

@@ -76,6 +76,12 @@ class Function
     const std::vector<std::string> &params() const { return params_; }
     bool returnsValue() const { return returnsValue_; }
 
+    /** Ordinal of the Module::absorb call that took this function in (0
+     *  for functions added directly). Callers that absorb one module per
+     *  retained source can index that source list with it. Not part of
+     *  str() or fingerprint(). */
+    uint32_t unit() const { return unit_; }
+
     bool isDeclaration() const { return blocks_.empty(); }
 
     BlockId
@@ -120,9 +126,12 @@ class Function
     uint64_t fingerprint() const;
 
   private:
+    friend class Module;
+
     std::string name_;
     std::vector<std::string> params_;
     bool returnsValue_;
+    uint32_t unit_ = 0;                 ///< fills returnsValue_'s padding
     std::vector<BasicBlock> blocks_;
 };
 
@@ -144,7 +153,9 @@ class Module
     size_t size() const { return functions_.size(); }
 
     /** Merge all functions of @p other into this module (definitions win
-     *  over declarations; duplicate definitions keep the first). */
+     *  over declarations; duplicate definitions keep the first). Each
+     *  absorbed function is stamped with this call's ordinal, so a kept
+     *  definition's Function::unit() names the module it came from. */
     void absorb(Module other);
 
     std::string str() const;
@@ -152,6 +163,7 @@ class Module
   private:
     std::vector<std::unique_ptr<Function>> functions_;
     std::map<std::string, Function *> byName_;
+    uint32_t absorbed_ = 0;             ///< absorb() calls so far
 };
 
 } // namespace rid::ir

@@ -376,8 +376,11 @@ Module::find(const std::string &name) const
 void
 Module::absorb(Module other)
 {
-    for (auto &fn : other.functions_)
+    uint32_t unit = absorbed_++;
+    for (auto &fn : other.functions_) {
+        fn->unit_ = unit;
         addFunction(std::move(*fn));
+    }
 }
 
 std::string

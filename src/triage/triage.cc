@@ -6,6 +6,7 @@
 
 #include "analysis/symexec.h"
 #include "obs/failpoint.h"
+#include "obs/trace.h"
 
 namespace rid::triage {
 
@@ -64,25 +65,29 @@ TriagePass::makeSolver(const obs::Budget *budget) const
     return solver;
 }
 
-void
-TriagePass::ensureHpModule()
+const ir::Module &
+TriagePass::hpUnit(uint32_t unit)
 {
-    if (hp_built_)
-        return;
-    hp_built_ = true;
+    HpUnit &u = hp_units_[unit];
+    if (u.lowered)
+        return u.module;
+    u.lowered = true;
+    stats_.hp_units_lowered++;
+    obs::Span span("triage", "hp-lower");
+    span.arg("unit", std::to_string(unit));
     frontend::LowerOptions hp = opts_.lower;
     hp.model_bit_tests = true;
     hp.model_field_stores = true;
-    for (const auto &[name, text] : sources_) {
-        // A unit the higher-precision lowering cannot handle is dropped:
-        // its functions triage as `unverified` (no hp definition), which
-        // is the TP-safe direction.
-        (void)name;
+    // A unit the higher-precision lowering cannot handle (or one with no
+    // retained source) stays empty: its functions triage as `unverified`
+    // (no hp definition), which is the TP-safe direction.
+    if (unit < sources_.size()) {
         try {
-            hp_module_.absorb(frontend::compile(text, hp));
+            u.module = frontend::compile(sources_[unit].second, hp);
         } catch (const std::exception &) {
         }
     }
+    return u.module;
 }
 
 const TriagePass::HpExec &
@@ -92,9 +97,15 @@ TriagePass::hpExecFor(const std::string &function)
     if (it != hp_cache_.end())
         return it->second;
 
-    ensureHpModule();
+    obs::Span span("triage", "hp-exec");
+    span.arg("function", function);
+    // Re-lower only the unit the run's module kept this definition from,
+    // so the re-derived body is the one the base pass analyzed.
     HpExec exec;
-    const ir::Function *fn = hp_module_.find(function);
+    const ir::Function *base = mod_.find(function);
+    bool defined = base && !base->isDeclaration();
+    const ir::Function *fn =
+        defined ? hpUnit(base->unit()).find(function) : nullptr;
     if (!fn || fn->isDeclaration()) {
         exec.note = "no higher-precision definition";
     } else {
@@ -126,6 +137,15 @@ TriagePass::hpExecFor(const std::string &function)
     }
     if (!exec.complete)
         stats_.hp_functions_incomplete++;
+    if (defined) {
+        // HpExec holds no IR pointers: once the unit's last reported
+        // function has executed, its higher-precision IR can go.
+        auto u = hp_units_.find(base->unit());
+        if (u->second.pending <= 1)
+            hp_units_.erase(u);
+        else
+            u->second.pending--;
+    }
     return hp_cache_.emplace(function, std::move(exec)).first->second;
 }
 
@@ -265,6 +285,8 @@ TriagePass::findDownstreamRelease(const analysis::BugReport &report)
     if (start < 0)
         return false;
     stats_.extension_searches++;
+    obs::Span span("triage", "extension-search");
+    span.arg("function", report.function);
 
     // Breadth-first over transitive callers, bounded by depth and node
     // count. A caller qualifies when some callee other than the reported
@@ -352,7 +374,20 @@ void
 TriagePass::run(std::vector<analysis::BugReport> &reports)
 {
     auto t0 = std::chrono::steady_clock::now();
+    obs::Span span("triage", "run");
     stats_.ran = true;
+    // Count each unit's distinct reported functions that will reach
+    // hpExecFor, so the unit is freed right after its last one runs. A
+    // function whose every report faults keeps its unit until the pass
+    // ends.
+    std::set<std::string> counted;
+    for (const auto &report : reports) {
+        if (isEscapeReport(report) || !counted.insert(report.function).second)
+            continue;
+        const ir::Function *fn = mod_.find(report.function);
+        if (fn && !fn->isDeclaration())
+            hp_units_[fn->unit()].pending++;
+    }
     for (auto &report : reports)
         triageOne(report);
 

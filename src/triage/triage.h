@@ -31,6 +31,11 @@
  * reports get a deterministic 1-based rank (confirmed first, refuted
  * last). Reports are demoted, never deleted.
  *
+ * Only the units that define reported functions are re-lowered: a
+ * function's base definition names its retained source (ir::Function::
+ * unit()), that one unit is compiled at higher precision on first use,
+ * and its IR is freed as soon as its last reported function has run.
+ *
  * Determinism: the pass runs sequentially, every budget is fuel-only
  * (no wall clock), the solver consumes fuel before consulting the shared
  * query cache, and higher-precision execution is single-threaded — so
@@ -96,6 +101,10 @@ struct TriageStats
      *  source, truncated/budget-stopped execution, compile fault); their
      *  reports stay `unverified`. */
     size_t hp_functions_incomplete = 0;
+    /** Retained units compiled at higher precision: one per distinct
+     *  unit that defines a re-executed function (a unit whose lowering
+     *  threw still counts). */
+    size_t hp_units_lowered = 0;
     size_t extension_searches = 0;
     size_t downstream_releases_found = 0;
     /** analysis.triage.refute failpoint hits absorbed (tier demoted to
@@ -113,7 +122,9 @@ struct TriageStats
 /**
  * The triage pass. Construct once per run with the run's module, summary
  * database (computed summaries included), retained (name, source) pairs
- * and the shared solver-verdict cache (null when the cache is off), then
+ * — one per ir::Module::absorb call, in absorb order, so a function's
+ * unit() indexes them — and the shared solver-verdict cache (null when
+ * the cache is off), then
  * run() over the run's reports: tiers are stamped, deciding refutation
  * queries are appended to each report's evidence, and the report vector
  * is re-ordered by rank.
@@ -144,6 +155,17 @@ class TriagePass
         std::string note;
     };
 
+    /** One retained unit's higher-precision lowering. */
+    struct HpUnit
+    {
+        bool lowered = false;
+        /** Empty when the higher-precision lowering threw. */
+        ir::Module module;
+        /** Distinct reported functions of the unit not yet executed; the
+         *  unit is freed when the last one has its HpExec. */
+        size_t pending = 0;
+    };
+
     struct Verdict
     {
         analysis::Tier tier = analysis::Tier::Unverified;
@@ -152,7 +174,7 @@ class TriagePass
 
     void triageOne(analysis::BugReport &report);
     const HpExec &hpExecFor(const std::string &function);
-    void ensureHpModule();
+    const ir::Module &hpUnit(uint32_t unit);
     Verdict checkInconsistent(const analysis::BugReport &report,
                               const HpExec &hp, smt::Solver &solver,
                               const obs::Budget &budget);
@@ -169,8 +191,8 @@ class TriagePass
     TriageOptions opts_;
     TriageStats stats_;
 
-    bool hp_built_ = false;
-    ir::Module hp_module_;
+    /** Live higher-precision units, keyed by absorb ordinal. */
+    std::map<uint32_t, HpUnit> hp_units_;
     std::map<std::string, HpExec> hp_cache_;
     std::unique_ptr<analysis::CallGraph> callgraph_;
 };

@@ -221,6 +221,40 @@ TEST(Module, AbsorbMergesModules)
     EXPECT_FALSE(a.find("f")->isDeclaration());
 }
 
+TEST(Module, AbsorbStampsTheKeptDefinitionsUnit)
+{
+    auto defining = [](const char *name, int value) {
+        IrBuilder b(name, {}, true);
+        b.ret(Value::intConst(value));
+        return b.take();
+    };
+    Module unit0, unit1, unit2;
+    unit0.addFunction(Function("f", {}, true));  // declaration only
+    unit0.addFunction(defining("g", 0));
+    unit1.addFunction(defining("f", 1));
+    unit1.addFunction(defining("g", 1));         // duplicate: first wins
+    unit2.addFunction(defining("h", 2));
+
+    Module m;
+    std::string g_before = unit0.find("g")->str();
+    uint64_t g_fp = unit0.find("g")->fingerprint();
+    m.absorb(std::move(unit0));
+    m.absorb(std::move(unit1));
+    m.absorb(std::move(unit2));
+    EXPECT_EQ(m.find("f")->unit(), 1u);
+    EXPECT_EQ(m.find("g")->unit(), 0u);
+    EXPECT_EQ(m.find("h")->unit(), 2u);
+    // The stamp is bookkeeping, not body: printing and fingerprint are
+    // unchanged by it.
+    EXPECT_EQ(m.find("g")->str(), g_before);
+    EXPECT_EQ(m.find("g")->fingerprint(), g_fp);
+    EXPECT_EQ(defining("x", 0).unit(), 0u);
+    // The stamp lives in returnsValue_'s padding on LP64 targets.
+    EXPECT_EQ(sizeof(Function),
+              sizeof(std::string) + sizeof(std::vector<std::string>) +
+                  sizeof(uint64_t) + sizeof(std::vector<BasicBlock>));
+}
+
 TEST(Module, StablePointersAcrossAdds)
 {
     Module m;

@@ -242,6 +242,44 @@ TEST(Tracer, AnalyzerBuildsOneCallGraphPerRun)
     }
 }
 
+TEST(Tracer, TriageLowersOnlyTheReportingUnit)
+{
+    // Three units; only the middle one (absorb ordinal 1) reports.
+    auto tracer = std::make_shared<obs::Tracer>();
+    analysis::AnalyzerOptions opts;
+    opts.tracer = tracer;
+    opts.triage = true;
+    Rid tool(opts);
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.addSource("int quiet_a(int x) {\n    return x;\n}\n");
+    tool.addSource(kFigure9Source);
+    tool.addSource("int quiet_b(int x) {\n    return 0;\n}\n");
+    RunResult result = tool.run();
+    ASSERT_FALSE(result.reports.empty());
+    ASSERT_TRUE(result.triage.ran);
+
+    std::vector<obs::TraceEvent> run, lower, exec;
+    for (const auto &e : tracer->sortedEvents()) {
+        if (std::string(e.cat) != "triage")
+            continue;
+        if (std::string(e.name) == "run")
+            run.push_back(e);
+        else if (std::string(e.name) == "hp-lower")
+            lower.push_back(e);
+        else if (std::string(e.name) == "hp-exec")
+            exec.push_back(e);
+    }
+    ASSERT_EQ(run.size(), 1u);
+    ASSERT_EQ(lower.size(), 1u);
+    EXPECT_EQ(lower[0].renderedArgs(), "unit=1");
+    EXPECT_EQ(result.triage.hp_units_lowered, 1u);
+    EXPECT_EQ(exec.size(), result.triage.hp_functions_executed);
+    // The triage spans nest under triage/run on the calling thread.
+    EXPECT_EQ(lower[0].tid, run[0].tid);
+    EXPECT_GT(lower[0].depth, run[0].depth);
+    checkNesting(tracer->threadEvents(run[0].tid));
+}
+
 /** Project an export to its deterministic identity (drop timings). */
 std::vector<std::string>
 projectedSequence(const obs::Tracer &tracer)

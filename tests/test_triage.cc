@@ -12,6 +12,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/report_format.h"
 #include "core/rid.h"
@@ -81,16 +82,63 @@ void lock_user(struct lk *l) {
 }
 )";
 
+/** Report-free units to surround a reporting one. */
+const char *kCleanUnitA = R"(
+int clean_a(int x) {
+    if (x > 0)
+        return 1;
+    return 0;
+}
+)";
+const char *kCleanUnitB = R"(
+int clean_b(struct device *dev) {
+    return clean_a(3);
+}
+int clean_a(int x);
+)";
+
+/** A second body for fp_bitmask_fn: the arithmetic guard is abstracted
+ *  to `random` at every precision, so this body's witness reproduces
+ *  where the bit-test body's dissolves. */
+const char *kBitmaskArithBody = R"(
+int fp_bitmask_fn(struct device *dev, int flags) {
+    if (flags + 4) {
+        pm_runtime_get_noresume(dev);
+        mark_async_0(dev);
+    }
+    return 0;
+}
+void mark_async_0(struct device *dev);
+)";
+const char *kBitmaskTestBody = R"(
+int fp_bitmask_fn(struct device *dev, int flags) {
+    if (flags & 4) {
+        pm_runtime_get_noresume(dev);
+        mark_async_0(dev);
+    }
+    return 0;
+}
+void mark_async_0(struct device *dev);
+)";
+
 RunResult
-runSample(analysis::AnalyzerOptions opts, const char *source,
-          bool lock_spec = false)
+runUnits(analysis::AnalyzerOptions opts,
+         const std::vector<const char *> &units, bool lock_spec = false)
 {
     Rid tool(opts);
     tool.loadSpecText(kernel::dpmSpecText());
     if (lock_spec)
         tool.loadSpecText(kernel::lockSpecText());
-    tool.addSource(source);
+    for (const char *unit : units)
+        tool.addSource(unit);
     return tool.run();
+}
+
+RunResult
+runSample(analysis::AnalyzerOptions opts, const char *source,
+          bool lock_spec = false)
+{
+    return runUnits(opts, {source}, lock_spec);
 }
 
 const analysis::BugReport *
@@ -161,6 +209,70 @@ TEST(TriageTest, RefutationVerdictsOnPaperFpPatterns)
         << bitmask->str();
     EXPECT_NE(bug->str().find("{confirmed}"), std::string::npos)
         << bug->str();
+}
+
+TEST(TriageTest, OnlyTheDefiningUnitIsReLowered)
+{
+    analysis::AnalyzerOptions opts;
+    opts.triage = true;
+    RunResult single = runSample(opts, kTriageSample);
+    RunResult multi =
+        runUnits(opts, {kCleanUnitA, kTriageSample, kCleanUnitB});
+    ASSERT_EQ(single.reports.size(), 3u);
+    ASSERT_EQ(multi.reports.size(), 3u);
+    EXPECT_EQ(single.triage.hp_units_lowered, 1u);
+    EXPECT_EQ(multi.triage.hp_units_lowered, 1u);
+    EXPECT_EQ(multi.triage.hp_functions_executed, 3u);
+    EXPECT_EQ(multi.triage.hp_functions_incomplete, 0u);
+    for (size_t i = 0; i < single.reports.size(); i++) {
+        EXPECT_EQ(multi.reports[i].function, single.reports[i].function);
+        EXPECT_EQ(multi.reports[i].tier, single.reports[i].tier)
+            << multi.reports[i].str();
+        EXPECT_EQ(multi.reports[i].rank, single.reports[i].rank);
+    }
+    EXPECT_NE(multi.str().find("1 unit(s) re-lowered"), std::string::npos)
+        << multi.str();
+    EXPECT_NE(multi.statsJson().find("\"hp_units_lowered\":1"),
+              std::string::npos)
+        << multi.statsJson();
+
+    // A clean run lowers nothing at higher precision.
+    RunResult clean = runUnits(opts, {kCleanUnitA, kCleanUnitB});
+    EXPECT_TRUE(clean.reports.empty());
+    EXPECT_EQ(clean.triage.hp_units_lowered, 0u);
+}
+
+TEST(TriageTest, DuplicateDefinitionTriagesTheFirstUnitsBody)
+{
+    // Both bodies report in the base pass (the bit test and the sum are
+    // both `random` there). First-wins absorption keeps the first unit's
+    // body, and triage must re-derive that same body: the bit test
+    // refutes, the arithmetic guard confirms.
+    analysis::AnalyzerOptions opts;
+    opts.triage = true;
+    RunResult bit_first =
+        runUnits(opts, {kBitmaskTestBody, kBitmaskArithBody});
+    const analysis::BugReport *r = reportFor(bit_first, "fp_bitmask_fn");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->tier, analysis::Tier::Refuted);
+    EXPECT_EQ(bit_first.triage.hp_units_lowered, 1u);
+
+    RunResult arith_first =
+        runUnits(opts, {kBitmaskArithBody, kBitmaskTestBody});
+    r = reportFor(arith_first, "fp_bitmask_fn");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->tier, analysis::Tier::Confirmed);
+    EXPECT_EQ(arith_first.triage.hp_units_lowered, 1u);
+
+    // A declaration in an earlier unit yields to the later definition,
+    // and that definition's unit is the one re-lowered.
+    RunResult decl_first = runUnits(
+        opts, {"int fp_bitmask_fn(struct device *dev, int flags);\n",
+               kBitmaskTestBody});
+    r = reportFor(decl_first, "fp_bitmask_fn");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->tier, analysis::Tier::Refuted);
+    EXPECT_EQ(decl_first.triage.hp_units_lowered, 1u);
 }
 
 TEST(TriageTest, ExtensionSearchFindsDownstreamRelease)
