@@ -26,7 +26,8 @@
 # on a small DPM corpus, round-trips the provenance journal through
 # `ridc explain` and `ridc diff-runs` (including a torn-tail journal),
 # and SIGKILLs a store-backed `ridc` scan mid-run to prove `--resume`
-# reproduces an uninterrupted run's reports byte for byte.
+# reproduces an uninterrupted run's reports byte for byte (and that a
+# further resume with no edits leaves the store's log untouched).
 #
 # Usage: scripts/check.sh        (from anywhere inside the repo)
 # CMake equivalent: cmake --build build --target check
@@ -242,5 +243,17 @@ for frac in 0.5 0.75 0.9; do
     fi
 done
 test "$resume_ok" -eq 1
+
+# One more resume with no edits: every function replays, so nothing is
+# recorded and no checkpoint has anything to commit. The reports stay
+# byte-identical and the log does not grow by a single byte.
+wal_bytes=$(stat -c %s "$smoke_dir/store/analysis.wal")
+rc=0
+./build/examples/ridc --builtin-dpm --store "$smoke_dir/store" \
+    --resume "${smoke_srcs[@]}" > "$smoke_dir/warm.out" 2> /dev/null || rc=$?
+test "$rc" -eq 1
+cmp -s "$smoke_dir/cold.out" "$smoke_dir/warm.out"
+test "$(stat -c %s "$smoke_dir/store/analysis.wal")" -eq "$wal_bytes"
+echo "warm resume: byte-identical, analysis.wal unchanged ($wal_bytes bytes)"
 
 echo "check.sh: all green"

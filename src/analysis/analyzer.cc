@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -271,25 +272,49 @@ Analyzer::storeDefaultSummary(const ir::Function &fn)
         fn.name(), fn.returnsValue()));
 }
 
+const ir::Function *
+Analyzer::functionOf(int node) const
+{
+    const auto &fns = mod_.functions();
+    return static_cast<size_t>(node) < fns.size() ? fns[node].get()
+                                                  : nullptr;
+}
+
+uint64_t
+Analyzer::bodyFingerprint(int node)
+{
+    const ir::Function &fn = *functionOf(node);
+    // Without a store only the report stamps need a fingerprint, once per
+    // function, so there is no table to fill.
+    if (node_fp_.empty())
+        return fn.fingerprint();
+    // 0 marks "not computed yet"; a body that really hashes to 0 is just
+    // re-rendered on each use.
+    uint64_t &fp = node_fp_[node];
+    if (!fp)
+        fp = fn.fingerprint();
+    return fp;
+}
+
 void
-Analyzer::recordToStore(const ir::Function &fn, FnStatus status,
-                        const std::string &reason, bool defaulted,
+Analyzer::recordToStore(int node, FnStatus status, const std::string &reason,
+                        bool defaulted,
                         const summary::FunctionSummary *summary,
                         const std::vector<BugReport> &reports)
 {
     if (!store_)
         return;
-    size_t n = store_->record({fn.name(), fn.fingerprint(),
-                               store_config_fp_},
-                              status, reason, defaulted, summary, reports);
+    size_t n = store_->record(
+        {functionOf(node)->name(), bodyFingerprint(node), store_config_fp_},
+        status, reason, defaulted, summary, reports);
     if (n > 0 && ins_.store_record_bytes)
         ins_.store_record_bytes->observe(static_cast<double>(n));
 }
 
 std::vector<BugReport>
-Analyzer::analyzeFunction(const ir::Function &fn, double deadline_seconds,
-                          uint64_t fuel)
+Analyzer::analyzeFunction(int node, double deadline_seconds, uint64_t fuel)
 {
+    const ir::Function &fn = *functionOf(node);
     obs::Span fn_span("function", "analyze-function");
     fn_span.arg("fn", fn.name());
     obs::FailpointScope fp_scope(fn.name());
@@ -301,7 +326,7 @@ Analyzer::analyzeFunction(const ir::Function &fn, double deadline_seconds,
     // passes the ladder's halved values instead.
     obs::Budget fn_budget(run_budget_.get(), deadline_seconds, fuel);
     try {
-        return analyzeFunctionGuarded(fn, fn_budget);
+        return analyzeFunctionGuarded(node, fn_budget);
     } catch (const std::exception &e) {
         // Fault isolation: whatever went wrong while analyzing this
         // function (an injected fault, an IR invariant violation, a spec
@@ -311,15 +336,16 @@ Analyzer::analyzeFunction(const ir::Function &fn, double deadline_seconds,
         storeDefaultSummary(fn);
         ins_.functions_degraded->inc();
         recordDiagnostic({fn.name(), FnStatus::Degraded, e.what()});
-        recordToStore(fn, FnStatus::Degraded, e.what(), false, nullptr, {});
+        recordToStore(node, FnStatus::Degraded, e.what(), false, nullptr,
+                      {});
         return {};
     }
 }
 
 std::vector<BugReport>
-Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
-                                 const obs::Budget &fn_budget)
+Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
 {
+    const ir::Function &fn = *functionOf(node);
     const obs::Budget *budget = fn_budget.unlimited() ? nullptr : &fn_budget;
     smt::Solver solver = makeSolver(budget);
 
@@ -337,7 +363,7 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
         std::string reason = std::string("budget: ") +
                              obs::budgetStopName(fn_budget.stopReason());
         recordDiagnostic({fn.name(), FnStatus::Timeout, reason});
-        recordToStore(fn, FnStatus::Timeout, reason, false, nullptr, {});
+        recordToStore(node, FnStatus::Timeout, reason, false, nullptr, {});
         return {};
     };
 
@@ -398,7 +424,7 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
         // escape-rule reports get theirs too). Every fingerprint input is
         // byte-stable across threads/cache settings, so the
         // stamps are as deterministic as the reports themselves.
-        uint64_t fn_fp = fn.fingerprint();
+        uint64_t fn_fp = bodyFingerprint(node);
         for (auto &r : ipp.reports) {
             r.function_fp = fn_fp;
             r.fingerprint = r.computeFingerprint(fn_fp);
@@ -442,7 +468,7 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
     }
     // Persist before the summary is moved into the db: one frame carries
     // the complete outcome (status, summary, stamped reports).
-    recordToStore(fn, truncated ? FnStatus::Truncated : FnStatus::Ok,
+    recordToStore(node, truncated ? FnStatus::Truncated : FnStatus::Ok,
                   trunc_reason, false, &summary, ipp.reports);
     db_.addComputed(std::move(summary));
 
@@ -515,6 +541,13 @@ Analyzer::run()
         return CallGraph(mod_);
     }();
 
+    // functionOf() resolves a node by index, never by name: the call
+    // graph numbers the module's functions first, in module order.
+    for (size_t k = 0; k < mod_.size(); k++)
+        assert(cg.nameOf(static_cast<int>(k)) ==
+               mod_.functions()[k]->name());
+    node_fp_.assign(store_ ? cg.size() : 0, 0);
+
     {
         obs::Span classify_span("pipeline", "classify");
         if (opts_.classify)
@@ -564,6 +597,7 @@ Analyzer::run()
     resume_plan_.clear();
     if (store_ && opts_.resume) {
         obs::Span plan_span("pipeline", "resume-plan");
+        resume_plan_.resize(cg.size());
         FunctionStore::LookupContext ctx;
         ctx.function_deadline_seconds = opts_.function_deadline_seconds;
         ctx.function_solver_fuel = opts_.function_solver_fuel;
@@ -572,29 +606,27 @@ Analyzer::run()
         std::vector<char> scc_clean(cg.numSccs(), 1);
         for (int scc = 0; scc < static_cast<int>(cg.numSccs()); scc++) {
             bool clean = true;
-            std::vector<std::string> members;
             for (int member : cg.sccMembers(scc)) {
                 for (int callee : cg.calleesOf(member)) {
                     int cs = cg.sccOf(callee);
                     if (cs != scc && !scc_clean[cs])
                         clean = false;
                 }
-                const ir::Function *fn = mod_.find(cg.nameOf(member));
+                const ir::Function *fn = functionOf(member);
                 if (!fn || !tracked(*fn))
                     continue; // declarations/specs: fixed via config_fp
                 ctx.want_analyze = shouldAnalyze(*fn);
-                FunctionStore::Action a = store_->lookup(
-                    {fn->name(), fn->fingerprint(), store_config_fp_},
+                FunctionStore::Action &a = resume_plan_[member];
+                a = store_->lookup(
+                    {fn->name(), bodyFingerprint(member), store_config_fp_},
                     ctx, domain_table_);
                 if (a.plan != FunctionStore::Plan::Load &&
                     a.plan != FunctionStore::Plan::Quarantine)
                     clean = false;
-                members.push_back(fn->name());
-                resume_plan_[fn->name()] = std::move(a);
             }
             if (!clean) {
-                for (const auto &name : members) {
-                    auto &a = resume_plan_[name];
+                for (int member : cg.sccMembers(scc)) {
+                    auto &a = resume_plan_[member];
                     if (a.plan == FunctionStore::Plan::Load)
                         a = FunctionStore::Action{};
                 }
@@ -604,24 +636,20 @@ Analyzer::run()
     }
 
     auto processNode = [&](int node) -> std::vector<BugReport> {
-        const ir::Function *fn = mod_.find(cg.nameOf(node));
+        const ir::Function *fn = functionOf(node);
         if (!fn)
             return {};
         try {
             obs::FailpointScope fp_scope(fn->name());
+            const bool is_tracked = tracked(*fn);
 
+            // Each node is visited exactly once per run; moving its Action
+            // out leaves every other slot untouched, so workers under
+            // SCC-level parallelism need no lock.
             FunctionStore::Action action;
-            bool have_plan = false;
-            if (store_ && tracked(*fn)) {
-                auto it = resume_plan_.find(fn->name());
-                if (it != resume_plan_.end()) {
-                    // Each key is visited exactly once per run; moving the
-                    // Action aside keeps the map itself read-only under
-                    // SCC-level parallelism.
-                    action = std::move(it->second);
-                    have_plan = true;
-                }
-            }
+            const bool have_plan = is_tracked && !resume_plan_.empty();
+            if (have_plan)
+                action = std::move(resume_plan_[node]);
             if (have_plan && action.plan == FunctionStore::Plan::Load) {
                 // Store hit: replay the recorded outcome and skip symexec.
                 // Counters are not replayed (stats describe work actually
@@ -651,14 +679,14 @@ Analyzer::run()
                     {fn->name(), FnStatus::Degraded, action.note});
                 return {};
             }
-            if (store_ && tracked(*fn))
+            if (store_ && is_tracked)
                 ins_.store_misses->inc();
 
             if (!shouldAnalyze(*fn)) {
-                if (tracked(*fn)) {
+                if (is_tracked) {
                     storeDefaultSummary(*fn);
                     ins_.functions_defaulted->inc();
-                    recordToStore(*fn, FnStatus::Ok, "", true, nullptr,
+                    recordToStore(node, FnStatus::Ok, "", true, nullptr,
                                   {});
                 }
                 return {};
@@ -674,7 +702,7 @@ Analyzer::run()
                     std::string("run budget: ") +
                     obs::budgetStopName(run_budget_->stopReason());
                 recordDiagnostic({fn->name(), FnStatus::Timeout, reason});
-                recordToStore(*fn, FnStatus::Timeout, reason, false,
+                recordToStore(node, FnStatus::Timeout, reason, false,
                               nullptr, {});
                 return {};
             }
@@ -685,7 +713,7 @@ Analyzer::run()
                 deadline = action.retry_deadline_seconds;
                 fuel = action.retry_fuel;
             }
-            return analyzeFunction(*fn, deadline, fuel);
+            return analyzeFunction(node, deadline, fuel);
         } catch (const std::exception &e) {
             // Last-resort isolation for faults outside the guarded
             // analysis path (classification, summary storage, ...).
@@ -693,7 +721,7 @@ Analyzer::run()
                 storeDefaultSummary(*fn);
             ins_.functions_error->inc();
             recordDiagnostic({fn->name(), FnStatus::Error, e.what()});
-            recordToStore(*fn, FnStatus::Error, e.what(), false, nullptr,
+            recordToStore(node, FnStatus::Error, e.what(), false, nullptr,
                           {});
             return {};
         }

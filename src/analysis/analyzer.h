@@ -20,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/classifier.h"
@@ -164,7 +163,8 @@ class FunctionStore
                           const std::vector<BugReport> &reports) = 0;
 
     /** Commit a shard-level checkpoint: append a checkpoint frame and
-     *  flush everything before it to stable storage. Must not throw. */
+     *  flush everything before it to stable storage. A store may skip a
+     *  checkpoint that would commit nothing new. Must not throw. */
     virtual void checkpoint(uint64_t tag) = 0;
 
     virtual IoStats ioStats() const = 0;
@@ -459,17 +459,17 @@ class Analyzer
         obs::Histogram *store_record_bytes = nullptr;
     };
 
-    /** Analyze one function and store its summary; returns its reports.
-     *  Never throws: faults and budget expiry degrade the function to the
-     *  default summary and a diagnostic. @p deadline_seconds / @p fuel
-     *  form the function budget (normally the run's options; the
-     *  supervisor's retry ladder passes reduced values). */
-    std::vector<BugReport> analyzeFunction(const ir::Function &fn,
-                                           double deadline_seconds,
+    /** Analyze the function of call-graph node @p node and store its
+     *  summary; returns its reports. Never throws: faults and budget
+     *  expiry degrade the function to the default summary and a
+     *  diagnostic. @p deadline_seconds / @p fuel form the function budget
+     *  (normally the run's options; the supervisor's retry ladder passes
+     *  reduced values). */
+    std::vector<BugReport> analyzeFunction(int node, double deadline_seconds,
                                            uint64_t fuel);
 
     /** The fault-susceptible body of analyzeFunction. */
-    std::vector<BugReport> analyzeFunctionGuarded(const ir::Function &fn,
+    std::vector<BugReport> analyzeFunctionGuarded(int node,
                                                   const obs::Budget &budget);
 
     /** Store the conservative default summary for @p fn, bypassing any
@@ -488,10 +488,20 @@ class Analyzer
     /** Derive the legacy AnalyzerStats counters from the registry. */
     void refreshStatsFromRegistry();
 
-    /** Persist one function's outcome to the store (no-op without one).
+    /** The function of call-graph node @p node (null for an undeclared
+     *  call target). Node k < mod_.size() is mod_.functions()[k] (see
+     *  CallGraph's constructor), so this is an index, not a lookup. */
+    const ir::Function *functionOf(int node) const;
+
+    /** Body fingerprint of node @p node's function. With a store it is
+     *  rendered at most once per run: the resume plan, the store record
+     *  and the report stamps share it. */
+    uint64_t bodyFingerprint(int node);
+
+    /** Persist node @p node's outcome to the store (no-op without one).
      *  Never throws; a storage fault is the store's to absorb. */
-    void recordToStore(const ir::Function &fn, FnStatus status,
-                       const std::string &reason, bool defaulted,
+    void recordToStore(int node, FnStatus status, const std::string &reason,
+                       bool defaulted,
                        const summary::FunctionSummary *summary,
                        const std::vector<BugReport> &reports);
 
@@ -515,11 +525,16 @@ class Analyzer
     /** Durable store (null = persistence off) and its config key part. */
     std::shared_ptr<FunctionStore> store_;
     uint64_t store_config_fp_ = 0;
-    /** Resume plan built bottom-up over the call graph before the
-     *  traversal: per tracked function, what to do with it. Read-only
-     *  (per-key moves aside) during the traversal, so workers need no
-     *  lock. */
-    std::unordered_map<std::string, FunctionStore::Action> resume_plan_;
+    /** Body fingerprints indexed by call-graph node, sized by run() when
+     *  a store is attached (empty otherwise). 0 until first computed;
+     *  each slot is written only by the worker processing its node. */
+    std::vector<uint64_t> node_fp_;
+    /** Resume plan, indexed by call-graph node and built bottom-up over
+     *  the SCC condensation before the traversal: for each tracked
+     *  function, what to do with it (empty unless resuming). Each slot is
+     *  moved out once by the worker processing its node, so workers need
+     *  no lock. */
+    std::vector<FunctionStore::Action> resume_plan_;
     /** Store ioStats() snapshot already synced into the registry (keeps
      *  repeated run() calls from double-counting). */
     FunctionStore::IoStats store_io_synced_;

@@ -26,7 +26,10 @@ class CallGraph
 {
   public:
     /** Build from a module; every defined or declared function is a node,
-     *  and call targets without any declaration get synthetic nodes. */
+     *  and call targets without any declaration get synthetic nodes.
+     *  Node k < mod.size() is mod.functions()[k] (module order), so a
+     *  caller can index its own per-function tables by node; the
+     *  synthetic nodes come after them. */
     explicit CallGraph(const ir::Module &mod);
 
     /** Number of nodes. */

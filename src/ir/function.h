@@ -114,6 +114,8 @@ class Function
     void verify() const;
 
     std::string str() const;
+    /** Append str()'s bytes to @p out (the one printer; str() wraps it). */
+    void appendTo(std::string &out) const;
 
     /**
      * Stable 64-bit fingerprint of the function body: FNV-1a over the

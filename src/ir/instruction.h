@@ -92,6 +92,8 @@ struct Instruction
     }
 
     std::string str() const;
+    /** Append str()'s bytes to @p out (the one printer; str() wraps it). */
+    void appendTo(std::string &out) const;
 };
 
 } // namespace rid::ir

@@ -1,13 +1,32 @@
 #include "ir/function.h"
 
 #include <cassert>
+#include <charconv>
 #include <set>
-#include <sstream>
 
 #include "obs/failpoint.h"
 #include "smt/intern.h"
 
 namespace rid::ir {
+
+namespace {
+
+void
+appendInt(std::string &out, int64_t v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+void
+appendBlockRef(std::string &out, BlockId id)
+{
+    out += "bb";
+    appendInt(out, id);
+}
+
+} // anonymous namespace
 
 Value
 Value::var(std::string name)
@@ -44,17 +63,25 @@ Value::null()
     return v;
 }
 
+void
+Value::appendTo(std::string &out) const
+{
+    switch (kind_) {
+      case ValueKind::None: out += "<none>"; return;
+      case ValueKind::Var: out += name_; return;
+      case ValueKind::IntConst: appendInt(out, int_); return;
+      case ValueKind::BoolConst: out += int_ ? "true" : "false"; return;
+      case ValueKind::Null: out += "null"; return;
+    }
+    out += '?';
+}
+
 std::string
 Value::str() const
 {
-    switch (kind_) {
-      case ValueKind::None: return "<none>";
-      case ValueKind::Var: return name_;
-      case ValueKind::IntConst: return std::to_string(int_);
-      case ValueKind::BoolConst: return int_ ? "true" : "false";
-      case ValueKind::Null: return "null";
-    }
-    return "?";
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 const char *
@@ -168,52 +195,84 @@ Instruction::branch(BlockId target)
     return i;
 }
 
+void
+Instruction::appendTo(std::string &out) const
+{
+    switch (op) {
+      case Opcode::Assign:
+        out += dst;
+        out += " = ";
+        a.appendTo(out);
+        break;
+      case Opcode::FieldLoad:
+        out += dst;
+        out += " = ";
+        a.appendTo(out);
+        out += '.';
+        out += field;
+        break;
+      case Opcode::FieldStore:
+        a.appendTo(out);
+        out += '.';
+        out += field;
+        out += " = ";
+        b.appendTo(out);
+        break;
+      case Opcode::Random:
+        out += dst;
+        out += " = random";
+        break;
+      case Opcode::Call:
+        if (!dst.empty()) {
+            out += dst;
+            out += " = ";
+        }
+        out += callee;
+        out += '(';
+        for (size_t i = 0; i < args.size(); i++) {
+            if (i)
+                out += ", ";
+            args[i].appendTo(out);
+        }
+        out += ')';
+        break;
+      case Opcode::Return:
+        out += "return";
+        if (!a.isNone()) {
+            out += ' ';
+            a.appendTo(out);
+        }
+        break;
+      case Opcode::Cmp:
+        out += dst;
+        out += " = ";
+        a.appendTo(out);
+        out += ' ';
+        out += smt::predSpelling(pred);
+        out += ' ';
+        b.appendTo(out);
+        break;
+      case Opcode::CondBranch:
+        out += "branch ";
+        a.appendTo(out);
+        out += ", ";
+        appendBlockRef(out, target);
+        out += ", ";
+        appendBlockRef(out, target_else);
+        break;
+      case Opcode::Branch:
+        out += "branch ";
+        appendBlockRef(out, target);
+        break;
+    }
+}
+
 std::string
 Instruction::str() const
 {
-    std::ostringstream os;
-    switch (op) {
-      case Opcode::Assign:
-        os << dst << " = " << a.str();
-        break;
-      case Opcode::FieldLoad:
-        os << dst << " = " << a.str() << "." << field;
-        break;
-      case Opcode::FieldStore:
-        os << a.str() << "." << field << " = " << b.str();
-        break;
-      case Opcode::Random:
-        os << dst << " = random";
-        break;
-      case Opcode::Call:
-        if (!dst.empty())
-            os << dst << " = ";
-        os << callee << "(";
-        for (size_t i = 0; i < args.size(); i++) {
-            if (i)
-                os << ", ";
-            os << args[i].str();
-        }
-        os << ")";
-        break;
-      case Opcode::Return:
-        os << "return";
-        if (!a.isNone())
-            os << " " << a.str();
-        break;
-      case Opcode::Cmp:
-        os << dst << " = " << a.str() << " " << smt::predSpelling(pred)
-           << " " << b.str();
-        break;
-      case Opcode::CondBranch:
-        os << "branch " << a.str() << ", bb" << target << ", bb"
-           << target_else;
-        break;
-      case Opcode::Branch:
-        os << "branch bb" << target;
-        break;
-    }
-    return os.str();
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 std::vector<BlockId>
@@ -298,38 +357,59 @@ Function::verify() const
     }
 }
 
+void
+Function::appendTo(std::string &out) const
+{
+    out += returnsValue_ ? "int " : "void ";
+    out += name_;
+    out += '(';
+    for (size_t i = 0; i < params_.size(); i++) {
+        if (i)
+            out += ", ";
+        out += params_[i];
+    }
+    out += ')';
+    if (isDeclaration()) {
+        out += ";\n";
+        return;
+    }
+    out += " {\n";
+    for (size_t b = 0; b < blocks_.size(); b++) {
+        out += "  ";
+        appendBlockRef(out, static_cast<BlockId>(b));
+        if (!blocks_[b].label.empty()) {
+            out += " (";
+            out += blocks_[b].label;
+            out += ')';
+        }
+        out += ":\n";
+        for (const auto &in : blocks_[b].instrs) {
+            out += "    ";
+            in.appendTo(out);
+            out += '\n';
+        }
+    }
+    out += "}\n";
+}
+
 std::string
 Function::str() const
 {
-    std::ostringstream os;
-    os << (returnsValue_ ? "int " : "void ") << name_ << "(";
-    for (size_t i = 0; i < params_.size(); i++) {
-        if (i)
-            os << ", ";
-        os << params_[i];
-    }
-    os << ")";
-    if (isDeclaration()) {
-        os << ";\n";
-        return os.str();
-    }
-    os << " {\n";
-    for (size_t b = 0; b < blocks_.size(); b++) {
-        os << "  bb" << b;
-        if (!blocks_[b].label.empty())
-            os << " (" << blocks_[b].label << ")";
-        os << ":\n";
-        for (const auto &in : blocks_[b].instrs)
-            os << "    " << in.str() << "\n";
-    }
-    os << "}\n";
-    return os.str();
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 uint64_t
 Function::fingerprint() const
 {
-    return smt::fpBytes(str());
+    // Hash the printed bytes through a per-thread buffer: after the first
+    // call it has the capacity of the largest body seen, so fingerprinting
+    // a corpus allocates nothing per function.
+    thread_local std::string buf;
+    buf.clear();
+    appendTo(buf);
+    return smt::fpBytes(buf);
 }
 
 Function *
@@ -386,10 +466,12 @@ Module::absorb(Module other)
 std::string
 Module::str() const
 {
-    std::ostringstream os;
-    for (const auto &fn : functions_)
-        os << fn->str() << "\n";
-    return os.str();
+    std::string out;
+    for (const auto &fn : functions_) {
+        fn->appendTo(out);
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace rid::ir

@@ -55,6 +55,8 @@ class Value
     }
 
     std::string str() const;
+    /** Append str()'s bytes to @p out (the one printer; str() wraps it). */
+    void appendTo(std::string &out) const;
 
   private:
     ValueKind kind_ = ValueKind::None;

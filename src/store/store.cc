@@ -2,10 +2,10 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/failpoint.h"
+#include "obs/trace.h"
 #include "smt/intern.h"
 #include "summary/spec.h"
 
@@ -243,6 +243,25 @@ decodeReports(std::string_view in, std::vector<analysis::BugReport> &out)
     return in.empty();
 }
 
+/** The whole file at @p path, read straight into one buffer (empty when
+ *  it is missing or unreadable). */
+std::string
+readFile(const std::string &path)
+{
+    std::string bytes;
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return bytes;
+    std::streamoff size = in.tellg();
+    if (size <= 0)
+        return bytes;
+    bytes.resize(static_cast<size_t>(size));
+    in.seekg(0);
+    in.read(bytes.data(), size);
+    bytes.resize(static_cast<size_t>(in.gcount()));
+    return bytes;
+}
+
 } // anonymous namespace
 
 uint64_t
@@ -319,13 +338,9 @@ AnalysisStore::AnalysisStore(Options opts) : opts_(std::move(opts))
     uint64_t resume_at = 0;
     bool fresh = !opts_.resume;
     if (opts_.resume) {
-        std::ifstream in(log_path_, std::ios::binary);
-        std::string bytes;
-        if (in) {
-            std::stringstream buf;
-            buf << in.rdbuf();
-            bytes = buf.str();
-        }
+        // Frames are views into this one buffer; applyFrame copies only
+        // the fields an Entry keeps.
+        const std::string bytes = readFile(log_path_);
         WalScan scan = scanWal(bytes);
         io_.torn_frames += scan.torn_frames;
         if (!scan.header_ok) {
@@ -344,6 +359,8 @@ AnalysisStore::AnalysisStore(Options opts) : opts_(std::move(opts))
     }
     if (!writer_.open(log_path_, fresh, resume_at))
         throw std::runtime_error("store: cannot open log " + log_path_);
+    // A fresh log's header is not durable until the first checkpoint.
+    unsynced_ = fresh;
 }
 
 void
@@ -504,6 +521,7 @@ AnalysisStore::record(const Key &key, analysis::FnStatus status,
         }
         entries_[key.function] = std::move(e);
         io_.bytes_appended += n;
+        unsynced_ = true;
         return n;
     } catch (const std::exception &) {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -516,8 +534,14 @@ void
 AnalysisStore::checkpoint(uint64_t tag)
 {
     try {
-        std::string payload;
         std::lock_guard<std::mutex> lock(mutex_);
+        // Nothing appended since the last synced checkpoint: every record
+        // is already durable, so a frame and an fsync would commit
+        // nothing.
+        if (!unsynced_)
+            return;
+        obs::Span span("store", "checkpoint");
+        std::string payload;
         putU64(payload, tag);
         putU64(payload, static_cast<uint64_t>(entries_.size()));
         if (!writer_.appendFrame(kFrameCheckpoint, payload) ||
@@ -526,6 +550,7 @@ AnalysisStore::checkpoint(uint64_t tag)
             return;
         }
         io_.bytes_appended += kFrameHeaderSize + payload.size();
+        unsynced_ = false;
     } catch (const std::exception &) {
         std::lock_guard<std::mutex> lock(mutex_);
         io_.failed_writes++;

@@ -8,7 +8,8 @@
  * computed summary (spec-text payload, the same codec as
  * Rid::exportSummaries) and fully round-tripped bug reports — keyed by
  * (body fingerprint, spec/domain-config fingerprint). Checkpoint frames
- * are durability barriers: everything before one is fsync'd.
+ * are durability barriers: everything before one is fsync'd. A
+ * checkpoint with nothing new to commit writes no frame.
  *
  * Opening with resume runs the recovery scan: torn tails are dropped,
  * corrupt frames are skipped (and counted), and the surviving last
@@ -78,6 +79,9 @@ class AnalysisStore : public analysis::FunctionStore
                   const std::string &reason, bool defaulted,
                   const summary::FunctionSummary *summary,
                   const std::vector<analysis::BugReport> &reports) override;
+    /** Append a checkpoint frame and fsync, under a store/checkpoint
+     *  span, only when a record (or a fresh log's header) was written
+     *  since the last synced checkpoint; otherwise a no-op. */
     void checkpoint(uint64_t tag) override;
     IoStats ioStats() const override;
 
@@ -110,6 +114,8 @@ class AnalysisStore : public analysis::FunctionStore
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Entry> entries_;
     IoStats io_;
+    /** Bytes were written since the last synced checkpoint. */
+    bool unsynced_ = false;
 };
 
 } // namespace rid::store

@@ -111,7 +111,7 @@ scanWal(std::string_view bytes)
                 if (crc32(payload.data(), payload.size()) == crc) {
                     WalFrame frame;
                     frame.type = type;
-                    frame.payload = std::string(payload);
+                    frame.payload = payload;
                     frame.offset = pos;
                     out.frames.push_back(std::move(frame));
                     pos += kFrameHeaderSize + len;

@@ -41,7 +41,10 @@ constexpr size_t kFrameHeaderSize = 13;
 struct WalFrame
 {
     uint8_t type = 0;
-    std::string payload;
+    /** A view into the bytes handed to scanWal: valid only while they
+     *  are (recovery decodes each frame straight out of the one file
+     *  buffer instead of copying it). */
+    std::string_view payload;
     /** Byte offset of the frame header in the log (tests corrupt
      *  specific frames through this). */
     uint64_t offset = 0;
@@ -68,7 +71,8 @@ struct WalScan
 /**
  * Recovery scan: verify the header and every frame CRC, drop any torn
  * tail, resync past corruption. Never throws; a log that fails header
- * validation yields header_ok == false and no frames.
+ * validation yields header_ok == false and no frames. The frames' payloads
+ * point into @p bytes, which must outlive the result.
  */
 WalScan scanWal(std::string_view bytes);
 

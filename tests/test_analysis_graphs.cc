@@ -36,6 +36,22 @@ TEST(CallGraph, UndeclaredCalleesGetNodes)
     EXPECT_GE(cg.nodeOf("mystery"), 0);
 }
 
+TEST(CallGraph, ModuleFunctionsComeFirstInModuleOrder)
+{
+    // The analyzer indexes its per-run function table by node on the
+    // strength of this numbering.
+    ir::Module m = frontend::compile(
+        "void z(void) { mystery(); y(); }\n"
+        "void y(void);\n"
+        "void x(void) { z(); other(); }\n");
+    CallGraph cg(m);
+    ASSERT_EQ(cg.size(), m.size() + 2);
+    for (size_t k = 0; k < m.size(); k++)
+        EXPECT_EQ(cg.nameOf(static_cast<int>(k)), m.functions()[k]->name());
+    EXPECT_GE(cg.nodeOf("mystery"), static_cast<int>(m.size()));
+    EXPECT_GE(cg.nodeOf("other"), static_cast<int>(m.size()));
+}
+
 TEST(CallGraph, ReverseTopoPutsCalleesFirst)
 {
     ir::Module m = frontend::compile(

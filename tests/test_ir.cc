@@ -3,6 +3,8 @@
  * Unit tests for the abstract-program IR (ir/).
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
@@ -273,6 +275,72 @@ TEST(Function, PrinterShowsBlocksAndLabels)
     std::string text = b.take().str();
     EXPECT_NE(text.find("bb1 (exit):"), std::string::npos);
     EXPECT_NE(text.find("int f(a)"), std::string::npos);
+}
+
+/** One function exercising every opcode, both branch forms, a block
+ *  label, negative and extreme constants, every constant kind and a bare
+ *  `return` in a `void` function. */
+Function
+goldenFunction()
+{
+    IrBuilder b("golden", {"dev", "flag"}, false);
+    BlockId then = b.newBlock("then");
+    BlockId other = b.newBlock();
+    BlockId out = b.newBlock("out");
+    b.assign("x", Value::intConst(-7))
+        .assign("big", Value::intConst(INT64_MIN))
+        .fieldLoad("pm", Value::var("dev"), "power")
+        .fieldStore(Value::var("dev"), "usage", Value::intConst(-1))
+        .random("r")
+        .call("rc", "pm_runtime_get_sync", {Value::var("dev")})
+        .callVoid("put", {Value::var("dev"), Value::intConst(-42),
+                          Value::boolConst(true), Value::null()})
+        .callVoid("sync", {})
+        .cmp("t", smt::Pred::Lt, Value::var("rc"), Value::intConst(0))
+        .condBranch(Value::var("t"), then, other);
+    b.setBlock(then);
+    b.assign("done", Value::boolConst(false)).branch(out);
+    b.setBlock(other);
+    b.cmp("u", smt::Pred::Ge, Value::var("flag"), Value::null())
+        .branch(out);
+    b.setBlock(out);
+    b.ret();
+    return b.take();
+}
+
+TEST(Function, GoldenPrintingAndFingerprint)
+{
+    // Stored summaries are keyed by fingerprint(), an FNV-1a hash of
+    // str(). Any change to these bytes turns every record of an existing
+    // store into a miss, so the rendering is pinned byte for byte.
+    Function fn = goldenFunction();
+    EXPECT_EQ(fn.str(),
+              "void golden(dev, flag) {\n"
+              "  bb0 (entry):\n"
+              "    x = -7\n"
+              "    big = -9223372036854775808\n"
+              "    pm = dev.power\n"
+              "    dev.usage = -1\n"
+              "    r = random\n"
+              "    rc = pm_runtime_get_sync(dev)\n"
+              "    put(dev, -42, true, null)\n"
+              "    sync()\n"
+              "    t = rc < 0\n"
+              "    branch t, bb1, bb2\n"
+              "  bb1 (then):\n"
+              "    done = false\n"
+              "    branch bb3\n"
+              "  bb2:\n"
+              "    u = flag >= null\n"
+              "    branch bb3\n"
+              "  bb3 (out):\n"
+              "    return\n"
+              "}\n");
+    EXPECT_EQ(fn.fingerprint(), 0xc843c8ea36842c6eull);
+
+    Function decl("decl", {"a", "b"}, true);
+    EXPECT_EQ(decl.str(), "int decl(a, b);\n");
+    EXPECT_EQ(decl.fingerprint(), 0x8ab52782cd57b9a9ull);
 }
 
 } // anonymous namespace

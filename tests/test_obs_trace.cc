@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/rid.h"
@@ -278,6 +280,49 @@ TEST(Tracer, TriageLowersOnlyTheReportingUnit)
     EXPECT_EQ(lower[0].tid, run[0].tid);
     EXPECT_GT(lower[0].depth, run[0].depth);
     checkNesting(tracer->threadEvents(run[0].tid));
+}
+
+TEST(Tracer, CheckpointSpansOnlyWhereAStoreCheckpointSyncs)
+{
+    auto corpus =
+        kernel::generateCorpus(kernel::CorpusMix::paperCalibrated(0.001));
+    std::string dir = testing::TempDir() + "rid_trace_checkpoints";
+    std::filesystem::remove_all(dir);
+    auto storeRun = [&](bool resume) {
+        auto tracer = std::make_shared<obs::Tracer>();
+        analysis::AnalyzerOptions opts;
+        opts.tracer = tracer;
+        opts.store_path = dir;
+        opts.resume = resume;
+        Rid tool(opts);
+        tool.loadSpecText(kernel::dpmSpecText());
+        for (const auto &file : corpus.files)
+            tool.addSource(file.text);
+        RunResult result = tool.run();
+        size_t checkpoints = 0, plans = 0;
+        for (const auto &e : tracer->sortedEvents()) {
+            if (std::string(e.cat) == "store" &&
+                std::string(e.name) == "checkpoint")
+                checkpoints++;
+            if (std::string(e.name) == "resume-plan")
+                plans++;
+        }
+        return std::make_tuple(checkpoints, plans, result);
+    };
+
+    // The cold run records every tracked function, so checkpoints sync.
+    auto [cold_checkpoints, cold_plans, cold] = storeRun(false);
+    EXPECT_GT(cold.stats.store.bytes_appended, 0u);
+    EXPECT_GE(cold_checkpoints, 1u);
+    EXPECT_EQ(cold_plans, 0u);
+
+    // A warm resume with no edits records nothing: it plans, but no
+    // checkpoint has anything to commit, so none syncs or opens a span.
+    auto [warm_checkpoints, warm_plans, warm] = storeRun(true);
+    EXPECT_EQ(warm.stats.store.misses, 0u);
+    EXPECT_EQ(warm.stats.store.bytes_appended, 0u);
+    EXPECT_EQ(warm_checkpoints, 0u);
+    EXPECT_EQ(warm_plans, 1u);
 }
 
 /** Project an export to its deterministic identity (drop timings). */

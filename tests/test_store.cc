@@ -92,7 +92,8 @@ TEST(Wal, TornTailIsDroppedAtEveryCutPoint)
     // Kill the writer at every byte offset: the scan must recover
     // exactly the frames wholly before the cut and report the tail torn.
     for (size_t cut = store::kWalHeaderSize; cut < log.size(); cut++) {
-        store::WalScan scan = store::scanWal(log.substr(0, cut));
+        const std::string prefix = log.substr(0, cut);
+        store::WalScan scan = store::scanWal(prefix);
         ASSERT_TRUE(scan.header_ok) << "cut " << cut;
         size_t complete = 0;
         while (complete < frame_ends.size() &&
@@ -164,7 +165,8 @@ TEST(WalWriter, ResumeTruncatesTornTailAndContinues)
     std::string bytes = slurpFile(path);
     writeFile(path, bytes + "RIDF\x01partial");
 
-    store::WalScan scan = store::scanWal(slurpFile(path));
+    const std::string torn = slurpFile(path);
+    store::WalScan scan = store::scanWal(torn);
     ASSERT_TRUE(scan.header_ok);
     EXPECT_EQ(scan.frames.size(), 2u);
     EXPECT_EQ(scan.durable_size, bytes.size());
@@ -177,7 +179,9 @@ TEST(WalWriter, ResumeTruncatesTornTailAndContinues)
     ASSERT_TRUE(resumed.sync());
     resumed.close();
 
-    store::WalScan after = store::scanWal(slurpFile(path));
+    // Frame payloads are views into the scanned bytes: keep them alive.
+    const std::string resumed_bytes = slurpFile(path);
+    store::WalScan after = store::scanWal(resumed_bytes);
     ASSERT_EQ(after.frames.size(), 3u);
     EXPECT_EQ(after.frames[2].payload, "gamma");
     EXPECT_EQ(after.torn_frames, 0u);
@@ -361,6 +365,7 @@ TEST_F(StoreEndToEnd, WarmResumeReplaysEverythingByteIdentically)
     // Warm resume on the unchanged corpus: every tracked function
     // replays — hit rate 1.0, zero symbolic execution, and the reports
     // (and their journal) are byte-identical.
+    const std::string cold_wal = slurpFile(dir + "/analysis.wal");
     auto warm = makeTool(dir, /*resume=*/true);
     RunResult warm_result = warm->run();
     EXPECT_EQ(journalOf(warm_result), oracle);
@@ -371,6 +376,10 @@ TEST_F(StoreEndToEnd, WarmResumeReplaysEverythingByteIdentically)
     EXPECT_EQ(warm_result.stats.functions_analyzed, 0u);
     EXPECT_EQ(warm_result.stats.symexec_seconds, 0.0);
     EXPECT_GT(warm_result.stats.store.loaded_records, 0u);
+    // Nothing was recorded, so no checkpoint had anything to commit: the
+    // log is left exactly as the cold run wrote it.
+    EXPECT_EQ(warm_result.stats.store.bytes_appended, 0u);
+    EXPECT_EQ(slurpFile(dir + "/analysis.wal"), cold_wal);
 
     // The diagnostics (e.g. truncation notes) replay too: RunResult
     // surfaces the same per-function records either way.
@@ -496,9 +505,8 @@ TEST_F(StoreEndToEnd, StaleConfigFingerprintMissesEveryKey)
     EXPECT_EQ(journalOf(result), journalOf(fresh.run()));
 }
 
-TEST_F(StoreEndToEnd, ChangedFunctionAndItsCallersReexecute)
-{
-    const char *v1 = R"(
+/** Three functions; `caller` calls `helper`, `unrelated` stands alone. */
+const char *kUpconeV1 = R"(
 int helper(struct device *d, int x) {
     int s;
     s = pm_runtime_get_sync(d);
@@ -523,9 +531,9 @@ int unrelated(struct device *d) {
     return 0;
 }
 )";
-    // v2 edits only `helper` (an extra statement changes its body
-    // fingerprint without changing behavior).
-    const char *v2 = R"(
+// kUpconeV2 edits only `helper` (an extra statement changes its body
+// fingerprint without changing behavior).
+const char *kUpconeV2 = R"(
 int helper(struct device *d, int x) {
     int s;
     int note;
@@ -552,21 +560,26 @@ int unrelated(struct device *d) {
     return 0;
 }
 )";
-    auto scan = [](const std::string &dir, bool resume,
-                   const char *source) {
-        analysis::AnalyzerOptions opts;
-        opts.store_path = dir;
-        opts.resume = resume;
-        Rid tool(opts);
-        tool.loadSpecText(kernel::dpmSpecText());
-        tool.addSource(source);
-        return tool.run();
-    };
 
+/** One DPM-spec scan of @p source against the store in @p dir. */
+RunResult
+scanWithStore(const std::string &dir, bool resume, const char *source)
+{
+    analysis::AnalyzerOptions opts;
+    opts.store_path = dir;
+    opts.resume = resume;
+    Rid tool(opts);
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.addSource(source);
+    return tool.run();
+}
+
+TEST_F(StoreEndToEnd, ChangedFunctionAndItsCallersReexecute)
+{
     std::string dir = freshDir("upcone");
-    scan(dir, false, v1);
+    scanWithStore(dir, false, kUpconeV1);
 
-    RunResult result = scan(dir, true, v2);
+    RunResult result = scanWithStore(dir, true, kUpconeV2);
     ASSERT_TRUE(result.stats.store.active);
     // `helper` changed, so it re-executes — and `caller` sits in its
     // up-cone (its recorded reports could depend on helper's summary),
@@ -574,6 +587,43 @@ int unrelated(struct device *d) {
     EXPECT_EQ(result.stats.store.hits, 1u);
     EXPECT_EQ(result.stats.store.misses, 2u);
     EXPECT_EQ(result.stats.functions_analyzed, 2u);
+}
+
+TEST_F(StoreEndToEnd, EditedResumeCommitsItsRecordsAtASyncedCheckpoint)
+{
+    std::string dir = freshDir("edited_checkpoint");
+    const std::string wal_path = dir + "/analysis.wal";
+    scanWithStore(dir, false, kUpconeV1);
+    const std::string cold_wal = slurpFile(wal_path);
+
+    // The edit re-records `helper` and `caller`. Both records must be
+    // followed by a checkpoint frame, which the store writes only
+    // together with an fsync (failed_writes stays 0): a run killed after
+    // it resumes with both records.
+    RunResult edited = scanWithStore(dir, true, kUpconeV2);
+    ASSERT_EQ(edited.stats.store.misses, 2u);
+    EXPECT_EQ(edited.stats.store.failed_writes, 0u);
+    const std::string edited_wal = slurpFile(wal_path);
+    ASSERT_EQ(edited_wal.compare(0, cold_wal.size(), cold_wal), 0);
+    store::WalScan scan_after = store::scanWal(edited_wal);
+    std::vector<uint8_t> appended;
+    for (const auto &frame : scan_after.frames)
+        if (frame.offset >= cold_wal.size())
+            appended.push_back(frame.type);
+    EXPECT_EQ(appended,
+              (std::vector<uint8_t>{store::kFrameFunction,
+                                    store::kFrameFunction,
+                                    store::kFrameCheckpoint}));
+    EXPECT_EQ(edited.stats.store.bytes_appended,
+              edited_wal.size() - cold_wal.size());
+
+    // The records survive a kill right after that checkpoint: resuming
+    // the committed log replays everything.
+    RunResult again = scanWithStore(dir, true, kUpconeV2);
+    EXPECT_EQ(again.stats.store.hits, 3u);
+    EXPECT_EQ(again.stats.store.misses, 0u);
+    EXPECT_EQ(again.stats.store.bytes_appended, 0u);
+    EXPECT_EQ(slurpFile(wal_path), edited_wal);
 }
 
 TEST_F(StoreEndToEnd, FailingFunctionClimbsTheLadderIntoQuarantine)
