@@ -18,6 +18,8 @@
 # suite plus the compaction/interning determinism differentials under
 # ASan (the sharded instantiation cache is shared mutable state), runs
 # the triage suite under ASan (per-unit higher-precision module lifetime),
+# runs the call-graph and classifier suites under ASan (the call graph
+# borrows the module's names),
 # refreshes BENCH_performance.json
 # at the repo root (the microbenchmarks themselves are skipped via a
 # non-matching filter — only the trajectory-record workload runs,
@@ -85,6 +87,15 @@ cmake --build build-asan -j --target test_summary_compact \
 echo "== sanitizer smoke (ASan+UBSan per-unit triage lowering) =="
 cmake --build build-asan -j --target test_triage
 ./build-asan/tests/test_triage
+
+# The call graph borrows the module's function names instead of copying
+# them, and the classifier indexes categories by call-graph node; ASan
+# checks that neither outlives or over-indexes the module it reads.
+echo "== sanitizer smoke (ASan+UBSan call graph + classifier) =="
+cmake --build build-asan -j --target test_analysis_graphs \
+    --target test_analysis_paths
+./build-asan/tests/test_analysis_graphs
+./build-asan/tests/test_analysis_paths
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

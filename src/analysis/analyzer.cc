@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -541,11 +540,6 @@ Analyzer::run()
         return CallGraph(mod_);
     }();
 
-    // functionOf() resolves a node by index, never by name: the call
-    // graph numbers the module's functions first, in module order.
-    for (size_t k = 0; k < mod_.size(); k++)
-        assert(cg.nameOf(static_cast<int>(k)) ==
-               mod_.functions()[k]->name());
     node_fp_.assign(store_ ? cg.size() : 0, 0);
 
     {
@@ -559,12 +553,12 @@ Analyzer::run()
     if (classifier_)
         stats_.categories = classifier_->stats();
 
-    auto shouldAnalyze = [this](const ir::Function &fn) {
+    auto shouldAnalyze = [this](int node, const ir::Function &fn) {
         if (fn.isDeclaration() || db_.hasPredefined(fn.name()))
             return false;
         if (!opts_.classify)
             return true;
-        switch (classifier_->categoryOf(fn.name())) {
+        switch (classifier_->categoryOf(node)) {
           case Category::RefcountChanging:
             return true;
           case Category::Affecting:
@@ -615,7 +609,7 @@ Analyzer::run()
                 const ir::Function *fn = functionOf(member);
                 if (!fn || !tracked(*fn))
                     continue; // declarations/specs: fixed via config_fp
-                ctx.want_analyze = shouldAnalyze(*fn);
+                ctx.want_analyze = shouldAnalyze(member, *fn);
                 FunctionStore::Action &a = resume_plan_[member];
                 a = store_->lookup(
                     {fn->name(), bodyFingerprint(member), store_config_fp_},
@@ -682,7 +676,7 @@ Analyzer::run()
             if (store_ && is_tracked)
                 ins_.store_misses->inc();
 
-            if (!shouldAnalyze(*fn)) {
+            if (!shouldAnalyze(node, *fn)) {
                 if (is_tracked) {
                     storeDefaultSummary(*fn);
                     ins_.functions_defaulted->inc();

@@ -7,37 +7,43 @@
 namespace rid::analysis {
 
 int
-CallGraph::intern(const std::string &name)
+CallGraph::resolve(const std::string &name)
 {
-    auto it = ids_.find(name);
-    if (it != ids_.end())
-        return it->second;
-    int id = static_cast<int>(names_.size());
-    ids_.emplace(name, id);
-    names_.push_back(name);
-    edges_.emplace_back();
-    redges_.emplace_back();
-    return id;
+    int k = mod_.indexOf(name);
+    if (k >= 0)
+        return k;
+    auto [it, added] =
+        undeclaredIds_.try_emplace(name, static_cast<int>(edges_.size()));
+    if (added) {
+        undeclared_.push_back(name);
+        edges_.emplace_back();
+        redges_.emplace_back();
+    }
+    return it->second;
 }
 
 CallGraph::CallGraph(const ir::Module &mod)
+    : mod_(mod), edges_(mod.size()), redges_(mod.size())
 {
-    for (const auto &fn : mod.functions())
-        intern(fn->name());
-    for (const auto &fn : mod.functions()) {
-        int from = intern(fn->name());
-        for (const auto &callee : fn->callees()) {
-            int to = intern(callee);
-            auto &out = edges_[from];
-            if (std::find(out.begin(), out.end(), to) == out.end()) {
-                out.push_back(to);
-                redges_[to].push_back(from);
+    const auto &fns = mod.functions();
+    for (int from = 0; from < static_cast<int>(fns.size()); from++) {
+        const ir::Function &fn = *fns[from];
+        for (ir::BlockId b = 0; b < static_cast<int>(fn.numBlocks()); b++) {
+            for (const auto &in : fn.block(b).instrs) {
+                if (in.op != ir::Opcode::Call)
+                    continue;
+                int to = resolve(in.callee);
+                auto &out = edges_[from];
+                if (std::find(out.begin(), out.end(), to) == out.end()) {
+                    out.push_back(to);
+                    redges_[to].push_back(from);
+                }
             }
         }
     }
 
     // Tarjan's SCC algorithm, iterative to survive deep call chains.
-    const int n = static_cast<int>(names_.size());
+    const int n = static_cast<int>(edges_.size());
     scc_of_.assign(n, -1);
     std::vector<int> index(n, -1), lowlink(n, 0);
     std::vector<bool> on_stack(n, false);
@@ -102,18 +108,30 @@ CallGraph::CallGraph(const ir::Module &mod)
     // already satisfy: callee scc id < caller scc id.
 }
 
+const std::string &
+CallGraph::nameOf(int node) const
+{
+    const auto &fns = mod_.functions();
+    if (node >= 0 && static_cast<size_t>(node) < fns.size())
+        return fns[node]->name();
+    return undeclared_.at(static_cast<size_t>(node) - fns.size());
+}
+
 int
 CallGraph::nodeOf(const std::string &name) const
 {
-    auto it = ids_.find(name);
-    return it == ids_.end() ? -1 : it->second;
+    int k = mod_.indexOf(name);
+    if (k >= 0)
+        return k;
+    auto it = undeclaredIds_.find(name);
+    return it == undeclaredIds_.end() ? -1 : it->second;
 }
 
 std::vector<int>
 CallGraph::reverseTopoOrder() const
 {
     std::vector<int> order;
-    order.reserve(names_.size());
+    order.reserve(edges_.size());
     for (const auto &scc : sccs_)
         for (int node : scc)
             order.push_back(node);

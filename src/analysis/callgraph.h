@@ -9,13 +9,19 @@
  * not-yet-summarized part of the cycle falling back to default summaries
  * (Section 4.2). The SCC DAG is also stratified into levels so independent
  * components can be analyzed in parallel (Section 5.3).
+ *
+ * Function identity: node k < mod.size() is module function k, and call
+ * targets without any declaration get nodes after them, in first-call
+ * order. The graph borrows the module's names and resolves callees
+ * through Module::indexOf, the one name lookup; only the undeclared
+ * targets have a (small) name table of their own.
  */
 
 #ifndef RID_ANALYSIS_CALLGRAPH_H
 #define RID_ANALYSIS_CALLGRAPH_H
 
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/function.h"
@@ -29,13 +35,16 @@ class CallGraph
      *  and call targets without any declaration get synthetic nodes.
      *  Node k < mod.size() is mod.functions()[k] (module order), so a
      *  caller can index its own per-function tables by node; the
-     *  synthetic nodes come after them. */
+     *  synthetic nodes come after them. @p mod must outlive the graph
+     *  and stay unchanged while it is used. */
     explicit CallGraph(const ir::Module &mod);
 
     /** Number of nodes. */
-    size_t size() const { return names_.size(); }
+    size_t size() const { return edges_.size(); }
 
-    const std::string &nameOf(int node) const { return names_.at(node); }
+    /** @throws std::out_of_range for a node outside [0, size()). */
+    const std::string &nameOf(int node) const;
+    /** Node of @p name, or -1 when no function or call target has it. */
     int nodeOf(const std::string &name) const;
 
     /** Direct callees of a node. */
@@ -77,10 +86,14 @@ class CallGraph
     std::vector<std::vector<int>> sccLevels() const;
 
   private:
-    int intern(const std::string &name);
+    /** Node of call target @p name, minting a synthetic node for a name
+     *  the module does not declare. */
+    int resolve(const std::string &name);
 
-    std::vector<std::string> names_;
-    std::map<std::string, int> ids_;
+    const ir::Module &mod_;
+    /** Undeclared call targets: node mod_.size() + k is undeclared_[k]. */
+    std::vector<std::string> undeclared_;
+    std::unordered_map<std::string, int> undeclaredIds_;
     std::vector<std::vector<int>> edges_;
     std::vector<std::vector<int>> redges_;
     std::vector<int> scc_of_;

@@ -79,18 +79,18 @@ FunctionClassifier::FunctionClassifier(
     std::vector<bool> affecting(n, false);
     std::vector<int> topo(order.rbegin(), order.rend());
     for (int node : topo) {
-        if (!rc_changing[node])
+        if (!rc_changing[node] || static_cast<size_t>(node) >= mod_.size())
             continue;
-        const ir::Function *fn = mod_.find(cg.nameOf(node));
-        if (!fn || fn->isDeclaration())
+        const ir::Function &fn = *mod_.functions()[node];
+        if (fn.isDeclaration())
             continue;
         auto isRcCall = [&](const ir::Instruction &in) {
             int callee = cg.nodeOf(in.callee);
             return callee >= 0 && rc_changing[callee];
         };
-        auto slice = backwardSlice(*fn, /*include_returns=*/true, isRcCall);
+        auto slice = backwardSlice(fn, /*include_returns=*/true, isRcCall);
         for (const auto &ref : slice) {
-            const auto &in = fn->block(ref.block).instrs.at(ref.index);
+            const auto &in = fn.block(ref.block).instrs.at(ref.index);
             if (in.op != ir::Opcode::Call)
                 continue;
             int callee = cg.nodeOf(in.callee);
@@ -99,30 +99,34 @@ FunctionClassifier::FunctionClassifier(
         }
     }
 
-    for (const auto &fn : mod_.functions()) {
-        order_.push_back(fn->name());
-        int node = cg.nodeOf(fn->name());
-        Category c = Category::Other;
-        if (node >= 0 && rc_changing[node])
-            c = Category::RefcountChanging;
-        else if (node >= 0 && affecting[node])
-            c = Category::Affecting;
-        category_[fn->name()] = c;
+    categories_.resize(mod_.size(), Category::Other);
+    for (size_t k = 0; k < categories_.size(); k++) {
+        if (rc_changing[k])
+            categories_[k] = Category::RefcountChanging;
+        else if (affecting[k])
+            categories_[k] = Category::Affecting;
     }
+}
+
+Category
+FunctionClassifier::categoryOf(int node) const
+{
+    return node >= 0 && static_cast<size_t>(node) < categories_.size()
+               ? categories_[node]
+               : Category::Other;
 }
 
 Category
 FunctionClassifier::categoryOf(const std::string &fn) const
 {
-    auto it = category_.find(fn);
-    return it == category_.end() ? Category::Other : it->second;
+    return categoryOf(mod_.indexOf(fn));
 }
 
 ClassifierStats
 FunctionClassifier::stats() const
 {
     ClassifierStats s;
-    for (const auto &[name, c] : category_) {
+    for (Category c : categories_) {
         switch (c) {
           case Category::RefcountChanging: s.refcount_changing++; break;
           case Category::Affecting: s.affecting++; break;
@@ -136,9 +140,9 @@ std::vector<std::string>
 FunctionClassifier::functionsIn(Category c) const
 {
     std::vector<std::string> out;
-    for (const auto &name : order_)
-        if (category_.at(name) == c)
-            out.push_back(name);
+    for (size_t k = 0; k < categories_.size(); k++)
+        if (categories_[k] == c)
+            out.push_back(mod_.functions()[k]->name());
     return out;
 }
 

@@ -17,13 +17,16 @@
  * slicing each category-1/2 function on its return values and the actual
  * arguments of category-1 calls, and marks callees invoked inside the
  * slice as category 2.
+ *
+ * Function identity: categories are stored per call-graph node, and node
+ * k is module function k (see CallGraph). A name resolves through
+ * Module::indexOf; the classifier keeps no name table of its own.
  */
 
 #ifndef RID_ANALYSIS_CLASSIFIER_H
 #define RID_ANALYSIS_CLASSIFIER_H
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/callgraph.h"
@@ -63,6 +66,9 @@ class FunctionClassifier
     FunctionClassifier(const ir::Module &mod,
                        const std::vector<std::string> &seeds);
 
+    /** Category of call-graph node @p node: Other for an undeclared
+     *  call target or a node out of range. */
+    Category categoryOf(int node) const;
     Category categoryOf(const std::string &fn) const;
 
     ClassifierStats stats() const;
@@ -72,8 +78,8 @@ class FunctionClassifier
 
   private:
     const ir::Module &mod_;
-    std::vector<std::string> order_;  // module order for reporting
-    std::unordered_map<std::string, Category> category_;
+    /** Category of module function k (call-graph node k). */
+    std::vector<Category> categories_;
 };
 
 } // namespace rid::analysis

@@ -99,8 +99,7 @@ callGraphToDot(const CallGraph &cg, const FunctionClassifier *classifier)
         if (classifier) {
             os << ", style=filled, fillcolor="
                << categoryColor(
-                      classifier->categoryOf(cg.nameOf(
-                          static_cast<int>(n))));
+                      classifier->categoryOf(static_cast<int>(n)));
         }
         os << "];\n";
     }

@@ -12,10 +12,11 @@
 #ifndef RID_IR_FUNCTION_H
 #define RID_IR_FUNCTION_H
 
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/instruction.h"
@@ -137,12 +138,24 @@ class Function
     std::vector<BasicBlock> blocks_;
 };
 
-/** A translation unit: an ordered collection of functions. */
+/**
+ * A translation unit: an ordered collection of functions.
+ *
+ * A function's position in functions() is its identity for the run: the
+ * call graph numbers node k as function k, and per-function tables index
+ * by it. A definition that replaces a declaration takes the
+ * declaration's position, so positions never move. The module's name
+ * index is the one name -> function lookup; the call graph and the
+ * classifier resolve names through it instead of copying them.
+ */
 class Module
 {
   public:
     /** Add a function; returns a stable non-owning pointer. */
     Function *addFunction(Function fn);
+
+    /** Position of @p name in functions(), or -1 when absent. */
+    int indexOf(std::string_view name) const;
 
     Function *find(const std::string &name);
     const Function *find(const std::string &name) const;
@@ -163,8 +176,13 @@ class Module
     std::string str() const;
 
   private:
+    /** Take ownership of @p fn under the first-definition-wins rule. */
+    Function *adopt(std::unique_ptr<Function> fn);
+
     std::vector<std::unique_ptr<Function>> functions_;
-    std::map<std::string, Function *> byName_;
+    /** name -> position in functions_. Keys view the owned functions'
+     *  names, so the names are stored once. */
+    std::unordered_map<std::string_view, int> byName_;
     uint32_t absorbed_ = 0;             ///< absorb() calls so far
 };
 

@@ -415,42 +415,50 @@ Function::fingerprint() const
 Function *
 Module::addFunction(Function fn)
 {
-    auto it = byName_.find(fn.name());
-    if (it != byName_.end()) {
-        // Keep a definition over a declaration; otherwise first wins.
-        if (it->second->isDeclaration() && !fn.isDeclaration()) {
-            auto owned = std::make_unique<Function>(std::move(fn));
-            Function *raw = owned.get();
-            for (auto &slot : functions_) {
-                if (slot.get() == it->second) {
-                    slot = std::move(owned);
-                    break;
-                }
-            }
-            it->second = raw;
-            return raw;
-        }
-        return it->second;
+    return adopt(std::make_unique<Function>(std::move(fn)));
+}
+
+Function *
+Module::adopt(std::unique_ptr<Function> fn)
+{
+    auto [it, added] =
+        byName_.try_emplace(fn->name(), static_cast<int>(functions_.size()));
+    if (added) {
+        functions_.push_back(std::move(fn));
+        return functions_.back().get();
     }
-    auto owned = std::make_unique<Function>(std::move(fn));
-    Function *raw = owned.get();
-    functions_.push_back(std::move(owned));
-    byName_[raw->name()] = raw;
-    return raw;
+    // Keep a definition over a declaration; otherwise first wins. The
+    // definition takes the declaration's slot, and the key is re-pointed
+    // at the new owner's name before the declaration's goes away.
+    std::unique_ptr<Function> &slot = functions_[it->second];
+    if (slot->isDeclaration() && !fn->isDeclaration()) {
+        auto entry = byName_.extract(it);
+        entry.key() = fn->name();
+        byName_.insert(std::move(entry));
+        slot = std::move(fn);
+    }
+    return slot.get();
+}
+
+int
+Module::indexOf(std::string_view name) const
+{
+    auto it = byName_.find(name);
+    return it == byName_.end() ? -1 : it->second;
 }
 
 Function *
 Module::find(const std::string &name)
 {
-    auto it = byName_.find(name);
-    return it == byName_.end() ? nullptr : it->second;
+    int k = indexOf(name);
+    return k < 0 ? nullptr : functions_[k].get();
 }
 
 const Function *
 Module::find(const std::string &name) const
 {
-    auto it = byName_.find(name);
-    return it == byName_.end() ? nullptr : it->second;
+    int k = indexOf(name);
+    return k < 0 ? nullptr : functions_[k].get();
 }
 
 void
@@ -459,7 +467,7 @@ Module::absorb(Module other)
     uint32_t unit = absorbed_++;
     for (auto &fn : other.functions_) {
         fn->unit_ = unit;
-        addFunction(std::move(*fn));
+        adopt(std::move(fn));
     }
 }
 

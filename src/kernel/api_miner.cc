@@ -144,12 +144,11 @@ mineRefcountApis(const ir::Module &mod)
             }
         }
     }
-    for (const auto &fn : mod.functions()) {
-        if (fn->isDeclaration())
-            continue;
-        int node = cg.nodeOf(fn->name());
-        if (node >= 0 && reaches[node])
-            result.reaching_functions.insert(fn->name());
+    // Node k is module function k.
+    for (size_t k = 0; k < mod.size(); k++) {
+        const ir::Function &fn = *mod.functions()[k];
+        if (!fn.isDeclaration() && reaches[k])
+            result.reaching_functions.insert(fn.name());
     }
     return result;
 }

@@ -48,8 +48,15 @@ TEST(CallGraph, ModuleFunctionsComeFirstInModuleOrder)
     ASSERT_EQ(cg.size(), m.size() + 2);
     for (size_t k = 0; k < m.size(); k++)
         EXPECT_EQ(cg.nameOf(static_cast<int>(k)), m.functions()[k]->name());
-    EXPECT_GE(cg.nodeOf("mystery"), static_cast<int>(m.size()));
-    EXPECT_GE(cg.nodeOf("other"), static_cast<int>(m.size()));
+    // Undeclared call targets follow, in first-call order.
+    const int n = static_cast<int>(m.size());
+    EXPECT_EQ(cg.nodeOf("mystery"), n);
+    EXPECT_EQ(cg.nodeOf("other"), n + 1);
+    for (const char *name : {"z", "y", "x", "mystery", "other"})
+        EXPECT_EQ(cg.nameOf(cg.nodeOf(name)), name);
+    EXPECT_EQ(cg.nodeOf("absent"), -1);
+    EXPECT_THROW(cg.nameOf(n + 2), std::out_of_range);
+    EXPECT_THROW(cg.nameOf(-1), std::out_of_range);
 }
 
 TEST(CallGraph, ReverseTopoPutsCalleesFirst)

@@ -8,7 +8,10 @@
 
 #include "analysis/classifier.h"
 #include "analysis/paths.h"
+#include "core/rid.h"
 #include "frontend/lower.h"
+#include "kernel/dpm_specs.h"
+#include "kernel/generator.h"
 
 namespace rid::analysis {
 namespace {
@@ -186,6 +189,60 @@ TEST(Classifier, FunctionsInReturnsModuleOrder)
     ASSERT_EQ(others.size(), 2u);
     EXPECT_EQ(others[0], "z_idle");
     EXPECT_EQ(others[1], "a_idle");
+}
+
+TEST(Classifier, NodeAndNameLookupsAgreeOnACorpus)
+{
+    // Categories are stored per call-graph node; the name lookup goes
+    // through the module's index. Both must give the same answer.
+    Rid tool;
+    tool.loadSpecText(kernel::dpmSpecText());
+    auto corpus =
+        kernel::generateCorpus(kernel::CorpusMix::paperCalibrated(0.001));
+    for (const auto &file : corpus.files)
+        tool.addSource(file.text);
+    const ir::Module &m = tool.module();
+    CallGraph cg(m);
+    FunctionClassifier classifier(m, cg,
+                                  tool.summaries().namesWithChanges());
+
+    ClassifierStats counted;
+    for (size_t k = 0; k < m.size(); k++) {
+        Category c = classifier.categoryOf(static_cast<int>(k));
+        EXPECT_EQ(c, classifier.categoryOf(m.functions()[k]->name()));
+        switch (c) {
+          case Category::RefcountChanging: counted.refcount_changing++; break;
+          case Category::Affecting: counted.affecting++; break;
+          case Category::Other: counted.other++; break;
+        }
+    }
+    EXPECT_GT(counted.refcount_changing, 0u);
+    EXPECT_GT(counted.affecting, 0u);
+
+    ASSERT_GT(cg.size(), m.size());  // the corpus calls undeclared APIs
+    for (size_t node = m.size(); node < cg.size(); node++) {
+        int id = static_cast<int>(node);
+        EXPECT_EQ(classifier.categoryOf(id), Category::Other);
+        EXPECT_EQ(classifier.categoryOf(cg.nameOf(id)), Category::Other);
+    }
+    EXPECT_EQ(classifier.categoryOf(-1), Category::Other);
+    EXPECT_EQ(classifier.categoryOf(static_cast<int>(cg.size())),
+              Category::Other);
+    EXPECT_EQ(classifier.categoryOf("no_such_function"), Category::Other);
+
+    for (Category c : {Category::RefcountChanging, Category::Affecting,
+                       Category::Other}) {
+        std::vector<std::string> expected;
+        for (const auto &fn : m.functions())
+            if (classifier.categoryOf(fn->name()) == c)
+                expected.push_back(fn->name());
+        EXPECT_EQ(classifier.functionsIn(c), expected);
+    }
+
+    ClassifierStats stats = classifier.stats();
+    EXPECT_EQ(stats.refcount_changing, counted.refcount_changing);
+    EXPECT_EQ(stats.affecting, counted.affecting);
+    EXPECT_EQ(stats.other, counted.other);
 }
 
 } // anonymous namespace

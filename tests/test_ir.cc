@@ -183,15 +183,41 @@ TEST(Module, FindAndAdd)
 
 TEST(Module, DefinitionReplacesDeclaration)
 {
+    auto defining = [] {
+        IrBuilder b("f", {"a"}, true);
+        b.ret(Value::intConst(0));
+        return b.take();
+    };
     Module m;
     m.addFunction(Function("f", {"a"}, true));  // declaration
+    m.addFunction(Function("g", {}, false));
     EXPECT_TRUE(m.find("f")->isDeclaration());
 
-    IrBuilder b("f", {"a"}, true);
-    b.ret(Value::intConst(0));
-    m.addFunction(b.take());
+    Function *def = m.addFunction(defining());
     EXPECT_FALSE(m.find("f")->isDeclaration());
-    EXPECT_EQ(m.size(), 1u);
+    EXPECT_EQ(m.size(), 2u);
+    // The definition keeps the declaration's position, which is the
+    // function's call-graph node.
+    EXPECT_EQ(m.indexOf("f"), 0);
+    EXPECT_EQ(m.functions()[0].get(), def);
+    EXPECT_EQ(m.find("f"), def);
+    EXPECT_EQ(m.indexOf("g"), 1);
+    EXPECT_EQ(m.indexOf("absent"), -1);
+    EXPECT_EQ(m.find("absent"), nullptr);
+
+    // The same through absorb, with the declaring unit first.
+    Module declaring, defining_unit, merged;
+    declaring.addFunction(Function("h", {}, false));
+    declaring.addFunction(Function("f", {"a"}, true));
+    defining_unit.addFunction(defining());
+    merged.absorb(std::move(declaring));
+    merged.absorb(std::move(defining_unit));
+    ASSERT_EQ(merged.size(), 2u);
+    EXPECT_EQ(merged.indexOf("f"), 1);
+    EXPECT_FALSE(merged.functions()[1]->isDeclaration());
+    EXPECT_EQ(merged.functions()[1]->unit(), 1u);
+    EXPECT_EQ(merged.find("f"), merged.functions()[1].get());
+    EXPECT_EQ(merged.indexOf("h"), 0);
 }
 
 TEST(Module, FirstDefinitionWins)
