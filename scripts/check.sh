@@ -19,7 +19,9 @@
 # ASan (the sharded instantiation cache is shared mutable state), runs
 # the triage suite under ASan (per-unit higher-precision module lifetime),
 # runs the call-graph and classifier suites under ASan (the call graph
-# borrows the module's names),
+# borrows the module's names), runs the frontend suites, the IR suite and
+# the seeded frontend fuzz under ASan (tokens view the source buffer; the
+# AST and IR hold interned names),
 # refreshes BENCH_performance.json
 # at the repo root (the microbenchmarks themselves are skipped via a
 # non-matching filter — only the trajectory-record workload runs,
@@ -96,6 +98,20 @@ cmake --build build-asan -j --target test_analysis_graphs \
     --target test_analysis_paths
 ./build-asan/tests/test_analysis_graphs
 ./build-asan/tests/test_analysis_paths
+
+# Tokens view the caller's source buffer, and the AST and the IR hold
+# interned name pointers; ASan checks that no token outlives its buffer
+# and that the frontend fuzz's malformed and deeply nested mutants end in
+# a ParseError, never a stack overflow or a stray read.
+echo "== sanitizer smoke (ASan+UBSan frontend, IR names, frontend fuzz) =="
+cmake --build build-asan -j --target test_frontend_lexer \
+    --target test_frontend_parser --target test_frontend_lower \
+    --target test_ir --target test_frontend_fuzz
+./build-asan/tests/test_frontend_lexer
+./build-asan/tests/test_frontend_parser
+./build-asan/tests/test_frontend_lower
+./build-asan/tests/test_ir
+./build-asan/tests/test_frontend_fuzz
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

@@ -252,7 +252,7 @@ struct PathWalker
                 auto bound = bindings.bound_var.find(&in);
                 state.var = bound != bindings.bound_var.end()
                                 ? bound->second
-                                : in.dst;
+                                : in.dst.str();
                 state.refs = attr.returns_new_ref ? 1 : 0;
                 state.borrowed = attr.returns_borrowed;
                 state.domain = attr.domain;

@@ -5,11 +5,11 @@
 namespace rid::frontend {
 
 AstExprPtr
-AstExpr::ident(std::string name, int line)
+AstExpr::ident(ir::Name name, int line)
 {
     auto e = std::make_unique<AstExpr>();
     e->kind = AstExprKind::Ident;
-    e->text = std::move(name);
+    e->text = name;
     e->line = line;
     return e;
 }

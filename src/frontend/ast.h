@@ -4,9 +4,11 @@
  *
  * The AST is deliberately small: types are recorded as flat text (the
  * analysis is untyped), and only the constructs that survive lowering to
- * the Figure 3 abstraction are represented structurally. It is used both
- * by the lowering pass and by the syntactic call-site scanner that
- * reproduces the paper's Section 6.3 "brute-force search".
+ * the Figure 3 abstraction are represented structurally. Identifiers,
+ * field names, labels and operator spellings are interned as the parser
+ * builds the tree, so lowering copies eight-byte ir::Name handles. It is
+ * used both by the lowering pass and by the syntactic call-site scanner
+ * that reproduces the paper's Section 6.3 "brute-force search".
  */
 
 #ifndef RID_FRONTEND_AST_H
@@ -17,6 +19,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "ir/name.h"
 
 namespace rid::frontend {
 
@@ -43,12 +47,13 @@ struct AstExpr
     AstExprKind kind;
     int line = 0;
 
-    std::string text;           ///< Ident name / field name / op spelling
+    ir::Name text;              ///< Ident name / field name / op spelling
+                                ///< (empty for String: literals are opaque)
     int64_t number = 0;         ///< Number value / Bool value
     AstExprPtr a, b, c;         ///< operands
     std::vector<AstExprPtr> args; ///< Call arguments (a = callee expr)
 
-    static AstExprPtr ident(std::string name, int line);
+    static AstExprPtr ident(ir::Name name, int line);
     static AstExprPtr num(int64_t v, int line);
 };
 
@@ -80,7 +85,7 @@ struct AstStmt
     int line = 0;
 
     std::vector<AstStmtPtr> body;     ///< Block contents / single bodies
-    std::vector<std::string> names;   ///< Decl names / Goto+Label name
+    std::vector<ir::Name> names;      ///< Decl names / Goto+Label name
     std::vector<AstExprPtr> inits;    ///< Decl initializers (may be null)
     AstExprPtr lhs, rhs;              ///< Assign; rhs also Return/Assert
     AstExprPtr cond;                  ///< If/While/DoWhile/For condition
@@ -93,13 +98,13 @@ struct AstStmt
 struct AstParam
 {
     std::string type_text;
-    std::string name;
+    ir::Name name;
 };
 
 /** A function definition or prototype. */
 struct AstFunction
 {
-    std::string name;
+    ir::Name name;
     std::string return_type_text;
     bool returns_value = false;
     std::vector<AstParam> params;

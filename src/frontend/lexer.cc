@@ -1,8 +1,7 @@
 #include "frontend/lexer.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstring>
-#include <map>
 
 namespace rid::frontend {
 
@@ -100,37 +99,133 @@ tokName(Tok t)
 
 namespace {
 
-const std::map<std::string, Tok> &
-keywords()
+// Character classes of the C locale, spelled out so the lexer makes no
+// locale calls: bytes outside ASCII are never letters, digits or space.
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool
+isAlpha(char c)
 {
-    static const std::map<std::string, Tok> kw = {
-        {"int", Tok::KwInt},         {"void", Tok::KwVoid},
-        {"struct", Tok::KwStruct},   {"enum", Tok::KwEnum},
-        {"union", Tok::KwUnion},     {"if", Tok::KwIf},
-        {"else", Tok::KwElse},       {"while", Tok::KwWhile},
-        {"for", Tok::KwFor},         {"return", Tok::KwReturn},
-        {"goto", Tok::KwGoto},       {"NULL", Tok::KwNull},
-        {"true", Tok::KwTrue},       {"false", Tok::KwFalse},
-        {"assert", Tok::KwAssert},   {"static", Tok::KwStatic},
-        {"extern", Tok::KwExtern},   {"const", Tok::KwConst},
-        {"unsigned", Tok::KwUnsigned}, {"signed", Tok::KwSigned},
-        {"long", Tok::KwLong},       {"short", Tok::KwShort},
-        {"char", Tok::KwChar},       {"bool", Tok::KwBool},
-        {"break", Tok::KwBreak},     {"continue", Tok::KwContinue},
-        {"inline", Tok::KwInline},   {"volatile", Tok::KwVolatile},
-        {"typedef", Tok::KwTypedef}, {"sizeof", Tok::KwSizeof},
-        {"do", Tok::KwDo},           {"switch", Tok::KwSwitch},
-        {"case", Tok::KwCase},       {"default", Tok::KwDefault},
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool isAlnum(char c) { return isAlpha(c) || isDigit(c); }
+bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+}
+
+/** The keyword spelled @p w, or Tok::Ident. Dispatches on length and
+ *  first character, so most identifiers cost one or two compares. */
+Tok
+keywordOf(std::string_view w)
+{
+    auto is = [&](std::string_view kw, Tok t) {
+        return w == kw ? t : Tok::Ident;
     };
-    return kw;
+    switch (w.size()) {
+      case 2:
+        switch (w[0]) {
+          case 'i': return is("if", Tok::KwIf);
+          case 'd': return is("do", Tok::KwDo);
+        }
+        break;
+      case 3:
+        switch (w[0]) {
+          case 'i': return is("int", Tok::KwInt);
+          case 'f': return is("for", Tok::KwFor);
+        }
+        break;
+      case 4:
+        switch (w[0]) {
+          case 'v': return is("void", Tok::KwVoid);
+          case 'e': return w == "enum" ? Tok::KwEnum
+                                       : is("else", Tok::KwElse);
+          case 'g': return is("goto", Tok::KwGoto);
+          case 'N': return is("NULL", Tok::KwNull);
+          case 't': return is("true", Tok::KwTrue);
+          case 'c': return w == "char" ? Tok::KwChar
+                                       : is("case", Tok::KwCase);
+          case 'b': return is("bool", Tok::KwBool);
+          case 'l': return is("long", Tok::KwLong);
+        }
+        break;
+      case 5:
+        switch (w[0]) {
+          case 'u': return is("union", Tok::KwUnion);
+          case 'w': return is("while", Tok::KwWhile);
+          case 'f': return is("false", Tok::KwFalse);
+          case 'c': return is("const", Tok::KwConst);
+          case 's': return is("short", Tok::KwShort);
+          case 'b': return is("break", Tok::KwBreak);
+        }
+        break;
+      case 6:
+        switch (w[0]) {
+          case 's':
+            switch (w[1]) {
+              case 't': return w == "struct" ? Tok::KwStruct
+                                             : is("static", Tok::KwStatic);
+              case 'i': return w == "signed" ? Tok::KwSigned
+                                             : is("sizeof", Tok::KwSizeof);
+              case 'w': return is("switch", Tok::KwSwitch);
+            }
+            break;
+          case 'r': return is("return", Tok::KwReturn);
+          case 'a': return is("assert", Tok::KwAssert);
+          case 'e': return is("extern", Tok::KwExtern);
+          case 'i': return is("inline", Tok::KwInline);
+        }
+        break;
+      case 7:
+        switch (w[0]) {
+          case 't': return is("typedef", Tok::KwTypedef);
+          case 'd': return is("default", Tok::KwDefault);
+        }
+        break;
+      case 8:
+        switch (w[0]) {
+          case 'u': return is("unsigned", Tok::KwUnsigned);
+          case 'c': return is("continue", Tok::KwContinue);
+          case 'v': return is("volatile", Tok::KwVolatile);
+        }
+        break;
+    }
+    return Tok::Ident;
+}
+
+/** Value of the number literal @p text (its whole alphanumeric run). */
+int64_t
+parseNumber(std::string_view text, int line)
+{
+    // Strip integer suffixes (u, l, ul, ull...), then the hex prefix;
+    // what remains must be all digits of the base and in range.
+    std::string_view digits = text;
+    while (!digits.empty() && strchr("uUlL", digits.back()) != nullptr)
+        digits.remove_suffix(1);
+    int base = 10;
+    if (digits.size() >= 2 && digits[0] == '0' &&
+        (digits[1] == 'x' || digits[1] == 'X')) {
+        base = 16;
+        digits.remove_prefix(2);
+    }
+    int64_t value = 0;
+    auto [end, ec] = std::from_chars(digits.data(),
+                                     digits.data() + digits.size(), value,
+                                     base);
+    if (ec != std::errc() || end != digits.data() + digits.size())
+        throw ParseError("bad numeric literal '" + std::string(text) + "'",
+                         line);
+    return value;
 }
 
 } // anonymous namespace
 
 std::vector<Token>
-tokenize(const std::string &src)
+tokenize(std::string_view src)
 {
     std::vector<Token> out;
+    out.reserve(src.size() / 4 + 16);
     size_t i = 0;
     int line = 1;
     const size_t n = src.size();
@@ -138,8 +233,8 @@ tokenize(const std::string &src)
     auto peek = [&](size_t off = 0) -> char {
         return i + off < n ? src[i + off] : '\0';
     };
-    auto push = [&](Tok kind, std::string text = "", int64_t num = 0) {
-        out.push_back(Token{kind, std::move(text), num, line});
+    auto push = [&](Tok kind, std::string_view text = {}, int64_t num = 0) {
+        out.push_back(Token{kind, line, num, text});
     };
 
     while (i < n) {
@@ -149,7 +244,7 @@ tokenize(const std::string &src)
             i++;
             continue;
         }
-        if (std::isspace(static_cast<unsigned char>(c))) {
+        if (isSpace(c)) {
             i++;
             continue;
         }
@@ -165,7 +260,7 @@ tokenize(const std::string &src)
             continue;
         }
         if (c == '/' && peek(1) == '*') {
-            size_t start_line = line;
+            int start_line = line;
             i += 2;
             while (i < n && !(src[i] == '*' && peek(1) == '/')) {
                 if (src[i] == '\n')
@@ -177,65 +272,38 @@ tokenize(const std::string &src)
             i += 2;
             continue;
         }
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+        if (isAlpha(c) || c == '_') {
             size_t start = i;
-            while (i < n && (std::isalnum(static_cast<unsigned char>(src[i]))
-                             || src[i] == '_')) {
+            while (i < n && (isAlnum(src[i]) || src[i] == '_'))
                 i++;
-            }
-            std::string word = src.substr(start, i - start);
-            auto it = keywords().find(word);
-            if (it != keywords().end())
-                push(it->second, word);
-            else
-                push(Tok::Ident, std::move(word));
+            std::string_view word = src.substr(start, i - start);
+            push(keywordOf(word), word);
             continue;
         }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
+        if (isDigit(c)) {
             size_t start = i;
-            int base = 10;
-            if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-                base = 16;
-                i += 2;
-            }
-            while (i < n &&
-                   (std::isalnum(static_cast<unsigned char>(src[i])))) {
+            while (i < n && isAlnum(src[i]))
                 i++;
-            }
-            std::string text = src.substr(start, i - start);
-            // Strip integer suffixes (u, l, ul, ull...).
-            std::string digits = text;
-            while (!digits.empty() &&
-                   strchr("uUlL", digits.back()) != nullptr) {
-                digits.pop_back();
-            }
-            int64_t value = 0;
-            try {
-                value = std::stoll(digits, nullptr, base == 16 ? 16 : 10);
-            } catch (const std::exception &) {
-                throw ParseError("bad numeric literal '" + text + "'", line);
-            }
-            push(Tok::Number, text, value);
+            std::string_view text = src.substr(start, i - start);
+            push(Tok::Number, text, parseNumber(text, line));
             continue;
         }
         if (c == '"' || c == '\'') {
             char quote = c;
-            size_t start_line = line;
-            i++;
-            std::string text;
+            int start_line = line;
+            size_t start = ++i;
             while (i < n && src[i] != quote) {
                 if (src[i] == '\\' && i + 1 < n) {
-                    text += src[i];
-                    text += src[i + 1];
                     i += 2;
                     continue;
                 }
                 if (src[i] == '\n')
                     line++;
-                text += src[i++];
+                i++;
             }
             if (i >= n)
                 throw ParseError("unterminated string", start_line);
+            std::string_view text = src.substr(start, i - start);
             i++;
             if (quote == '\'') {
                 // Character constants become their numeric value.
@@ -244,7 +312,7 @@ tokenize(const std::string &src)
                                               : static_cast<int64_t>(text[0]);
                 push(Tok::Number, text, v);
             } else {
-                push(Tok::String, std::move(text));
+                push(Tok::String, text);
             }
             continue;
         }

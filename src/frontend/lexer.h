@@ -7,6 +7,10 @@
  * declarations, if/else, while/for, goto/labels, return, assert, calls,
  * field access and the usual comparison/logical operators. Preprocessor
  * lines and comments are skipped.
+ *
+ * Tokens copy nothing: a token's text views the buffer passed to
+ * tokenize(), so the tokens are valid only while that buffer is alive
+ * and unchanged.
  */
 
 #ifndef RID_FRONTEND_LEXER_H
@@ -15,6 +19,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rid::frontend {
@@ -50,9 +55,13 @@ const char *tokName(Tok t);
 struct Token
 {
     Tok kind = Tok::End;
-    std::string text;   ///< identifier / string spelling
-    int64_t number = 0; ///< numeric value for Number
     int line = 0;
+    int64_t number = 0;     ///< numeric value for Number
+    /** Spelling of an identifier, keyword or number literal, or the
+     *  contents of a string or character literal between its quotes
+     *  (escapes verbatim); empty for punctuation and End. Views the
+     *  source buffer. */
+    std::string_view text;
 };
 
 /** Error raised by the lexer or parser; carries a source line. */
@@ -69,12 +78,12 @@ class ParseError : public std::runtime_error
 };
 
 /**
- * Tokenize Kernel-C source.
+ * Tokenize Kernel-C source. The tokens' text views @p source.
  *
  * @throws ParseError on malformed input (unterminated comment/string,
- *         stray characters).
+ *         stray characters, malformed or out-of-range numbers).
  */
-std::vector<Token> tokenize(const std::string &source);
+std::vector<Token> tokenize(std::string_view source);
 
 } // namespace rid::frontend
 

@@ -12,7 +12,19 @@ namespace {
 
 using ir::BlockId;
 using ir::IrBuilder;
+using ir::Name;
 using ir::Value;
+
+/** Interned `t$<n>`, the name of lowering temporary @p n. Each thread
+ *  spells a number once, so naming a temporary is an index. */
+Name
+tempName(int n)
+{
+    thread_local std::vector<Name> names;
+    while (names.size() <= static_cast<size_t>(n))
+        names.emplace_back("t$" + std::to_string(names.size()));
+    return names[n];
+}
 
 /** Lowers one function body onto an IrBuilder. */
 class FunctionLowerer
@@ -45,21 +57,17 @@ class FunctionLowerer
         return names;
     }
 
-    std::string
-    freshTemp()
-    {
-        return "t$" + std::to_string(temp_counter_++);
-    }
+    Name freshTemp() { return tempName(temp_counter_++); }
 
     [[noreturn]] void
     err(const std::string &msg, int line) const
     {
-        throw ParseError(fn_.name + ": " + msg, line);
+        throw ParseError(fn_.name.str() + ": " + msg, line);
     }
 
     /** Get (creating on demand) the block for a source label. */
     BlockId
-    labelBlock(const std::string &name)
+    labelBlock(Name name)
     {
         auto it = labels_.find(name);
         if (it != labels_.end())
@@ -77,8 +85,9 @@ class FunctionLowerer
         // verify() — produce a friendlier error here.
         for (const auto &[name, defined] : label_defined_) {
             if (!defined)
-                throw ParseError(fn_.name + ": goto to undefined label '" +
-                                     name + "'",
+                throw ParseError(fn_.name.str() +
+                                     ": goto to undefined label '" +
+                                     name.str() + "'",
                                  fn_.line);
         }
     }
@@ -105,7 +114,7 @@ class FunctionLowerer
             return lowerRandom();
           case AstExprKind::Field: {
             Value base = lowerValue(*e.a);
-            std::string t = freshTemp();
+            Name t = freshTemp();
             builder_.atLine(e.line).fieldLoad(t, base, e.text);
             return Value::var(t);
           }
@@ -117,7 +126,7 @@ class FunctionLowerer
             return lowerBinaryValue(e);
           case AstExprKind::Ternary: {
             // cond ? a : b via a control-flow diamond.
-            std::string t = freshTemp();
+            Name t = freshTemp();
             BlockId bt = builder_.newBlock();
             BlockId bf = builder_.newBlock();
             BlockId join = builder_.newBlock();
@@ -146,7 +155,7 @@ class FunctionLowerer
     Value
     lowerRandom()
     {
-        std::string t = freshTemp();
+        Name t = freshTemp();
         builder_.random(t);
         return Value::var(t);
     }
@@ -154,20 +163,20 @@ class FunctionLowerer
     Value
     lowerUnaryValue(const AstExpr &e)
     {
-        const std::string &op = e.text;
+        const std::string &op = e.text.str();
         if (op == "&") {
             // &x and &x->f denote the same symbolic object as x / x->f.
             return lowerValue(*e.a);
         }
         if (op == "*") {
             Value base = lowerValue(*e.a);
-            std::string t = freshTemp();
+            Name t = freshTemp();
             builder_.atLine(e.line).fieldLoad(t, base, "deref");
             return Value::var(t);
         }
         if (op == "!") {
             // Materialize the negation as a comparison temp.
-            std::string t = freshTemp();
+            Name t = freshTemp();
             Value v = lowerValue(*e.a);
             builder_.atLine(e.line).cmp(t, smt::Pred::Eq, v,
                                         Value::intConst(0));
@@ -205,17 +214,17 @@ class FunctionLowerer
     Value
     lowerBinaryValue(const AstExpr &e)
     {
-        const std::string &op = e.text;
+        const std::string &op = e.text.str();
         if (isComparisonOp(op)) {
             Value a = lowerValue(*e.a);
             Value b = lowerValue(*e.b);
-            std::string t = freshTemp();
+            Name t = freshTemp();
             builder_.atLine(e.line).cmp(t, predFor(op), a, b);
             return Value::var(t);
         }
         if (op == "&&" || op == "||") {
             // Short-circuit evaluation producing a 0/1 temp.
-            std::string t = freshTemp();
+            Name t = freshTemp();
             BlockId bt = builder_.newBlock();
             BlockId bf = builder_.newBlock();
             BlockId join = builder_.newBlock();
@@ -248,7 +257,7 @@ class FunctionLowerer
                 mask = va;
             }
             if (base.isVar()) {
-                std::string t = freshTemp();
+                Name t = freshTemp();
                 builder_.atLine(e.line).fieldLoad(
                     t, base, "bits_" + std::to_string(mask.intValue()));
                 return Value::var(t);
@@ -256,16 +265,26 @@ class FunctionLowerer
         }
         if (va.kind() == ir::ValueKind::IntConst &&
             vb.kind() == ir::ValueKind::IntConst) {
+            // Fold with two's-complement wraparound: an overflowing
+            // constant expression must not be undefined behaviour here
+            // (INT64_MIN / -1 would trap).
             int64_t a = va.intValue(), b = vb.intValue();
-            if (op == "+") return Value::intConst(a + b);
-            if (op == "-") return Value::intConst(a - b);
-            if (op == "*") return Value::intConst(a * b);
+            uint64_t ua = static_cast<uint64_t>(a);
+            uint64_t ub = static_cast<uint64_t>(b);
+            auto wrap = [](uint64_t v) {
+                return Value::intConst(static_cast<int64_t>(v));
+            };
+            if (op == "+") return wrap(ua + ub);
+            if (op == "-") return wrap(ua - ub);
+            if (op == "*") return wrap(ua * ub);
+            if (b == -1 && (op == "/" || op == "%"))
+                return op == "/" ? wrap(0 - ua) : Value::intConst(0);
             if (op == "/" && b != 0) return Value::intConst(a / b);
             if (op == "%" && b != 0) return Value::intConst(a % b);
             if (op == "&") return Value::intConst(a & b);
             if (op == "|") return Value::intConst(a | b);
             if (op == "^") return Value::intConst(a ^ b);
-            if (op == "<<") return Value::intConst(a << (b & 63));
+            if (op == "<<") return wrap(ua << (b & 63));
             if (op == ">>") return Value::intConst(a >> (b & 63));
         }
         return lowerRandom();
@@ -285,7 +304,7 @@ class FunctionLowerer
         args.reserve(e.args.size());
         for (const auto &arg : e.args)
             args.push_back(lowerValue(*arg));
-        std::string dst = want_value ? freshTemp() : "";
+        Name dst = want_value ? freshTemp() : Name();
         builder_.atLine(e.line).call(dst, e.a->text, std::move(args));
         return want_value ? Value::var(dst) : Value::none();
     }
@@ -339,14 +358,14 @@ class FunctionLowerer
         if (e.kind == AstExprKind::Binary && isComparisonOp(e.text)) {
             Value a = lowerValue(*e.a);
             Value b = lowerValue(*e.b);
-            std::string t = freshTemp();
+            Name t = freshTemp();
             builder_.atLine(e.line).cmp(t, predFor(e.text), a, b);
             builder_.condBranchNoMove(Value::var(t), if_true, if_false);
             return;
         }
         // Plain value: branch on (v != 0).
         Value v = lowerValue(e);
-        std::string t = freshTemp();
+        Name t = freshTemp();
         builder_.atLine(e.line).cmp(t, smt::Pred::Ne, v, Value::intConst(0));
         builder_.condBranchNoMove(Value::var(t), if_true, if_false);
     }
@@ -548,10 +567,7 @@ class FunctionLowerer
             : b_(std::move(name), std::move(params), returns_value)
         {}
 
-        BlockId newBlock(std::string label = "")
-        {
-            return b_.newBlock(std::move(label));
-        }
+        BlockId newBlock(Name label = Name()) { return b_.newBlock(label); }
         void setBlock(BlockId id)
         {
             b_.setBlock(id);
@@ -562,44 +578,38 @@ class FunctionLowerer
 
         Cursor &atLine(int line) { b_.atLine(line); return *this; }
 
-        void assign(std::string d, Value v)
+        void assign(Name d, Value v)
         {
-            if (!terminated_) b_.assign(std::move(d), std::move(v));
+            if (!terminated_) b_.assign(d, v);
         }
-        void fieldLoad(std::string d, Value base, std::string f)
+        void fieldLoad(Name d, Value base, Name f)
         {
-            if (!terminated_)
-                b_.fieldLoad(std::move(d), std::move(base), std::move(f));
+            if (!terminated_) b_.fieldLoad(d, base, f);
         }
-        void fieldStore(Value base, std::string f, Value v)
+        void fieldStore(Value base, Name f, Value v)
         {
-            if (!terminated_)
-                b_.fieldStore(std::move(base), std::move(f),
-                              std::move(v));
+            if (!terminated_) b_.fieldStore(base, f, v);
         }
-        void random(std::string d)
+        void random(Name d)
         {
-            if (!terminated_) b_.random(std::move(d));
+            if (!terminated_) b_.random(d);
         }
-        void call(std::string d, std::string callee, std::vector<Value> a)
+        void call(Name d, Name callee, std::vector<Value> a)
         {
-            if (!terminated_)
-                b_.call(std::move(d), std::move(callee), std::move(a));
+            if (!terminated_) b_.call(d, callee, std::move(a));
         }
-        void callVoid(std::string callee, std::vector<Value> a)
+        void callVoid(Name callee, std::vector<Value> a)
         {
-            if (!terminated_)
-                b_.callVoid(std::move(callee), std::move(a));
+            if (!terminated_) b_.callVoid(callee, std::move(a));
         }
-        void cmp(std::string d, smt::Pred p, Value l, Value r)
+        void cmp(Name d, smt::Pred p, Value l, Value r)
         {
-            if (!terminated_)
-                b_.cmp(std::move(d), p, std::move(l), std::move(r));
+            if (!terminated_) b_.cmp(d, p, l, r);
         }
         void ret(Value v)
         {
             if (!terminated_) {
-                b_.ret(std::move(v));
+                b_.ret(v);
                 terminated_ = true;
             }
         }
@@ -624,7 +634,7 @@ class FunctionLowerer
         {
             if (!terminated_) {
                 BlockId cur = b_.currentBlock();
-                b_.condBranch(std::move(cond), t, f);
+                b_.condBranch(cond, t, f);
                 b_.setBlock(cur);
                 terminated_ = true;
             }
@@ -657,8 +667,8 @@ class FunctionLowerer
     LowerOptions opts_;
     Cursor builder_;
     int temp_counter_ = 0;
-    std::map<std::string, BlockId> labels_;
-    std::map<std::string, bool> label_defined_;
+    std::map<Name, BlockId> labels_;        // spelling order
+    std::map<Name, bool> label_defined_;
     std::vector<std::pair<BlockId, BlockId>> loop_stack_;  // continue,break
 };
 
@@ -684,7 +694,7 @@ lowerUnit(const AstUnit &unit, const LowerOptions &opts)
 }
 
 ir::Module
-compile(const std::string &source, const LowerOptions &opts)
+compile(std::string_view source, const LowerOptions &opts)
 {
     return lowerUnit(parseUnit(source), opts);
 }

@@ -64,8 +64,7 @@ ir::Module lowerUnit(const AstUnit &unit, const LowerOptions &opts = {});
  *
  * @throws ParseError on syntax or lowering errors.
  */
-ir::Module compile(const std::string &source,
-                   const LowerOptions &opts = {});
+ir::Module compile(std::string_view source, const LowerOptions &opts = {});
 
 } // namespace rid::frontend
 

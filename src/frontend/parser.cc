@@ -25,6 +25,30 @@ isTypeStart(Tok t)
     }
 }
 
+/** Interned spelling of operator token @p t, interned once per process
+ *  instead of once per occurrence. */
+ir::Name
+opName(Tok t)
+{
+    static const std::vector<ir::Name> names = [] {
+        std::vector<ir::Name> out;
+        for (int k = 0; k <= static_cast<int>(Tok::Ellipsis); k++)
+            out.emplace_back(tokName(static_cast<Tok>(k)));
+        return out;
+    }();
+    return names[static_cast<size_t>(t)];
+}
+
+/**
+ * Deepest tree the parser builds. Lowering, the AST walks and the AST's
+ * destructor all recurse over the tree, so a deeper input would overflow
+ * the stack; past this depth the file is rejected instead. Statements,
+ * parentheses, unary operators, casts and ternaries each add a level, and
+ * so does every operand of a binary or postfix chain, since the chain
+ * becomes a left-deep tree.
+ */
+constexpr int kMaxNesting = 256;
+
 class Parser
 {
   public:
@@ -52,12 +76,39 @@ class Parser
     [[noreturn]] void
     err(const std::string &msg) const
     {
-        throw ParseError(msg + " (got '" +
-                             (cur().kind == Tok::Ident ? cur().text
-                                                       : tokName(cur().kind)) +
-                             "')",
-                         line());
+        std::string got = cur().kind == Tok::Ident ? std::string(cur().text)
+                                                   : tokName(cur().kind);
+        throw ParseError(msg + " (got '" + got + "')", line());
     }
+
+    /** Levels of tree depth held for as long as it lives (see
+     *  kMaxNesting). A chain starts with none and goes deeper() once
+     *  per operand. */
+    class Nest
+    {
+      public:
+        explicit Nest(Parser &p, int levels = 1) : p_(p)
+        {
+            while (held_ < levels)
+                deeper();
+        }
+        ~Nest() { p_.depth_ -= held_; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+
+        void
+        deeper()
+        {
+            held_++;
+            if (++p_.depth_ > kMaxNesting)
+                p_.err("nesting deeper than " +
+                       std::to_string(kMaxNesting) + " levels");
+        }
+
+      private:
+        Parser &p_;
+        int held_ = 0;
+    };
 
     void
     expect(Tok t, const char *what)
@@ -111,7 +162,7 @@ class Parser
         TypeInfo info;
         bool saw_specifier = false;
         bool pointer = false;
-        auto append = [&](const std::string &s) {
+        auto append = [&](std::string_view s) {
             if (!info.text.empty())
                 info.text += ' ';
             info.text += s;
@@ -179,7 +230,7 @@ class Parser
         if (kind() != Tok::Ident)
             err("expected function name");
         AstFunction fn;
-        fn.name = cur().text;
+        fn.name = ir::Name(cur().text);
         fn.return_type_text = ret_type.text;
         fn.returns_value = !ret_type.is_void;
         fn.line = line();
@@ -203,10 +254,10 @@ class Parser
             TypeInfo pt = parseType();
             p.type_text = pt.text;
             if (kind() == Tok::Ident) {
-                p.name = cur().text;
+                p.name = ir::Name(cur().text);
                 advance();
             } else {
-                p.name = "p" + std::to_string(fn.params.size());
+                p.name = ir::Name("p" + std::to_string(fn.params.size()));
             }
             // Array suffix on parameters: skip.
             while (accept(Tok::LBracket)) {
@@ -273,6 +324,7 @@ class Parser
     AstStmtPtr
     parseStmt()
     {
+        Nest nest(*this);
         switch (kind()) {
           case Tok::LBrace:
             return parseBlock();
@@ -341,7 +393,7 @@ class Parser
             advance();
             if (kind() != Tok::Ident)
                 err("expected label after goto");
-            s->names.push_back(cur().text);
+            s->names.emplace_back(cur().text);
             advance();
             expect(Tok::Semi, ";");
             return s;
@@ -375,7 +427,7 @@ class Parser
         // Label: IDENT ':'
         if (kind() == Tok::Ident && cur(1).kind == Tok::Colon) {
             auto s = makeStmt(AstStmtKind::Label);
-            s->names.push_back(cur().text);
+            s->names.emplace_back(cur().text);
             advance();
             advance();
             return s;
@@ -395,7 +447,7 @@ class Parser
                 while (accept(Tok::Star)) {}
                 if (kind() != Tok::Ident)
                     err("expected declarator name");
-                s->names.push_back(cur().text);
+                s->names.emplace_back(cur().text);
                 advance();
                 while (accept(Tok::LBracket)) {
                     while (kind() != Tok::RBracket && kind() != Tok::End)
@@ -431,12 +483,12 @@ class Parser
           case Tok::AmpAssign: case Tok::PipeAssign: case Tok::CaretAssign:
           case Tok::ShlAssign: case Tok::ShrAssign: {
             auto s = makeStmt(AstStmtKind::Assign);
-            std::string op = tokName(kind());
+            std::string_view op = tokName(kind());
             advance();
             auto rhs = parseExpr();
             auto bin = std::make_unique<AstExpr>();
             bin->kind = AstExprKind::Binary;
-            bin->text = op.substr(0, op.size() - 1);  // "+=" -> "+"
+            bin->text = ir::Name(op.substr(0, op.size() - 1));  // "+=" -> "+"
             bin->line = s->line;
             bin->a = cloneExpr(*lhs);
             bin->b = std::move(rhs);
@@ -495,6 +547,7 @@ class Parser
         auto cond = parseBinary(0);
         if (kind() != Tok::Question)
             return cond;
+        Nest nest(*this);
         auto e = makeExpr(AstExprKind::Ternary);
         advance();
         e->a = std::move(cond);
@@ -527,12 +580,14 @@ class Parser
     parseBinary(int min_prec)
     {
         auto lhs = parseUnary();
+        Nest chain(*this, 0);
         while (true) {
             int prec = precedence(kind());
             if (prec < 0 || prec < min_prec)
                 return lhs;
+            chain.deeper();
             auto e = makeExpr(AstExprKind::Binary);
-            e->text = tokName(kind());
+            e->text = opName(kind());
             advance();
             e->a = std::move(lhs);
             e->b = parseBinary(prec + 1);
@@ -545,22 +600,18 @@ class Parser
     {
         switch (kind()) {
           case Tok::Not: case Tok::Minus: case Tok::Amp: case Tok::Star:
-          case Tok::Tilde: {
-            auto e = makeExpr(AstExprKind::Unary);
-            e->text = tokName(kind());
-            advance();
-            e->a = parseUnary();
-            return e;
-          }
+          case Tok::Tilde:
+          // Prefix inc/dec used as an expression: value is nondet.
           case Tok::PlusPlus: case Tok::MinusMinus: {
-            // Prefix inc/dec used as an expression: value is nondet.
+            Nest nest(*this);
             auto e = makeExpr(AstExprKind::Unary);
-            e->text = tokName(kind());
+            e->text = opName(kind());
             advance();
             e->a = parseUnary();
             return e;
           }
           case Tok::KwSizeof: {
+            Nest nest(*this);
             advance();
             // sizeof(type-or-expr): consume parenthesized blob.
             auto e = makeExpr(AstExprKind::Number);
@@ -585,6 +636,7 @@ class Parser
                 (cur(1).kind == Tok::Ident &&
                  (cur(2).kind == Tok::Star || cur(2).kind == Tok::RParen) &&
                  looksCastLike())) {
+                Nest nest(*this);
                 advance();
                 parseType();
                 expect(Tok::RParen, ")");
@@ -631,21 +683,24 @@ class Parser
     parsePostfix()
     {
         auto e = parsePrimary();
+        Nest chain(*this, 0);
         while (true) {
             switch (kind()) {
               case Tok::Arrow:
               case Tok::Dot: {
+                chain.deeper();
                 auto f = makeExpr(AstExprKind::Field);
                 advance();
                 if (kind() != Tok::Ident)
                     err("expected field name");
-                f->text = cur().text;
+                f->text = ir::Name(cur().text);
                 advance();
                 f->a = std::move(e);
                 e = std::move(f);
                 break;
               }
               case Tok::LParen: {
+                chain.deeper();
                 auto call = makeExpr(AstExprKind::Call);
                 advance();
                 call->a = std::move(e);
@@ -659,6 +714,7 @@ class Parser
                 break;
               }
               case Tok::LBracket: {
+                chain.deeper();
                 auto idx = makeExpr(AstExprKind::Index);
                 advance();
                 idx->a = std::move(e);
@@ -670,8 +726,9 @@ class Parser
               case Tok::PlusPlus:
               case Tok::MinusMinus: {
                 // Postfix inc/dec as an expression: nondet value.
+                chain.deeper();
                 auto u = makeExpr(AstExprKind::Unary);
-                u->text = tokName(kind());
+                u->text = opName(kind());
                 advance();
                 u->a = std::move(e);
                 e = std::move(u);
@@ -688,7 +745,7 @@ class Parser
     {
         switch (kind()) {
           case Tok::Ident: {
-            auto e = AstExpr::ident(cur().text, line());
+            auto e = AstExpr::ident(ir::Name(cur().text), line());
             advance();
             return e;
           }
@@ -699,7 +756,6 @@ class Parser
           }
           case Tok::String: {
             auto e = makeExpr(AstExprKind::String);
-            e->text = cur().text;
             advance();
             return e;
           }
@@ -716,6 +772,7 @@ class Parser
             return e;
           }
           case Tok::LParen: {
+            Nest nest(*this);
             advance();
             auto e = parseExpr();
             expect(Tok::RParen, ")");
@@ -728,12 +785,13 @@ class Parser
 
     std::vector<Token> toks_;
     size_t pos_ = 0;
+    int depth_ = 0;   ///< tree levels open (Nest)
 };
 
 } // anonymous namespace
 
 AstUnit
-parseUnit(const std::string &source)
+parseUnit(std::string_view source)
 {
     obs::failpoint("frontend.parse");
     Parser p(tokenize(source));

@@ -15,11 +15,13 @@ namespace rid::frontend {
  * Parse a Kernel-C translation unit.
  *
  * Struct/enum/union definitions and typedefs at file scope are skipped;
- * function prototypes and definitions are retained.
+ * function prototypes and definitions are retained. The returned tree
+ * holds interned names, never views of @p source.
  *
- * @throws ParseError on syntax errors.
+ * @throws ParseError on syntax errors and on nesting deeper than the
+ *         parser's limit.
  */
-AstUnit parseUnit(const std::string &source);
+AstUnit parseUnit(std::string_view source);
 
 } // namespace rid::frontend
 

@@ -14,69 +14,65 @@ IrBuilder::append(Instruction in)
 }
 
 IrBuilder &
-IrBuilder::assign(std::string dst, Value src)
+IrBuilder::assign(Name dst, Value src)
 {
-    append(Instruction::assign(std::move(dst), std::move(src)));
+    append(Instruction::assign(dst, src));
     return *this;
 }
 
 IrBuilder &
-IrBuilder::fieldLoad(std::string dst, Value base, std::string field)
+IrBuilder::fieldLoad(Name dst, Value base, Name field)
 {
-    append(Instruction::fieldLoad(std::move(dst), std::move(base),
-                                  std::move(field)));
+    append(Instruction::fieldLoad(dst, base, field));
     return *this;
 }
 
 IrBuilder &
-IrBuilder::fieldStore(Value base, std::string field, Value value)
+IrBuilder::fieldStore(Value base, Name field, Value value)
 {
-    append(Instruction::fieldStore(std::move(base), std::move(field),
-                                   std::move(value)));
+    append(Instruction::fieldStore(base, field, value));
     return *this;
 }
 
 IrBuilder &
-IrBuilder::random(std::string dst)
+IrBuilder::random(Name dst)
 {
-    append(Instruction::random(std::move(dst)));
+    append(Instruction::random(dst));
     return *this;
 }
 
 IrBuilder &
-IrBuilder::call(std::string dst, std::string callee, std::vector<Value> args)
+IrBuilder::call(Name dst, Name callee, std::vector<Value> args)
 {
-    append(Instruction::call(std::move(dst), std::move(callee),
-                             std::move(args)));
+    append(Instruction::call(dst, callee, std::move(args)));
     return *this;
 }
 
 IrBuilder &
-IrBuilder::callVoid(std::string callee, std::vector<Value> args)
+IrBuilder::callVoid(Name callee, std::vector<Value> args)
 {
-    append(Instruction::call("", std::move(callee), std::move(args)));
+    append(Instruction::call(Name(), callee, std::move(args)));
     return *this;
 }
 
 IrBuilder &
 IrBuilder::ret(Value v)
 {
-    append(Instruction::ret(std::move(v)));
+    append(Instruction::ret(v));
     return *this;
 }
 
 IrBuilder &
-IrBuilder::cmp(std::string dst, smt::Pred pred, Value lhs, Value rhs)
+IrBuilder::cmp(Name dst, smt::Pred pred, Value lhs, Value rhs)
 {
-    append(Instruction::cmp(std::move(dst), pred, std::move(lhs),
-                            std::move(rhs)));
+    append(Instruction::cmp(dst, pred, lhs, rhs));
     return *this;
 }
 
 IrBuilder &
 IrBuilder::condBranch(Value cond_var, BlockId if_true, BlockId if_false)
 {
-    append(Instruction::condBranch(std::move(cond_var), if_true, if_false));
+    append(Instruction::condBranch(cond_var, if_true, if_false));
     cur_ = if_true;
     return *this;
 }

@@ -26,23 +26,20 @@ class IrBuilder
     }
 
     /** Create a new block (does not move the cursor). */
-    BlockId newBlock(std::string label = "") {
-        return fn_.addBlock(std::move(label));
-    }
+    BlockId newBlock(Name label = Name()) { return fn_.addBlock(label); }
 
     /** Move the cursor to @p id. */
     void setBlock(BlockId id) { cur_ = id; }
     BlockId currentBlock() const { return cur_; }
 
-    IrBuilder &assign(std::string dst, Value src);
-    IrBuilder &fieldLoad(std::string dst, Value base, std::string field);
-    IrBuilder &fieldStore(Value base, std::string field, Value value);
-    IrBuilder &random(std::string dst);
-    IrBuilder &call(std::string dst, std::string callee,
-                    std::vector<Value> args);
-    IrBuilder &callVoid(std::string callee, std::vector<Value> args);
+    IrBuilder &assign(Name dst, Value src);
+    IrBuilder &fieldLoad(Name dst, Value base, Name field);
+    IrBuilder &fieldStore(Value base, Name field, Value value);
+    IrBuilder &random(Name dst);
+    IrBuilder &call(Name dst, Name callee, std::vector<Value> args);
+    IrBuilder &callVoid(Name callee, std::vector<Value> args);
     IrBuilder &ret(Value v = Value::none());
-    IrBuilder &cmp(std::string dst, smt::Pred pred, Value lhs, Value rhs);
+    IrBuilder &cmp(Name dst, smt::Pred pred, Value lhs, Value rhs);
     /** Emit cond-branch on @p cond_var and move the cursor to @p if_true. */
     IrBuilder &condBranch(Value cond_var, BlockId if_true, BlockId if_false);
     /** Emit branch and move the cursor to @p target. */

@@ -49,7 +49,7 @@ class IrError : public std::runtime_error
 /** A straight-line sequence of instructions ending in a terminator. */
 struct BasicBlock
 {
-    std::string label;                  ///< optional, for printing
+    Name label;                         ///< optional, for printing
     std::vector<Instruction> instrs;
 
     bool
@@ -86,9 +86,9 @@ class Function
     bool isDeclaration() const { return blocks_.empty(); }
 
     BlockId
-    addBlock(std::string label = "")
+    addBlock(Name label = Name())
     {
-        blocks_.push_back(BasicBlock{std::move(label), {}});
+        blocks_.push_back(BasicBlock{label, {}});
         return static_cast<BlockId>(blocks_.size() - 1);
     }
 

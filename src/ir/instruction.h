@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/name.h"
 #include "ir/value.h"
 #include "smt/expr.h"
 
@@ -56,31 +57,27 @@ const char *opcodeName(Opcode op);
 struct Instruction
 {
     Opcode op = Opcode::Assign;
-    std::string dst;              ///< destination variable (may be empty)
+    smt::Pred pred = smt::Pred::Eq; ///< Cmp predicate
+    int line = 0;                 ///< source line for reports (0 = unknown)
+    Name dst;                     ///< destination variable (may be empty)
     Value a;                      ///< Assign src / FieldLoad base /
                                   ///< Cmp lhs / Return value / CondBranch
                                   ///< condition variable
     Value b;                      ///< Cmp rhs
-    std::string field;            ///< FieldLoad field name
-    smt::Pred pred = smt::Pred::Eq; ///< Cmp predicate
-    std::string callee;           ///< Call target name
+    Name field;                   ///< FieldLoad field name
+    Name callee;                  ///< Call target name
     std::vector<Value> args;      ///< Call arguments
     BlockId target = -1;          ///< Branch target / CondBranch true
     BlockId target_else = -1;     ///< CondBranch false
-    int line = 0;                 ///< source line for reports (0 = unknown)
 
-    static Instruction assign(std::string dst, Value src);
-    static Instruction fieldLoad(std::string dst, Value base,
-                                 std::string field);
-    static Instruction fieldStore(Value base, std::string field,
-                                  Value value);
-    static Instruction random(std::string dst);
+    static Instruction assign(Name dst, Value src);
+    static Instruction fieldLoad(Name dst, Value base, Name field);
+    static Instruction fieldStore(Value base, Name field, Value value);
+    static Instruction random(Name dst);
     /** Call with optional destination (empty dst = void call). */
-    static Instruction call(std::string dst, std::string callee,
-                            std::vector<Value> args);
+    static Instruction call(Name dst, Name callee, std::vector<Value> args);
     static Instruction ret(Value v);
-    static Instruction cmp(std::string dst, smt::Pred pred, Value lhs,
-                           Value rhs);
+    static Instruction cmp(Name dst, smt::Pred pred, Value lhs, Value rhs);
     static Instruction condBranch(Value cond_var, BlockId if_true,
                                   BlockId if_false);
     static Instruction branch(BlockId target);

@@ -29,11 +29,11 @@ appendBlockRef(std::string &out, BlockId id)
 } // anonymous namespace
 
 Value
-Value::var(std::string name)
+Value::var(Name name)
 {
     Value v;
     v.kind_ = ValueKind::Var;
-    v.name_ = std::move(name);
+    v.name_ = name.s_;
     return v;
 }
 
@@ -68,7 +68,7 @@ Value::appendTo(std::string &out) const
 {
     switch (kind_) {
       case ValueKind::None: out += "<none>"; return;
-      case ValueKind::Var: out += name_; return;
+      case ValueKind::Var: out += *name_; return;
       case ValueKind::IntConst: appendInt(out, int_); return;
       case ValueKind::BoolConst: out += int_ ? "true" : "false"; return;
       case ValueKind::Null: out += "null"; return;
@@ -102,54 +102,53 @@ opcodeName(Opcode op)
 }
 
 Instruction
-Instruction::assign(std::string dst, Value src)
+Instruction::assign(Name dst, Value src)
 {
     Instruction i;
     i.op = Opcode::Assign;
-    i.dst = std::move(dst);
-    i.a = std::move(src);
+    i.dst = dst;
+    i.a = src;
     return i;
 }
 
 Instruction
-Instruction::fieldLoad(std::string dst, Value base, std::string field)
+Instruction::fieldLoad(Name dst, Value base, Name field)
 {
     Instruction i;
     i.op = Opcode::FieldLoad;
-    i.dst = std::move(dst);
-    i.a = std::move(base);
-    i.field = std::move(field);
+    i.dst = dst;
+    i.a = base;
+    i.field = field;
     return i;
 }
 
 Instruction
-Instruction::fieldStore(Value base, std::string field, Value value)
+Instruction::fieldStore(Value base, Name field, Value value)
 {
     Instruction i;
     i.op = Opcode::FieldStore;
-    i.a = std::move(base);
-    i.field = std::move(field);
-    i.b = std::move(value);
+    i.a = base;
+    i.field = field;
+    i.b = value;
     return i;
 }
 
 Instruction
-Instruction::random(std::string dst)
+Instruction::random(Name dst)
 {
     Instruction i;
     i.op = Opcode::Random;
-    i.dst = std::move(dst);
+    i.dst = dst;
     return i;
 }
 
 Instruction
-Instruction::call(std::string dst, std::string callee,
-                  std::vector<Value> args)
+Instruction::call(Name dst, Name callee, std::vector<Value> args)
 {
     Instruction i;
     i.op = Opcode::Call;
-    i.dst = std::move(dst);
-    i.callee = std::move(callee);
+    i.dst = dst;
+    i.callee = callee;
     i.args = std::move(args);
     return i;
 }
@@ -159,19 +158,19 @@ Instruction::ret(Value v)
 {
     Instruction i;
     i.op = Opcode::Return;
-    i.a = std::move(v);
+    i.a = v;
     return i;
 }
 
 Instruction
-Instruction::cmp(std::string dst, smt::Pred pred, Value lhs, Value rhs)
+Instruction::cmp(Name dst, smt::Pred pred, Value lhs, Value rhs)
 {
     Instruction i;
     i.op = Opcode::Cmp;
-    i.dst = std::move(dst);
+    i.dst = dst;
     i.pred = pred;
-    i.a = std::move(lhs);
-    i.b = std::move(rhs);
+    i.a = lhs;
+    i.b = rhs;
     return i;
 }
 
@@ -180,7 +179,7 @@ Instruction::condBranch(Value cond_var, BlockId if_true, BlockId if_false)
 {
     Instruction i;
     i.op = Opcode::CondBranch;
-    i.a = std::move(cond_var);
+    i.a = cond_var;
     i.target = if_true;
     i.target_else = if_false;
     return i;
@@ -200,34 +199,34 @@ Instruction::appendTo(std::string &out) const
 {
     switch (op) {
       case Opcode::Assign:
-        out += dst;
+        out += dst.str();
         out += " = ";
         a.appendTo(out);
         break;
       case Opcode::FieldLoad:
-        out += dst;
+        out += dst.str();
         out += " = ";
         a.appendTo(out);
         out += '.';
-        out += field;
+        out += field.str();
         break;
       case Opcode::FieldStore:
         a.appendTo(out);
         out += '.';
-        out += field;
+        out += field.str();
         out += " = ";
         b.appendTo(out);
         break;
       case Opcode::Random:
-        out += dst;
+        out += dst.str();
         out += " = random";
         break;
       case Opcode::Call:
         if (!dst.empty()) {
-            out += dst;
+            out += dst.str();
             out += " = ";
         }
-        out += callee;
+        out += callee.str();
         out += '(';
         for (size_t i = 0; i < args.size(); i++) {
             if (i)
@@ -244,7 +243,7 @@ Instruction::appendTo(std::string &out) const
         }
         break;
       case Opcode::Cmp:
-        out += dst;
+        out += dst.str();
         out += " = ";
         a.appendTo(out);
         out += ' ';
@@ -379,7 +378,7 @@ Function::appendTo(std::string &out) const
         appendBlockRef(out, static_cast<BlockId>(b));
         if (!blocks_[b].label.empty()) {
             out += " (";
-            out += blocks_[b].label;
+            out += blocks_[b].label.str();
             out += ')';
         }
         out += ":\n";

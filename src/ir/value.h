@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string>
 
+#include "ir/name.h"
+
 namespace rid::ir {
 
 enum class ValueKind : uint8_t {
@@ -31,7 +33,7 @@ class Value
     Value() = default;
 
     static Value none() { return Value(); }
-    static Value var(std::string name);
+    static Value var(Name name);
     static Value intConst(int64_t v);
     static Value boolConst(bool v);
     static Value null();
@@ -45,13 +47,19 @@ class Value
                kind_ == ValueKind::BoolConst || kind_ == ValueKind::Null;
     }
 
-    const std::string &varName() const { return name_; }
-    int64_t intValue() const { return int_; }
-    bool boolValue() const { return int_ != 0; }
+    /** The variable's name; empty for every other kind. */
+    const std::string &varName() const
+    {
+        return isVar() ? *name_ : Name().str();
+    }
+    /** The constant's value; 0 for None, Null and variables. */
+    int64_t intValue() const { return isVar() ? 0 : int_; }
+    bool boolValue() const { return intValue() != 0; }
 
     bool operator==(const Value &o) const
     {
-        return kind_ == o.kind_ && name_ == o.name_ && int_ == o.int_;
+        return kind_ == o.kind_ &&
+               (isVar() ? name_ == o.name_ : int_ == o.int_);
     }
 
     std::string str() const;
@@ -60,8 +68,13 @@ class Value
 
   private:
     ValueKind kind_ = ValueKind::None;
-    std::string name_;
-    int64_t int_ = 0;
+    /** A variable has a name and no value, a constant the reverse, so
+     *  the two share storage (the kind says which is live). name_ is the
+     *  variable's interned Name handle. */
+    union {
+        int64_t int_ = 0;
+        const std::string *name_;
+    };
 };
 
 } // namespace rid::ir

@@ -51,6 +51,96 @@ TEST(Lexer, IntegerSuffixesStripped)
     EXPECT_EQ(toks[3].number, 16);
 }
 
+/** The ParseError message @p src raises, or "" when it lexes. */
+std::string
+lexError(const std::string &src)
+{
+    try {
+        tokenize(src);
+    } catch (const ParseError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Lexer, MalformedNumericLiteralsThrow)
+{
+    // The literal is the whole alphanumeric run; a bad digit anywhere in
+    // it is an error, never a silently truncated value.
+    EXPECT_EQ(lexError("x == 10abc"), "bad numeric literal '10abc'");
+    EXPECT_EQ(lexError("return 0x1G"), "bad numeric literal '0x1G'");
+    EXPECT_EQ(lexError("return 0x"), "bad numeric literal '0x'");
+    EXPECT_EQ(lexError("0xu"), "bad numeric literal '0xu'");
+    EXPECT_EQ(lexError("1e5"), "bad numeric literal '1e5'");
+    EXPECT_EQ(lexError("12u3"), "bad numeric literal '12u3'");
+    // '_' ends a literal (it starts the next identifier).
+    EXPECT_EQ(lexError("0x_1"), "bad numeric literal '0x'");
+    // Out-of-range literals keep the same message.
+    EXPECT_EQ(lexError("99999999999999999999"),
+              "bad numeric literal '99999999999999999999'");
+    EXPECT_EQ(lexError("0x10000000000000000"),
+              "bad numeric literal '0x10000000000000000'");
+}
+
+TEST(Lexer, NumericLiteralEdgeValues)
+{
+    auto toks = tokenize("9223372036854775807 0x7fffffffffffffff 0 00 "
+                         "0755 0x0 0ULL");
+    EXPECT_EQ(toks[0].number, INT64_MAX);
+    EXPECT_EQ(toks[1].number, INT64_MAX);
+    EXPECT_EQ(toks[2].number, 0);
+    EXPECT_EQ(toks[3].number, 0);
+    EXPECT_EQ(toks[4].number, 755);  // Kernel-C has no octal literals
+    EXPECT_EQ(toks[5].number, 0);
+    EXPECT_EQ(toks[6].number, 0);
+    EXPECT_EQ(toks[6].text, "0ULL");
+}
+
+TEST(Lexer, TokenTextViewsTheSource)
+{
+    const std::string src = "foo 42u \"s\\\"t\" 'c'";
+    auto toks = tokenize(src);
+    ASSERT_EQ(toks.size(), 5u);
+    EXPECT_EQ(toks[0].text, "foo");
+    EXPECT_EQ(toks[1].text, "42u");
+    EXPECT_EQ(toks[2].text, "s\\\"t");   // escapes kept verbatim
+    EXPECT_EQ(toks[3].text, "c");
+    for (size_t i = 0; i < 4; i++) {
+        EXPECT_GE(toks[i].text.data(), src.data());
+        EXPECT_LE(toks[i].text.data() + toks[i].text.size(),
+                  src.data() + src.size());
+    }
+    EXPECT_TRUE(toks[4].text.empty());   // End
+}
+
+TEST(Lexer, EveryKeywordAndItsNearMisses)
+{
+    // The keyword switch must agree with tokName() on every spelling,
+    // and a one-character change or extension is an identifier.
+    for (int k = static_cast<int>(Tok::KwInt);
+         k <= static_cast<int>(Tok::KwDefault); k++) {
+        Tok t = static_cast<Tok>(k);
+        std::string word = tokName(t);
+        const std::string src =
+            word + " " + word + "x " + word + "_ x" + word;
+        auto toks = tokenize(src);
+        EXPECT_EQ(toks[0].kind, t) << word;
+        EXPECT_EQ(toks[0].text, word);
+        EXPECT_EQ(toks[1].kind, Tok::Ident) << word;
+        EXPECT_EQ(toks[2].kind, Tok::Ident) << word;
+        EXPECT_EQ(toks[3].kind, Tok::Ident) << word;
+        std::string upper = word;
+        upper[0] = upper[0] == 'N' ? 'n' : static_cast<char>(upper[0] - 32);
+        EXPECT_EQ(tokenize(upper)[0].kind, Tok::Ident) << upper;
+    }
+}
+
+TEST(Lexer, NonAsciiBytesAreStray)
+{
+    EXPECT_EQ(lexError("a \xc3\xa9 b"), "stray character '\xc3'");
+    EXPECT_THROW(tokenize(std::string("a \0 b", 5)), ParseError);
+}
+
 TEST(Lexer, CharConstantsBecomeNumbers)
 {
     auto toks = tokenize("'a'");

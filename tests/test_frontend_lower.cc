@@ -165,6 +165,26 @@ TEST(Lower, ConstantArithmeticFolds)
     EXPECT_EQ(fn->block(0).instrs.back().a.intValue(), 14);
 }
 
+TEST(Lower, OverflowingConstantsFoldWithWraparound)
+{
+    // INT64_MIN / -1 and friends fold to their two's-complement values
+    // instead of trapping or invoking undefined behaviour.
+    auto folded = [](const std::string &expr) {
+        ir::Module m = compile("int f(void) { return " + expr + "; }");
+        return m.find("f")->block(0).instrs.back().a.intValue();
+    };
+    const std::string min = "(-9223372036854775807 - 1)";
+    EXPECT_EQ(folded(min), INT64_MIN);
+    EXPECT_EQ(folded(min + " / -1"), INT64_MIN);
+    EXPECT_EQ(folded(min + " % -1"), 0);
+    EXPECT_EQ(folded("9223372036854775807 + 1"), INT64_MIN);
+    EXPECT_EQ(folded(min + " - 1"), INT64_MAX);
+    EXPECT_EQ(folded("4611686018427387904 * 4"), 0);
+    EXPECT_EQ(folded("-1 << 63"), INT64_MIN);
+    EXPECT_EQ(folded("7 / -1"), -7);
+    EXPECT_EQ(folded("7 % -1"), 0);
+}
+
 TEST(Lower, BitOperationsBecomeRandom)
 {
     ir::Module m = compile("int f(int flags) { return flags & 4; }");

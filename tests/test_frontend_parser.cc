@@ -75,7 +75,7 @@ TEST(Parser, DeclWithMultipleDeclarators)
     const AstStmt &decl = *body.body[0];
     EXPECT_EQ(decl.kind, AstStmtKind::Decl);
     EXPECT_EQ(decl.names,
-              (std::vector<std::string>{"a", "b", "c"}));
+              (std::vector<ir::Name>{"a", "b", "c"}));
     EXPECT_NE(decl.inits[0], nullptr);
     EXPECT_EQ(decl.inits[1], nullptr);
     EXPECT_NE(decl.inits[2], nullptr);

@@ -4,11 +4,14 @@
  */
 
 #include <cstdint>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "frontend/lower.h"
 #include "ir/builder.h"
 #include "ir/function.h"
+#include "kernel/generator.h"
 
 namespace rid::ir {
 namespace {
@@ -367,6 +370,78 @@ TEST(Function, GoldenPrintingAndFingerprint)
     Function decl("decl", {"a", "b"}, true);
     EXPECT_EQ(decl.str(), "int decl(a, b);\n");
     EXPECT_EQ(decl.fingerprint(), 0x8ab52782cd57b9a9ull);
+}
+
+TEST(Layout, InstructionAndValueStaySmall)
+{
+    // The lowered IR is most of a scan's memory: an instruction holds
+    // interned names, not strings, and a value's name and integer share
+    // storage. Pinned so the IR cannot silently grow back.
+    EXPECT_LE(sizeof(Instruction), 128u);
+    EXPECT_LE(sizeof(Value), 24u);
+    EXPECT_EQ(sizeof(Name), sizeof(void *));
+}
+
+TEST(Name, EqualSpellingsInternToOneHandle)
+{
+    std::string spelled = "pm_runtime_";
+    spelled += "get_sync";
+    Name a("pm_runtime_get_sync");
+    Name b(spelled);
+    Name c(std::string_view(spelled).substr(0, 10));
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(&a.str(), &b.str());   // one stored string
+    EXPECT_NE(a, c);
+    EXPECT_EQ(c, "pm_runtime");
+    EXPECT_EQ(a.str(), spelled);
+
+    EXPECT_TRUE(Name().empty());
+    EXPECT_EQ(Name(), Name(""));
+    EXPECT_EQ(Name().str(), "");
+    EXPECT_FALSE(a.empty());
+
+    // Ordering is by spelling, whatever order the names were interned in.
+    Name z("zz_interned_first"), y("aa_interned_second");
+    EXPECT_TRUE(y < z);
+    EXPECT_FALSE(z < y);
+    EXPECT_TRUE(Name() < y);
+}
+
+TEST(Value, ComparesByKindAndPayload)
+{
+    EXPECT_EQ(Value::var("x"), Value::var(std::string("x")));
+    EXPECT_NE(Value::var("x"), Value::var("y"));
+    EXPECT_NE(Value::intConst(0), Value::null());
+    EXPECT_NE(Value::intConst(0), Value::none());
+    EXPECT_EQ(Value::var("x").intValue(), 0);
+    EXPECT_EQ(Value::intConst(7).varName(), "");
+    EXPECT_EQ(Value::boolConst(true).intValue(), 1);
+}
+
+TEST(Name, ConcurrentCompilesProduceIdenticalModules)
+{
+    // Units may be lowered on several threads at once (the intern table
+    // is shared); every thread must print the same module.
+    kernel::Corpus corpus = kernel::generateCorpus(
+        kernel::CorpusMix::paperCalibrated(0.001));
+    std::string source;
+    for (size_t i = 0; i < corpus.files.size() && i < 6; i++)
+        source += corpus.files[i].text;
+
+    // The threads race to intern the source's names first.
+    std::vector<std::string> printed(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < printed.size(); t++)
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 3; round++)
+                printed[t] = frontend::compile(source).str();
+        });
+    for (auto &th : threads)
+        th.join();
+    const std::string expected = frontend::compile(source).str();
+    EXPECT_FALSE(expected.empty());
+    for (const auto &p : printed)
+        EXPECT_EQ(p, expected);
 }
 
 } // anonymous namespace

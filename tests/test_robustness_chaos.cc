@@ -380,6 +380,113 @@ TEST_F(RobustnessChaosTest, SyntaxErrorFileIsIsolatedFromTheScan)
 }
 
 /**
+ * The exact FileDiagnostic text of every malformed input class the
+ * frontend rejects: lexer, parser and lowering errors. Pinned byte for
+ * byte so a frontend rewrite cannot silently change what an operator
+ * reads.
+ */
+TEST_F(RobustnessChaosTest, MalformedInputDiagnosticsArePinned)
+{
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"int oops( { not kernel C %%", "expected ) (got '{')"},
+        {"/* never closed", "unterminated comment"},
+        {"int f(void) { return \"abc; }", "unterminated string"},
+        {"int f(void) { return 'a; }", "unterminated string"},
+        {"int f(void) { return 1 @ 2; }", "stray character '@'"},
+        {"int f(void) {\n  return 1 +;\n}", "expected expression (got ';')"},
+        {"int f(int x) { return x y; }", "expected ; (got 'y')"},
+        {"int f(void) { goto nowhere; }",
+         "f: goto to undefined label 'nowhere'"},
+        {"void f(void) { break; }", "f: break outside loop"},
+        {"void f(void) { continue; }", "f: continue outside loop"},
+        {"void f(int a) { switch (a) { } }",
+         "switch statements are not supported by Kernel-C (got 'switch')"},
+        {"int f(void) { return 99999999999999999999; }",
+         "bad numeric literal '99999999999999999999'"},
+        {"int f(void) { return 0xFFFFFFFFFFFFFFFFF; }",
+         "bad numeric literal '0xFFFFFFFFFFFFFFFFF'"},
+        {"int f(int x) {\n  if (x) { return 1; }\n",
+         "unexpected end of input in block (got '<eof>')"},
+        {"int f(struct s *x) { return x->; }",
+         "expected field name (got ';')"},
+        {"int (void);", "expected function name (got '(')"},
+        {"int f(int x) { int ; }", "expected declarator name (got ';')"},
+        {"int f(void) { goto ; }", "expected label after goto (got ';')"},
+        {"int f(struct device *dev) { pm_runtime_get_sync(dev",
+         "expected ) (got '<eof>')"},
+        // Malformed numeric literals: the whole alphanumeric run is the
+        // literal, so a bad digit is an error rather than a truncation.
+        {"int f(int x) { return x == 10abc; }",
+         "bad numeric literal '10abc'"},
+        {"int f(void) { return 0x1G; }", "bad numeric literal '0x1G'"},
+        {"int f(void) { return 0x; }", "bad numeric literal '0x'"},
+    };
+    Rid tool;
+    tool.loadSpecText(kernel::dpmSpecText());
+    for (size_t i = 0; i < cases.size(); i++)
+        EXPECT_FALSE(tool.addSourceTolerant("bad" + std::to_string(i) + ".c",
+                                            cases[i].first))
+            << cases[i].first;
+    const auto &diags = tool.fileDiagnostics();
+    ASSERT_EQ(diags.size(), cases.size());
+    for (size_t i = 0; i < cases.size(); i++) {
+        EXPECT_EQ(diags[i].file, "bad" + std::to_string(i) + ".c");
+        EXPECT_EQ(diags[i].reason, cases[i].second) << cases[i].first;
+    }
+}
+
+/**
+ * A pathologically nested file (tens of thousands of parentheses, or of
+ * nested `if`s) is rejected at the parser's nesting limit instead of
+ * overflowing the stack, and the rest of a multi-file scan reports
+ * exactly what it reports without that file.
+ */
+TEST_F(RobustnessChaosTest, DeeplyNestedFileIsIsolatedFromTheScan)
+{
+    auto repeat = [](const std::string &s, int n) {
+        std::string out;
+        for (int i = 0; i < n; i++)
+            out += s;
+        return out;
+    };
+    const std::string deep_parens = "int deep_expr(void) { return " +
+                                    repeat("(", 30000) + "0" +
+                                    repeat(")", 30000) + "; }\n";
+    const std::string deep_ifs = "int deep_stmt(int x) { " +
+                                 repeat("if (x) { ", 50000) + "x = 1; " +
+                                 repeat("} ", 50000) + "return x; }\n";
+
+    auto scan = [&](bool with_deep) {
+        Rid tool;
+        tool.loadSpecText(kernel::dpmSpecText());
+        EXPECT_TRUE(tool.addSourceTolerant("figure9.c", kFigure9Source));
+        if (with_deep) {
+            EXPECT_FALSE(tool.addSourceTolerant("parens.c", deep_parens));
+            EXPECT_FALSE(tool.addSourceTolerant("ifs.c", deep_ifs));
+        }
+        for (const auto &file : corpus_.files)
+            EXPECT_TRUE(tool.addSourceTolerant(file.name, file.text));
+        RunResult result = tool.run();
+        std::vector<std::string> reports;
+        for (const auto &r : result.reports)
+            reports.push_back(r.str());
+        return std::make_pair(reports, result.file_errors);
+    };
+
+    auto [clean_reports, clean_errors] = scan(false);
+    auto [deep_reports, deep_errors] = scan(true);
+    EXPECT_TRUE(clean_errors.empty());
+    ASSERT_EQ(deep_errors.size(), 2u);
+    EXPECT_EQ(deep_errors[0].file, "parens.c");
+    EXPECT_EQ(deep_errors[1].file, "ifs.c");
+    for (const auto &e : deep_errors)
+        EXPECT_NE(e.reason.find("nesting deeper than"), std::string::npos)
+            << e.reason;
+    EXPECT_FALSE(clean_reports.empty());
+    EXPECT_EQ(deep_reports, clean_reports);
+}
+
+/**
  * Domain-targeted injection: a deterministic fault at the balanced-policy
  * check, scoped to the lock domain, degrades exactly the function whose
  * lock bookkeeping was being checked — the refcount (ipp-policy) analysis
