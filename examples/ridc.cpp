@@ -21,7 +21,7 @@
  *   --list-domains     print the declared effect domains and exit
  *   --max-paths N      path cap per function (default 100)
  *   --max-subcases N   subcase cap per path (default 10)
- *   --threads N        analyze SCC levels with N workers
+ *   --threads N        analyze independent SCCs with N workers
  *   --deadline S       wall-clock budget for the whole run (seconds;
  *                      functions reached after expiry are defaulted)
  *   --fn-deadline S    per-function wall-clock budget (seconds)
@@ -48,9 +48,12 @@
  *   --summaries        print all computed summaries after analyzing
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,6 +101,29 @@ usage()
                  "       ridc explain <fingerprint|all> <journal.jsonl>\n"
                  "       ridc diff-runs <old.jsonl> <new.jsonl>\n");
     std::exit(2);
+}
+
+/** The value of numeric flag @p flag, parsed over the whole of @p text.
+ *  Junk, a negative or non-finite value, and 0 when @p zero_ok is false
+ *  are usage errors (exit 2). */
+template <typename T>
+T
+parseNumber(const std::string &flag, const std::string &text,
+            bool zero_ok = true)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    // The range test also rejects NaN and infinity.
+    if (ec != std::errc() || ptr != end ||
+        !(value >= 0 && value <= std::numeric_limits<T>::max()) ||
+        (!zero_ok && value == 0)) {
+        std::fprintf(stderr, "ridc: %s expects a %s number, got '%s'\n",
+                     flag.c_str(), zero_ok ? "non-negative" : "positive",
+                     text.c_str());
+        std::exit(2);
+    }
+    return value;
 }
 
 std::vector<rid::obs::ProvenanceRecord>
@@ -220,20 +246,19 @@ main(int argc, char **argv)
         else if (arg == "--export")
             export_path = next();
         else if (arg == "--max-paths")
-            opts.max_paths = std::atoi(next().c_str());
+            opts.max_paths = parseNumber<int>(arg, next(), false);
         else if (arg == "--max-subcases")
-            opts.max_subcases = std::atoi(next().c_str());
+            opts.max_subcases = parseNumber<int>(arg, next(), false);
         else if (arg == "--threads")
-            opts.threads = std::atoi(next().c_str());
+            opts.threads = parseNumber<int>(arg, next(), false);
         else if (arg == "--no-classify")
             opts.classify = false;
         else if (arg == "--deadline")
-            opts.run_deadline_seconds = std::atof(next().c_str());
+            opts.run_deadline_seconds = parseNumber<double>(arg, next());
         else if (arg == "--fn-deadline")
-            opts.function_deadline_seconds = std::atof(next().c_str());
+            opts.function_deadline_seconds = parseNumber<double>(arg, next());
         else if (arg == "--solver-fuel")
-            opts.function_solver_fuel =
-                std::strtoull(next().c_str(), nullptr, 10);
+            opts.function_solver_fuel = parseNumber<uint64_t>(arg, next());
         else if (arg == "--failpoints")
             opts.failpoints = next();
         else if (arg == "--provenance")
@@ -255,10 +280,9 @@ main(int argc, char **argv)
         else if (arg == "--triage")
             opts.triage = true;
         else if (arg == "--triage-fuel")
-            opts.triage_fuel =
-                std::strtoull(next().c_str(), nullptr, 10);
+            opts.triage_fuel = parseNumber<uint64_t>(arg, next());
         else if (arg == "--top")
-            top_n = std::atoi(next().c_str());
+            top_n = parseNumber<int>(arg, next());
         else if (arg == "--model-bits")
             lower_opts.model_bit_tests = true;
         else if (arg == "--model-stores")

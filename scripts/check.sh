@@ -4,9 +4,14 @@
 #
 # This is the exact line ROADMAP.md documents as "Tier-1 verify", followed
 # by two back-to-back runs of the analyzer determinism suite (which itself
-# compares threads {1,4} x query-cache {on,off} x tracing {off,on});
-# running the binary twice catches run-to-run nondeterminism that a single
-# in-process comparison cannot (e.g. ASLR-dependent container ordering).
+# compares ordered report lists across threads {1,2,4,8} x query-cache
+# {on,off} x tracing {off,on}, and drives the SCC scheduler through deep
+# chains and wide fan-ins at 8 workers); running the binary twice catches
+# run-to-run nondeterminism that a single in-process comparison cannot
+# (e.g. ASLR-dependent container ordering). The same suite then runs under
+# ThreadSanitizer (a `build-tsan` tree configured through CMAKE_CXX_FLAGS),
+# since the scheduler's ready queue and every structure its workers share
+# are exactly what TSan checks.
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
 # tree, building only the chaos test), runs the tree-executor unit suite
@@ -54,6 +59,15 @@ echo "== determinism suite, run 1/2 =="
 ./build/tests/test_analyzer_determinism
 echo "== determinism suite, run 2/2 =="
 ./build/tests/test_analyzer_determinism
+
+# The SCC scheduler's workers share the ready queue, the summary db, the
+# query and instantiation caches and the metrics registry; TSan checks
+# every access the determinism suite and the scheduler tests make.
+echo "== sanitizer smoke (TSan determinism suite + SCC scheduler) =="
+cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+cmake --build build-tsan -j --target test_analyzer_determinism
+./build-tsan/tests/test_analyzer_determinism
 
 echo "== robustness chaos suite =="
 ./build/tests/test_robustness_chaos

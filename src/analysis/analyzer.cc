@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
-#include <future>
+#include <exception>
+#include <functional>
 #include <mutex>
+#include <numeric>
+#include <queue>
+#include <thread>
 
 #include "analysis/callgraph.h"
 #include "obs/failpoint.h"
@@ -55,8 +60,7 @@ Analyzer::Analyzer(const ir::Module &mod, summary::SummaryDb &db,
     tracer_ = opts_.tracer;
     if (!tracer_ && !opts_.trace_path.empty())
         tracer_ = std::make_shared<obs::Tracer>();
-    metrics_ = opts_.metrics ? opts_.metrics
-                             : std::make_shared<obs::MetricsRegistry>();
+    metrics_ = std::make_shared<obs::MetricsRegistry>();
 
     auto &m = *metrics_;
     ins_.functions_analyzed = &m.counter(
@@ -271,6 +275,31 @@ Analyzer::storeDefaultSummary(const ir::Function &fn)
         fn.name(), fn.returnsValue()));
 }
 
+bool
+Analyzer::tracked(const ir::Function &fn) const
+{
+    return !fn.isDeclaration() && !db_.hasPredefined(fn.name());
+}
+
+std::vector<BugReport>
+Analyzer::fallBack(int node, FnStatus status, const std::string &reason,
+                   bool persist)
+{
+    const ir::Function &fn = *functionOf(node);
+    if (tracked(fn))
+        storeDefaultSummary(fn);
+    obs::Counter *counter = status == FnStatus::Timeout
+                                ? ins_.functions_timeout
+                            : status == FnStatus::Degraded
+                                ? ins_.functions_degraded
+                                : ins_.functions_error;
+    counter->inc();
+    recordDiagnostic({fn.name(), status, reason});
+    if (persist)
+        recordToStore(node, status, reason, false, nullptr, {});
+    return {};
+}
+
 const ir::Function *
 Analyzer::functionOf(int node) const
 {
@@ -332,12 +361,7 @@ Analyzer::analyzeFunction(int node, double deadline_seconds, uint64_t fuel)
         // problem) is confined to it. The function is degraded to the
         // conservative default summary — the same weakening the paper
         // applies to truncated functions — and the run continues.
-        storeDefaultSummary(fn);
-        ins_.functions_degraded->inc();
-        recordDiagnostic({fn.name(), FnStatus::Degraded, e.what()});
-        recordToStore(node, FnStatus::Degraded, e.what(), false, nullptr,
-                      {});
-        return {};
+        return fallBack(node, FnStatus::Degraded, e.what());
     }
 }
 
@@ -353,17 +377,13 @@ Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
     // the default summary, so budgeted runs stay deterministic for every
     // function whose budget did not fire.
     auto timedOut = [&]() { return budget && budget->expiredNow(); };
-    auto degradeToTimeout = [&]() -> std::vector<BugReport> {
+    auto degradeToTimeout = [&]() {
         // Results are discarded, but solver counters (budget_stops in
         // particular) are observability and must survive the discard.
         addSolverStats(solver.stats());
-        storeDefaultSummary(fn);
-        ins_.functions_timeout->inc();
-        std::string reason = std::string("budget: ") +
-                             obs::budgetStopName(fn_budget.stopReason());
-        recordDiagnostic({fn.name(), FnStatus::Timeout, reason});
-        recordToStore(node, FnStatus::Timeout, reason, false, nullptr, {});
-        return {};
+        return fallBack(node, FnStatus::Timeout,
+                        std::string("budget: ") +
+                            obs::budgetStopName(fn_budget.stopReason()));
     };
 
     // One depth-first CFG-tree walk executes every path: each tree edge
@@ -433,11 +453,9 @@ Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
         // Limits cut the analysis short: weaken with the default entry so
         // callers never trust an incomplete summary too much
         // (Section 5.2).
-        summary::SummaryEntry dflt;
-        dflt.cons = smt::Formula::top();
-        if (fn.returnsValue())
-            dflt.ret = smt::Expr::ret();
-        summary.entries.push_back(std::move(dflt));
+        summary.entries.push_back(std::move(
+            summary::FunctionSummary::defaultFor(fn.name(), fn.returnsValue())
+                .entries.front()));
     }
     // With pruning the path cap counts feasible completed paths only;
     // say how many infeasible subtrees were skipped before it filled,
@@ -575,10 +593,6 @@ Analyzer::run()
     obs::Span analyze_span("pipeline", "analyze");
     size_t reports_before = reports_.size();
 
-    auto tracked = [this](const ir::Function &fn) {
-        return !fn.isDeclaration() && !db_.hasPredefined(fn.name());
-    };
-
     // Resume plan, built bottom-up over the SCC condensation before the
     // traversal. An SCC is *clean* when every tracked member replays from
     // the store (Load) or is quarantined, and every cross-SCC callee's
@@ -638,8 +652,8 @@ Analyzer::run()
             const bool is_tracked = tracked(*fn);
 
             // Each node is visited exactly once per run; moving its Action
-            // out leaves every other slot untouched, so workers under
-            // SCC-level parallelism need no lock.
+            // out leaves every other slot untouched, so concurrent workers
+            // need no lock.
             FunctionStore::Action action;
             const bool have_plan = is_tracked && !resume_plan_.empty();
             if (have_plan)
@@ -667,11 +681,8 @@ Analyzer::run()
                 // Retry ladder exhausted: conservative default summary,
                 // no symexec, and a provenance note saying why.
                 ins_.store_quarantined->inc();
-                storeDefaultSummary(*fn);
-                ins_.functions_degraded->inc();
-                recordDiagnostic(
-                    {fn->name(), FnStatus::Degraded, action.note});
-                return {};
+                return fallBack(node, FnStatus::Degraded, action.note,
+                                /*persist=*/false);
             }
             if (store_ && is_tracked)
                 ins_.store_misses->inc();
@@ -689,17 +700,11 @@ Analyzer::run()
             // gone, remaining functions get the default summary instead
             // of being analyzed, and the run still finishes with a
             // complete report.
-            if (run_budget_->expiredNow()) {
-                storeDefaultSummary(*fn);
-                ins_.functions_timeout->inc();
-                std::string reason =
+            if (run_budget_->expiredNow())
+                return fallBack(
+                    node, FnStatus::Timeout,
                     std::string("run budget: ") +
-                    obs::budgetStopName(run_budget_->stopReason());
-                recordDiagnostic({fn->name(), FnStatus::Timeout, reason});
-                recordToStore(node, FnStatus::Timeout, reason, false,
-                              nullptr, {});
-                return {};
-            }
+                        obs::budgetStopName(run_budget_->stopReason()));
             double deadline = opts_.function_deadline_seconds;
             uint64_t fuel = opts_.function_solver_fuel;
             if (have_plan && action.plan == FunctionStore::Plan::Retry) {
@@ -711,69 +716,118 @@ Analyzer::run()
         } catch (const std::exception &e) {
             // Last-resort isolation for faults outside the guarded
             // analysis path (classification, summary storage, ...).
-            if (tracked(*fn))
-                storeDefaultSummary(*fn);
-            ins_.functions_error->inc();
-            recordDiagnostic({fn->name(), FnStatus::Error, e.what()});
-            recordToStore(node, FnStatus::Error, e.what(), false, nullptr,
-                          {});
-            return {};
+            return fallBack(node, FnStatus::Error, e.what());
         }
     };
 
     // Shard-level checkpoints: each one is a durability barrier (fsync);
     // a killed run resumes from the last committed record, re-executing
-    // at most the in-flight tail.
-    uint64_t checkpoint_tag = 0;
+    // at most the in-flight tail. One is requested every 64 processed
+    // nodes and one at the end of the run, at any thread count.
+    std::atomic<uint64_t> checkpoint_tag{0};
+    std::atomic<size_t> processed{0};
     auto storeCheckpoint = [&]() {
         if (store_)
-            store_->checkpoint(checkpoint_tag++);
+            store_->checkpoint(checkpoint_tag.fetch_add(1));
     };
 
-    if (opts_.threads <= 1) {
-        size_t since_checkpoint = 0;
-        for (int node : cg.reverseTopoOrder()) {
-            auto reports = processNode(node);
-            for (auto &r : reports)
-                reports_.push_back(std::move(r));
-            if (store_ && ++since_checkpoint >= 64) {
-                storeCheckpoint();
-                since_checkpoint = 0;
-            }
-        }
-    } else {
-        // Process SCC levels bottom-up; components within one level are
-        // independent and run concurrently (Section 5.3).
-        for (const auto &level : cg.sccLevels()) {
-            std::vector<std::future<std::vector<BugReport>>> futures;
-            std::atomic<size_t> cursor{0};
-            int workers = std::min<int>(opts_.threads,
-                                        static_cast<int>(level.size()));
-            for (int w = 0; w < workers; w++) {
-                futures.push_back(std::async(std::launch::async, [&]() {
-                    obs::ScopedTracer worker_scoped(tracer_.get());
-                    std::vector<BugReport> local;
-                    while (true) {
-                        size_t k = cursor.fetch_add(1);
-                        if (k >= level.size())
-                            break;
-                        for (int member : cg.sccMembers(level[k])) {
-                            auto reports = processNode(member);
-                            for (auto &r : reports)
-                                local.push_back(std::move(r));
-                        }
-                    }
-                    return local;
-                }));
-            }
-            for (auto &f : futures) {
-                auto local = f.get();
-                for (auto &r : local)
-                    reports_.push_back(std::move(r));
-            }
-            storeCheckpoint();
-        }
+    // One SCC scheduler for every thread count (Section 5.3). An SCC is
+    // ready once every SCC it calls into is done, counted by its pending
+    // cross-SCC call edges, and a worker always takes the smallest ready
+    // SCC id. SCC ids are reverse-topological, so one worker walks
+    // exactly reverseTopoOrder(); more workers run independent SCCs
+    // concurrently with no barrier between them.
+    const int num_sccs = static_cast<int>(cg.numSccs());
+    // mu guards everything the workers share below: the pending counts,
+    // the ready queue, unfinished, failure, and reports_ with its tags.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<uint32_t> pending(num_sccs, 0);
+    std::priority_queue<int, std::vector<int>, std::greater<>> ready;
+    for (int scc = 0; scc < num_sccs; scc++) {
+        for (int member : cg.sccMembers(scc))
+            for (int callee : cg.calleesOf(member))
+                if (cg.sccOf(callee) != scc)
+                    pending[scc]++;
+        if (!pending[scc])
+            ready.push(scc);
     }
+    // Each report is tagged with its SCC id; after the join one stable
+    // sort by tag puts them in SCC-id order, so stdout does not depend on
+    // which worker finished first. With one worker they already are.
+    std::vector<int> report_scc;
+    int unfinished = num_sccs;
+    std::exception_ptr failure;
+    auto work = [&]() {
+        std::unique_lock<std::mutex> lock(mu);
+        while (true) {
+            cv.wait(lock, [&] {
+                return failure || !unfinished || !ready.empty();
+            });
+            if (failure || !unfinished)
+                return;
+            int scc = ready.top();
+            ready.pop();
+            lock.unlock();
+            std::vector<BugReport> found;
+            try {
+                for (int member : cg.sccMembers(scc)) {
+                    for (auto &r : processNode(member))
+                        found.push_back(std::move(r));
+                    if (store_ && ++processed % 64 == 0)
+                        storeCheckpoint();
+                }
+            } catch (...) {
+                // Stop the traversal: every other worker finishes its
+                // SCC and exits, and run() rethrows the first failure.
+                lock.lock();
+                if (!failure)
+                    failure = std::current_exception();
+                cv.notify_all();
+                return;
+            }
+            lock.lock();
+            for (auto &r : found) {
+                reports_.push_back(std::move(r));
+                report_scc.push_back(scc);
+            }
+            if (!--unfinished)
+                cv.notify_all();
+            for (int member : cg.sccMembers(scc)) {
+                for (int caller : cg.callersOf(member)) {
+                    int cs = cg.sccOf(caller);
+                    if (cs != scc && !--pending[cs]) {
+                        ready.push(cs);
+                        cv.notify_one();
+                    }
+                }
+            }
+        }
+    };
+    {
+        std::vector<std::jthread> helpers;
+        for (int w = 1; w < opts_.threads; w++) {
+            helpers.emplace_back([&]() {
+                obs::ScopedTracer worker_scoped(tracer_.get());
+                work();
+            });
+        }
+        work();
+    }
+    if (!std::is_sorted(report_scc.begin(), report_scc.end())) {
+        std::vector<size_t> order(report_scc.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::ranges::stable_sort(order, {},
+                                 [&](size_t k) { return report_scc[k]; });
+        std::vector<BugReport> sorted;
+        sorted.reserve(order.size());
+        for (size_t k : order)
+            sorted.push_back(std::move(reports_[reports_before + k]));
+        std::move(sorted.begin(), sorted.end(),
+                  reports_.begin() + reports_before);
+    }
+    if (failure)
+        std::rethrow_exception(failure);
     storeCheckpoint();
     stats_.analyze_seconds = secondsSince(t1);
     ins_.analyze_seconds->set(stats_.analyze_seconds);

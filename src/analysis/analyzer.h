@@ -8,8 +8,10 @@
  * checks inconsistent path pairs and stores the resulting function
  * summaries. Category-2 functions are only
  * analyzed when simple enough (conditional-branch budget); category-3
- * functions are skipped entirely. SCC levels may be processed in parallel
- * for large corpora.
+ * functions are skipped entirely. One SCC scheduler serves every thread
+ * count: an SCC becomes ready once every SCC it calls into is done, the
+ * smallest ready SCC id goes first, and reports come out in SCC-id order
+ * whatever the number of workers.
  */
 
 #ifndef RID_ANALYSIS_ANALYZER_H
@@ -183,7 +185,9 @@ struct AnalyzerOptions
     /** Classify first and skip category-3 functions (Section 5.2).
      *  Disabled: every defined function is fully analyzed. */
     bool classify = true;
-    /** Worker threads for SCC-level parallelism (1 = sequential). */
+    /** Workers of the SCC scheduler: the calling thread plus
+     *  threads - 1 helpers (values below 1 mean 1). Reports, summaries
+     *  and store records do not depend on it. */
     int threads = 1;
     /** Compact each computed summary before it enters the database:
      *  merge entries indistinguishable at every call boundary (identical
@@ -204,7 +208,7 @@ struct AnalyzerOptions
      *  enabling only `ref` reproduces the pre-domain run exactly. */
     std::vector<std::string> enabled_domains;
     /** Share one memoized solver-verdict cache (smt/query_cache.h)
-     *  between every solver of the run — across SCC-level workers and
+     *  between every solver of the run — across SCC scheduler workers and
      *  the IPP phase. Results are identical with
      *  the cache on or off; only repeated-query cost changes. */
     bool use_query_cache = true;
@@ -232,10 +236,6 @@ struct AnalyzerOptions
     /** Injected tracer (tests / embedding). When null, the Analyzer
      *  creates one iff trace_path is set. */
     std::shared_ptr<obs::Tracer> tracer;
-    /** Injected metrics registry; a fresh one is created when null.
-     *  Counters are cumulative, so share one registry per run if the
-     *  derived AnalyzerStats should describe a single run. */
-    std::shared_ptr<obs::MetricsRegistry> metrics;
     /** Wall-clock allowance for the whole run (0 = unlimited). Functions
      *  reached after expiry get the default summary and a Timeout
      *  diagnostic; the run itself always completes. */
@@ -414,10 +414,6 @@ class Analyzer
      *  deterministically ordered by function name. */
     std::vector<FunctionDiagnostic> diagnostics() const;
 
-    /** The run-level budget (valid during and after run(); null before).
-     *  Exposed so embedders can cancel() a run cooperatively. */
-    const obs::Budget *runBudget() const { return run_budget_.get(); }
-
   private:
     /** Registry-backed instruments, resolved once in the constructor so
      *  hot paths skip the registry's name lookup. */
@@ -475,6 +471,18 @@ class Analyzer
     /** Store the conservative default summary for @p fn, bypassing any
      *  armed failpoints (recovery must not be re-injected). */
     void storeDefaultSummary(const ir::Function &fn);
+
+    /** Whether @p fn gets a summary of its own: defined, and not a
+     *  predefined API. */
+    bool tracked(const ir::Function &fn) const;
+
+    /** The one fallback path: give node @p node's function the default
+     *  summary (tracked functions only), count it under @p status
+     *  (Timeout, Degraded or Error), record the diagnostic and, when
+     *  @p persist, the store record. Returns the (empty) report list. */
+    std::vector<BugReport> fallBack(int node, FnStatus status,
+                                    const std::string &reason,
+                                    bool persist = true);
 
     void recordDiagnostic(FunctionDiagnostic d);
 

@@ -1,8 +1,6 @@
 #include "analysis/callgraph.h"
 
 #include <algorithm>
-#include <cassert>
-#include <functional>
 
 namespace rid::analysis {
 
@@ -136,30 +134,6 @@ CallGraph::reverseTopoOrder() const
         for (int node : scc)
             order.push_back(node);
     return order;
-}
-
-std::vector<std::vector<int>>
-CallGraph::sccLevels() const
-{
-    std::vector<int> level(sccs_.size(), 0);
-    // sccs_ is in reverse topological order: process in order, pushing
-    // levels upward to callers.
-    for (size_t s = 0; s < sccs_.size(); s++) {
-        for (int member : sccs_[s]) {
-            for (int callee : edges_[member]) {
-                int cs = scc_of_[callee];
-                if (cs != static_cast<int>(s))
-                    level[s] = std::max(level[s], level[cs] + 1);
-            }
-        }
-    }
-    int max_level = 0;
-    for (int l : level)
-        max_level = std::max(max_level, l);
-    std::vector<std::vector<int>> out(max_level + 1);
-    for (size_t s = 0; s < sccs_.size(); s++)
-        out[level[s]].push_back(static_cast<int>(s));
-    return out;
 }
 
 } // namespace rid::analysis

@@ -7,8 +7,9 @@
  * broken by grouping them into strongly connected components and analyzing
  * the members in an arbitrary (deterministic) order, with calls into the
  * not-yet-summarized part of the cycle falling back to default summaries
- * (Section 4.2). The SCC DAG is also stratified into levels so independent
- * components can be analyzed in parallel (Section 5.3).
+ * (Section 4.2). SCC ids are reverse-topological, so the analyzer's
+ * scheduler can release an SCC once its callee SCCs are done and run
+ * independent components in parallel (Section 5.3).
  *
  * Function identity: node k < mod.size() is module function k, and call
  * targets without any declaration get nodes after them, in first-call
@@ -76,14 +77,6 @@ class CallGraph
      * cycle appear consecutively in deterministic order.
      */
     std::vector<int> reverseTopoOrder() const;
-
-    /**
-     * Stratify SCCs into levels: an SCC's level is 1 + the max level of
-     * the SCCs it calls into (level 0 SCCs call nothing unanalyzed). All
-     * SCCs in one level can be analyzed concurrently once previous levels
-     * are done.
-     */
-    std::vector<std::vector<int>> sccLevels() const;
 
   private:
     /** Node of call target @p name, minting a synthetic node for a name

@@ -96,9 +96,6 @@ class Function
     const BasicBlock &block(BlockId id) const { return blocks_.at(id); }
     size_t numBlocks() const { return blocks_.size(); }
 
-    /** Names of all functions called anywhere in the body. */
-    std::vector<std::string> callees() const;
-
     /** Total number of conditional branches in the body. */
     int countCondBranches() const;
 

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <charconv>
-#include <set>
 
 #include "obs/failpoint.h"
 #include "smt/intern.h"
@@ -288,20 +287,6 @@ BasicBlock::successors() const
       default:
         return {};
     }
-}
-
-std::vector<std::string>
-Function::callees() const
-{
-    std::vector<std::string> out;
-    std::set<std::string> seen;
-    for (const auto &bb : blocks_) {
-        for (const auto &in : bb.instrs) {
-            if (in.op == Opcode::Call && seen.insert(in.callee).second)
-                out.push_back(in.callee);
-        }
-    }
-    return out;
 }
 
 int

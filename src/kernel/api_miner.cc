@@ -62,15 +62,14 @@ mineRefcountApis(const ir::Module &mod)
 
     // Collect every function name: definitions, declarations and call
     // targets (the basic APIs are usually external, like the kernel's
-    // pm_runtime family).
+    // pm_runtime family). The call graph has one node for each.
+    analysis::CallGraph cg(mod);
     std::set<std::string> names;
-    for (const auto &fn : mod.functions()) {
-        names.insert(fn->name());
-        for (const auto &callee : fn->callees())
-            names.insert(callee);
+    for (int node = 0; node < static_cast<int>(cg.size()); node++)
+        names.insert(cg.nameOf(node));
+    for (const auto &fn : mod.functions())
         if (!fn->isDeclaration())
             result.defined_functions++;
-    }
 
     // Token-level antonym replacement: a name whose token equals (or has
     // as a prefix) one antonym side pairs with the name where that token
@@ -124,7 +123,6 @@ mineRefcountApis(const ir::Module &mod)
 
     // Reachability over the call graph: a defined function reaches the
     // mined APIs if it calls one directly or transitively.
-    analysis::CallGraph cg(mod);
     std::vector<bool> reaches(cg.size(), false);
     std::deque<int> worklist;
     for (const auto &api : result.api_functions) {

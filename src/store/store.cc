@@ -396,13 +396,6 @@ AnalysisStore::applyFrame(const WalFrame &frame)
     io_.loaded_records++;
 }
 
-size_t
-AnalysisStore::recoveredFunctions() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
 analysis::FunctionStore::Action
 AnalysisStore::lookup(const Key &key, const LookupContext &ctx,
                       const summary::DomainTable &domains)

@@ -85,9 +85,6 @@ class AnalysisStore : public analysis::FunctionStore
     void checkpoint(uint64_t tag) override;
     IoStats ioStats() const override;
 
-    /** Committed function records recovered at open (resume only). */
-    size_t recoveredFunctions() const;
-
     /** The log file path (tests corrupt it directly). */
     const std::string &logPath() const { return log_path_; }
 

@@ -102,8 +102,6 @@ class WalWriter
     /** Bytes in the log as of the last successful append. */
     uint64_t size() const { return bytes_; }
 
-    bool isOpen() const { return fd_ >= 0; }
-
     void close();
 
   private:

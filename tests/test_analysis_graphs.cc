@@ -108,19 +108,16 @@ TEST(CallGraph, SccIdsRespectTopoOrder)
     EXPECT_LT(cg.sccOf(cg.nodeOf("mid")), cg.sccOf(cg.nodeOf("top")));
 }
 
-TEST(CallGraph, LevelsStratify)
+TEST(CallGraph, CalleesDeduplicated)
 {
     ir::Module m = frontend::compile(
-        "void l0a(void) { }\n"
-        "void l0b(void) { }\n"
-        "void l1(void) { l0a(); l0b(); }\n"
-        "void l2(void) { l1(); l0a(); }\n");
+        "void f(void) { g(); h(); g(); }\n"
+        "void g(void) { }\n");
     CallGraph cg(m);
-    auto levels = cg.sccLevels();
-    ASSERT_EQ(levels.size(), 3u);
-    EXPECT_EQ(levels[0].size(), 2u);
-    EXPECT_EQ(levels[1].size(), 1u);
-    EXPECT_EQ(levels[2].size(), 1u);
+    EXPECT_EQ(cg.calleesOf(cg.nodeOf("f")),
+              (std::vector<int>{cg.nodeOf("g"), cg.nodeOf("h")}));
+    EXPECT_EQ(cg.callersOf(cg.nodeOf("g")),
+              (std::vector<int>{cg.nodeOf("f")}));
 }
 
 TEST(CallGraph, DeepChainDoesNotOverflow)

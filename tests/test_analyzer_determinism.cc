@@ -2,30 +2,34 @@
  * @file
  * Determinism regression suite for the whole analyzer.
  *
- * analyzer.cc claims its results are deterministic: SCC levels only
- * parallelize independent components, and the IPP drop choice depends on
- * the entries alone. This suite pins those guarantees down across the
- * option matrix: SCC threads in {1, 4} x query cache {on, off} (plus
- * budgets, faults, domain filters, compaction and interning) must all
- * produce byte-identical sorted report sets AND byte-identical summary
- * exports on a representative corpus (the synthetic DPM corpus plus the
- * paper's Figure 9 wrapper example). The engine itself is checked
- * against its enumerate-then-replay reference in
- * test_analysis_tree_exec.cc.
+ * analyzer.cc claims its results are deterministic: the SCC scheduler
+ * only runs an SCC once its callee SCCs are done and emits reports in
+ * SCC-id order, and the IPP drop choice depends on the entries alone.
+ * This suite pins those guarantees down across the option matrix: SCC
+ * threads in {1, 2, 4, 8} x query cache {on, off} (plus budgets, faults,
+ * domain filters, compaction and interning) must all produce
+ * byte-identical ordered report lists AND byte-identical summary exports
+ * on a representative corpus (the synthetic DPM corpus plus the paper's
+ * Figure 9 wrapper example). The SccScheduler tests drive the scheduler
+ * through deep chains, wide fan-ins and wrapper chains at 8 workers. The
+ * engine itself is checked against its enumerate-then-replay reference
+ * in test_analysis_tree_exec.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <map>
 #include <string>
 
 #include "core/rid.h"
+#include "frontend/lower.h"
 #include "kernel/domain_specs.h"
 #include "kernel/dpm_specs.h"
 #include "kernel/generator.h"
 #include "kernel/inject.h"
 #include "kernel/score.h"
 #include "obs/failpoint.h"
+#include "summary/spec.h"
 
 namespace rid {
 namespace {
@@ -59,8 +63,8 @@ void usb_autopm_put_interface(struct usb_interface *i);
 )";
 
 /**
- * One full analysis run; the digest is the sorted report multiset, the
- * (name-ordered) computed-summary export and the (name-ordered)
+ * One full analysis run; the digest is the report list in emission
+ * order (what ridc prints), the (name-ordered) computed-summary export and the (name-ordered)
  * function diagnostics, so any divergence in reports, report contents,
  * summaries or degradation outcomes shows up byte-for-byte.
  * With @p trace the run records spans (including per-solver-query
@@ -102,12 +106,9 @@ runDigest(const kernel::Corpus &corpus, int threads, bool cache,
     if (!failpoints.empty())
         obs::FailpointRegistry::instance().disarm();
 
-    std::multiset<std::string> reports;
-    for (const auto &report : result.reports)
-        reports.insert(report.str());
     std::string digest;
-    for (const auto &line : reports)
-        digest += line + "\n";
+    for (const auto &report : result.reports)
+        digest += report.str() + "\n";
     digest += "--- summaries ---\n";
     digest += tool.exportSummaries();
     digest += "--- diagnostics ---\n";
@@ -154,7 +155,7 @@ TEST_F(AnalyzerDeterminismTest, ThreadsByCacheMatrixIsByteIdentical)
 {
     std::string baseline = runDigest(corpus_, 1, false);
     ASSERT_FALSE(baseline.empty());
-    for (int threads : {1, 4}) {
+    for (int threads : {1, 2, 4, 8}) {
         for (bool cache : {false, true}) {
             if (threads == 1 && !cache)
                 continue;  // that is the baseline itself
@@ -180,7 +181,7 @@ TEST_F(AnalyzerDeterminismTest, RepeatedRunsAreByteIdentical)
 {
     // Same configuration twice: catches any residual run-to-run
     // nondeterminism (iteration over pointer-keyed containers, races on
-    // the shared cache, ...).
+    // the shared cache, reports in worker-completion order, ...).
     EXPECT_EQ(runDigest(corpus_, 4, true), runDigest(corpus_, 4, true));
 }
 
@@ -357,8 +358,8 @@ class InjectedDeterminismTest : public ::testing::Test
         kernel::ScoreResult score;
     };
 
-    /** Sorted fingerprint set of one run (one fpHex + report line per
-     *  report), asserting every report is stamped. */
+    /** Fingerprints of one run in emission order (one fpHex + report
+     *  line per report), asserting every report is stamped. */
     static std::string
     fingerprintDigest(int threads, bool cache)
     {
@@ -373,18 +374,15 @@ class InjectedDeterminismTest : public ::testing::Test
             tool.addSource(file.text);
         RunResult result = tool.run();
         EXPECT_FALSE(result.reports.empty());
-        std::multiset<std::string> lines;
+        std::string digest;
         for (const auto &report : result.reports) {
             EXPECT_NE(report.fingerprint, 0u) << report.str();
             EXPECT_NE(report.function_fp, 0u) << report.str();
             EXPECT_EQ(report.fingerprint,
                       report.computeFingerprint(report.function_fp));
-            lines.insert(obs::fpHex(report.fingerprint) + " " +
-                         report.str());
+            digest += obs::fpHex(report.fingerprint) + " " + report.str() +
+                      "\n";
         }
-        std::string digest;
-        for (const auto &line : lines)
-            digest += line + "\n";
         return digest;
     }
 
@@ -404,11 +402,8 @@ class InjectedDeterminismTest : public ::testing::Test
         RunResult result = tool.run();
 
         ScoredRun out;
-        std::multiset<std::string> reports;
         for (const auto &report : result.reports)
-            reports.insert(report.str());
-        for (const auto &line : reports)
-            out.digest += line + "\n";
+            out.digest += report.str() + "\n";
         out.score = kernel::scoreReports(
             injected_.injections, injected_.corpus.truth,
             kernel::claimsFrom(result.reports));
@@ -528,6 +523,201 @@ TEST_F(AnalyzerDeterminismTest, CacheDoesNotChangeReportCount)
     EXPECT_NE(with.find("idmouse_open"), std::string::npos)
         << "Figure 9 bug not reported; digest:\n"
         << with;
+}
+
+/** Figure 9's caller with its wrapper call renamed to @p callee: a
+ *  report here needs @p callee's computed summary. */
+std::string
+figure9Caller(const std::string &name, const std::string &callee)
+{
+    return "int " + name + "(struct usb_interface *interface) {\n"
+           "    int result;\n"
+           "    result = " + callee + "(interface);\n"
+           "    if (result)\n"
+           "        goto error;\n"
+           "    result = idmouse_create_image(interface);\n"
+           "    if (result)\n"
+           "        goto error;\n"
+           "    usb_autopm_put_interface(interface);\n"
+           "error:\n"
+           "    return result;\n"
+           "}\n";
+}
+
+/** A call wrapper that passes @p callee's result through unchanged. */
+std::string
+passThrough(const std::string &name, const std::string &callee)
+{
+    return "int " + name + "(struct usb_interface *intf) {\n"
+           "    int status;\n"
+           "    status = " + callee + "(intf);\n"
+           "    return status;\n"
+           "}\n";
+}
+
+/** wrap0 wraps Figure 9's get, each wrapK passes wrapK-1 through, and
+ *  topK is Figure 9's caller of wrapK: topK's report exists only if every
+ *  summary below it was computed before topK ran. */
+std::string
+wrapperChain(int depth)
+{
+    std::string src;
+    std::string callee = "usb_autopm_get_interface";
+    for (int i = 0; i < depth; i++) {
+        std::string wrap = "wrap" + std::to_string(i);
+        src += passThrough(wrap, callee);
+        src += figure9Caller("top" + std::to_string(i), wrap);
+        callee = wrap;
+    }
+    return src;
+}
+
+/** Analyzes @p source (plus Figure 9) with 1 and 8 workers, expects
+ *  the two digests to match byte for byte, reports in order included,
+ *  and returns the single-worker digest. */
+std::string
+digestAtOneAndEightWorkers(const std::string &source)
+{
+    kernel::Corpus corpus;
+    corpus.files.push_back({"scheduler.c", source});
+    std::string baseline = runDigest(corpus, 1, true);
+    EXPECT_EQ(runDigest(corpus, 8, true), baseline);
+    return baseline;
+}
+
+TEST(SccScheduler, DeepChainFinishesAtEightWorkers)
+{
+    // 5,000 singleton SCCs, each ready only once the one below is done:
+    // seven workers wait on the ready queue for the whole run.
+    std::string src;
+    for (int i = 0; i < 5000; i++) {
+        std::string callee = i ? "chain" + std::to_string(i - 1)
+                               : std::string("pm_runtime_get_sync");
+        src += "void chain" + std::to_string(i) +
+               "(struct device *dev) { " + callee + "(dev); }\n";
+    }
+    digestAtOneAndEightWorkers(src);
+}
+
+TEST(SccScheduler, WideFanInFinishesAtEightWorkers)
+{
+    // 2,000 callers of one wrapper all become ready at once when it
+    // finishes; each reports Figure 9's bug through its summary.
+    std::string src;
+    for (int i = 0; i < 2000; i++)
+        src += figure9Caller("fan" + std::to_string(i),
+                             "usb_autopm_get_interface");
+    EXPECT_NE(digestAtOneAndEightWorkers(src).find("fan1999"),
+              std::string::npos);
+}
+
+TEST(SccScheduler, WrapperChainReportsMatchOneWorker)
+{
+    // Callers at every depth interleave with the chain.
+    std::string digest = digestAtOneAndEightWorkers(wrapperChain(64));
+    for (int i = 0; i < 64; i++)
+        EXPECT_NE(digest.find("top" + std::to_string(i) + ": refcount"),
+                  std::string::npos)
+            << "top" << i << " not reported";
+}
+
+TEST(SccScheduler, CalleesFinishBeforeCallersStart)
+{
+    // The dependency order itself: at 8 workers, every analyzed
+    // function's span starts after the spans of all its analyzed callees
+    // have ended (steady-clock times, ordered by the ready queue's lock).
+    analysis::AnalyzerOptions opts;
+    opts.threads = 8;
+    opts.tracer = std::make_shared<obs::Tracer>();
+    Rid tool(opts);
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.addSource(kFigure9Source);
+    tool.addSource(wrapperChain(32));
+    tool.run();
+    std::map<std::string, std::pair<uint64_t, uint64_t>> span_of;
+    for (const auto &e : opts.tracer->sortedEvents()) {
+        if (std::string(e.name) != "analyze-function")
+            continue;
+        for (const auto &[key, value] : e.args)
+            if (key == "fn")
+                span_of[value] = {e.start_ns, e.start_ns + e.dur_ns};
+    }
+    auto expectAfter = [&](const std::string &caller,
+                           const std::string &callee) {
+        ASSERT_TRUE(span_of.count(caller)) << caller;
+        ASSERT_TRUE(span_of.count(callee)) << callee;
+        EXPECT_GE(span_of[caller].first, span_of[callee].second)
+            << caller << " started before " << callee << " finished";
+    };
+    expectAfter("idmouse_open", "usb_autopm_get_interface");
+    expectAfter("wrap0", "usb_autopm_get_interface");
+    for (int i = 0; i < 32; i++) {
+        std::string wrap = "wrap" + std::to_string(i);
+        expectAfter("top" + std::to_string(i), wrap);
+        if (i)
+            expectAfter(wrap, "wrap" + std::to_string(i - 1));
+    }
+}
+
+/** A store that breaks its never-throw contract on one function, so
+ *  the fault escapes every isolation layer and reaches the scheduler. */
+class ThrowingStore : public analysis::FunctionStore
+{
+  public:
+    explicit ThrowingStore(std::string victim) : victim_(std::move(victim))
+    {
+    }
+    uint64_t configFingerprint() const override { return 0; }
+    Action
+    lookup(const Key &, const LookupContext &,
+           const summary::DomainTable &) override
+    {
+        return {};
+    }
+    size_t
+    record(const Key &key, analysis::FnStatus, const std::string &, bool,
+           const summary::FunctionSummary *,
+           const std::vector<analysis::BugReport> &) override
+    {
+        if (key.function == victim_)
+            throw std::runtime_error("store fault on " + victim_);
+        return 0;
+    }
+    void checkpoint(uint64_t) override {}
+    IoStats ioStats() const override { return {}; }
+
+  private:
+    std::string victim_;
+};
+
+TEST(SccScheduler, WorkerFailureStopsTheRunAndRethrows)
+{
+    // A fault in the middle of a deep chain (workers idle on the ready
+    // queue) and of a wide fan-in (workers busy on sibling SCCs) must
+    // stop the traversal, join every worker and surface on the calling
+    // thread, at one worker and at eight.
+    std::string chain, fan = passThrough("hub", "pm_runtime_get_sync");
+    for (int i = 0; i < 1000; i++) {
+        chain += passThrough("chain" + std::to_string(i),
+                             i ? "chain" + std::to_string(i - 1)
+                               : std::string("pm_runtime_get_sync"));
+        fan += figure9Caller("fan" + std::to_string(i), "hub");
+    }
+    for (const auto &[source, victim] :
+         {std::pair<std::string, std::string>{chain, "chain500"},
+          {fan, "fan500"}}) {
+        for (int threads : {1, 8}) {
+            ir::Module mod = frontend::compile(source);
+            summary::SummaryDb db;
+            summary::loadSpecsInto(kernel::dpmSpecText(), db);
+            analysis::AnalyzerOptions opts;
+            opts.threads = threads;
+            opts.store = std::make_shared<ThrowingStore>(victim);
+            analysis::Analyzer analyzer(mod, db, opts);
+            EXPECT_THROW(analyzer.run(), std::runtime_error)
+                << victim << " threads=" << threads;
+        }
+    }
 }
 
 } // anonymous namespace

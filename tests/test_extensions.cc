@@ -294,7 +294,7 @@ TEST(EnabledDomains, FilterSelectsWhichDomainsAreChecked)
     EXPECT_TRUE(ref_only.stats.reports_by_domain.empty());
 }
 
-// --- ridc CLI: --list-domains / --domains -------------------------------
+// --- ridc CLI: --list-domains / --domains, numeric flags ----------------
 
 struct CliResult
 {
@@ -360,6 +360,44 @@ TEST(RidcCli, DomainsFilterControlsTheScan)
     CliResult quiet = runCli("--spec " + lock + " --domains ref " + src);
     EXPECT_EQ(quiet.exit_code, 0);
     EXPECT_NE(quiet.output.find("0 report(s)"), std::string::npos);
+}
+
+TEST(RidcCli, NumericFlagsRejectGarbage)
+{
+    // Every numeric flag is parsed over its whole value: trailing junk,
+    // a negative number, a non-finite one, and 0 where it means nothing
+    // are usage errors that name the flag instead of silently becoming
+    // 0, 1 or "unlimited".
+    std::string lock = writeTemp("cli_lock.spec",
+                                 kernel::lockSpecText());
+    std::string src = writeTemp("cli_lock.c", kLockLeakSource);
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"--max-paths", "abc"},   {"--max-paths", "0"},
+        {"--max-paths", "10x"},   {"--max-subcases", "0"},
+        {"--max-subcases", "-3"}, {"--threads", "abc"},
+        {"--threads", "-4"},      {"--threads", "0"},
+        {"--deadline", "1.5s"},   {"--deadline", "-1"},
+        {"--deadline", "nan"},    {"--fn-deadline", "inf"},
+        {"--solver-fuel", "-1"},  {"--solver-fuel", "12abc"},
+        {"--triage-fuel", "-5"},  {"--top", "3x"},
+        {"--top", "-1"},
+    };
+    for (const auto &[flag, value] : bad) {
+        CliResult r = runCli("--spec " + lock + " " + flag + " " + value +
+                             " " + src);
+        EXPECT_EQ(r.exit_code, 2) << flag << " " << value;
+        EXPECT_NE(r.output.find("ridc: " + flag + " expects"),
+                  std::string::npos)
+            << flag << " " << value << ": " << r.output;
+    }
+    // Well-formed values, including the 0 that means "unlimited", scan.
+    CliResult ok = runCli("--spec " + lock +
+                          " --max-paths 100 --max-subcases 10 --threads 2"
+                          " --deadline 0 --fn-deadline 30.5"
+                          " --solver-fuel 0 --triage-fuel 0 --top 0 " +
+                          src);
+    EXPECT_EQ(ok.exit_code, 1) << ok.output;
+    EXPECT_NE(ok.output.find("unbalanced at return"), std::string::npos);
 }
 
 /** The DOT node line of @p fn in a --dot-callgraph rendering. */

@@ -26,9 +26,10 @@ countOps(const ir::Function &fn, ir::Opcode op)
 bool
 callsFunction(const ir::Function &fn, const std::string &callee)
 {
-    for (const auto &name : fn.callees())
-        if (name == callee)
-            return true;
+    for (size_t b = 0; b < fn.numBlocks(); b++)
+        for (const auto &in : fn.block(b).instrs)
+            if (in.op == ir::Opcode::Call && in.callee == callee)
+                return true;
     return false;
 }
 

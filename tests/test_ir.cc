@@ -121,17 +121,6 @@ TEST(Function, DeclarationHasNoBlocks)
     EXPECT_FALSE(fn.isParam("b"));
 }
 
-TEST(Function, CalleesDeduplicated)
-{
-    IrBuilder b("f", {}, false);
-    b.callVoid("g", {});
-    b.callVoid("h", {});
-    b.callVoid("g", {});
-    b.ret();
-    Function fn = b.take();
-    EXPECT_EQ(fn.callees(), (std::vector<std::string>{"g", "h"}));
-}
-
 TEST(Function, CountCondBranches)
 {
     IrBuilder b("f", {"a"}, true);
