@@ -31,7 +31,8 @@
  *   --store DIR        persist analysis outcomes to a durable store
  *   --resume           replay unchanged functions from --store DIR
  *                      instead of re-analyzing them
- *   --keep-going       parse errors skip the file instead of aborting
+ *   --keep-going       an unreadable or unparseable file is skipped (and
+ *                      reported) instead of aborting the scan
  *   --no-classify      analyze every function (skip Section 5.2 tiers)
  *   --model-bits       Section 5.4 extension: model `x & CONST` bit tests
  *   --model-stores     Section 5.4 extension: track caller-visible stores
@@ -52,8 +53,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,17 +70,41 @@
 
 namespace {
 
+/** The contents of @p path, or nothing when it cannot be opened or read
+ *  (a directory, say). A regular file is read with one read into a
+ *  string of its size; any other stream (a pipe) is read to its end. */
+std::optional<std::string>
+tryReadFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
+    std::string text;
+    std::error_code ec;
+    uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec) {
+        text.resize(size);
+        in.read(text.data(), static_cast<std::streamsize>(size));
+        text.resize(static_cast<size_t>(in.gcount()));
+    } else {
+        char buf[1 << 16];
+        while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
+            text.append(buf, static_cast<size_t>(in.gcount()));
+    }
+    if (in.bad())
+        return std::nullopt;
+    return text;
+}
+
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in) {
+    std::optional<std::string> text = tryReadFile(path);
+    if (!text) {
         std::fprintf(stderr, "ridc: cannot open %s\n", path.c_str());
         std::exit(2);
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    return std::move(*text);
 }
 
 void
@@ -324,7 +351,13 @@ main(int argc, char **argv)
             tool.importSummaries(readFile(path));
         for (const auto &path : sources) {
             if (keep_going) {
-                if (!tool.addSourceTolerant(path, readFile(path)))
+                std::optional<std::string> text = tryReadFile(path);
+                bool added = false;
+                if (!text)
+                    tool.rejectFile(path, "cannot open " + path);
+                else
+                    added = tool.addSourceTolerant(path, std::move(*text));
+                if (!added)
                     std::fprintf(stderr, "ridc: skipping %s: %s\n",
                                  path.c_str(),
                                  tool.fileDiagnostics().back().reason

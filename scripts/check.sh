@@ -26,7 +26,9 @@
 # runs the call-graph and classifier suites under ASan (the call graph
 # borrows the module's names), runs the frontend suites, the IR suite and
 # the seeded frontend fuzz under ASan (tokens view the source buffer; the
-# AST and IR hold interned names),
+# AST and IR hold interned names), runs the end-to-end, injection and
+# Python/C baseline suites under ASan (frozen IR: call arguments and
+# blocks are views into each function's one allocation),
 # refreshes BENCH_performance.json
 # at the repo root (the microbenchmarks themselves are skipped via a
 # non-matching filter — only the trajectory-record workload runs,
@@ -126,6 +128,18 @@ cmake --build build-asan -j --target test_frontend_lexer \
 ./build-asan/tests/test_frontend_lower
 ./build-asan/tests/test_ir
 ./build-asan/tests/test_frontend_fuzz
+
+# Lowered IR is frozen: each function is one exact-size allocation whose
+# blocks, instructions and call arguments are views into it, and a unit
+# reaches the corpus module only once all of it has lowered. These suites
+# compile standalone modules, walk call arguments and free whole runs;
+# ASan checks that no view outlives the function that owns it.
+echo "== sanitizer smoke (ASan+UBSan frozen IR lifetime) =="
+cmake --build build-asan -j --target test_core_e2e --target test_injection \
+    --target test_pyc_baseline
+./build-asan/tests/test_core_e2e
+./build-asan/tests/test_injection
+./build-asan/tests/test_pyc_baseline
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

@@ -430,7 +430,7 @@ Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
 
     summary::FunctionSummary summary;
     summary.function = fn.name();
-    summary.params = fn.params();
+    summary.params.assign(fn.params().begin(), fn.params().end());
     summary.returns_value = fn.returnsValue();
     summary.entries = std::move(ipp.entries);
     summary.is_truncated = truncated;

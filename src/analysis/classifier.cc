@@ -90,7 +90,7 @@ FunctionClassifier::FunctionClassifier(
         };
         auto slice = backwardSlice(fn, /*include_returns=*/true, isRcCall);
         for (const auto &ref : slice) {
-            const auto &in = fn.block(ref.block).instrs.at(ref.index);
+            const auto &in = fn.block(ref.block).instrs[ref.index];
             if (in.op != ir::Opcode::Call)
                 continue;
             int callee = cg.nodeOf(in.callee);

@@ -14,7 +14,7 @@ FileGraph::FileGraph(std::vector<FileSymbols> files)
 {
     // Map every defined symbol to its defining file. With duplicate
     // definitions (the paper's "static functions defined in headers"
-    // problem) the first definition wins, mirroring Module::absorb's
+    // problem) the first definition wins, mirroring Module::commit's
     // weak-symbol-style merging.
     std::map<std::string, int> defined_in;
     for (size_t i = 0; i < files_.size(); i++) {

@@ -92,7 +92,7 @@ backwardSlice(const ir::Function &fn, bool include_returns,
         while (!worklist.empty()) {
             InstrRef ref = worklist.front();
             worklist.pop_front();
-            const auto &in = fn.block(ref.block).instrs.at(ref.index);
+            const auto &in = fn.block(ref.block).instrs[ref.index];
             for (const auto &use : usesOf(in))
                 addVar(use);
             addBlockDeps(ref.block);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "frontend/lower.h"
+#include "frontend/parser.h"
 #include "obs/failpoint.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -372,18 +373,22 @@ Rid::loadSpecFile(const std::string &path)
 }
 
 void
-Rid::addSource(const std::string &kernel_c_source)
+Rid::addSource(std::string kernel_c_source)
 {
-    module_.absorb(frontend::compile(kernel_c_source, lower_opts_));
-    // Retained past the compile so a later triage run can re-lower the
-    // unit at higher precision; only units that compiled are kept (the
-    // tolerant path must not feed triage a unit the run rejected).
-    sources_.emplace_back(std::string(), kernel_c_source);
+    // The unit's functions are committed only once every one of them has
+    // lowered and verified, so a rejected unit leaves the module as it was
+    // and does not use up a unit ordinal.
+    module_.commit(frontend::lowerFunctions(
+        frontend::parseUnit(kernel_c_source), lower_opts_));
+    // Retained past the commit so a later triage run can re-lower the
+    // unit at higher precision; only committed units are kept (the
+    // tolerant path must not feed triage a unit the run rejected), so
+    // a function's unit() indexes sources_.
+    sources_.emplace_back(std::string(), std::move(kernel_c_source));
 }
 
 bool
-Rid::addSourceTolerant(const std::string &name,
-                       const std::string &kernel_c_source)
+Rid::addSourceTolerant(const std::string &name, std::string kernel_c_source)
 {
     // File-level fault isolation: one unparseable unit (or one whose
     // lowering produced invalid IR, or an injected frontend fault) must
@@ -391,12 +396,18 @@ Rid::addSourceTolerant(const std::string &name,
     // take part in the run; callers see why via fileDiagnostics().
     obs::FailpointScope fp_scope(name);
     try {
-        addSource(kernel_c_source);
+        addSource(std::move(kernel_c_source));
         return true;
     } catch (const std::exception &e) {
         file_errors_.push_back(FileDiagnostic{name, e.what()});
         return false;
     }
+}
+
+void
+Rid::rejectFile(std::string file, std::string reason)
+{
+    file_errors_.push_back(FileDiagnostic{std::move(file), std::move(reason)});
 }
 
 bool

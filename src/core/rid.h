@@ -114,9 +114,10 @@ class Rid
      */
     bool loadSpecTolerant(const std::string &name, const std::string &text);
 
-    /** Parse and add a Kernel-C translation unit.
+    /** Parse and add a Kernel-C translation unit. The source is kept
+     *  (moved, not copied) for triage. A unit that throws adds nothing.
      *  @throws frontend::ParseError on syntax errors. */
-    void addSource(const std::string &kernel_c_source);
+    void addSource(std::string kernel_c_source);
 
     /**
      * Fault-isolating variant of addSource(): a file that fails to parse
@@ -125,9 +126,14 @@ class Rid
      * @return true if the unit was added, false if it was rejected
      */
     bool addSourceTolerant(const std::string &name,
-                           const std::string &kernel_c_source);
+                           std::string kernel_c_source);
 
-    /** Files rejected by addSourceTolerant() so far. */
+    /** Record @p file as rejected before it reached the frontend (for
+     *  instance because it could not be read); it is reported like a
+     *  file addSourceTolerant() rejected. */
+    void rejectFile(std::string file, std::string reason);
+
+    /** Files rejected by addSourceTolerant() or rejectFile() so far. */
     const std::vector<FileDiagnostic> &fileDiagnostics() const
     {
         return file_errors_;
@@ -162,7 +168,7 @@ class Rid
     std::vector<FileDiagnostic> file_errors_;
     /** Retained (name, source) pairs of every successfully added unit,
      *  kept so the triage pass can re-lower reported functions at higher
-     *  precision. addSource() absorbs exactly one module per retained
+     *  precision. addSource() commits exactly one unit per retained
      *  source, so a function's ir::Function::unit() indexes this list. */
     std::vector<std::pair<std::string, std::string>> sources_;
     /** Durable analysis store, opened lazily by the first run() when

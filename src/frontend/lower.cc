@@ -26,6 +26,18 @@ tempName(int n)
     return names[n];
 }
 
+/** @p fn's parameter names, in a per-thread buffer that the next call
+ *  overwrites (IrBuilder and Function::declaration copy them). */
+std::span<const Name>
+paramNames(const AstFunction &fn)
+{
+    thread_local std::vector<Name> names;
+    names.clear();
+    for (const auto &p : fn.params)
+        names.push_back(p.name);
+    return names;
+}
+
 /** Lowers one function body onto an IrBuilder. */
 class FunctionLowerer
 {
@@ -35,7 +47,7 @@ class FunctionLowerer
           builder_(fn.name, paramNames(fn), fn.returns_value)
     {}
 
-    ir::Function
+    std::unique_ptr<ir::Function>
     lower()
     {
         lowerStmt(*fn_.body);
@@ -48,15 +60,6 @@ class FunctionLowerer
     }
 
   private:
-    static std::vector<std::string>
-    paramNames(const AstFunction &fn)
-    {
-        std::vector<std::string> names;
-        for (const auto &p : fn.params)
-            names.push_back(p.name);
-        return names;
-    }
-
     Name freshTemp() { return tempName(temp_counter_++); }
 
     [[noreturn]] void
@@ -305,7 +308,7 @@ class FunctionLowerer
         for (const auto &arg : e.args)
             args.push_back(lowerValue(*arg));
         Name dst = want_value ? freshTemp() : Name();
-        builder_.atLine(e.line).call(dst, e.a->text, std::move(args));
+        builder_.atLine(e.line).call(dst, e.a->text, args);
         return want_value ? Value::var(dst) : Value::none();
     }
 
@@ -562,9 +565,8 @@ class FunctionLowerer
     class Cursor
     {
       public:
-        Cursor(std::string name, std::vector<std::string> params,
-               bool returns_value)
-            : b_(std::move(name), std::move(params), returns_value)
+        Cursor(Name name, std::span<const Name> params, bool returns_value)
+            : b_(name, params, returns_value)
         {}
 
         BlockId newBlock(Name label = Name()) { return b_.newBlock(label); }
@@ -594,13 +596,13 @@ class FunctionLowerer
         {
             if (!terminated_) b_.random(d);
         }
-        void call(Name d, Name callee, std::vector<Value> a)
+        void call(Name d, Name callee, std::span<const Value> a)
         {
-            if (!terminated_) b_.call(d, callee, std::move(a));
+            if (!terminated_) b_.call(d, callee, a);
         }
-        void callVoid(Name callee, std::vector<Value> a)
+        void callVoid(Name callee, std::span<const Value> a)
         {
-            if (!terminated_) b_.callVoid(callee, std::move(a));
+            if (!terminated_) b_.callVoid(callee, a);
         }
         void cmp(Name d, smt::Pred p, Value l, Value r)
         {
@@ -640,7 +642,7 @@ class FunctionLowerer
             }
         }
 
-        ir::Function
+        std::unique_ptr<ir::Function>
         finish(bool returns_value)
         {
             // Seal unreachable blocks produced while lowering dead code so
@@ -674,22 +676,28 @@ class FunctionLowerer
 
 } // anonymous namespace
 
+std::vector<std::unique_ptr<ir::Function>>
+lowerFunctions(const AstUnit &unit, const LowerOptions &opts)
+{
+    std::vector<std::unique_ptr<ir::Function>> fns;
+    fns.reserve(unit.functions.size());
+    for (const auto &fn : unit.functions) {
+        if (!fn.is_definition) {
+            fns.push_back(ir::Function::declaration(
+                fn.name, paramNames(fn), fn.returns_value));
+            continue;
+        }
+        FunctionLowerer lowerer(fn, opts);
+        fns.push_back(lowerer.lower());
+    }
+    return fns;
+}
+
 ir::Module
 lowerUnit(const AstUnit &unit, const LowerOptions &opts)
 {
     ir::Module mod;
-    for (const auto &fn : unit.functions) {
-        if (!fn.is_definition) {
-            std::vector<std::string> params;
-            for (const auto &p : fn.params)
-                params.push_back(p.name);
-            mod.addFunction(
-                ir::Function(fn.name, std::move(params), fn.returns_value));
-            continue;
-        }
-        FunctionLowerer lowerer(fn, opts);
-        mod.addFunction(lowerer.lower());
-    }
+    mod.commit(lowerFunctions(unit, opts));
     return mod;
 }
 

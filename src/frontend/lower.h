@@ -52,8 +52,20 @@ struct LowerOptions
 };
 
 /**
- * Lower a parsed unit into an IR module. Prototypes become declarations;
- * definitions are fully lowered and verified.
+ * Lower every function of a parsed unit, in source order, into a plain
+ * vector: the unit ir::Module::commit takes. Prototypes become
+ * declarations; definitions are fully lowered and verified. Nothing is
+ * committed anywhere, so a unit that throws part-way leaves no trace.
+ *
+ * @throws ParseError for constructs that cannot be lowered, ir::IrError
+ *         for a function that fails verification.
+ */
+std::vector<std::unique_ptr<ir::Function>>
+lowerFunctions(const AstUnit &unit, const LowerOptions &opts = {});
+
+/**
+ * Lower a parsed unit into a module of its own: lowerFunctions()
+ * committed as the module's unit 0.
  *
  * @throws ParseError for constructs that cannot be lowered.
  */

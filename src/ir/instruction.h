@@ -21,8 +21,8 @@
 #ifndef RID_IR_INSTRUCTION_H
 #define RID_IR_INSTRUCTION_H
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "ir/name.h"
 #include "ir/value.h"
@@ -52,7 +52,9 @@ const char *opcodeName(Opcode op);
 
 /**
  * A single instruction. Plain aggregate with factory functions; unused
- * fields are left defaulted.
+ * fields are left defaulted. A call's arguments are a view: inside a
+ * function they live in the function's one allocation (IrBuilder copies
+ * them there), so an instruction owns nothing.
  */
 struct Instruction
 {
@@ -66,7 +68,7 @@ struct Instruction
     Value b;                      ///< Cmp rhs
     Name field;                   ///< FieldLoad field name
     Name callee;                  ///< Call target name
-    std::vector<Value> args;      ///< Call arguments
+    std::span<const Value> args;  ///< Call arguments
     BlockId target = -1;          ///< Branch target / CondBranch true
     BlockId target_else = -1;     ///< CondBranch false
 
@@ -74,8 +76,10 @@ struct Instruction
     static Instruction fieldLoad(Name dst, Value base, Name field);
     static Instruction fieldStore(Value base, Name field, Value value);
     static Instruction random(Name dst);
-    /** Call with optional destination (empty dst = void call). */
-    static Instruction call(Name dst, Name callee, std::vector<Value> args);
+    /** Call with optional destination (empty dst = void call). The
+     *  instruction views @p args, which must outlive it. */
+    static Instruction call(Name dst, Name callee,
+                            std::span<const Value> args);
     static Instruction ret(Value v);
     static Instruction cmp(Name dst, smt::Pred pred, Value lhs, Value rhs);
     static Instruction condBranch(Value cond_var, BlockId if_true,

@@ -1,7 +1,10 @@
 #include "ir/function.h"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <functional>
+#include <memory>
 
 #include "obs/failpoint.h"
 #include "smt/intern.h"
@@ -23,6 +26,12 @@ appendBlockRef(std::string &out, BlockId id)
 {
     out += "bb";
     appendInt(out, id);
+}
+
+uint32_t
+nameHash(std::string_view name)
+{
+    return static_cast<uint32_t>(std::hash<std::string_view>{}(name));
 }
 
 } // anonymous namespace
@@ -142,13 +151,13 @@ Instruction::random(Name dst)
 }
 
 Instruction
-Instruction::call(Name dst, Name callee, std::vector<Value> args)
+Instruction::call(Name dst, Name callee, std::span<const Value> args)
 {
     Instruction i;
     i.op = Opcode::Call;
     i.dst = dst;
     i.callee = callee;
-    i.args = std::move(args);
+    i.args = args;
     return i;
 }
 
@@ -350,7 +359,7 @@ Function::appendTo(std::string &out) const
     for (size_t i = 0; i < params_.size(); i++) {
         if (i)
             out += ", ";
-        out += params_[i];
+        out += params_[i].str();
     }
     out += ')';
     if (isDeclaration()) {
@@ -396,39 +405,88 @@ Function::fingerprint() const
     return smt::fpBytes(buf);
 }
 
-Function *
-Module::addFunction(Function fn)
+std::unique_ptr<Function>
+Function::allocate(Name name, std::span<const Name> params,
+                   bool returns_value, size_t body_bytes)
 {
-    return adopt(std::make_unique<Function>(std::move(fn)));
+    static_assert(alignof(Function) % alignof(Name) == 0 &&
+                  sizeof(Function) % alignof(Name) == 0);
+    std::unique_ptr<Function> fn(
+        new (Trailing{body_bytes + params.size_bytes()})
+            Function(name, returns_value));
+    auto *dst = reinterpret_cast<Name *>(fn->bodyStorage() + body_bytes);
+    std::uninitialized_copy(params.begin(), params.end(), dst);
+    fn->params_ = {dst, params.size()};
+    return fn;
+}
+
+std::unique_ptr<Function>
+Function::declaration(Name name, std::span<const Name> params,
+                      bool returns_value)
+{
+    return allocate(name, params, returns_value, 0);
+}
+
+size_t
+Module::slotOf(std::string_view name, uint32_t hash) const
+{
+    const size_t mask = index_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        const Slot &s = index_[i];
+        if (s.pos < 0 ||
+            (s.hash == hash && functions_[s.pos]->name() == name))
+            return i;
+    }
 }
 
 Function *
-Module::adopt(std::unique_ptr<Function> fn)
+Module::addFunction(std::unique_ptr<Function> fn)
 {
-    auto [it, added] =
-        byName_.try_emplace(fn->name(), static_cast<int>(functions_.size()));
-    if (added) {
+    if ((functions_.size() + 1) * 4 > index_.size() * 3) {
+        std::vector<Slot> old(std::max<size_t>(16, index_.size() * 2),
+                              Slot{0, -1});
+        old.swap(index_);
+        const size_t mask = index_.size() - 1;
+        for (const Slot &s : old) {
+            if (s.pos < 0)
+                continue;
+            size_t i = s.hash & mask;
+            while (index_[i].pos >= 0)
+                i = (i + 1) & mask;
+            index_[i] = s;
+        }
+    }
+    const uint32_t hash = nameHash(fn->name());
+    Slot &s = index_[slotOf(fn->name(), hash)];
+    if (s.pos < 0) {
+        s = {hash, static_cast<int32_t>(functions_.size())};
         functions_.push_back(std::move(fn));
         return functions_.back().get();
     }
     // Keep a definition over a declaration; otherwise first wins. The
-    // definition takes the declaration's slot, and the key is re-pointed
-    // at the new owner's name before the declaration's goes away.
-    std::unique_ptr<Function> &slot = functions_[it->second];
-    if (slot->isDeclaration() && !fn->isDeclaration()) {
-        auto entry = byName_.extract(it);
-        entry.key() = fn->name();
-        byName_.insert(std::move(entry));
+    // definition takes the declaration's slot and position.
+    std::unique_ptr<Function> &slot = functions_[s.pos];
+    if (slot->isDeclaration() && !fn->isDeclaration())
         slot = std::move(fn);
-    }
     return slot.get();
+}
+
+void
+Module::commit(std::vector<std::unique_ptr<Function>> unit)
+{
+    uint32_t ordinal = units_++;
+    for (auto &fn : unit) {
+        fn->unit_ = ordinal;
+        addFunction(std::move(fn));
+    }
 }
 
 int
 Module::indexOf(std::string_view name) const
 {
-    auto it = byName_.find(name);
-    return it == byName_.end() ? -1 : it->second;
+    if (index_.empty())
+        return -1;
+    return index_[slotOf(name, nameHash(name))].pos;
 }
 
 Function *
@@ -443,16 +501,6 @@ Module::find(const std::string &name) const
 {
     int k = indexOf(name);
     return k < 0 ? nullptr : functions_[k].get();
-}
-
-void
-Module::absorb(Module other)
-{
-    uint32_t unit = absorbed_++;
-    for (auto &fn : other.functions_) {
-        fn->unit_ = unit;
-        adopt(std::move(fn));
-    }
 }
 
 std::string

@@ -122,7 +122,7 @@ struct TriageStats
 /**
  * The triage pass. Construct once per run with the run's module, summary
  * database (computed summaries included), retained (name, source) pairs
- * — one per ir::Module::absorb call, in absorb order, so a function's
+ * — one per ir::Module::commit, in commit order, so a function's
  * unit() indexes them — and the shared solver-verdict cache (null when
  * the cache is off), then
  * run() over the run's reports: tiers are stamped, deciding refutation
@@ -191,7 +191,7 @@ class TriagePass
     TriageOptions opts_;
     TriageStats stats_;
 
-    /** Live higher-precision units, keyed by absorb ordinal. */
+    /** Live higher-precision units, keyed by unit ordinal. */
     std::map<uint32_t, HpUnit> hp_units_;
     std::map<std::string, HpExec> hp_cache_;
     std::unique_ptr<analysis::CallGraph> callgraph_;

@@ -198,7 +198,7 @@ TEST(Slicer, ReturnCriterionPullsDataDeps)
                                });
     bool has_h = false, has_g = false;
     for (const auto &ref : slice) {
-        const auto &in = fn->block(ref.block).instrs.at(ref.index);
+        const auto &in = fn->block(ref.block).instrs[ref.index];
         if (in.op == ir::Opcode::Call && in.callee == "h")
             has_h = true;
         if (in.op == ir::Opcode::Call && in.callee == "g")
@@ -222,7 +222,7 @@ TEST(Slicer, CallCriterionPullsArgumentDefs)
         });
     bool has_prep = false, has_other = false;
     for (const auto &ref : slice) {
-        const auto &in = fn->block(ref.block).instrs.at(ref.index);
+        const auto &in = fn->block(ref.block).instrs[ref.index];
         if (in.op == ir::Opcode::Call && in.callee == "prep")
             has_prep = true;
         if (in.op == ir::Opcode::Call && in.callee == "other")
@@ -244,7 +244,7 @@ TEST(Slicer, ControlDependenceIncludesGuards)
         });
     bool has_check = false;
     for (const auto &ref : slice) {
-        const auto &in = fn->block(ref.block).instrs.at(ref.index);
+        const auto &in = fn->block(ref.block).instrs[ref.index];
         if (in.op == ir::Opcode::Call && in.callee == "check")
             has_check = true;
     }

@@ -400,6 +400,38 @@ TEST(RidcCli, NumericFlagsRejectGarbage)
     EXPECT_NE(ok.output.find("unbalanced at return"), std::string::npos);
 }
 
+TEST(RidcCli, KeepGoingSkipsAnUnreadableFile)
+{
+    // Under --keep-going a path that cannot be opened is one more
+    // rejected file: it is named on stderr and listed with the file
+    // errors, and the readable files are still scanned. Without
+    // --keep-going it stays a usage error (exit 2).
+    std::string lock = writeTemp("cli_unreadable.spec",
+                                 kernel::lockSpecText());
+    std::string src = writeTemp("cli_unreadable.c", kLockLeakSource);
+    std::string missing = ::testing::TempDir() + "cli_no_such_file.c";
+    std::remove(missing.c_str());
+
+    CliResult kept =
+        runCli("--spec " + lock + " --keep-going " + missing + " " + src);
+    EXPECT_EQ(kept.exit_code, 1) << kept.output;
+    EXPECT_NE(kept.output.find("ridc: skipping " + missing +
+                               ": cannot open " + missing + "\n"),
+              std::string::npos)
+        << kept.output;
+    EXPECT_NE(kept.output.find("1 file(s) rejected"), std::string::npos)
+        << kept.output;
+    EXPECT_NE(kept.output.find("  " + missing + ": rejected (cannot open " +
+                               missing + ")"),
+              std::string::npos)
+        << kept.output;
+    EXPECT_NE(kept.output.find("unbalanced at return"), std::string::npos);
+
+    CliResult strict = runCli("--spec " + lock + " " + missing + " " + src);
+    EXPECT_EQ(strict.exit_code, 2) << strict.output;
+    EXPECT_EQ(strict.output, "ridc: cannot open " + missing + "\n");
+}
+
 /** The DOT node line of @p fn in a --dot-callgraph rendering. */
 std::string
 dotNodeLine(const std::string &dot, const std::string &fn)

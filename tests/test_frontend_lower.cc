@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/rid.h"
 #include "frontend/lexer.h"
 #include "frontend/lower.h"
+#include "kernel/dpm_specs.h"
 
 namespace rid::frontend {
 namespace {
@@ -293,6 +297,92 @@ TEST(Lower, PostIncrementStatement)
 {
     ir::Module m = compile("void f(int a) { a++; }");
     m.find("f")->verify();
+}
+
+TEST(LowerCommit, RejectedUnitLeavesTheCorpusModuleAsItWas)
+{
+    // A unit is committed only once all of it has lowered and verified.
+    // When its last function fails, none of its functions reach the
+    // corpus module (not even the definition that would replace an
+    // earlier declaration), and it takes no unit ordinal.
+    Rid tool;
+    ASSERT_TRUE(tool.addSourceTolerant(
+        "first.c", "int helper(int a);\n"
+                   "int user(int a) { return helper(a); }\n"));
+    const ir::Module &mod = tool.module();
+    std::vector<const ir::Function *> before;
+    for (const auto &fn : mod.functions())
+        before.push_back(fn.get());
+    ASSERT_EQ(before.size(), 2u);
+    ASSERT_TRUE(mod.find("helper")->isDeclaration());
+
+    EXPECT_FALSE(tool.addSourceTolerant(
+        "second.c", "int helper(int a) { return a; }\n"
+                    "int extra(void) { return 0; }\n"
+                    "int bad(void) { break; }\n"));
+    ASSERT_EQ(tool.fileDiagnostics().size(), 1u);
+    EXPECT_EQ(tool.fileDiagnostics()[0].file, "second.c");
+    ASSERT_EQ(mod.size(), before.size());
+    for (size_t k = 0; k < before.size(); k++) {
+        EXPECT_EQ(mod.functions()[k].get(), before[k]);
+        EXPECT_EQ(mod.indexOf(before[k]->name()), static_cast<int>(k));
+        EXPECT_EQ(before[k]->unit(), 0u);
+    }
+    EXPECT_TRUE(mod.find("helper")->isDeclaration());
+    EXPECT_EQ(mod.indexOf("extra"), -1);
+    EXPECT_EQ(mod.indexOf("bad"), -1);
+
+    // The next accepted unit is unit 1, and its definition takes the
+    // declaration's position.
+    ASSERT_TRUE(tool.addSourceTolerant(
+        "third.c", "int helper(int a) { return a; }\n"));
+    EXPECT_EQ(mod.size(), 2u);
+    EXPECT_EQ(mod.indexOf("helper"), 0);
+    EXPECT_FALSE(mod.find("helper")->isDeclaration());
+    EXPECT_EQ(mod.find("helper")->unit(), 1u);
+    EXPECT_EQ(mod.find("user")->unit(), 0u);
+}
+
+TEST(LowerCommit, RejectedFileDoesNotShiftTheTriageUnits)
+{
+    // Units count committed files only, so with a rejected file between
+    // two accepted ones a function's unit() still indexes the retained
+    // sources, and triage re-lowers the unit that defines it: the
+    // bit-test false positive is refuted only by its own body.
+    analysis::AnalyzerOptions opts;
+    opts.triage = true;
+    Rid tool(opts);
+    tool.loadSpecText(kernel::dpmSpecText());
+    ASSERT_TRUE(tool.addSourceTolerant(
+        "clean.c", "int clean_fn(struct device *dev) { return 0; }\n"));
+    EXPECT_FALSE(tool.addSourceTolerant(
+        "broken.c", "int fp_bitmask_fn(struct device *dev, int flags) {\n"
+                    "    return 0;\n"
+                    "}\n"
+                    "int broken(void) { break; }\n"));
+    ASSERT_TRUE(tool.addSourceTolerant(
+        "bitmask.c",
+        "int fp_bitmask_fn(struct device *dev, int flags) {\n"
+        "    if (flags & 4) {\n"
+        "        pm_runtime_get_noresume(dev);\n"
+        "        mark_async_0(dev);\n"
+        "    }\n"
+        "    return 0;\n"
+        "}\n"
+        "void mark_async_0(struct device *dev);\n"));
+    const ir::Function *fn = tool.module().find("fp_bitmask_fn");
+    ASSERT_NE(fn, nullptr);
+    EXPECT_EQ(fn->unit(), 1u);
+
+    RunResult result = tool.run();
+    ASSERT_EQ(result.reports.size(), 1u);
+    EXPECT_EQ(result.reports[0].function, "fp_bitmask_fn");
+    EXPECT_EQ(result.reports[0].tier, analysis::Tier::Refuted)
+        << result.reports[0].str();
+    EXPECT_EQ(result.triage.hp_units_lowered, 1u);
+    EXPECT_EQ(result.triage.hp_functions_incomplete, 0u);
+    ASSERT_EQ(result.file_errors.size(), 1u);
+    EXPECT_EQ(result.file_errors[0].file, "broken.c");
 }
 
 } // anonymous namespace

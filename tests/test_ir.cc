@@ -3,8 +3,10 @@
  * Unit tests for the abstract-program IR (ir/).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -50,8 +52,8 @@ TEST(Instruction, FactoriesAndPrinting)
         Instruction::fieldLoad("t", Value::var("dev"), "pm").str(),
         "t = dev.pm");
     EXPECT_EQ(Instruction::random("r").str(), "r = random");
-    EXPECT_EQ(Instruction::call("", "f", {Value::var("a")}).str(),
-              "f(a)");
+    const Value a[] = {Value::var("a")};
+    EXPECT_EQ(Instruction::call("", "f", a).str(), "f(a)");
     EXPECT_EQ(Instruction::call("x", "f", {}).str(), "x = f()");
     EXPECT_EQ(Instruction::ret(Value::intConst(0)).str(), "return 0");
     EXPECT_EQ(Instruction::ret(Value::none()).str(), "return");
@@ -77,14 +79,15 @@ TEST(Instruction, TerminatorClassification)
 
 TEST(BasicBlock, Successors)
 {
-    Function fn("f", {}, false);
-    BlockId b0 = fn.addBlock();
-    BlockId b1 = fn.addBlock();
-    BlockId b2 = fn.addBlock();
-    fn.block(b0).instrs.push_back(
-        Instruction::condBranch(Value::var("t"), b1, b2));
-    fn.block(b1).instrs.push_back(Instruction::branch(b2));
-    fn.block(b2).instrs.push_back(Instruction::ret(Value::none()));
+    IrBuilder b("f", {}, false);
+    BlockId b0 = b.currentBlock();
+    BlockId b1 = b.newBlock();
+    BlockId b2 = b.newBlock();
+    b.condBranch(Value::var("t"), b1, b2);
+    b.branch(b2);
+    b.ret(Value::none());
+    auto taken = b.take();
+    const Function &fn = *taken;
     EXPECT_EQ(fn.block(b0).successors(), (std::vector<BlockId>{b1, b2}));
     EXPECT_EQ(fn.block(b1).successors(), (std::vector<BlockId>{b2}));
     EXPECT_TRUE(fn.block(b2).successors().empty());
@@ -93,12 +96,13 @@ TEST(BasicBlock, Successors)
 TEST(Function, VerifyThrowsIrErrorOnBadIr)
 {
     // A fault-isolated pipeline needs verification failures to be
-    // catchable: verify() throws IrError instead of aborting.
-    Function fn("bad_fn", {}, false);
-    BlockId b0 = fn.addBlock();
-    fn.block(b0).instrs.push_back(Instruction::branch(99));
+    // catchable: verify() throws IrError instead of aborting. Frozen IR
+    // is verified as it is built, so take() is where bad IR throws.
+    IrBuilder bad("bad_fn", {}, false);
+    BlockId b0 = bad.currentBlock();
+    bad.branch(99);
     try {
-        fn.verify();
+        bad.take();
         FAIL() << "expected IrError";
     } catch (const IrError &e) {
         EXPECT_EQ(e.function(), "bad_fn");
@@ -108,14 +112,14 @@ TEST(Function, VerifyThrowsIrErrorOnBadIr)
             << e.what();
     }
 
-    Function unterminated("open_fn", {}, false);
-    unterminated.addBlock();
-    EXPECT_THROW(unterminated.verify(), IrError);
+    IrBuilder unterminated("open_fn", {}, false);
+    EXPECT_THROW(unterminated.take(), IrError);
 }
 
 TEST(Function, DeclarationHasNoBlocks)
 {
-    Function fn("f", {"a"}, true);
+    auto declared = Function::declaration("f", {"a"}, true);
+    const Function &fn = *declared;
     EXPECT_TRUE(fn.isDeclaration());
     EXPECT_TRUE(fn.isParam("a"));
     EXPECT_FALSE(fn.isParam("b"));
@@ -130,7 +134,8 @@ TEST(Function, CountCondBranches)
     b.ret(Value::intConst(1));
     b.setBlock(f1);
     b.ret(Value::intConst(0));
-    Function fn = b.take();
+    auto taken = b.take();
+    const Function &fn = *taken;
     EXPECT_EQ(fn.countCondBranches(), 1);
 }
 
@@ -141,7 +146,8 @@ TEST(Builder, CursorFollowsBranches)
     b.branch(next);
     EXPECT_EQ(b.currentBlock(), next);
     b.ret();
-    Function fn = b.take();
+    auto taken = b.take();
+    const Function &fn = *taken;
     EXPECT_EQ(fn.numBlocks(), 2u);
 }
 
@@ -151,7 +157,8 @@ TEST(Builder, SealOpenBlocks)
     b.newBlock();  // never reached, never terminated
     b.ret(Value::intConst(0));
     b.sealOpenBlocks(Value::intConst(0));
-    Function fn = b.take();  // take() verifies all blocks terminated
+    auto taken = b.take();  // take() verifies all blocks terminated
+    const Function &fn = *taken;
     EXPECT_EQ(fn.numBlocks(), 2u);
 }
 
@@ -160,14 +167,15 @@ TEST(Builder, LinesAttach)
     IrBuilder b("f", {}, false);
     b.atLine(42).callVoid("g", {});
     b.ret();
-    Function fn = b.take();
+    auto taken = b.take();
+    const Function &fn = *taken;
     EXPECT_EQ(fn.block(0).instrs[0].line, 42);
 }
 
 TEST(Module, FindAndAdd)
 {
     Module m;
-    m.addFunction(Function("f", {"a"}, true));
+    m.addFunction(Function::declaration("f", {"a"}, true));
     EXPECT_NE(m.find("f"), nullptr);
     EXPECT_EQ(m.find("g"), nullptr);
     EXPECT_EQ(m.size(), 1u);
@@ -181,8 +189,8 @@ TEST(Module, DefinitionReplacesDeclaration)
         return b.take();
     };
     Module m;
-    m.addFunction(Function("f", {"a"}, true));  // declaration
-    m.addFunction(Function("g", {}, false));
+    m.addFunction(Function::declaration("f", {"a"}, true));  // declaration
+    m.addFunction(Function::declaration("g", {}, false));
     EXPECT_TRUE(m.find("f")->isDeclaration());
 
     Function *def = m.addFunction(defining());
@@ -199,8 +207,8 @@ TEST(Module, DefinitionReplacesDeclaration)
 
     // The same through absorb, with the declaring unit first.
     Module declaring, defining_unit, merged;
-    declaring.addFunction(Function("h", {}, false));
-    declaring.addFunction(Function("f", {"a"}, true));
+    declaring.addFunction(Function::declaration("h", {}, false));
+    declaring.addFunction(Function::declaration("f", {"a"}, true));
     defining_unit.addFunction(defining());
     merged.absorb(std::move(declaring));
     merged.absorb(std::move(defining_unit));
@@ -231,11 +239,11 @@ TEST(Module, FirstDefinitionWins)
 TEST(Module, AbsorbMergesModules)
 {
     Module a, b;
-    a.addFunction(Function("f", {}, false));
+    a.addFunction(Function::declaration("f", {}, false));
     IrBuilder builder("f", {}, false);
     builder.ret();
     b.addFunction(builder.take());
-    b.addFunction(Function("g", {}, false));
+    b.addFunction(Function::declaration("g", {}, false));
     a.absorb(std::move(b));
     EXPECT_EQ(a.size(), 2u);
     EXPECT_FALSE(a.find("f")->isDeclaration());
@@ -249,7 +257,7 @@ TEST(Module, AbsorbStampsTheKeptDefinitionsUnit)
         return b.take();
     };
     Module unit0, unit1, unit2;
-    unit0.addFunction(Function("f", {}, true));  // declaration only
+    unit0.addFunction(Function::declaration("f", {}, true));  // decl only
     unit0.addFunction(defining("g", 0));
     unit1.addFunction(defining("f", 1));
     unit1.addFunction(defining("g", 1));         // duplicate: first wins
@@ -268,19 +276,21 @@ TEST(Module, AbsorbStampsTheKeptDefinitionsUnit)
     // unchanged by it.
     EXPECT_EQ(m.find("g")->str(), g_before);
     EXPECT_EQ(m.find("g")->fingerprint(), g_fp);
-    EXPECT_EQ(defining("x", 0).unit(), 0u);
+    EXPECT_EQ(defining("x", 0)->unit(), 0u);
     // The stamp lives in returnsValue_'s padding on LP64 targets.
     EXPECT_EQ(sizeof(Function),
-              sizeof(std::string) + sizeof(std::vector<std::string>) +
-                  sizeof(uint64_t) + sizeof(std::vector<BasicBlock>));
+              sizeof(Name) + sizeof(std::span<const Name>) +
+                  sizeof(uint64_t) + sizeof(std::span<const BasicBlock>));
 }
 
 TEST(Module, StablePointersAcrossAdds)
 {
     Module m;
-    const Function *f = m.addFunction(Function("f", {}, false));
+    const Function *f =
+        m.addFunction(Function::declaration("f", {}, false));
     for (int i = 0; i < 100; i++)
-        m.addFunction(Function("g" + std::to_string(i), {}, false));
+        m.addFunction(
+            Function::declaration("g" + std::to_string(i), {}, false));
     EXPECT_EQ(m.find("f"), f);
 }
 
@@ -290,7 +300,7 @@ TEST(Function, PrinterShowsBlocksAndLabels)
     BlockId exit = b.newBlock("exit");
     b.branch(exit);
     b.ret(Value::intConst(0));
-    std::string text = b.take().str();
+    std::string text = b.take()->str();
     EXPECT_NE(text.find("bb1 (exit):"), std::string::npos);
     EXPECT_NE(text.find("int f(a)"), std::string::npos);
 }
@@ -298,7 +308,7 @@ TEST(Function, PrinterShowsBlocksAndLabels)
 /** One function exercising every opcode, both branch forms, a block
  *  label, negative and extreme constants, every constant kind and a bare
  *  `return` in a `void` function. */
-Function
+std::unique_ptr<Function>
 goldenFunction()
 {
     IrBuilder b("golden", {"dev", "flag"}, false);
@@ -331,7 +341,8 @@ TEST(Function, GoldenPrintingAndFingerprint)
     // Stored summaries are keyed by fingerprint(), an FNV-1a hash of
     // str(). Any change to these bytes turns every record of an existing
     // store into a miss, so the rendering is pinned byte for byte.
-    Function fn = goldenFunction();
+    auto golden = goldenFunction();
+    const Function &fn = *golden;
     EXPECT_EQ(fn.str(),
               "void golden(dev, flag) {\n"
               "  bb0 (entry):\n"
@@ -356,9 +367,50 @@ TEST(Function, GoldenPrintingAndFingerprint)
               "}\n");
     EXPECT_EQ(fn.fingerprint(), 0xc843c8ea36842c6eull);
 
-    Function decl("decl", {"a", "b"}, true);
+    auto declared = Function::declaration("decl", {"a", "b"}, true);
+    const Function &decl = *declared;
     EXPECT_EQ(decl.str(), "int decl(a, b);\n");
     EXPECT_EQ(decl.fingerprint(), 0x8ab52782cd57b9a9ull);
+}
+
+// A frozen function owns its instructions and blocks through its one
+// allocation; neither holds anything that needs destroying.
+static_assert(std::is_trivially_destructible_v<ir::Instruction>);
+static_assert(std::is_trivially_destructible_v<ir::BasicBlock>);
+
+TEST(Layout, FrozenFunctionIsOneExactSizeBlock)
+{
+    // take() lays the header, blocks, instructions, call arguments and
+    // parameters out back to back, in that order, with no slack.
+    auto golden = goldenFunction();
+    const Function &fn = *golden;
+    const auto *at = reinterpret_cast<const std::byte *>(&fn);
+    auto expect_at = [&](const void *p, size_t bytes) {
+        EXPECT_EQ(p, at);
+        at += bytes;
+    };
+    at += sizeof(Function);
+    expect_at(&fn.block(0), fn.numBlocks() * sizeof(BasicBlock));
+    size_t args = 0;
+    for (size_t b = 0; b < fn.numBlocks(); b++) {
+        const auto &instrs = fn.block(static_cast<BlockId>(b)).instrs;
+        expect_at(instrs.data(), instrs.size() * sizeof(Instruction));
+        for (const auto &in : instrs)
+            args += in.args.size();
+    }
+    EXPECT_EQ(args, 5u);
+    for (size_t b = 0; b < fn.numBlocks(); b++)
+        for (const auto &in : fn.block(static_cast<BlockId>(b)).instrs)
+            if (!in.args.empty())
+                expect_at(in.args.data(), in.args.size() * sizeof(Value));
+    expect_at(fn.params().data(), fn.params().size() * sizeof(Name));
+
+    // A declaration is the header and its parameters.
+    auto decl = Function::declaration("decl", {"a", "b"}, true);
+    EXPECT_EQ(reinterpret_cast<const std::byte *>(decl->params().data()),
+              reinterpret_cast<const std::byte *>(decl.get()) +
+                  sizeof(Function));
+    EXPECT_EQ(decl->numBlocks(), 0u);
 }
 
 TEST(Layout, InstructionAndValueStaySmall)
