@@ -11,7 +11,8 @@
 # (e.g. ASLR-dependent container ordering). The same suite then runs under
 # ThreadSanitizer (a `build-tsan` tree configured through CMAKE_CXX_FLAGS),
 # since the scheduler's ready queue and every structure its workers share
-# are exactly what TSan checks.
+# are exactly what TSan checks; the summary suite runs there too, and
+# under ASan+UBSan, for the defaults built on first lookup.
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
 # tree, building only the chaos test), runs the tree-executor unit suite
@@ -64,12 +65,16 @@ echo "== determinism suite, run 2/2 =="
 
 # The SCC scheduler's workers share the ready queue, the summary db, the
 # query and instantiation caches and the metrics registry; TSan checks
-# every access the determinism suite and the scheduler tests make.
-echo "== sanitizer smoke (TSan determinism suite + SCC scheduler) =="
+# every access the determinism suite and the scheduler tests make. The
+# summary suite adds concurrent first lookups of one defaulted function,
+# which race to build its summary.
+echo "== sanitizer smoke (TSan determinism suite + SCC scheduler + summary db) =="
 cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
-cmake --build build-tsan -j --target test_analyzer_determinism
+cmake --build build-tsan -j --target test_analyzer_determinism \
+    --target test_summary
 ./build-tsan/tests/test_analyzer_determinism
+./build-tsan/tests/test_summary
 
 echo "== robustness chaos suite =="
 ./build/tests/test_robustness_chaos
@@ -78,6 +83,12 @@ echo "== sanitizer smoke (ASan+UBSan chaos run) =="
 cmake -B build-asan -S . -DRID_SANITIZE=ON
 cmake --build build-asan -j --target test_robustness_chaos
 ./build-asan/tests/test_robustness_chaos
+
+# A defaulted function's summary is built on its first lookup and must
+# keep its address; ASan checks that no caller reads a freed summary.
+echo "== sanitizer smoke (ASan+UBSan summary db) =="
+cmake --build build-asan -j --target test_summary
+./build-asan/tests/test_summary
 
 echo "== sanitizer smoke (ASan+UBSan durable store) =="
 cmake --build build-asan -j --target test_store

@@ -20,6 +20,31 @@ namespace rid::analysis {
 
 namespace {
 
+/** The module's functions as default-summary slots: slot k is function
+ *  k, which is also call-graph node k. */
+class ModuleSlots final : public summary::DefaultSlots
+{
+  public:
+    explicit ModuleSlots(const ir::Module &mod) : mod_(mod) {}
+
+    size_t size() const override { return mod_.size(); }
+    int slotOf(const std::string &fn) const override
+    {
+        return mod_.indexOf(fn);
+    }
+    const std::string &nameOf(int slot) const override
+    {
+        return mod_.functions()[slot]->name();
+    }
+    bool returnsValue(int slot) const override
+    {
+        return mod_.functions()[slot]->returnsValue();
+    }
+
+  private:
+    const ir::Module &mod_;
+};
+
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
@@ -265,29 +290,13 @@ Analyzer::recordDiagnostic(FunctionDiagnostic d)
     diagnostics_.push_back(std::move(d));
 }
 
-void
-Analyzer::storeDefaultSummary(const ir::Function &fn)
-{
-    // Recovery must not be re-injected: building the default entry interns
-    // expressions, which is itself a failpoint site.
-    obs::FailpointSuppressScope suppress;
-    db_.addComputed(summary::FunctionSummary::defaultFor(
-        fn.name(), fn.returnsValue()));
-}
-
-bool
-Analyzer::tracked(const ir::Function &fn) const
-{
-    return !fn.isDeclaration() && !db_.hasPredefined(fn.name());
-}
-
 std::vector<BugReport>
 Analyzer::fallBack(int node, FnStatus status, const std::string &reason,
                    bool persist)
 {
     const ir::Function &fn = *functionOf(node);
-    if (tracked(fn))
-        storeDefaultSummary(fn);
+    if (tracked(node))
+        db_.markDefaulted(node);
     obs::Counter *counter = status == FnStatus::Timeout
                                 ? ins_.functions_timeout
                             : status == FnStatus::Degraded
@@ -559,6 +568,13 @@ Analyzer::run()
     }();
 
     node_fp_.assign(store_ ? cg.size() : 0, 0);
+    db_.bindDefaults(std::make_unique<ModuleSlots>(mod_));
+    tracked_.resize(mod_.size());
+    for (size_t k = 0; k < mod_.size(); k++)
+        tracked_[k] = !mod_.functions()[k]->isDeclaration();
+    for (const std::string &name : db_.predefinedNames())
+        if (int k = mod_.indexOf(name); k >= 0)
+            tracked_[k] = 0;
 
     {
         obs::Span classify_span("pipeline", "classify");
@@ -572,7 +588,7 @@ Analyzer::run()
         stats_.categories = classifier_->stats();
 
     auto shouldAnalyze = [this](int node, const ir::Function &fn) {
-        if (fn.isDeclaration() || db_.hasPredefined(fn.name()))
+        if (!tracked(node))
             return false;
         if (!opts_.classify)
             return true;
@@ -621,7 +637,7 @@ Analyzer::run()
                         clean = false;
                 }
                 const ir::Function *fn = functionOf(member);
-                if (!fn || !tracked(*fn))
+                if (!fn || !tracked(member))
                     continue; // declarations/specs: fixed via config_fp
                 ctx.want_analyze = shouldAnalyze(member, *fn);
                 FunctionStore::Action &a = resume_plan_[member];
@@ -649,7 +665,7 @@ Analyzer::run()
             return {};
         try {
             obs::FailpointScope fp_scope(fn->name());
-            const bool is_tracked = tracked(*fn);
+            const bool is_tracked = tracked(node);
 
             // Each node is visited exactly once per run; moving its Action
             // out leaves every other slot untouched, so concurrent workers
@@ -665,7 +681,7 @@ Analyzer::run()
                 // survive a resume.
                 ins_.store_hits->inc();
                 if (action.defaulted) {
-                    storeDefaultSummary(*fn);
+                    db_.markDefaulted(node);
                     ins_.functions_defaulted->inc();
                 } else {
                     obs::FailpointSuppressScope suppress;
@@ -689,7 +705,7 @@ Analyzer::run()
 
             if (!shouldAnalyze(node, *fn)) {
                 if (is_tracked) {
-                    storeDefaultSummary(*fn);
+                    db_.markDefaulted(node);
                     ins_.functions_defaulted->inc();
                     recordToStore(node, FnStatus::Ok, "", true, nullptr,
                                   {});

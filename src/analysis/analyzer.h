@@ -368,7 +368,9 @@ class Analyzer
     /**
      * @param mod IR module to analyze (must outlive the Analyzer)
      * @param db  summary database pre-loaded with the refcount API
-     *            specifications; computed summaries are added to it
+     *            specifications; computed summaries are added to it and
+     *            skipped functions are marked defaulted in it, numbered
+     *            by @p mod, which must outlive the db's lookups
      */
     Analyzer(const ir::Module &mod, summary::SummaryDb &db,
              AnalyzerOptions opts = {});
@@ -468,13 +470,9 @@ class Analyzer
     std::vector<BugReport> analyzeFunctionGuarded(int node,
                                                   const obs::Budget &budget);
 
-    /** Store the conservative default summary for @p fn, bypassing any
-     *  armed failpoints (recovery must not be re-injected). */
-    void storeDefaultSummary(const ir::Function &fn);
-
-    /** Whether @p fn gets a summary of its own: defined, and not a
-     *  predefined API. */
-    bool tracked(const ir::Function &fn) const;
+    /** Whether node @p node's function gets a summary of its own:
+     *  defined, and not a predefined API. */
+    bool tracked(int node) const { return tracked_[node] != 0; }
 
     /** The one fallback path: give node @p node's function the default
      *  summary (tracked functions only), count it under @p status
@@ -530,6 +528,8 @@ class Analyzer
     std::vector<FunctionDiagnostic> diagnostics_;
     std::unique_ptr<obs::Budget> run_budget_;
     std::mutex stats_mutex_;
+    /** tracked() per module function, filled at the start of run(). */
+    std::vector<char> tracked_;
     /** Durable store (null = persistence off) and its config key part. */
     std::shared_ptr<FunctionStore> store_;
     uint64_t store_config_fp_ = 0;

@@ -68,8 +68,11 @@ struct ExecResult
  * @param fn      the function (definition)
  * @param path    the block sequence to follow
  * @param path_index index recorded in entry provenance
- * @param db      summary database for callee lookup; callees without a
- *                summary get the default (no change, unconstrained)
+ * @param db      summary database for callee lookup. A callee without a
+ *                summary (undefined, or not yet run in the caller's SCC)
+ *                returns a fresh temp and adds no callee-chain entry, no
+ *                instantiation and no subcase cap; a defaulted callee's
+ *                summary does all three
  * @param solver  satisfiability checker used for pruning
  */
 ExecResult executePath(const ir::Function &fn, const Path &path,

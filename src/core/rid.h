@@ -143,7 +143,8 @@ class Rid
      *  Section 5.3). */
     void importSummaries(const std::string &spec_text);
 
-    /** Export the summaries computed by run() for reuse. */
+    /** Export the summaries computed by run() for reuse, defaults
+     *  included. */
     std::string exportSummaries() const;
 
     /** Run the analysis over everything added so far. */

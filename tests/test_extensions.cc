@@ -318,10 +318,21 @@ runCli(const std::string &args)
     return r;
 }
 
+/** A temp path for @p name, prefixed with the running test's name so
+ *  tests that share a file name do not race under `ctest -j`. */
+std::string
+tempPath(const std::string &name)
+{
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + test->test_suite_name() + "." +
+           test->name() + "." + name;
+}
+
 std::string
 writeTemp(const std::string &name, const std::string &text)
 {
-    std::string path = ::testing::TempDir() + name;
+    std::string path = tempPath(name);
     std::ofstream(path) << text;
     return path;
 }
@@ -409,7 +420,7 @@ TEST(RidcCli, KeepGoingSkipsAnUnreadableFile)
     std::string lock = writeTemp("cli_unreadable.spec",
                                  kernel::lockSpecText());
     std::string src = writeTemp("cli_unreadable.c", kLockLeakSource);
-    std::string missing = ::testing::TempDir() + "cli_no_such_file.c";
+    std::string missing = tempPath("cli_no_such_file.c");
     std::remove(missing.c_str());
 
     CliResult kept =

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
 #include "core/rid.h"
+#include "kernel/dpm_specs.h"
 #include "summary/db.h"
 #include "summary/domain.h"
 #include "summary/spec.h"
@@ -578,6 +583,245 @@ TEST(SpecDomainErrors, LoadSpecTolerantRecordsDiagnosticNeverThrows)
         "good.spec", "summary h(a) -> void { entry { cons: true; "
                      "change: [a].rc += 1; } }"));
     EXPECT_TRUE(tool.summaries().hasPredefined("h"));
+}
+
+/** Default-summary slots over a fixed name list, so SummaryDb marks can
+ *  be driven without an IR module. */
+class NameSlots final : public DefaultSlots
+{
+  public:
+    explicit NameSlots(std::vector<std::string> names)
+        : names_(std::move(names))
+    {
+    }
+
+    size_t size() const override { return names_.size(); }
+    int slotOf(const std::string &fn) const override
+    {
+        auto it = std::find(names_.begin(), names_.end(), fn);
+        return it == names_.end() ? -1
+                                  : static_cast<int>(it - names_.begin());
+    }
+    const std::string &nameOf(int slot) const override
+    {
+        return names_[slot];
+    }
+    bool returnsValue(int) const override { return true; }
+
+  private:
+    std::vector<std::string> names_;
+};
+
+TEST(SummaryDefaults, ConcurrentLookupsMaterializeOnce)
+{
+    // Repeated so that the first lookups really overlap in some rounds.
+    for (int round = 0; round < 50; round++) {
+        SummaryDb db;
+        db.bindDefaults(std::make_unique<NameSlots>(
+            std::vector<std::string>{"callee", "unmarked"}));
+        db.markDefaulted(0);
+        EXPECT_EQ(db.defaultsMaterialized(), 0u);
+
+        std::vector<const FunctionSummary *> seen(8, nullptr);
+        {
+            std::atomic<int> ready{0};
+            std::atomic<bool> go{false};
+            std::vector<std::jthread> threads;
+            for (size_t t = 0; t < seen.size(); t++) {
+                threads.emplace_back([&, t] {
+                    ready++;
+                    // Spin without yielding so the lookups start together.
+                    while (!go.load()) {
+                    }
+                    seen[t] = db.find("callee");
+                });
+            }
+            while (ready.load() < static_cast<int>(seen.size()))
+                std::this_thread::yield();
+            go = true;
+        }
+        ASSERT_NE(seen[0], nullptr);
+        for (const FunctionSummary *s : seen)
+            EXPECT_EQ(s, seen[0]);
+        ASSERT_EQ(db.defaultsMaterialized(), 1u) << "round " << round;
+
+        // The same summary addComputed(defaultFor(...)) would have
+        // stored.
+        FunctionSummary expected =
+            FunctionSummary::defaultFor("callee", true);
+        EXPECT_TRUE(seen[0]->is_default);
+        EXPECT_EQ(seen[0]->str(), expected.str());
+        EXPECT_EQ(seen[0]->fingerprint, summaryFingerprint(expected));
+        EXPECT_EQ(db.find("unmarked"), nullptr);
+    }
+}
+
+/** A category-1 caller of two defined category-3 helpers and of an
+ *  undefined extern, and a category-3 function nobody calls. */
+const char *kDefaultsSource = R"(
+int zeta_helper(struct device *dev) {
+    return 0;
+}
+void alpha_helper(struct device *dev) {
+    return;
+}
+int caller(struct device *dev) {
+    pm_runtime_get_sync(dev);
+    zeta_helper(dev);
+    alpha_helper(dev);
+    ext_probe(dev);
+    pm_runtime_put(dev);
+    return 0;
+}
+int lonely(int v) {
+    return v;
+}
+)";
+
+/** One SCC of two functions; category 1 with the DPM specs, category 3
+ *  without them. */
+const char *kPingPongSource = R"(
+int ping(struct device *dev, int n) {
+    pm_runtime_get_sync(dev);
+    if (n > 0)
+        pong(dev, n - 1);
+    pm_runtime_put(dev);
+    return 0;
+}
+int pong(struct device *dev, int n) {
+    if (n > 0)
+        ping(dev, n - 1);
+    return 0;
+}
+)";
+
+/** Whether any entry of @p s instantiated a summary of @p callee. */
+bool
+calleeChainMentions(const FunctionSummary &s, const std::string &callee)
+{
+    for (const auto &e : s.entries) {
+        const auto &chain = e.origin.callees;
+        if (std::find(chain.begin(), chain.end(), callee) != chain.end())
+            return true;
+    }
+    return false;
+}
+
+/** Analyze @p source with the DPM specs, keeping entry origins intact. */
+std::unique_ptr<Rid>
+analyzeUncompacted(const std::string &source)
+{
+    analysis::AnalyzerOptions opts;
+    opts.compact_summaries = false;
+    auto tool = std::make_unique<Rid>(opts);
+    tool->loadSpecText(kernel::dpmSpecText());
+    tool->addSource(source);
+    tool->run();
+    return tool;
+}
+
+TEST(SummaryDefaults, DefaultedCalleeEntersTheCalleeChain)
+{
+    auto tool = analyzeUncompacted(kDefaultsSource);
+    const FunctionSummary *caller = tool->summaries().find("caller");
+    ASSERT_NE(caller, nullptr);
+    EXPECT_TRUE(calleeChainMentions(*caller, "zeta_helper"));
+    EXPECT_TRUE(calleeChainMentions(*caller, "alpha_helper"));
+    const FunctionSummary *helper = tool->summaries().find("zeta_helper");
+    ASSERT_NE(helper, nullptr);
+    EXPECT_TRUE(helper->is_default);
+}
+
+TEST(SummaryDefaults, UndefinedExternStaysAbsent)
+{
+    auto tool = analyzeUncompacted(kDefaultsSource);
+    const FunctionSummary *caller = tool->summaries().find("caller");
+    ASSERT_NE(caller, nullptr);
+    EXPECT_FALSE(calleeChainMentions(*caller, "ext_probe"));
+    EXPECT_EQ(tool->summaries().find("ext_probe"), nullptr);
+}
+
+TEST(SummaryDefaults, SameSccCalleeNotYetRunReadsAbsent)
+{
+    // ping and pong form one SCC and are both analyzed, one after the
+    // other: the first sees its partner absent (no chain entry), the
+    // second sees the first's computed summary.
+    auto tool = analyzeUncompacted(kPingPongSource);
+    const FunctionSummary *ping = tool->summaries().find("ping");
+    const FunctionSummary *pong = tool->summaries().find("pong");
+    ASSERT_NE(ping, nullptr);
+    ASSERT_NE(pong, nullptr);
+    EXPECT_NE(calleeChainMentions(*ping, "pong"),
+              calleeChainMentions(*pong, "ping"));
+}
+
+TEST(SummaryDefaults, LaterRunsWriteOverEarlierOnes)
+{
+    // No specs, so every function is category 3 when classifying.
+    Rid tool;
+    tool.addSource("int lonely(int v) {\n    return v;\n}\n");
+    auto lonelyIsDefault = [&tool] {
+        const FunctionSummary *s = tool.summaries().find("lonely");
+        return s && s->is_default;
+    };
+
+    // Defaulted and never looked up, then computed by a run that
+    // analyzes every function: the computed summary is the later write.
+    tool.run();
+    EXPECT_EQ(tool.summaries().defaultsMaterialized(), 0u);
+    tool.options().classify = false;
+    tool.run();
+    EXPECT_FALSE(lonelyIsDefault());
+
+    // Computed, then defaulted again: the default is the later write.
+    tool.options().classify = true;
+    RunResult third = tool.run();
+    EXPECT_EQ(third.stats.functions_defaulted, 1u);
+    EXPECT_TRUE(lonelyIsDefault());
+}
+
+TEST(SummaryDefaults, NextRunSeesTheLastRunsDefaults)
+{
+    // Without specs the first run defaults ping and pong and looks
+    // neither up. The second run analyzes both; the one that runs first
+    // still sees its partner's default from the first run.
+    analysis::AnalyzerOptions opts;
+    opts.compact_summaries = false;
+    Rid tool(opts);
+    tool.addSource(kPingPongSource);
+    tool.run();
+    tool.options().classify = false;
+    tool.run();
+    const FunctionSummary *ping = tool.summaries().find("ping");
+    const FunctionSummary *pong = tool.summaries().find("pong");
+    ASSERT_NE(ping, nullptr);
+    ASSERT_NE(pong, nullptr);
+    EXPECT_TRUE(calleeChainMentions(*ping, "pong"));
+    EXPECT_TRUE(calleeChainMentions(*pong, "ping"));
+}
+
+TEST(SummaryDefaults, ExportRendersDefaultsInNameOrder)
+{
+    Rid tool;
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.addSource(kDefaultsSource);
+    tool.run();
+    EXPECT_EQ(tool.exportSummaries(),
+              "summary alpha_helper() -> void default {\n"
+              "  entry { cons: true; return: none; }\n"
+              "}\n"
+              "summary caller(dev) -> int {\n"
+              "  entry { cons: [0] == 0; return: 0; }\n"
+              "}\n"
+              "summary lonely() -> int default {\n"
+              "  entry { cons: true; return: [0]; }\n"
+              "}\n"
+              "summary zeta_helper() -> int default {\n"
+              "  entry { cons: true; return: [0]; }\n"
+              "}\n");
+    // caller's analysis looked up both helpers; lonely is rendered
+    // without being built into the database.
+    EXPECT_EQ(tool.summaries().defaultsMaterialized(), 2u);
 }
 
 } // anonymous namespace
