@@ -12,7 +12,9 @@
 # ThreadSanitizer (a `build-tsan` tree configured through CMAKE_CXX_FLAGS),
 # since the scheduler's ready queue and every structure its workers share
 # are exactly what TSan checks; the summary suite runs there too, and
-# under ASan+UBSan, for the defaults built on first lookup.
+# under ASan+UBSan, for the defaults built on first lookup, and so does
+# the smt cache suite, for the shared term pool (under LeakSanitizer
+# its never-freed nodes must stay reachable, not leak).
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
 # tree, building only the chaos test), runs the tree-executor unit suite
@@ -67,14 +69,16 @@ echo "== determinism suite, run 2/2 =="
 # query and instantiation caches and the metrics registry; TSan checks
 # every access the determinism suite and the scheduler tests make. The
 # summary suite adds concurrent first lookups of one defaulted function,
-# which race to build its summary.
-echo "== sanitizer smoke (TSan determinism suite + SCC scheduler + summary db) =="
+# which race to build its summary. The smt cache suite races eight
+# threads building the same terms in the process-wide term pool.
+echo "== sanitizer smoke (TSan determinism suite + SCC scheduler + summary db + term pool) =="
 cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
 cmake --build build-tsan -j --target test_analyzer_determinism \
-    --target test_summary
+    --target test_summary --target test_smt_cache
 ./build-tsan/tests/test_analyzer_determinism
 ./build-tsan/tests/test_summary
+./build-tsan/tests/test_smt_cache
 
 echo "== robustness chaos suite =="
 ./build/tests/test_robustness_chaos
@@ -89,6 +93,12 @@ cmake --build build-asan -j --target test_robustness_chaos
 echo "== sanitizer smoke (ASan+UBSan summary db) =="
 cmake --build build-asan -j --target test_summary
 ./build-asan/tests/test_summary
+
+# Terms are pooled for the life of the process; the pool keeps every
+# node reachable, so LeakSanitizer must report nothing.
+echo "== sanitizer smoke (ASan+UBSan term pool) =="
+cmake --build build-asan -j --target test_smt_cache
+./build-asan/tests/test_smt_cache
 
 echo "== sanitizer smoke (ASan+UBSan durable store) =="
 cmake --build build-asan -j --target test_store

@@ -20,13 +20,14 @@
 #ifndef RID_ANALYSIS_COW_H
 #define RID_ANALYSIS_COW_H
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
 
 namespace rid::analysis {
 
-template <class K, class V>
+template <class K, class V, class Less = std::less<K>>
 class CowMap
 {
   public:
@@ -92,10 +93,10 @@ class CowMap
     }
 
     /** Visible bindings as a plain map (newest binding per key). */
-    std::map<K, V>
+    std::map<K, V, Less>
     flattened() const
     {
-        std::map<K, V> out = dirty_;
+        std::map<K, V, Less> out = dirty_;
         for (const Layer *l = frozen_.get(); l; l = l->parent.get())
             for (const auto &[k, v] : l->entries)
                 out.emplace(k, v);  // keeps the newer binding
@@ -105,7 +106,7 @@ class CowMap
   private:
     struct Layer
     {
-        std::map<K, V> entries;
+        std::map<K, V, Less> entries;
         std::shared_ptr<const Layer> parent;
         int depth = 1;
     };
@@ -118,7 +119,7 @@ class CowMap
         frozen_ = std::move(layer);
     }
 
-    std::map<K, V> dirty_;
+    std::map<K, V, Less> dirty_;
     std::shared_ptr<const Layer> frozen_;
 };
 

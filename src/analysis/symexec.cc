@@ -1,6 +1,8 @@
 #include "analysis/symexec.h"
 
 #include <cassert>
+#include <charconv>
+#include <functional>
 #include <map>
 #include <utility>
 
@@ -60,13 +62,15 @@ struct State
  * here, so the instantiation is computed identically whether or not an
  * InstCache is attached — a hit returns the exact value a fresh
  * computation would, keyed by stable fingerprints and verified
- * structurally. @p instantiated counts from-scratch computations only
- * (cache misses), the quantity the interning exists to reduce.
+ * structurally. @p slot is the call site's temp, which stands for an
+ * opaque or unsummarized result. @p instantiated counts from-scratch
+ * computations only (cache misses), the quantity the interning exists
+ * to reduce.
  */
 summary::CallInstantiation
 instantiateCallEntry(const summary::FunctionSummary &callee,
                      size_t entry_index, const std::vector<Expr> &actuals,
-                     const std::string &temp_name, bool wants_result,
+                     const Expr &slot, bool wants_result,
                      summary::InstCache *cache, uint64_t &instantiated)
 {
     summary::InstCache::Key key;
@@ -74,7 +78,7 @@ instantiateCallEntry(const summary::FunctionSummary &callee,
         key.summary_fp = callee.fingerprint;
         key.entry_index = entry_index;
         key.actuals = actuals;
-        key.slot = Expr::temp(temp_name);
+        key.slot = slot;
         key.wants_result = wants_result;
         if (auto hit = cache->lookup(key))
             return *hit;
@@ -93,9 +97,9 @@ instantiateCallEntry(const summary::FunctionSummary &callee,
                           return e.kind() == ExprKind::Ret;
                       }) ||
                       inst.ret.mentionsLocalState();
-        res = opaque ? Expr::temp(temp_name) : inst.ret;
+        res = opaque ? slot : inst.ret;
     } else if (wants_result) {
-        res = Expr::temp(temp_name);
+        res = slot;
     }
     if (res)
         summary::bindResult(inst, res);
@@ -119,8 +123,22 @@ vmapFind(const std::map<std::string, Expr> &vmap, const std::string &name)
     return it == vmap.end() ? nullptr : &it->second;
 }
 
+/** Orders interned names by handle. The tree executor's value map is
+ *  only probed, never iterated into output, so an address order is safe
+ *  there and spares comparing spellings. */
+struct NameIdLess
+{
+    bool
+    operator()(ir::Name a, ir::Name b) const
+    {
+        return std::less<const std::string *>()(&a.str(), &b.str());
+    }
+};
+
+using TreeVMap = CowMap<ir::Name, Expr, NameIdLess>;
+
 const Expr *
-vmapFind(const CowMap<std::string, Expr> &vmap, const std::string &name)
+vmapFind(const TreeVMap &vmap, ir::Name name)
 {
     return vmap.lookup(name);
 }
@@ -137,9 +155,10 @@ valueOf(const ir::Value &v, const ir::Function &fn, const VMap &vmap)
             return *bound;
         // Default valuation: formal arguments are argument atoms, other
         // names are unconstrained locals.
-        if (fn.isParam(v.varName()))
-            return Expr::arg(v.varName());
-        return Expr::local(v.varName());
+        ir::Name name = v.varName();
+        if (fn.isParam(name))
+            return Expr::arg(name);
+        return Expr::local(name);
       }
       case ir::ValueKind::IntConst:
         return Expr::intConst(v.intValue());
@@ -151,6 +170,27 @@ valueOf(const ir::Value &v, const ir::Function &fn, const VMap &vmap)
         return Expr();
     }
     return Expr();
+}
+
+/** The analysis temp @p tag<block>_<idx>[_<occ>] (e.g. c3_5_0), the
+ *  deterministic name of an unconstrained value. Short spellings stay
+ *  in the string's inline buffer, so this does not allocate. */
+Expr
+tempAtom(char tag, int64_t block, int64_t idx, int64_t occ = -1)
+{
+    std::string name(1, tag);
+    char buf[24];
+    auto put = [&](int64_t v) {
+        name.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    };
+    put(block);
+    name += '_';
+    put(idx);
+    if (occ >= 0) {
+        name += '_';
+        put(occ);
+    }
+    return Expr::temp(name);
 }
 
 /**
@@ -397,9 +437,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                     Expr base = valueOf(in.a, fn, s.vmap);
                     if (base.isConst() || base.isBoolean()) {
                         // Field of a constant: unconstrained.
-                        s.vmap[in.dst] = Expr::temp(
-                            "f" + std::to_string(b) + "_" +
-                            std::to_string(idx));
+                        s.vmap[in.dst] = tempAtom('f', b, idx);
                     } else {
                         s.vmap[in.dst] = Expr::field(base, in.field);
                     }
@@ -420,9 +458,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
               case ir::Opcode::Random:
                 for (auto &s : states) {
                     int occ = s.call_occurrence[&in]++;
-                    s.vmap[in.dst] = Expr::temp(
-                        "r" + std::to_string(b) + "_" +
-                        std::to_string(idx) + "_" + std::to_string(occ));
+                    s.vmap[in.dst] = tempAtom('r', b, idx, occ);
                 }
                 break;
               case ir::Opcode::Cmp:
@@ -433,9 +469,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                     if (c)
                         s.vmap[in.dst] = c;
                     else
-                        s.vmap[in.dst] = Expr::temp(
-                            "b" + std::to_string(b) + "_" +
-                            std::to_string(idx));
+                        s.vmap[in.dst] = tempAtom('b', b, idx);
                 }
                 break;
               case ir::Opcode::Branch:
@@ -475,14 +509,12 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                     for (const auto &a : in.args)
                         actuals.push_back(valueOf(a, fn, s.vmap));
                     int occ = s.call_occurrence[&in]++;
-                    std::string temp_name =
-                        "c" + std::to_string(b) + "_" +
-                        std::to_string(idx) + "_" + std::to_string(occ);
+                    Expr slot = tempAtom('c', b, idx, occ);
 
                     if (!callee) {
                         // No summary at all: default behaviour inline.
                         if (!in.dst.empty())
-                            s.vmap[in.dst] = Expr::temp(temp_name);
+                            s.vmap[in.dst] = slot;
                         next.push_back(std::move(s));
                         continue;
                     }
@@ -495,7 +527,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                         }
                         summary::CallInstantiation inst =
                             instantiateCallEntry(
-                                *callee, ei, actuals, temp_name,
+                                *callee, ei, actuals, slot,
                                 !in.dst.empty(), opts.inst_cache,
                                 result.entries_instantiated);
 
@@ -511,8 +543,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                             forked.stores.insert(store);
                         if (!in.dst.empty())
                             forked.vmap[in.dst] =
-                                inst.result ? inst.result
-                                            : Expr::temp(temp_name);
+                                inst.result ? inst.result : slot;
                         if (!pruneState(forked))
                             next.push_back(std::move(forked));
                     }
@@ -563,7 +594,7 @@ struct TreeState
     smt::CondChain cons;
     summary::ChangeMap changes;
     summary::StoreSet stores;
-    CowMap<std::string, Expr> vmap;
+    TreeVMap vmap;
     std::vector<int> change_lines;
     /** Callee summaries instantiated along this path (provenance). */
     std::vector<std::string> callees;
@@ -683,9 +714,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                 Expr base = valueOf(in.a, fn_, s.vmap);
                 if (base.isConst() || base.isBoolean()) {
                     // Field of a constant: unconstrained.
-                    s.vmap.set(in.dst,
-                               Expr::temp("f" + std::to_string(b) + "_" +
-                                          std::to_string(idx)));
+                    s.vmap.set(in.dst, tempAtom('f', b, idx));
                 } else {
                     s.vmap.set(in.dst, Expr::field(base, in.field));
                 }
@@ -706,10 +735,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
           case ir::Opcode::Random:
             for (auto &s : states) {
                 int occ = s.call_occurrence[&in]++;
-                s.vmap.set(in.dst,
-                           Expr::temp("r" + std::to_string(b) + "_" +
-                                      std::to_string(idx) + "_" +
-                                      std::to_string(occ)));
+                s.vmap.set(in.dst, tempAtom('r', b, idx, occ));
             }
             break;
           case ir::Opcode::Cmp:
@@ -720,9 +746,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                 if (c)
                     s.vmap.set(in.dst, c);
                 else
-                    s.vmap.set(in.dst,
-                               Expr::temp("b" + std::to_string(b) + "_" +
-                                          std::to_string(idx)));
+                    s.vmap.set(in.dst, tempAtom('b', b, idx));
             }
             break;
           case ir::Opcode::Branch:
@@ -787,14 +811,12 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                 for (const auto &a : in.args)
                     actuals.push_back(valueOf(a, fn_, s.vmap));
                 int occ = s.call_occurrence[&in]++;
-                std::string temp_name = "c" + std::to_string(b) + "_" +
-                                        std::to_string(idx) + "_" +
-                                        std::to_string(occ);
+                Expr slot = tempAtom('c', b, idx, occ);
 
                 if (!callee) {
                     // No summary at all: default behaviour inline.
                     if (!in.dst.empty())
-                        s.vmap.set(in.dst, Expr::temp(temp_name));
+                        s.vmap.set(in.dst, slot);
                     next.push_back(std::move(s));
                     continue;
                 }
@@ -807,7 +829,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                         break;
                     }
                     summary::CallInstantiation inst = instantiateCallEntry(
-                        *callee, ei, actuals, temp_name, !in.dst.empty(),
+                        *callee, ei, actuals, slot, !in.dst.empty(),
                         opts_.inst_cache, res_.entries_instantiated);
 
                     TreeState forked = s;
@@ -821,9 +843,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                         forked.stores.insert(store);
                     if (!in.dst.empty())
                         forked.vmap.set(in.dst,
-                                        inst.result
-                                            ? inst.result
-                                            : Expr::temp(temp_name));
+                                        inst.result ? inst.result : slot);
                     if (!pruneState(forked))
                         next.push_back(std::move(forked));
                 }

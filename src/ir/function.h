@@ -124,7 +124,7 @@ class Function
     int countCondBranches() const;
 
     /** True if @p name is a formal parameter. */
-    bool isParam(const std::string &name) const;
+    bool isParam(Name name) const;
 
     /**
      * Validate structural invariants (every block terminated, branch

@@ -310,9 +310,9 @@ Function::countCondBranches() const
 }
 
 bool
-Function::isParam(const std::string &name) const
+Function::isParam(Name name) const
 {
-    for (const auto &p : params_)
+    for (Name p : params_)
         if (p == name)
             return true;
     return false;

@@ -48,9 +48,12 @@ class Value
     }
 
     /** The variable's name; empty for every other kind. */
-    const std::string &varName() const
+    Name varName() const
     {
-        return isVar() ? *name_ : Name().str();
+        Name n;
+        if (isVar())
+            n.s_ = name_;
+        return n;
     }
     /** The constant's value; 0 for None, Null and variables. */
     int64_t intValue() const { return isVar() ? 0 : int_; }

@@ -66,91 +66,79 @@ evalPred(Pred p, int64_t lhs, int64_t rhs)
     return false;
 }
 
-/**
- * Immutable node backing an Expr. The fingerprint is computed once at
- * construction, before the node is offered to the intern table.
- */
+namespace {
+
+/** A wanted node, described on the stack before the pool is probed. */
+struct ExprCand
+{
+    ExprKind kind;
+    int64_t value;
+    std::string_view name;
+    Pred pred;
+    const ExprNode *a;
+    const ExprNode *b;
+    uint64_t fingerprint;
+};
+
+} // anonymous namespace
+
+/** Immutable pooled node backing an Expr. */
 class ExprNode
 {
   public:
     ExprKind kind;
-    int64_t value = 0;          // IntConst value or BoolConst (0/1)
+    Pred pred;                  // Cmp
+    int64_t value;              // IntConst value or BoolConst (0/1)
     std::string name;           // Arg/Local/Temp name, Field name
-    Pred pred = Pred::Eq;       // Cmp
-    std::shared_ptr<const ExprNode> a; // Field base / Cmp lhs
-    std::shared_ptr<const ExprNode> b; // Cmp rhs
-    uint64_t fingerprint = 0;
+    const ExprNode *a;          // Field base / Cmp lhs
+    const ExprNode *b;          // Cmp rhs
+    uint64_t fingerprint;
 
-    void
-    finalize()
+    explicit ExprNode(const ExprCand &c)
+        : kind(c.kind), pred(c.pred), value(c.value), name(c.name),
+          a(c.a), b(c.b), fingerprint(c.fingerprint)
+    {}
+
+    /** Children are pooled before their parent, so equal subtrees are
+     *  already the same node and comparing child pointers suffices. */
+    bool
+    matches(const ExprCand &c) const
     {
-        uint64_t h = fpMix64(0x45787052ULL);  // "ExpR" domain tag
-        h = fpCombine(h, static_cast<uint64_t>(kind));
-        h = fpCombine(h, static_cast<uint64_t>(value));
-        h = fpCombine(h, fpBytes(name));
-        h = fpCombine(h, static_cast<uint64_t>(pred));
-        h = fpCombine(h, a ? a->fingerprint : 0x6e756c6cULL);
-        h = fpCombine(h, b ? b->fingerprint : 0x6e756c6cULL);
-        fingerprint = h;
+        return kind == c.kind && value == c.value && pred == c.pred &&
+               a == c.a && b == c.b && name == c.name;
+    }
+
+    size_t
+    payloadBytes() const
+    {
+        return name.capacity() > std::string().capacity() ? name.capacity()
+                                                          : 0;
     }
 };
 
 namespace {
 
-using NodePtr = std::shared_ptr<const ExprNode>;
-
 InternTable<ExprNode> &
 exprInterner()
 {
-    static InternTable<ExprNode> table;
-    return table;
+    // Never destroyed: terms may be read by other static destructors.
+    static InternTable<ExprNode> *table = new InternTable<ExprNode>;
+    return *table;
 }
 
-/**
- * Shallow structural equality used by the intern table. Children are
- * interned bottom-up before their parent, so equal subtrees are already
- * pointer-identical and comparing child pointers suffices.
- */
-bool
-shallowEquals(const ExprNode &x, const ExprNode &y)
+const ExprNode *
+makeNode(ExprKind kind, int64_t value, std::string_view name, Pred pred,
+         const ExprNode *a, const ExprNode *b)
 {
-    return x.kind == y.kind && x.value == y.value && x.pred == y.pred &&
-           x.a == y.a && x.b == y.b && x.name == y.name;
-}
-
-NodePtr
-makeNode(ExprKind kind, int64_t value, std::string name, Pred pred,
-         NodePtr a, NodePtr b)
-{
-    auto n = std::make_shared<ExprNode>();
-    n->kind = kind;
-    n->value = value;
-    n->name = std::move(name);
-    n->pred = pred;
-    n->a = std::move(a);
-    n->b = std::move(b);
-    n->finalize();
     obs::failpoint("smt.intern");
-    uint64_t fp = n->fingerprint;
-    return exprInterner().intern(fp, std::move(n), shallowEquals);
-}
-
-bool
-nodeEquals(const ExprNode *x, const ExprNode *y)
-{
-    // Interning makes structurally equal live trees pointer-identical,
-    // so this is the common exit; the deep walk below only runs for
-    // unequal trees (and bails on the fingerprint).
-    if (x == y)
-        return true;
-    if (!x || !y)
-        return false;
-    if (x->fingerprint != y->fingerprint || x->kind != y->kind ||
-        x->value != y->value || x->pred != y->pred || x->name != y->name) {
-        return false;
-    }
-    return nodeEquals(x->a.get(), y->a.get()) &&
-           nodeEquals(x->b.get(), y->b.get());
+    uint64_t h = fpMix64(0x45787052ULL);  // "ExpR" domain tag
+    h = fpCombine(h, static_cast<uint64_t>(kind));
+    h = fpCombine(h, static_cast<uint64_t>(value));
+    h = fpCombine(h, fpBytes(name));
+    h = fpCombine(h, static_cast<uint64_t>(pred));
+    h = fpCombine(h, a ? a->fingerprint : 0x6e756c6cULL);
+    h = fpCombine(h, b ? b->fingerprint : 0x6e756c6cULL);
+    return exprInterner().intern(ExprCand{kind, value, name, pred, a, b, h});
 }
 
 /** Structural total order; returns <0, 0, >0. */
@@ -171,9 +159,9 @@ nodeCompare(const ExprNode *x, const ExprNode *y)
         return c;
     if (x->pred != y->pred)
         return static_cast<int>(x->pred) < static_cast<int>(y->pred) ? -1 : 1;
-    if (int c = nodeCompare(x->a.get(), y->a.get()))
+    if (int c = nodeCompare(x->a, y->a))
         return c;
-    return nodeCompare(x->b.get(), y->b.get());
+    return nodeCompare(x->b, y->b);
 }
 
 void
@@ -203,13 +191,13 @@ nodeStr(const ExprNode *n, std::ostream &os)
         os << "%" << n->name;
         break;
       case ExprKind::Field:
-        nodeStr(n->a.get(), os);
+        nodeStr(n->a, os);
         os << "." << n->name;
         break;
       case ExprKind::Cmp:
-        nodeStr(n->a.get(), os);
+        nodeStr(n->a, os);
         os << " " << predSpelling(n->pred) << " ";
-        nodeStr(n->b.get(), os);
+        nodeStr(n->b, os);
         break;
     }
 }
@@ -237,10 +225,10 @@ Expr::null()
 }
 
 Expr
-Expr::arg(std::string name)
+Expr::arg(const std::string &name)
 {
-    return Expr(makeNode(ExprKind::Arg, 0, std::move(name), Pred::Eq,
-                         nullptr, nullptr));
+    return Expr(makeNode(ExprKind::Arg, 0, name, Pred::Eq, nullptr,
+                         nullptr));
 }
 
 Expr
@@ -250,24 +238,24 @@ Expr::ret()
 }
 
 Expr
-Expr::local(std::string name)
+Expr::local(const std::string &name)
 {
-    return Expr(makeNode(ExprKind::Local, 0, std::move(name), Pred::Eq,
-                         nullptr, nullptr));
+    return Expr(makeNode(ExprKind::Local, 0, name, Pred::Eq, nullptr,
+                         nullptr));
 }
 
 Expr
-Expr::temp(std::string name)
+Expr::temp(const std::string &name)
 {
-    return Expr(makeNode(ExprKind::Temp, 0, std::move(name), Pred::Eq,
-                         nullptr, nullptr));
+    return Expr(makeNode(ExprKind::Temp, 0, name, Pred::Eq, nullptr,
+                         nullptr));
 }
 
 Expr
-Expr::field(Expr base, std::string field_name)
+Expr::field(Expr base, const std::string &field_name)
 {
     assert(base && "field base must be non-empty");
-    return Expr(makeNode(ExprKind::Field, 0, std::move(field_name), Pred::Eq,
+    return Expr(makeNode(ExprKind::Field, 0, field_name, Pred::Eq,
                          base.node_, nullptr));
 }
 
@@ -424,15 +412,9 @@ Expr::negated() const
 }
 
 bool
-Expr::equals(const Expr &other) const
-{
-    return nodeEquals(node_.get(), other.node_.get());
-}
-
-bool
 Expr::less(const Expr &other) const
 {
-    return nodeCompare(node_.get(), other.node_.get()) < 0;
+    return nodeCompare(node_, other.node_) < 0;
 }
 
 size_t
@@ -451,7 +433,7 @@ std::string
 Expr::str() const
 {
     std::ostringstream os;
-    nodeStr(node_.get(), os);
+    nodeStr(node_, os);
     return os.str();
 }
 

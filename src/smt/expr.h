@@ -7,13 +7,12 @@
  * value atom ("[0]"), local variables, field accesses (e.field) and
  * comparison conditions (e1 pred e2).
  *
- * Expressions are immutable trees of reference-counted nodes with
- * structural equality and a cached hash. Nodes are hash-consed through a
- * process-wide intern table (smt/intern.h): syntactically equal trees
- * share one node, equality degenerates to a pointer comparison, and every
- * tree carries a stable 64-bit fingerprint usable as a cache key. They
- * are cheap to copy (a single shared_ptr) and safe to share across
- * threads once built.
+ * Expressions are immutable trees of nodes hash-consed through a
+ * process-wide, append-only intern pool (smt/intern.h): syntactically
+ * equal trees are one node, so equality is a pointer comparison, and
+ * every tree carries a stable 64-bit fingerprint usable as a cache key.
+ * Nodes are never freed, so an Expr is a plain node pointer: copying one
+ * copies eight bytes, and any thread may read it.
  */
 
 #ifndef RID_SMT_EXPR_H
@@ -21,9 +20,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace rid::smt {
 
@@ -81,12 +78,12 @@ class Expr
     static Expr boolConst(bool value);
     /** The null pointer constant (modelled as integer 0). */
     static Expr null();
-    static Expr arg(std::string name);
+    static Expr arg(const std::string &name);
     /** The return-value atom "[0]". */
     static Expr ret();
-    static Expr local(std::string name);
-    static Expr temp(std::string name);
-    static Expr field(Expr base, std::string field_name);
+    static Expr local(const std::string &name);
+    static Expr temp(const std::string &name);
+    static Expr field(Expr base, const std::string &field_name);
     static Expr cmp(Pred pred, Expr lhs, Expr rhs);
     /** @} */
 
@@ -137,12 +134,14 @@ class Expr
      */
     Expr negated() const;
 
-    /** Structural equality (pointer comparison for interned trees). */
-    bool equals(const Expr &other) const;
+    /** Structural equality: every tree is interned, so this is pointer
+     *  identity. */
+    bool equals(const Expr &other) const { return node_ == other.node_; }
     bool operator==(const Expr &other) const { return equals(other); }
     bool operator!=(const Expr &other) const { return !equals(other); }
 
-    /** Total order for use as map keys (by structure). */
+    /** Total order for use as map keys (by structure, so ordered
+     *  containers never depend on node addresses). */
     bool less(const Expr &other) const;
 
     size_t hash() const;
@@ -160,11 +159,9 @@ class Expr
     std::string str() const;
 
   private:
-    explicit Expr(std::shared_ptr<const ExprNode> node)
-        : node_(std::move(node))
-    {}
+    explicit Expr(const ExprNode *node) : node_(node) {}
 
-    std::shared_ptr<const ExprNode> node_;
+    const ExprNode *node_ = nullptr;
 };
 
 /** std::hash adaptor so Expr can key unordered containers. */

@@ -1,83 +1,88 @@
 #include "smt/formula.h"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <sstream>
-#include <unordered_set>
 
 #include "smt/intern.h"
 
 namespace rid::smt {
 
-/** Immutable node backing a Formula. */
+namespace {
+
+/** A wanted node, described on the stack before the pool is probed. */
+struct FormulaCand
+{
+    FormulaKind kind;
+    Expr literal;
+    std::span<const Formula> children;
+    uint64_t fingerprint;
+};
+
+} // anonymous namespace
+
+/** Immutable pooled node backing a Formula. */
 class FormulaNode
 {
   public:
     FormulaKind kind;
     Expr literal;                     // Lit
     std::vector<Formula> children;    // And / Or / Not
-    uint64_t fingerprint = 0;
+    uint64_t fingerprint;
 
-    void
-    finalize()
+    explicit FormulaNode(const FormulaCand &c)
+        : kind(c.kind), literal(c.literal),
+          children(c.children.begin(), c.children.end()),
+          fingerprint(c.fingerprint)
+    {}
+
+    /** Literals and children are pooled first, so comparing their
+     *  identities suffices. */
+    bool
+    matches(const FormulaCand &c) const
     {
-        uint64_t h = fpMix64(0x466f726dULL);  // "Form" domain tag
-        h = fpCombine(h, static_cast<uint64_t>(kind));
-        h = fpCombine(h, literal.fingerprint());
-        h = fpCombine(h, children.size());
-        for (const auto &c : children)
-            h = fpCombine(h, c.fingerprint());
-        fingerprint = h;
+        return kind == c.kind && literal.equals(c.literal) &&
+               std::equal(children.begin(), children.end(),
+                          c.children.begin(), c.children.end(),
+                          [](const Formula &x, const Formula &y) {
+                              return x.equals(y);
+                          });
+    }
+
+    size_t
+    payloadBytes() const
+    {
+        return children.capacity() * sizeof(Formula);
     }
 };
 
 namespace {
 
-using NodePtr = std::shared_ptr<const FormulaNode>;
-
 InternTable<FormulaNode> &
 formulaInterner()
 {
-    static InternTable<FormulaNode> table;
-    return table;
+    // Never destroyed: terms may be read by other static destructors.
+    static InternTable<FormulaNode> *table = new InternTable<FormulaNode>;
+    return *table;
 }
 
-/**
- * Shallow equality for interning: literals and children are themselves
- * interned, so comparing their node identities suffices. Formula has no
- * public node accessor, so compare via fingerprint + equals, which
- * short-circuits to pointer checks for interned sub-structure.
- */
-bool
-shallowFormulaEquals(const FormulaNode &x, const FormulaNode &y)
+const FormulaNode *
+makeNode(FormulaKind kind, Expr literal, std::span<const Formula> children)
 {
-    if (x.kind != y.kind || !x.literal.equals(y.literal) ||
-        x.children.size() != y.children.size()) {
-        return false;
-    }
-    for (size_t i = 0; i < x.children.size(); i++)
-        if (!x.children[i].equals(y.children[i]))
-            return false;
-    return true;
-}
-
-NodePtr
-makeNode(FormulaKind kind, Expr literal, std::vector<Formula> children)
-{
-    auto n = std::make_shared<FormulaNode>();
-    n->kind = kind;
-    n->literal = std::move(literal);
-    n->children = std::move(children);
-    n->finalize();
-    uint64_t fp = n->fingerprint;
-    return formulaInterner().intern(fp, std::move(n),
-                                    shallowFormulaEquals);
+    uint64_t h = fpMix64(0x466f726dULL);  // "Form" domain tag
+    h = fpCombine(h, static_cast<uint64_t>(kind));
+    h = fpCombine(h, literal.fingerprint());
+    h = fpCombine(h, children.size());
+    for (const auto &c : children)
+        h = fpCombine(h, c.fingerprint());
+    return formulaInterner().intern(FormulaCand{kind, literal, children, h});
 }
 
 } // anonymous namespace
 
-// True is represented by a null node so that the ubiquitous top()
-// formula costs no allocation and, more importantly, no contended
-// atomic reference-count traffic when many analysis threads copy it.
+// True is represented by a null node, so the ubiquitous top() formula
+// is built without a pool lookup.
 Formula::Formula() = default;
 
 Formula
@@ -89,7 +94,8 @@ Formula::top()
 Formula
 Formula::bottom()
 {
-    return Formula(makeNode(FormulaKind::False, Expr(), {}));
+    static const Formula f(makeNode(FormulaKind::False, Expr(), {}));
+    return f;
 }
 
 Formula
@@ -119,78 +125,58 @@ Formula::lit(Expr cond)
             return bottom();
         }
     }
-    return Formula(makeNode(FormulaKind::Lit, std::move(cond), {}));
+    return Formula(makeNode(FormulaKind::Lit, cond, {}));
 }
-
-namespace {
-
-/** Drop structurally duplicate children (keeps first occurrences). */
-void
-dedupChildren(std::vector<Formula> &kids)
-{
-    std::vector<Formula> unique;
-    for (auto &k : kids) {
-        bool seen = false;
-        for (const auto &u : unique) {
-            if (u.equals(k)) {
-                seen = true;
-                break;
-            }
-        }
-        if (!seen)
-            unique.push_back(std::move(k));
-    }
-    kids = std::move(unique);
-}
-
-} // anonymous namespace
 
 Formula
 Formula::conj(std::vector<Formula> parts)
 {
-    std::vector<Formula> kept;
-    for (auto &p : parts) {
-        if (p.isFalse())
-            return bottom();
-        if (p.isTrue())
-            continue;
-        if (p.kind() == FormulaKind::And) {
-            for (const auto &c : p.children())
-                kept.push_back(c);
-        } else {
-            kept.push_back(std::move(p));
-        }
-    }
-    dedupChildren(kept);
-    if (kept.empty())
-        return top();
-    if (kept.size() == 1)
-        return kept.front();
-    return Formula(makeNode(FormulaKind::And, Expr(), std::move(kept)));
+    return junction(FormulaKind::And, std::move(parts));
 }
 
 Formula
 Formula::disj(std::vector<Formula> parts)
 {
-    std::vector<Formula> kept;
-    for (auto &p : parts) {
-        if (p.isTrue())
-            return top();
-        if (p.isFalse())
-            continue;
-        if (p.kind() == FormulaKind::Or) {
-            for (const auto &c : p.children())
-                kept.push_back(c);
-        } else {
-            kept.push_back(std::move(p));
+    return junction(FormulaKind::Or, std::move(parts));
+}
+
+Formula
+Formula::junction(FormulaKind kind, std::vector<Formula> parts)
+{
+    bool is_and = kind == FormulaKind::And;
+    FormulaKind absorbing = is_and ? FormulaKind::False : FormulaKind::True;
+    FormulaKind unit = is_and ? FormulaKind::True : FormulaKind::False;
+    // Splice the children of nested same-kind parts in their place.
+    if (std::any_of(parts.begin(), parts.end(),
+                    [&](const Formula &p) { return p.kind() == kind; })) {
+        std::vector<Formula> flat;
+        for (const Formula &p : parts) {
+            if (p.kind() == kind)
+                flat.insert(flat.end(), p.children().begin(),
+                            p.children().end());
+            else
+                flat.push_back(p);
         }
+        parts = std::move(flat);
     }
-    dedupChildren(kept);
-    if (kept.empty())
-        return bottom();
-    if (kept.size() == 1)
-        return kept.front();
-    return Formula(makeNode(FormulaKind::Or, Expr(), std::move(kept)));
+    // Drop units and structural duplicates in place, keeping first
+    // occurrences.
+    size_t kept = 0;
+    for (size_t i = 0; i < parts.size(); i++) {
+        Formula p = parts[i];
+        if (p.kind() == absorbing)
+            return is_and ? bottom() : top();
+        if (p.kind() == unit ||
+            std::any_of(parts.begin(), parts.begin() + kept,
+                        [&](const Formula &k) { return k.equals(p); }))
+            continue;
+        parts[kept++] = p;
+    }
+    if (kept == 0)
+        return is_and ? top() : bottom();
+    if (kept == 1)
+        return parts.front();
+    return Formula(makeNode(kind, Expr(), {parts.data(), kept}));
 }
 
 Formula
@@ -206,7 +192,7 @@ Formula::negation(Formula f)
       case FormulaKind::Not:
         return f.children().front();
       default:
-        return Formula(makeNode(FormulaKind::Not, Expr(), {std::move(f)}));
+        return Formula(makeNode(FormulaKind::Not, Expr(), {&f, 1}));
     }
 }
 
@@ -246,7 +232,6 @@ std::vector<Expr>
 Formula::literals() const
 {
     std::vector<Expr> out;
-    std::unordered_set<size_t> seen;
     auto consider = [&](const Expr &e) {
         for (const auto &prev : out)
             if (prev.equals(e))
@@ -362,29 +347,6 @@ Formula::nnfImpl(bool negate) const
       }
     }
     return *this;
-}
-
-bool
-Formula::equals(const Formula &other) const
-{
-    // Interned live formulas are pointer-identical when equal; the deep
-    // walk below only disambiguates fingerprint collisions.
-    if (node_ == other.node_)
-        return true;
-    if (!node_ || !other.node_)
-        return kind() == other.kind();
-    if (kind() != other.kind() || fingerprint() != other.fingerprint())
-        return false;
-    if (kind() == FormulaKind::Lit)
-        return literal().equals(other.literal());
-    const auto &a = children();
-    const auto &b = other.children();
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); i++)
-        if (!a[i].equals(b[i]))
-            return false;
-    return true;
 }
 
 size_t

@@ -6,15 +6,16 @@
  * summary entries (Section 4.3 of the paper) introduces disjunction, so the
  * formula language supports arbitrary and/or/not nesting over literals.
  *
- * Like expressions, formula nodes are hash-consed (smt/intern.h):
- * structurally equal formulas share one node and carry a stable 64-bit
- * fingerprint, which is what the solver query cache keys on.
+ * Like expressions, formula nodes live in a process-wide, append-only
+ * intern pool (smt/intern.h): structurally equal formulas are one node,
+ * so equality is pointer identity, and every formula carries a stable
+ * 64-bit fingerprint, which is what the solver query cache keys on. A
+ * Formula is a plain node pointer; nodes are never freed.
  */
 
 #ifndef RID_SMT_FORMULA_H
 #define RID_SMT_FORMULA_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,8 +93,9 @@ class Formula
     /** Negation normal form: Not pushed onto literals and eliminated. */
     Formula nnf() const;
 
-    /** Structural equality (no semantic canonicalization). */
-    bool equals(const Formula &other) const;
+    /** Structural equality (no semantic canonicalization): every
+     *  formula is interned, so this is pointer identity. */
+    bool equals(const Formula &other) const { return node_ == other.node_; }
 
     size_t hash() const;
 
@@ -108,13 +110,15 @@ class Formula
     std::string str() const;
 
   private:
-    explicit Formula(std::shared_ptr<const FormulaNode> node)
-        : node_(std::move(node))
-    {}
+    explicit Formula(const FormulaNode *node) : node_(node) {}
+
+    /** conj() (@p kind And) or disj() (@p kind Or). */
+    static Formula junction(FormulaKind kind, std::vector<Formula> parts);
 
     Formula nnfImpl(bool negate) const;
 
-    std::shared_ptr<const FormulaNode> node_;
+    /** Null for True, so top() needs no pool lookup. */
+    const FormulaNode *node_ = nullptr;
 };
 
 } // namespace rid::smt

@@ -17,10 +17,8 @@ internStatsStr(const InternStats &s)
 {
     std::ostringstream os;
     uint64_t lookups = s.hits + s.misses;
-    os << s.entries << " interned node(s), " << s.hits << "/" << lookups
-       << " construction(s) shared";
-    if (s.scavenged)
-        os << ", " << s.scavenged << " scavenged";
+    os << s.entries << " interned node(s) in " << s.bytes << " byte(s), "
+       << s.hits << "/" << lookups << " construction(s) shared";
     return os.str();
 }
 

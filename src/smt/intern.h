@@ -2,10 +2,11 @@
  * @file
  * Hash-consing (interning) infrastructure for the smt layer.
  *
- * Expression and formula nodes are immutable trees; interning their
- * construction makes syntactically equal trees share one node, so
+ * Expression and formula nodes are immutable trees, and every node is
+ * built through a process-wide intern pool, so
  *
- *  - structural equality short-circuits to a pointer comparison,
+ *  - syntactically equal trees are the same node, and structural
+ *    equality is pointer identity,
  *  - every tree carries a stable 64-bit *fingerprint* computed once at
  *    construction, usable as a cache key across threads and runs.
  *
@@ -13,25 +14,25 @@
  * node's kind, payload bytes and child fingerprints with fixed 64-bit
  * constants, so the same formula text fingerprints identically on every
  * run and platform. A fingerprint collision between structurally distinct
- * trees is possible (64 bits) but harmless for correctness: every consumer
- * (the intern tables, the query cache) verifies structural equality before
- * treating two trees as the same.
+ * trees is possible (64 bits) but harmless for correctness: the pool
+ * compares a candidate's payload and children before returning a node.
  *
- * The tables hold weak references only — interning never extends a node's
- * lifetime. Expired entries are scavenged opportunistically during lookups
- * in the same bucket.
+ * Nodes are immortal: the pool never frees one, so a handle is a plain
+ * node pointer with no reference count. The pool is process-wide rather
+ * than per analysis run because specs, the summary database and exported
+ * summaries hold terms beyond one run. RID's terms are few (hundreds of
+ * distinct nodes on the benchmark corpora) and reused millions of times.
  */
 
 #ifndef RID_SMT_INTERN_H
 #define RID_SMT_INTERN_H
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace rid::smt {
 
@@ -84,69 +85,65 @@ fpRange(uint64_t h, It first, It last, Fp fingerprintOf)
 
 /** @} */
 
-/** Counters exposed by one intern table (monotonic except entries). */
+/** Counters exposed by one intern table (all monotonic). */
 struct InternStats
 {
-    uint64_t hits = 0;       ///< constructions that found an existing node
-    uint64_t misses = 0;     ///< constructions that inserted a new node
-    uint64_t scavenged = 0;  ///< expired weak entries removed
-    size_t entries = 0;      ///< current table size (incl. not-yet-expired)
+    uint64_t hits = 0;    ///< constructions that found an existing node
+    uint64_t misses = 0;  ///< constructions that allocated a new node
+    size_t entries = 0;   ///< nodes in the pool
+    size_t bytes = 0;     ///< pool footprint: nodes, their payloads, index
 
     InternStats &operator+=(const InternStats &o)
     {
         hits += o.hits;
         misses += o.misses;
-        scavenged += o.scavenged;
         entries += o.entries;
+        bytes += o.bytes;
         return *this;
     }
 };
 
 /**
- * Sharded weak intern table for immutable nodes of type Node.
+ * Sharded, append-only intern pool for immutable nodes of type Node.
  *
- * Thread-safe; each shard is guarded by its own mutex so concurrent
- * construction from analysis worker threads rarely contends. Candidate
- * equality is decided by the caller-supplied predicate, which may be
- * shallow (payload + child pointer identity) when children are always
- * interned first.
+ * A factory describes the node it wants as a stack candidate of some
+ * type Cand carrying the candidate's `fingerprint`; intern() returns the
+ * pooled node matching it and allocates one only on a miss. Node must
+ * provide `uint64_t fingerprint`, `bool matches(const Cand &) const`
+ * (shallow: children are pooled first, so comparing child pointers
+ * suffices), a constructor from Cand and `size_t payloadBytes() const`
+ * (heap bytes the node owns, for InternStats::bytes).
+ *
+ * Nodes are never freed and never move, so a node pointer stays valid
+ * for the rest of the process. Each shard, guarded by its own mutex,
+ * indexes its nodes in an open-addressing table of node pointers kept
+ * at most half full.
  */
 template <typename Node>
 class InternTable
 {
   public:
-    using Ptr = std::shared_ptr<const Node>;
-    using EqFn = bool (*)(const Node &, const Node &);
-
-    /**
-     * Return the canonical node equal to @p fresh (interning it if new).
-     *
-     * @param fp    fingerprint of @p fresh (bucket key)
-     * @param fresh candidate node, consumed
-     * @param eq    structural equality predicate
-     */
-    Ptr
-    intern(uint64_t fp, Ptr fresh, EqFn eq)
+    template <typename Cand>
+    const Node *
+    intern(const Cand &cand)
     {
-        Shard &shard = shards_[shardOf(fp)];
+        Shard &shard = shards_[shardOf(cand.fingerprint)];
         std::lock_guard<std::mutex> lock(shard.mutex);
-        auto range = shard.nodes.equal_range(fp);
-        for (auto it = range.first; it != range.second;) {
-            Ptr live = it->second.lock();
-            if (!live) {
-                it = shard.nodes.erase(it);
-                shard.scavenged++;
-                continue;
-            }
-            if (eq(*live, *fresh)) {
+        size_t mask = shard.index.size() - 1;
+        size_t i = cand.fingerprint & mask;
+        for (; shard.index[i]; i = (i + 1) & mask) {
+            const Node *n = shard.index[i];
+            if (n->fingerprint == cand.fingerprint && n->matches(cand)) {
                 shard.hits++;
-                return live;
+                return n;
             }
-            ++it;
         }
-        shard.nodes.emplace(fp, fresh);
-        shard.misses++;
-        return fresh;
+        const Node *n = &shard.nodes.emplace_back(cand);
+        shard.bytes += sizeof(Node) + n->payloadBytes();
+        shard.index[i] = n;
+        if (shard.nodes.size() * 2 > shard.index.size())
+            shard.grow();
+        return n;
     }
 
     InternStats
@@ -156,28 +153,11 @@ class InternTable
         for (const Shard &s : shards_) {
             std::lock_guard<std::mutex> lock(s.mutex);
             total.hits += s.hits;
-            total.misses += s.misses;
-            total.scavenged += s.scavenged;
+            total.misses += s.nodes.size();
             total.entries += s.nodes.size();
+            total.bytes += s.bytes + s.index.size() * sizeof(const Node *);
         }
         return total;
-    }
-
-    /** Drop all expired entries (called by tests; never required). */
-    void
-    scavenge()
-    {
-        for (Shard &s : shards_) {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            for (auto it = s.nodes.begin(); it != s.nodes.end();) {
-                if (it->second.expired()) {
-                    it = s.nodes.erase(it);
-                    s.scavenged++;
-                } else {
-                    ++it;
-                }
-            }
-        }
     }
 
   private:
@@ -186,17 +166,34 @@ class InternTable
     struct Shard
     {
         mutable std::mutex mutex;
-        std::unordered_multimap<uint64_t, std::weak_ptr<const Node>> nodes;
+        std::deque<Node> nodes;     ///< the pool; elements never move
+        /** Open-addressing index into nodes; null marks a free slot. */
+        std::vector<const Node *> index = std::vector<const Node *>(64);
         uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t scavenged = 0;
+        size_t bytes = 0;           ///< nodes plus their payloads
+
+        void
+        grow()
+        {
+            std::vector<const Node *> old(index.size() * 2);
+            old.swap(index);
+            size_t mask = index.size() - 1;
+            for (const Node *n : old) {
+                if (!n)
+                    continue;
+                size_t i = n->fingerprint & mask;
+                while (index[i])
+                    i = (i + 1) & mask;
+                index[i] = n;
+            }
+        }
     };
 
     static size_t
     shardOf(uint64_t fp)
     {
-        // The multimap re-hashes the full fingerprint per bucket; shard
-        // selection uses high bits so both stay well distributed.
+        // The index probes from the low bits; shard selection uses the
+        // high bits so both stay well distributed.
         return (fp >> 57) & (kShards - 1);
     }
 

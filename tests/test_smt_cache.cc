@@ -3,9 +3,12 @@
  * Tests for formula interning (hash-consing) and the memoized solver
  * query cache:
  *
- *  - fingerprints are stable, and equal exactly for structurally equal
- *    expressions/formulas on a large random population;
- *  - interning shares construction (observable through InternStats);
+ *  - fingerprints are stable (pinned on fixed trees), and equal exactly
+ *    for structurally equal expressions/formulas on a large random
+ *    population;
+ *  - interning shares construction (observable through InternStats),
+ *    nodes are immortal, concurrent builders agree on one node per
+ *    term, and a failed construction leaves nothing behind;
  *  - the QueryCache respects capacity, evicts LRU-wise and verifies
  *    fingerprint hits structurally;
  *  - differential property: a cache-attached solver agrees with a fresh
@@ -22,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/failpoint.h"
 #include "smt/intern.h"
 #include "smt/query_cache.h"
 #include "smt/solver.h"
@@ -38,17 +42,22 @@ namespace {
 class FormulaGen
 {
   public:
-    explicit FormulaGen(uint64_t seed) : rng_(seed) {}
+    /** @p prefix renames every argument atom, so one seed can build
+     *  a population no earlier test has interned. */
+    explicit FormulaGen(uint64_t seed, std::string prefix = "")
+        : rng_(seed), prefix_(std::move(prefix))
+    {}
 
     Expr
     atom()
     {
         switch (rng_() % 5) {
-          case 0: return Expr::arg("a");
-          case 1: return Expr::arg("b");
+          case 0: return Expr::arg(prefix_ + "a");
+          case 1: return Expr::arg(prefix_ + "b");
           case 2: return Expr::ret();
-          case 3: return Expr::field(Expr::arg("dev"), "pm");
-          default: return Expr::arg("c" + std::to_string(rng_() % 3));
+          case 3: return Expr::field(Expr::arg(prefix_ + "dev"), "pm");
+          default:
+            return Expr::arg(prefix_ + "c" + std::to_string(rng_() % 3));
         }
     }
 
@@ -92,6 +101,7 @@ class FormulaGen
 
   private:
     std::mt19937_64 rng_;
+    std::string prefix_;
 };
 
 TEST(Interning, FingerprintEqualsIffStructurallyEqual)
@@ -136,6 +146,121 @@ TEST(Interning, RebuildingTheSameTreeSharesNodes)
     EXPECT_GT(after.hits, mid.hits);
     // The first build interned at least the novel atom + literals.
     EXPECT_GT(mid.misses, before.misses);
+}
+
+TEST(Interning, FingerprintsArePinned)
+{
+    // Fingerprints key the query cache, the instantiation cache and the
+    // on-disk store, so they must never drift with the representation.
+    Expr dev = Expr::arg("dev");
+    Expr chain = Expr::field(Expr::field(dev, "power"), "usage_count");
+    Expr ge = Expr::cmp(Pred::Ge, Expr::ret(), Expr::intConst(0));
+    Formula conj = Formula::conj(
+        {Formula::lit(ge),
+         Formula::lit(Expr::cmp(Pred::Ne, dev, Expr::null()))});
+    Formula disj = Formula::disj(
+        {Formula::lit(Expr::cmp(Pred::Lt, Expr::ret(), Expr::intConst(0))),
+         Formula::lit(Expr::cmp(Pred::Eq, Expr::field(dev, "pm"),
+                                Expr::intConst(1)))});
+    Formula neg = Formula::negation(conj);
+
+    EXPECT_EQ(dev.fingerprint(), 0xfef39bbec0f1da51ULL);
+    EXPECT_EQ(chain.fingerprint(), 0xeb328c967cb32e63ULL);
+    EXPECT_EQ(ge.fingerprint(), 0x84ff5e751f5c069fULL);
+    EXPECT_EQ(conj.fingerprint(), 0x945f5d16fe8a9703ULL);
+    EXPECT_EQ(disj.fingerprint(), 0x6e6fd7f4ce896525ULL);
+    EXPECT_EQ(neg.fingerprint(), 0x0f6e13e33590c042ULL);
+    EXPECT_EQ(neg.str(), "!([0] >= 0 && [dev] != 0)");
+}
+
+TEST(Interning, RebuildAddsNoMissAndEntriesNeverDecrease)
+{
+    auto build = []() {
+        return Formula::disj(
+            {Formula::lit(Expr::cmp(Pred::Lt, Expr::arg("rebuild_probe"),
+                                    Expr::intConst(2))),
+             Formula::negation(Formula::lit(
+                 Expr::cmp(Pred::Eq, Expr::ret(), Expr::null())))});
+    };
+    InternStats first;
+    uint64_t fp = 0;
+    {
+        Formula a = build();
+        fp = a.fingerprint();
+        first = totalInternStats();
+    }
+    // The first handle is gone, but its nodes are not: rebuilding the
+    // tree finds every node it needs.
+    Formula b = build();
+    InternStats second = totalInternStats();
+    EXPECT_EQ(second.misses, first.misses);
+    EXPECT_EQ(second.entries, first.entries);
+    EXPECT_GT(second.hits, first.hits);
+    EXPECT_EQ(b.fingerprint(), fp);
+
+    FormulaGen gen(11);
+    InternStats last = second;
+    for (int i = 0; i < 200; i++) {
+        gen.formula(3);  // the handle is dropped at once
+        InternStats now = totalInternStats();
+        EXPECT_GE(now.entries, last.entries);
+        EXPECT_GE(now.bytes, last.bytes);
+        EXPECT_EQ(now.entries, now.misses);
+        last = now;
+    }
+}
+
+TEST(Interning, ConcurrentBuildersShareOneNodePerTerm)
+{
+    constexpr int kThreads = 8;
+    constexpr int kFormulas = 300;
+    auto population = [](const std::string &prefix) {
+        FormulaGen gen(7, prefix);
+        std::vector<Formula> out;
+        for (int i = 0; i < kFormulas; i++)
+            out.push_back(gen.formula(3));
+        return out;
+    };
+    // Intern the terms that mention no argument atom (constants, [0]
+    // and what is built from them) so that both measured builds below
+    // miss on exactly the prefixed terms.
+    population("warm_");
+    uint64_t before = totalInternStats().misses;
+    population("solo_");
+    uint64_t distinct = totalInternStats().misses - before;
+    ASSERT_GT(distinct, 0u);
+
+    std::vector<std::vector<Formula>> built(kThreads);
+    before = totalInternStats().misses;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++)
+        threads.emplace_back([&, t] { built[t] = population("conc_"); });
+    for (auto &t : threads)
+        t.join();
+
+    // Renaming the atoms maps terms one to one, so the eight racing
+    // builds together add exactly as many nodes as the solo build did.
+    EXPECT_EQ(totalInternStats().misses - before, distinct);
+    for (int t = 1; t < kThreads; t++)
+        for (int i = 0; i < kFormulas; i++)
+            ASSERT_TRUE(built[t][i].equals(built[0][i])) << t << " " << i;
+}
+
+TEST(Interning, FailedConstructionLeavesNoNode)
+{
+    auto &registry = obs::FailpointRegistry::instance();
+    InternStats before = totalInternStats();
+    registry.configure("smt.intern=always");
+    EXPECT_THROW(Expr::arg("failpoint_probe"), obs::InjectedFault);
+    registry.disarm();
+    EXPECT_EQ(totalInternStats().entries, before.entries);
+
+    // Had the failed attempt left its node behind, this would be a hit.
+    Expr e = Expr::arg("failpoint_probe");
+    EXPECT_EQ(e.str(), "[failpoint_probe]");
+    InternStats after = totalInternStats();
+    EXPECT_EQ(after.misses, before.misses + 1);
+    EXPECT_EQ(after.entries, before.entries + 1);
 }
 
 TEST(Interning, FingerprintsAreStableAcrossRebuilds)
