@@ -27,9 +27,10 @@
 # ASan (the sharded instantiation cache is shared mutable state), runs
 # the triage suite under ASan (per-unit higher-precision module lifetime),
 # runs the call-graph and classifier suites under ASan (the call graph
-# borrows the module's names), runs the frontend suites, the IR suite and
-# the seeded frontend fuzz under ASan (tokens view the source buffer; the
-# AST and IR hold interned names), runs the end-to-end, injection and
+# borrows the module's names), runs the frontend suites, the AST readers'
+# suites, the IR suite, the seeded frontend fuzz and the diagnostics golden
+# under ASan (tokens view the source buffer; AST nodes and lists live in
+# the unit's arena; the AST and IR hold interned names), runs the end-to-end, injection and
 # Python/C baseline suites under ASan (frozen IR: call arguments and
 # blocks are views into each function's one allocation),
 # refreshes BENCH_performance.json
@@ -136,19 +137,29 @@ cmake --build build-asan -j --target test_analysis_graphs \
 ./build-asan/tests/test_analysis_graphs
 ./build-asan/tests/test_analysis_paths
 
-# Tokens view the caller's source buffer, and the AST and the IR hold
-# interned name pointers; ASan checks that no token outlives its buffer
-# and that the frontend fuzz's malformed and deeply nested mutants end in
-# a ParseError, never a stack overflow or a stray read.
-echo "== sanitizer smoke (ASan+UBSan frontend, IR names, frontend fuzz) =="
+# Tokens view the source buffer, AST nodes and their child lists live in
+# the unit's arena, and the AST and the IR hold interned name pointers.
+# ASan checks that no token outlives its buffer, that nothing reads a
+# tree after its unit (and arena) is gone, including the call-site
+# scanner and the file graph, which walk the AST; LeakSanitizer checks
+# that a unit rejected half-way frees its partial tree. The frontend fuzz's
+# malformed and deeply nested mutants must end in a ParseError, never a
+# stack overflow or a stray read, and the diagnostics golden pins which
+# error each mutant reports.
+echo "== sanitizer smoke (ASan+UBSan frontend, AST readers, IR names, frontend fuzz) =="
 cmake --build build-asan -j --target test_frontend_lexer \
     --target test_frontend_parser --target test_frontend_lower \
-    --target test_ir --target test_frontend_fuzz
+    --target test_ir --target test_frontend_fuzz \
+    --target test_frontend_diagnostics --target test_kernel_corpus \
+    --target test_analysis_filegraph
 ./build-asan/tests/test_frontend_lexer
 ./build-asan/tests/test_frontend_parser
 ./build-asan/tests/test_frontend_lower
 ./build-asan/tests/test_ir
 ./build-asan/tests/test_frontend_fuzz
+./build-asan/tests/test_frontend_diagnostics
+./build-asan/tests/test_kernel_corpus
+./build-asan/tests/test_analysis_filegraph
 
 # Lowered IR is frozen: each function is one exact-size allocation whose
 # blocks, instructions and call arguments are views into it, and a unit

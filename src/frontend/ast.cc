@@ -1,27 +1,30 @@
 #include "frontend/ast.h"
 
+#include <algorithm>
 #include <functional>
 
 namespace rid::frontend {
 
-AstExprPtr
-AstExpr::ident(ir::Name name, int line)
+void *
+AstArena::allocateSlow(size_t size, size_t align)
 {
-    auto e = std::make_unique<AstExpr>();
-    e->kind = AstExprKind::Ident;
-    e->text = name;
-    e->line = line;
-    return e;
-}
-
-AstExprPtr
-AstExpr::num(int64_t v, int line)
-{
-    auto e = std::make_unique<AstExpr>();
-    e->kind = AstExprKind::Number;
-    e->number = v;
-    e->line = line;
-    return e;
+    // Chunks of 4, 8, 16 and then 32 KiB: small enough to stay in the
+    // allocator's heap instead of each becoming a fresh mapping. A list
+    // larger than a chunk gets a chunk of its own, and the current chunk
+    // keeps serving small objects.
+    constexpr size_t kFirstChunk = 4096;
+    size_t chunk = kFirstChunk << std::min<size_t>(chunks_.size(), 3);
+    if (size + align > chunk) {
+        chunks_.push_back(
+            std::make_unique_for_overwrite<std::byte[]>(size + align));
+        auto at = reinterpret_cast<uintptr_t>(chunks_.back().get());
+        return reinterpret_cast<void *>((at + align - 1) &
+                                        ~(uintptr_t(align) - 1));
+    }
+    chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(chunk));
+    next_ = chunks_.back().get();
+    end_ = next_ + chunk;
+    return allocate(size, align);
 }
 
 namespace {
@@ -32,11 +35,11 @@ walkExpr(const AstExpr *e, const std::function<void(const AstExpr &)> &fn)
     if (!e)
         return;
     fn(*e);
-    walkExpr(e->a.get(), fn);
-    walkExpr(e->b.get(), fn);
-    walkExpr(e->c.get(), fn);
-    for (const auto &arg : e->args)
-        walkExpr(arg.get(), fn);
+    walkExpr(e->a, fn);
+    walkExpr(e->b, fn);
+    walkExpr(e->c, fn);
+    for (const AstExpr *arg : e->args)
+        walkExpr(arg, fn);
 }
 
 } // anonymous namespace
@@ -46,12 +49,12 @@ forEachStmt(const AstStmt &stmt,
             const std::function<void(const AstStmt &)> &fn)
 {
     fn(stmt);
-    for (const auto &s : stmt.body)
+    for (const AstStmt *s : stmt.body)
         if (s)
             forEachStmt(*s, fn);
-    for (const AstStmt *s : {stmt.then_body.get(), stmt.else_body.get(),
-                             stmt.loop_body.get(), stmt.for_init.get(),
-                             stmt.for_step.get()}) {
+    for (const AstStmt *s : {stmt.then_body, stmt.else_body,
+                             stmt.loop_body, stmt.for_init,
+                             stmt.for_step}) {
         if (s)
             forEachStmt(*s, fn);
     }
@@ -62,12 +65,10 @@ forEachExpr(const AstStmt &stmt,
             const std::function<void(const AstExpr &)> &fn)
 {
     forEachStmt(stmt, [&](const AstStmt &s) {
-        for (const AstExpr *e :
-             {s.lhs.get(), s.rhs.get(), s.cond.get()}) {
+        for (const AstExpr *e : {s.lhs, s.rhs, s.cond})
             walkExpr(e, fn);
-        }
-        for (const auto &init : s.inits)
-            walkExpr(init.get(), fn);
+        for (const AstExpr *init : s.inits)
+            walkExpr(init, fn);
     });
 }
 

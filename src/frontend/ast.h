@@ -2,30 +2,102 @@
  * @file
  * Abstract syntax tree for Kernel-C.
  *
- * The AST is deliberately small: types are recorded as flat text (the
- * analysis is untyped), and only the constructs that survive lowering to
- * the Figure 3 abstraction are represented structurally. Identifiers,
- * field names, labels and operator spellings are interned as the parser
- * builds the tree, so lowering copies eight-byte ir::Name handles. It is
- * used both by the lowering pass and by the syntactic call-site scanner
- * that reproduces the paper's Section 6.3 "brute-force search".
+ * The AST is deliberately small: types are not recorded (the analysis is
+ * untyped), and only the constructs that survive lowering to the Figure
+ * 3 abstraction are represented structurally. Identifiers, field names,
+ * labels and operator spellings are interned as the parser builds the
+ * tree, so lowering copies eight-byte ir::Name handles. It is used both
+ * by the lowering pass and by the syntactic call-site scanner that
+ * reproduces the paper's Section 6.3 "brute-force search".
+ *
+ * A unit's nodes and child lists live in an arena owned by its AstUnit:
+ * child links are plain pointers and child lists are spans, nodes are
+ * trivially destructible, and the whole tree is freed in one step when
+ * the unit dies. Node pointers stay valid when the unit is moved. Nodes
+ * are never changed once linked, so one node may have two parents: a
+ * compound assignment `x op= e` becomes `x = x op e` with one node for x.
  */
 
 #ifndef RID_FRONTEND_AST_H
 #define RID_FRONTEND_AST_H
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
-#include <string>
+#include <new>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ir/name.h"
 
 namespace rid::frontend {
 
-struct AstExpr;
-using AstExprPtr = std::unique_ptr<AstExpr>;
+/**
+ * Bump allocator for one unit's AST. Objects are never destroyed one by
+ * one, so only trivially destructible types may live here; every chunk
+ * is freed when the arena dies. Moving an arena keeps its objects where
+ * they are.
+ */
+class AstArena
+{
+  public:
+    AstArena() = default;
+    AstArena(AstArena &&other) noexcept { *this = std::move(other); }
+    AstArena &
+    operator=(AstArena &&other) noexcept
+    {
+        chunks_ = std::move(other.chunks_);
+        next_ = std::exchange(other.next_, nullptr);
+        end_ = std::exchange(other.end_, nullptr);
+        other.chunks_.clear();
+        return *this;
+    }
+
+    /** A value-initialized T in the arena. */
+    template <typename T>
+    T *
+    make()
+    {
+        static_assert(std::is_trivially_destructible_v<T>);
+        return new (allocate(sizeof(T), alignof(T))) T();
+    }
+
+    /** A copy of @p items in the arena. */
+    template <typename T>
+    std::span<const T>
+    copy(std::span<const T> items)
+    {
+        static_assert(std::is_trivially_copyable_v<T> &&
+                      std::is_trivially_destructible_v<T>);
+        if (items.empty())
+            return {};
+        void *p = allocate(items.size_bytes(), alignof(T));
+        std::memcpy(p, items.data(), items.size_bytes());
+        return {static_cast<const T *>(p), items.size()};
+    }
+
+  private:
+    void *
+    allocate(size_t size, size_t align)
+    {
+        auto at = reinterpret_cast<uintptr_t>(next_);
+        uintptr_t aligned = (at + align - 1) & ~(uintptr_t(align) - 1);
+        if (next_ == nullptr ||
+            aligned + size > reinterpret_cast<uintptr_t>(end_))
+            return allocateSlow(size, align);
+        next_ = reinterpret_cast<std::byte *>(aligned + size);
+        return reinterpret_cast<void *>(aligned);
+    }
+    void *allocateSlow(size_t size, size_t align);
+
+    std::vector<std::unique_ptr<std::byte[]>> chunks_;
+    std::byte *next_ = nullptr;   ///< free space in the newest chunk
+    std::byte *end_ = nullptr;
+};
 
 enum class AstExprKind : uint8_t {
     Ident,
@@ -50,15 +122,13 @@ struct AstExpr
     ir::Name text;              ///< Ident name / field name / op spelling
                                 ///< (empty for String: literals are opaque)
     int64_t number = 0;         ///< Number value / Bool value
-    AstExprPtr a, b, c;         ///< operands
-    std::vector<AstExprPtr> args; ///< Call arguments (a = callee expr)
-
-    static AstExprPtr ident(ir::Name name, int line);
-    static AstExprPtr num(int64_t v, int line);
+    const AstExpr *a = nullptr; ///< operands
+    const AstExpr *b = nullptr;
+    const AstExpr *c = nullptr;
+    std::span<const AstExpr *const> args; ///< Call arguments (a = callee)
 };
 
 struct AstStmt;
-using AstStmtPtr = std::unique_ptr<AstStmt>;
 
 enum class AstStmtKind : uint8_t {
     Block,
@@ -84,20 +154,27 @@ struct AstStmt
     AstStmtKind kind;
     int line = 0;
 
-    std::vector<AstStmtPtr> body;     ///< Block contents / single bodies
-    std::vector<ir::Name> names;      ///< Decl names / Goto+Label name
-    std::vector<AstExprPtr> inits;    ///< Decl initializers (may be null)
-    AstExprPtr lhs, rhs;              ///< Assign; rhs also Return/Assert
-    AstExprPtr cond;                  ///< If/While/DoWhile/For condition
-    AstStmtPtr then_body, else_body;  ///< If
-    AstStmtPtr loop_body;             ///< While/DoWhile/For
-    AstStmtPtr for_init, for_step;    ///< For clauses (may be null)
+    std::span<const AstStmt *const> body; ///< Block contents
+    std::span<const ir::Name> names;      ///< Decl names / Goto+Label name
+    std::span<const AstExpr *const> inits; ///< Decl initializers (may be
+                                           ///< null), parallel to names
+    const AstExpr *lhs = nullptr;     ///< Assign
+    const AstExpr *rhs = nullptr;     ///< Assign, Return, Assert, ExprStmt
+    const AstExpr *cond = nullptr;    ///< If/While/DoWhile/For condition
+    const AstStmt *then_body = nullptr;  ///< If
+    const AstStmt *else_body = nullptr;
+    const AstStmt *loop_body = nullptr;  ///< While/DoWhile/For
+    const AstStmt *for_init = nullptr;   ///< For clauses (may be null)
+    const AstStmt *for_step = nullptr;
 };
 
-/** A function parameter: flat type text plus a name. */
+static_assert(std::is_trivially_destructible_v<AstExpr> &&
+                  std::is_trivially_destructible_v<AstStmt>,
+              "AST nodes live in an arena and are never destroyed");
+
+/** A function parameter. */
 struct AstParam
 {
-    std::string type_text;
     ir::Name name;
 };
 
@@ -105,19 +182,20 @@ struct AstParam
 struct AstFunction
 {
     ir::Name name;
-    std::string return_type_text;
     bool returns_value = false;
-    std::vector<AstParam> params;
+    std::span<const AstParam> params;
     bool is_definition = false;
     bool is_variadic = false;
-    AstStmtPtr body;  ///< Block; null for prototypes
+    const AstStmt *body = nullptr;  ///< Block; null for prototypes
     int line = 0;
 };
 
-/** A parsed translation unit. */
+/** A parsed translation unit: its functions and the arena that holds
+ *  their trees. */
 struct AstUnit
 {
     std::vector<AstFunction> functions;
+    AstArena arena;
 };
 
 /** Walk every expression in a statement tree (pre-order). */

@@ -1,5 +1,7 @@
 #include "frontend/lexer.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstring>
 
@@ -99,20 +101,35 @@ tokName(Tok t)
 
 namespace {
 
-// Character classes of the C locale, spelled out so the lexer makes no
-// locale calls: bytes outside ASCII are never letters, digits or space.
-bool isDigit(char c) { return c >= '0' && c <= '9'; }
-bool
-isAlpha(char c)
+// Byte classes of the C locale, spelled out in a table so the lexer
+// makes no locale calls: bytes outside ASCII are never letters, digits
+// or blanks.
+enum : uint8_t {
+    kBlank = 1 << 0,       ///< whitespace other than '\n'
+    kLetter = 1 << 1,
+    kDigit = 1 << 2,
+    kUnderscore = 1 << 3,
+    kIdentStart = kLetter | kUnderscore,
+    kIdentChar = kLetter | kDigit | kUnderscore,
+    kAlnum = kLetter | kDigit,
+};
+
+constexpr std::array<uint8_t, 256> kClass = [] {
+    std::array<uint8_t, 256> t{};
+    for (char c : std::string_view(" \t\v\f\r"))
+        t[static_cast<unsigned char>(c)] = kBlank;
+    for (int c = 'a'; c <= 'z'; c++)
+        t[c] = t[c - 'a' + 'A'] = kLetter;
+    for (int c = '0'; c <= '9'; c++)
+        t[c] = kDigit;
+    t['_'] = kUnderscore;
+    return t;
+}();
+
+uint8_t
+classOf(char c)
 {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-}
-bool isAlnum(char c) { return isAlpha(c) || isDigit(c); }
-bool
-isSpace(char c)
-{
-    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
-           c == '\r';
+    return kClass[static_cast<unsigned char>(c)];
 }
 
 /** The keyword spelled @p w, or Tok::Ident. Dispatches on length and
@@ -194,9 +211,10 @@ keywordOf(std::string_view w)
     return Tok::Ident;
 }
 
-/** Value of the number literal @p text (its whole alphanumeric run). */
-int64_t
-parseNumber(std::string_view text, int line)
+/** Parse the number literal @p text (its whole alphanumeric run) into
+ *  @p value; false if it is malformed or out of range. */
+bool
+parseNumber(std::string_view text, int64_t &value)
 {
     // Strip integer suffixes (u, l, ul, ull...), then the hex prefix;
     // what remains must be all digits of the base and in range.
@@ -209,196 +227,195 @@ parseNumber(std::string_view text, int line)
         base = 16;
         digits.remove_prefix(2);
     }
-    int64_t value = 0;
     auto [end, ec] = std::from_chars(digits.data(),
                                      digits.data() + digits.size(), value,
                                      base);
-    if (ec != std::errc() || end != digits.data() + digits.size())
-        throw ParseError("bad numeric literal '" + std::string(text) + "'",
-                         line);
-    return value;
+    return ec == std::errc() && end == digits.data() + digits.size();
 }
 
 } // anonymous namespace
+
+void
+Lexer::fail(std::string msg, int line)
+{
+    i_ = src_.size();
+    throw ParseError(std::move(msg), line);
+}
+
+Token
+Lexer::next()
+{
+    const std::string_view src = src_;
+    const size_t n = src.size();
+    auto at = [&](size_t off) -> char {
+        return i_ + off < n ? src[i_ + off] : '\0';
+    };
+    auto token = [&](Tok kind, std::string_view text = {},
+                     int64_t num = 0) {
+        return Token{kind, line_, num, text};
+    };
+    auto punct = [&](Tok kind, size_t len) {
+        i_ += len;
+        return token(kind);
+    };
+
+    while (i_ < n) {
+        const char c = src[i_];
+        const uint8_t cls = classOf(c);
+        if (cls & kBlank) {
+            i_++;
+            continue;
+        }
+        if (cls & kIdentStart) {
+            size_t start = i_++;
+            while (i_ < n && (classOf(src[i_]) & kIdentChar))
+                i_++;
+            std::string_view word = src.substr(start, i_ - start);
+            return token(keywordOf(word), word);
+        }
+        if (cls & kDigit) {
+            size_t start = i_++;
+            while (i_ < n && (classOf(src[i_]) & kAlnum))
+                i_++;
+            std::string_view text = src.substr(start, i_ - start);
+            int64_t value = 0;
+            if (!parseNumber(text, value))
+                fail("bad numeric literal '" + std::string(text) + "'",
+                     line_);
+            return token(Tok::Number, text, value);
+        }
+
+        auto two = [&](char c2) { return at(1) == c2; };
+        switch (c) {
+          case '\n':
+            line_++;
+            i_++;
+            continue;
+          case '#':
+            // Preprocessor line: skip to its end (no continuations).
+            i_ = std::min(src.find('\n', i_), n);
+            continue;
+          case '"':
+          case '\'': {
+            int start_line = line_;
+            size_t start = ++i_;
+            while (i_ < n && src[i_] != c) {
+                if (src[i_] == '\\' && i_ + 1 < n) {
+                    i_ += 2;
+                    continue;
+                }
+                if (src[i_] == '\n')
+                    line_++;
+                i_++;
+            }
+            if (i_ >= n)
+                fail("unterminated string", start_line);
+            std::string_view text = src.substr(start, i_ - start);
+            i_++;
+            // A literal's line is the one its closing quote is on.
+            if (c == '"')
+                return token(Tok::String, text);
+            // Character constants become their numeric value.
+            int64_t v = text.empty() || text[0] == '\\'
+                            ? 0
+                            : static_cast<int64_t>(text[0]);
+            return token(Tok::Number, text, v);
+          }
+          case '/':
+            if (two('/')) {
+                i_ = std::min(src.find('\n', i_), n);
+                continue;
+            }
+            if (two('*')) {
+                size_t close = src.find("*/", i_ + 2);
+                if (close == std::string_view::npos)
+                    fail("unterminated comment", line_);
+                line_ += static_cast<int>(
+                    std::count(src.begin() + i_ + 2, src.begin() + close,
+                               '\n'));
+                i_ = close + 2;
+                continue;
+            }
+            return two('=') ? punct(Tok::SlashAssign, 2)
+                            : punct(Tok::Slash, 1);
+          case '(': return punct(Tok::LParen, 1);
+          case ')': return punct(Tok::RParen, 1);
+          case '{': return punct(Tok::LBrace, 1);
+          case '}': return punct(Tok::RBrace, 1);
+          case '[': return punct(Tok::LBracket, 1);
+          case ']': return punct(Tok::RBracket, 1);
+          case ';': return punct(Tok::Semi, 1);
+          case ',': return punct(Tok::Comma, 1);
+          case ':': return punct(Tok::Colon, 1);
+          case '?': return punct(Tok::Question, 1);
+          case '~': return punct(Tok::Tilde, 1);
+          case '=':
+            return two('=') ? punct(Tok::Eq, 2) : punct(Tok::Assign, 1);
+          case '!':
+            return two('=') ? punct(Tok::Ne, 2) : punct(Tok::Not, 1);
+          case '<':
+            if (two('='))
+                return punct(Tok::Le, 2);
+            if (two('<'))
+                return at(2) == '=' ? punct(Tok::ShlAssign, 3)
+                                    : punct(Tok::Shl, 2);
+            return punct(Tok::Lt, 1);
+          case '>':
+            if (two('='))
+                return punct(Tok::Ge, 2);
+            if (two('>'))
+                return at(2) == '=' ? punct(Tok::ShrAssign, 3)
+                                    : punct(Tok::Shr, 2);
+            return punct(Tok::Gt, 1);
+          case '&':
+            if (two('&'))
+                return punct(Tok::AndAnd, 2);
+            return two('=') ? punct(Tok::AmpAssign, 2)
+                            : punct(Tok::Amp, 1);
+          case '|':
+            if (two('|'))
+                return punct(Tok::OrOr, 2);
+            return two('=') ? punct(Tok::PipeAssign, 2)
+                            : punct(Tok::Pipe, 1);
+          case '^':
+            return two('=') ? punct(Tok::CaretAssign, 2)
+                            : punct(Tok::Caret, 1);
+          case '+':
+            if (two('+'))
+                return punct(Tok::PlusPlus, 2);
+            return two('=') ? punct(Tok::PlusAssign, 2)
+                            : punct(Tok::Plus, 1);
+          case '-':
+            if (two('-'))
+                return punct(Tok::MinusMinus, 2);
+            if (two('='))
+                return punct(Tok::MinusAssign, 2);
+            return two('>') ? punct(Tok::Arrow, 2) : punct(Tok::Minus, 1);
+          case '*':
+            return two('=') ? punct(Tok::StarAssign, 2)
+                            : punct(Tok::Star, 1);
+          case '%':
+            return two('=') ? punct(Tok::PercentAssign, 2)
+                            : punct(Tok::Percent, 1);
+          case '.':
+            return two('.') && at(2) == '.' ? punct(Tok::Ellipsis, 3)
+                                            : punct(Tok::Dot, 1);
+          default:
+            fail(std::string("stray character '") + c + "'", line_);
+        }
+    }
+    return token(Tok::End);
+}
 
 std::vector<Token>
 tokenize(std::string_view src)
 {
     std::vector<Token> out;
     out.reserve(src.size() / 4 + 16);
-    size_t i = 0;
-    int line = 1;
-    const size_t n = src.size();
-
-    auto peek = [&](size_t off = 0) -> char {
-        return i + off < n ? src[i + off] : '\0';
-    };
-    auto push = [&](Tok kind, std::string_view text = {}, int64_t num = 0) {
-        out.push_back(Token{kind, line, num, text});
-    };
-
-    while (i < n) {
-        char c = src[i];
-        if (c == '\n') {
-            line++;
-            i++;
-            continue;
-        }
-        if (isSpace(c)) {
-            i++;
-            continue;
-        }
-        // Preprocessor lines: skip to end of line (no continuations).
-        if (c == '#') {
-            while (i < n && src[i] != '\n')
-                i++;
-            continue;
-        }
-        if (c == '/' && peek(1) == '/') {
-            while (i < n && src[i] != '\n')
-                i++;
-            continue;
-        }
-        if (c == '/' && peek(1) == '*') {
-            int start_line = line;
-            i += 2;
-            while (i < n && !(src[i] == '*' && peek(1) == '/')) {
-                if (src[i] == '\n')
-                    line++;
-                i++;
-            }
-            if (i >= n)
-                throw ParseError("unterminated comment", start_line);
-            i += 2;
-            continue;
-        }
-        if (isAlpha(c) || c == '_') {
-            size_t start = i;
-            while (i < n && (isAlnum(src[i]) || src[i] == '_'))
-                i++;
-            std::string_view word = src.substr(start, i - start);
-            push(keywordOf(word), word);
-            continue;
-        }
-        if (isDigit(c)) {
-            size_t start = i;
-            while (i < n && isAlnum(src[i]))
-                i++;
-            std::string_view text = src.substr(start, i - start);
-            push(Tok::Number, text, parseNumber(text, line));
-            continue;
-        }
-        if (c == '"' || c == '\'') {
-            char quote = c;
-            int start_line = line;
-            size_t start = ++i;
-            while (i < n && src[i] != quote) {
-                if (src[i] == '\\' && i + 1 < n) {
-                    i += 2;
-                    continue;
-                }
-                if (src[i] == '\n')
-                    line++;
-                i++;
-            }
-            if (i >= n)
-                throw ParseError("unterminated string", start_line);
-            std::string_view text = src.substr(start, i - start);
-            i++;
-            if (quote == '\'') {
-                // Character constants become their numeric value.
-                int64_t v = text.empty() ? 0
-                            : text[0] == '\\' ? 0
-                                              : static_cast<int64_t>(text[0]);
-                push(Tok::Number, text, v);
-            } else {
-                push(Tok::String, text);
-            }
-            continue;
-        }
-
-        auto two = [&](char c2) { return peek(1) == c2; };
-        switch (c) {
-          case '(': push(Tok::LParen); i++; break;
-          case ')': push(Tok::RParen); i++; break;
-          case '{': push(Tok::LBrace); i++; break;
-          case '}': push(Tok::RBrace); i++; break;
-          case '[': push(Tok::LBracket); i++; break;
-          case ']': push(Tok::RBracket); i++; break;
-          case ';': push(Tok::Semi); i++; break;
-          case ',': push(Tok::Comma); i++; break;
-          case ':': push(Tok::Colon); i++; break;
-          case '?': push(Tok::Question); i++; break;
-          case '~': push(Tok::Tilde); i++; break;
-          case '=':
-            if (two('=')) { push(Tok::Eq); i += 2; }
-            else { push(Tok::Assign); i++; }
-            break;
-          case '!':
-            if (two('=')) { push(Tok::Ne); i += 2; }
-            else { push(Tok::Not); i++; }
-            break;
-          case '<':
-            if (two('=')) { push(Tok::Le); i += 2; }
-            else if (two('<')) {
-                if (peek(2) == '=') { push(Tok::ShlAssign); i += 3; }
-                else { push(Tok::Shl); i += 2; }
-            } else { push(Tok::Lt); i++; }
-            break;
-          case '>':
-            if (two('=')) { push(Tok::Ge); i += 2; }
-            else if (two('>')) {
-                if (peek(2) == '=') { push(Tok::ShrAssign); i += 3; }
-                else { push(Tok::Shr); i += 2; }
-            } else { push(Tok::Gt); i++; }
-            break;
-          case '&':
-            if (two('&')) { push(Tok::AndAnd); i += 2; }
-            else if (two('=')) { push(Tok::AmpAssign); i += 2; }
-            else { push(Tok::Amp); i++; }
-            break;
-          case '|':
-            if (two('|')) { push(Tok::OrOr); i += 2; }
-            else if (two('=')) { push(Tok::PipeAssign); i += 2; }
-            else { push(Tok::Pipe); i++; }
-            break;
-          case '^':
-            if (two('=')) { push(Tok::CaretAssign); i += 2; }
-            else { push(Tok::Caret); i++; }
-            break;
-          case '+':
-            if (two('+')) { push(Tok::PlusPlus); i += 2; }
-            else if (two('=')) { push(Tok::PlusAssign); i += 2; }
-            else { push(Tok::Plus); i++; }
-            break;
-          case '-':
-            if (two('-')) { push(Tok::MinusMinus); i += 2; }
-            else if (two('=')) { push(Tok::MinusAssign); i += 2; }
-            else if (two('>')) { push(Tok::Arrow); i += 2; }
-            else { push(Tok::Minus); i++; }
-            break;
-          case '*':
-            if (two('=')) { push(Tok::StarAssign); i += 2; }
-            else { push(Tok::Star); i++; }
-            break;
-          case '/':
-            if (two('=')) { push(Tok::SlashAssign); i += 2; }
-            else { push(Tok::Slash); i++; }
-            break;
-          case '%':
-            if (two('=')) { push(Tok::PercentAssign); i += 2; }
-            else { push(Tok::Percent); i++; }
-            break;
-          case '.':
-            if (two('.') && peek(2) == '.') { push(Tok::Ellipsis); i += 3; }
-            else { push(Tok::Dot); i++; }
-            break;
-          default:
-            throw ParseError(std::string("stray character '") + c + "'",
-                             line);
-        }
-    }
-    push(Tok::End);
+    Lexer lexer(src);
+    do
+        out.push_back(lexer.next());
+    while (out.back().kind != Tok::End);
     return out;
 }
 

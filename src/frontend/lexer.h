@@ -8,9 +8,13 @@
  * field access and the usual comparison/logical operators. Preprocessor
  * lines and comments are skipped.
  *
- * Tokens copy nothing: a token's text views the buffer passed to
- * tokenize(), so the tokens are valid only while that buffer is alive
- * and unchanged.
+ * The Lexer is pulled: next() scans one token at a time, so the parser
+ * holds only the few tokens it looks ahead at, never the whole file.
+ * Bytes are classified through a 256-entry table, and comment and
+ * preprocessor lines are skipped with a search for their end. Tokens
+ * copy nothing: a token's text views the source buffer, so it is valid
+ * only while that buffer is alive and unchanged. tokenize() collects a
+ * whole file's tokens for callers that want the stream at once.
  */
 
 #ifndef RID_FRONTEND_LEXER_H
@@ -75,6 +79,30 @@ class ParseError : public std::runtime_error
 
   private:
     int line_;
+};
+
+/** Scans Kernel-C source one token at a time. */
+class Lexer
+{
+  public:
+    /** Scan @p source, which must outlive the lexer and its tokens. */
+    explicit Lexer(std::string_view source) : src_(source) {}
+
+    /**
+     * The next token; Tok::End, forever, once the input is used up.
+     *
+     * @throws ParseError on malformed input (see tokenize()). The lexer
+     *         is then used up: a later call returns Tok::End, so a
+     *         lexer's first error is the only one it ever raises.
+     */
+    Token next();
+
+  private:
+    [[noreturn]] void fail(std::string msg, int line);
+
+    std::string_view src_;
+    size_t i_ = 0;
+    int line_ = 1;
 };
 
 /**

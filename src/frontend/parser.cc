@@ -1,6 +1,11 @@
 #include "frontend/parser.h"
 
-#include <cassert>
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "obs/failpoint.h"
 
@@ -40,41 +45,181 @@ opName(Tok t)
 }
 
 /**
- * Deepest tree the parser builds. Lowering, the AST walks and the AST's
- * destructor all recurse over the tree, so a deeper input would overflow
- * the stack; past this depth the file is rejected instead. Statements,
- * parentheses, unary operators, casts and ternaries each add a level, and
- * so does every operand of a binary or postfix chain, since the chain
- * becomes a left-deep tree.
+ * Deepest tree the parser builds. Lowering and the AST walks recurse
+ * over the tree (freeing it does not: it dies with its arena), so a
+ * deeper input would overflow the stack; past this depth the file is
+ * rejected instead. Statements, parentheses, unary operators, casts and
+ * ternaries each add a level, and so does every operand of a binary or
+ * postfix chain, since the chain becomes a left-deep tree.
  */
 constexpr int kMaxNesting = 256;
+
+/**
+ * The lexer plus the tokens pulled from it but not yet consumed: the
+ * current token, and behind it the ones the parser has peeked at. The
+ * parser peeks past any run of '*' to tell a declaration or cast from an
+ * expression, so the lookahead is a ring that grows on demand.
+ */
+class TokenQueue
+{
+  public:
+    explicit TokenQueue(std::string_view source) : lexer_(source) {}
+
+    /** The current token; End until the first pop(). */
+    const Token &current() const { return cur_; }
+
+    /** The token @p off (at least 1) places past the current one. The
+     *  reference is valid until the next peek() or pop(). */
+    const Token &
+    peek(size_t off)
+    {
+        while (off > count_)
+            pull();
+        return ring_[(head_ + off - 1) & (cap_ - 1)];
+    }
+
+    /** Move to the next token. Past the end the lexer yields End
+     *  forever, so the current token then stays End. */
+    void
+    pop()
+    {
+        if (count_ == 0) {
+            cur_ = lexer_.next();
+            return;
+        }
+        cur_ = ring_[head_];
+        head_ = (head_ + 1) & (cap_ - 1);
+        count_--;
+    }
+
+    /** Scan the rest of the input, raising its first lexical error. */
+    void
+    drain()
+    {
+        while (lexer_.next().kind != Tok::End) {}
+    }
+
+  private:
+    void
+    pull()
+    {
+        if (count_ == cap_) {
+            // Unroll the ring into a buffer twice its size.
+            auto bigger = std::make_unique<Token[]>(2 * cap_);
+            std::rotate_copy(ring_.get(), ring_.get() + head_,
+                             ring_.get() + cap_, bigger.get());
+            ring_ = std::move(bigger);
+            cap_ *= 2;
+            head_ = 0;
+        }
+        ring_[(head_ + count_) & (cap_ - 1)] = lexer_.next();
+        count_++;
+    }
+
+    Lexer lexer_;
+    Token cur_;
+    size_t cap_ = 8;   ///< a power of two
+    std::unique_ptr<Token[]> ring_ = std::make_unique<Token[]>(cap_);
+    size_t head_ = 0;
+    size_t count_ = 0;
+};
+
+/**
+ * Names interned while parsing one unit, keyed by their spelling in its
+ * source. Identifiers recur within a unit, so most lookups end in this
+ * open-addressing table instead of ir::Name's process-wide, mutex-guarded
+ * one. Keys view the source, so a cache lives for one parse only.
+ */
+class NameCache
+{
+  public:
+    ir::Name
+    intern(std::string_view spelling)
+    {
+        size_t hash = std::hash<std::string_view>{}(spelling);
+        size_t mask = slots_.size() - 1;
+        for (size_t i = hash & mask;; i = (i + 1) & mask) {
+            Slot &slot = slots_[i];
+            if (slot.key.empty()) {
+                slot = Slot{hash, spelling, ir::Name(spelling)};
+                ir::Name name = slot.name;
+                if (++used_ * 2 > slots_.size())
+                    grow();
+                return name;
+            }
+            if (slot.hash == hash && slot.key == spelling)
+                return slot.name;
+        }
+    }
+
+  private:
+    /** An identifier's spelling is never empty, so an empty key marks a
+     *  free slot. */
+    struct Slot
+    {
+        size_t hash = 0;
+        std::string_view key;
+        ir::Name name;
+    };
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        size_t mask = slots_.size() - 1;
+        for (const Slot &slot : old) {
+            if (slot.key.empty())
+                continue;
+            size_t i = slot.hash & mask;
+            while (!slots_[i].key.empty())
+                i = (i + 1) & mask;
+            slots_[i] = slot;
+        }
+    }
+
+    std::vector<Slot> slots_ = std::vector<Slot>(256);
+    size_t used_ = 0;
+};
 
 class Parser
 {
   public:
-    explicit Parser(std::vector<Token> toks) : toks_(std::move(toks)) {}
+    Parser(std::string_view source, AstArena &arena)
+        : toks_(source), arena_(arena)
+    {}
 
-    AstUnit
-    parse()
+    /** Parse the whole unit into @p functions. */
+    void
+    parse(std::vector<AstFunction> &functions)
     {
-        AstUnit unit;
-        while (cur().kind != Tok::End)
-            parseTopLevel(unit);
-        return unit;
+        try {
+            advance();  // to the first token
+            while (kind() != Tok::End)
+                parseTopLevel(functions);
+        } catch (const ParseError &) {
+            // Report a file's first lexical error ahead of any syntax
+            // error, as if the file had been tokenized before parsing.
+            // The lexer has scanned only up to the parser's lookahead, so
+            // scan the rest. If the error came from the lexer, the lexer
+            // is used up and this finds nothing.
+            toks_.drain();
+            throw;
+        }
     }
 
   private:
-    const Token &cur(size_t off = 0) const
+    const Token &
+    cur(size_t off = 0)
     {
-        size_t i = pos_ + off;
-        return i < toks_.size() ? toks_[i] : toks_.back();
+        return off == 0 ? toks_.current() : toks_.peek(off);
     }
-    Tok kind() const { return cur().kind; }
-    int line() const { return cur().line; }
-    void advance() { if (pos_ + 1 < toks_.size()) pos_++; }
+    Tok kind() { return cur().kind; }
+    int line() { return cur().line; }
+    void advance() { toks_.pop(); }
 
     [[noreturn]] void
-    err(const std::string &msg) const
+    err(const std::string &msg)
     {
         std::string got = cur().kind == Tok::Ident ? std::string(cur().text)
                                                    : tokName(cur().kind);
@@ -128,19 +273,21 @@ class Parser
         return false;
     }
 
-    /**
-     * Parse a type: qualifiers/specifiers, optional struct/enum tag,
-     * optional typedef-style identifier, then '*'s. Returns flat text and
-     * whether the type is (syntactically) void with no pointers.
-     */
-    struct TypeInfo
+    /** The interned name spelled @p text. */
+    ir::Name intern(std::string_view text) { return name_cache_.intern(text); }
+
+    /** Move the entries of @p scratch from @p mark on into the arena. */
+    template <typename T>
+    std::span<const T>
+    takeList(std::vector<T> &scratch, size_t mark)
     {
-        std::string text;
-        bool is_void = false;
-    };
+        auto list = arena_.copy(std::span<const T>(scratch).subspan(mark));
+        scratch.resize(mark);
+        return list;
+    }
 
     bool
-    looksLikeType() const
+    looksLikeType()
     {
         if (isTypeStart(kind()))
             return true;
@@ -156,60 +303,49 @@ class Parser
         return false;
     }
 
-    TypeInfo
+    /**
+     * Skip a type: qualifiers/specifiers, optional struct/enum tag,
+     * optional typedef-style identifier, then '*'s. Returns whether the
+     * type is (syntactically) void with no pointers.
+     */
+    bool
     parseType()
     {
-        TypeInfo info;
+        bool is_void = false;
         bool saw_specifier = false;
         bool pointer = false;
-        auto append = [&](std::string_view s) {
-            if (!info.text.empty())
-                info.text += ' ';
-            info.text += s;
-        };
         while (true) {
             Tok t = kind();
             if (isTypeStart(t)) {
                 if (t == Tok::KwVoid)
-                    info.is_void = true;
-                if (t == Tok::KwStruct || t == Tok::KwEnum ||
-                    t == Tok::KwUnion) {
-                    append(tokName(t));
-                    advance();
-                    if (kind() == Tok::Ident) {
-                        append(cur().text);
-                        advance();
-                    }
-                    saw_specifier = true;
-                    continue;
-                }
-                append(tokName(t));
+                    is_void = true;
                 advance();
+                if ((t == Tok::KwStruct || t == Tok::KwEnum ||
+                     t == Tok::KwUnion) &&
+                    kind() == Tok::Ident) {
+                    advance();
+                }
                 saw_specifier = true;
                 continue;
             }
             if (t == Tok::Ident && !saw_specifier) {
                 // typedef-style type name
-                append(cur().text);
                 advance();
                 saw_specifier = true;
                 continue;
             }
             if (t == Tok::Star) {
-                append("*");
                 pointer = true;
                 advance();
                 continue;
             }
             break;
         }
-        if (pointer)
-            info.is_void = false;
-        return info;
+        return is_void && !pointer;
     }
 
     void
-    parseTopLevel(AstUnit &unit)
+    parseTopLevel(std::vector<AstFunction> &functions)
     {
         // typedef ...; struct X {...}; enum {...}; — skip to ';' at depth 0.
         if (kind() == Tok::KwTypedef) {
@@ -226,13 +362,12 @@ class Parser
         if (accept(Tok::Semi))
             return;
 
-        TypeInfo ret_type = parseType();
+        bool returns_void = parseType();
         if (kind() != Tok::Ident)
             err("expected function name");
         AstFunction fn;
-        fn.name = ir::Name(cur().text);
-        fn.return_type_text = ret_type.text;
-        fn.returns_value = !ret_type.is_void;
+        fn.name = intern(cur().text);
+        fn.returns_value = !returns_void;
         fn.line = line();
         advance();
 
@@ -244,20 +379,20 @@ class Parser
         advance();
         if (kind() == Tok::KwVoid && cur(1).kind == Tok::RParen)
             advance();
+        size_t mark = params_.size();
         while (kind() != Tok::RParen) {
             if (kind() == Tok::Ellipsis) {
                 fn.is_variadic = true;
                 advance();
                 break;
             }
+            parseType();
             AstParam p;
-            TypeInfo pt = parseType();
-            p.type_text = pt.text;
             if (kind() == Tok::Ident) {
-                p.name = ir::Name(cur().text);
+                p.name = intern(cur().text);
                 advance();
             } else {
-                p.name = ir::Name("p" + std::to_string(fn.params.size()));
+                p.name = ir::Name("p" + std::to_string(params_.size() - mark));
             }
             // Array suffix on parameters: skip.
             while (accept(Tok::LBracket)) {
@@ -265,20 +400,21 @@ class Parser
                     advance();
                 expect(Tok::RBracket, "]");
             }
-            fn.params.push_back(std::move(p));
+            params_.push_back(p);
             if (!accept(Tok::Comma))
                 break;
         }
         expect(Tok::RParen, ")");
+        fn.params = takeList(params_, mark);
 
         if (accept(Tok::Semi)) {
             fn.is_definition = false;
-            unit.functions.push_back(std::move(fn));
+            functions.push_back(fn);
             return;
         }
         fn.is_definition = true;
         fn.body = parseBlock();
-        unit.functions.push_back(std::move(fn));
+        functions.push_back(fn);
     }
 
     void
@@ -298,30 +434,41 @@ class Parser
         }
     }
 
-    AstStmtPtr
+    AstStmt *
     makeStmt(AstStmtKind k)
     {
-        auto s = std::make_unique<AstStmt>();
+        AstStmt *s = arena_.make<AstStmt>();
         s->kind = k;
         s->line = line();
         return s;
     }
 
-    AstStmtPtr
+    /** Consume the current token, a label, as a one-name list. */
+    std::span<const ir::Name>
+    takeLabel()
+    {
+        ir::Name name = intern(cur().text);
+        advance();
+        return arena_.copy(std::span<const ir::Name>(&name, 1));
+    }
+
+    const AstStmt *
     parseBlock()
     {
-        auto block = makeStmt(AstStmtKind::Block);
+        AstStmt *block = makeStmt(AstStmtKind::Block);
         expect(Tok::LBrace, "{");
+        size_t mark = stmts_.size();
         while (kind() != Tok::RBrace) {
             if (kind() == Tok::End)
                 err("unexpected end of input in block");
-            block->body.push_back(parseStmt());
+            stmts_.push_back(parseStmt());
         }
         advance();
+        block->body = takeList(stmts_, mark);
         return block;
     }
 
-    AstStmtPtr
+    const AstStmt *
     parseStmt()
     {
         Nest nest(*this);
@@ -329,12 +476,12 @@ class Parser
           case Tok::LBrace:
             return parseBlock();
           case Tok::Semi: {
-            auto s = makeStmt(AstStmtKind::Empty);
+            AstStmt *s = makeStmt(AstStmtKind::Empty);
             advance();
             return s;
           }
           case Tok::KwIf: {
-            auto s = makeStmt(AstStmtKind::If);
+            AstStmt *s = makeStmt(AstStmtKind::If);
             advance();
             expect(Tok::LParen, "(");
             s->cond = parseExpr();
@@ -345,7 +492,7 @@ class Parser
             return s;
           }
           case Tok::KwWhile: {
-            auto s = makeStmt(AstStmtKind::While);
+            AstStmt *s = makeStmt(AstStmtKind::While);
             advance();
             expect(Tok::LParen, "(");
             s->cond = parseExpr();
@@ -354,7 +501,7 @@ class Parser
             return s;
           }
           case Tok::KwDo: {
-            auto s = makeStmt(AstStmtKind::DoWhile);
+            AstStmt *s = makeStmt(AstStmtKind::DoWhile);
             advance();
             s->loop_body = parseStmt();
             expect(Tok::KwWhile, "while");
@@ -365,7 +512,7 @@ class Parser
             return s;
           }
           case Tok::KwFor: {
-            auto s = makeStmt(AstStmtKind::For);
+            AstStmt *s = makeStmt(AstStmtKind::For);
             advance();
             expect(Tok::LParen, "(");
             if (kind() != Tok::Semi)
@@ -381,7 +528,7 @@ class Parser
             return s;
           }
           case Tok::KwReturn: {
-            auto s = makeStmt(AstStmtKind::Return);
+            AstStmt *s = makeStmt(AstStmtKind::Return);
             advance();
             if (kind() != Tok::Semi)
                 s->rhs = parseExpr();
@@ -389,29 +536,28 @@ class Parser
             return s;
           }
           case Tok::KwGoto: {
-            auto s = makeStmt(AstStmtKind::Goto);
+            AstStmt *s = makeStmt(AstStmtKind::Goto);
             advance();
             if (kind() != Tok::Ident)
                 err("expected label after goto");
-            s->names.emplace_back(cur().text);
-            advance();
+            s->names = takeLabel();
             expect(Tok::Semi, ";");
             return s;
           }
           case Tok::KwBreak: {
-            auto s = makeStmt(AstStmtKind::Break);
+            AstStmt *s = makeStmt(AstStmtKind::Break);
             advance();
             expect(Tok::Semi, ";");
             return s;
           }
           case Tok::KwContinue: {
-            auto s = makeStmt(AstStmtKind::Continue);
+            AstStmt *s = makeStmt(AstStmtKind::Continue);
             advance();
             expect(Tok::Semi, ";");
             return s;
           }
           case Tok::KwAssert: {
-            auto s = makeStmt(AstStmtKind::Assert);
+            AstStmt *s = makeStmt(AstStmtKind::Assert);
             advance();
             expect(Tok::LParen, "(");
             s->rhs = parseExpr();
@@ -426,9 +572,8 @@ class Parser
         }
         // Label: IDENT ':'
         if (kind() == Tok::Ident && cur(1).kind == Tok::Colon) {
-            auto s = makeStmt(AstStmtKind::Label);
-            s->names.emplace_back(cur().text);
-            advance();
+            AstStmt *s = makeStmt(AstStmtKind::Label);
+            s->names = takeLabel();
             advance();
             return s;
         }
@@ -436,42 +581,45 @@ class Parser
     }
 
     /** Declaration, assignment or expression statement. */
-    AstStmtPtr
+    const AstStmt *
     parseSimpleStmt(bool consume_semi)
     {
         if (looksLikeType()) {
-            auto s = makeStmt(AstStmtKind::Decl);
+            AstStmt *s = makeStmt(AstStmtKind::Decl);
             parseType();
+            size_t names_mark = names_.size();
+            size_t inits_mark = exprs_.size();
             while (true) {
                 // Extra '*' for subsequent declarators: int *a, *b;
                 while (accept(Tok::Star)) {}
                 if (kind() != Tok::Ident)
                     err("expected declarator name");
-                s->names.emplace_back(cur().text);
+                names_.push_back(intern(cur().text));
                 advance();
                 while (accept(Tok::LBracket)) {
                     while (kind() != Tok::RBracket && kind() != Tok::End)
                         advance();
                     expect(Tok::RBracket, "]");
                 }
-                if (accept(Tok::Assign))
-                    s->inits.push_back(parseAssignRhs());
-                else
-                    s->inits.push_back(nullptr);
+                const AstExpr *init =
+                    accept(Tok::Assign) ? parseExpr() : nullptr;
+                exprs_.push_back(init);
                 if (!accept(Tok::Comma))
                     break;
             }
+            s->names = takeList(names_, names_mark);
+            s->inits = takeList(exprs_, inits_mark);
             if (consume_semi)
                 expect(Tok::Semi, ";");
             return s;
         }
 
-        auto lhs = parseExpr();
+        const AstExpr *lhs = parseExpr();
         if (kind() == Tok::Assign) {
-            auto s = makeStmt(AstStmtKind::Assign);
+            AstStmt *s = makeStmt(AstStmtKind::Assign);
             advance();
-            s->lhs = std::move(lhs);
-            s->rhs = parseAssignRhs();
+            s->lhs = lhs;
+            s->rhs = parseExpr();
             if (consume_semi)
                 expect(Tok::Semi, ";");
             return s;
@@ -482,18 +630,19 @@ class Parser
           case Tok::SlashAssign: case Tok::PercentAssign:
           case Tok::AmpAssign: case Tok::PipeAssign: case Tok::CaretAssign:
           case Tok::ShlAssign: case Tok::ShrAssign: {
-            auto s = makeStmt(AstStmtKind::Assign);
+            AstStmt *s = makeStmt(AstStmtKind::Assign);
             std::string_view op = tokName(kind());
             advance();
-            auto rhs = parseExpr();
-            auto bin = std::make_unique<AstExpr>();
+            // `x op= e` becomes `x = x op e`. The tree is read-only, so
+            // both sides share the node for x.
+            AstExpr *bin = arena_.make<AstExpr>();
             bin->kind = AstExprKind::Binary;
             bin->text = ir::Name(op.substr(0, op.size() - 1));  // "+=" -> "+"
             bin->line = s->line;
-            bin->a = cloneExpr(*lhs);
-            bin->b = std::move(rhs);
-            s->lhs = std::move(lhs);
-            s->rhs = std::move(bin);
+            bin->a = lhs;
+            bin->b = parseExpr();
+            s->lhs = lhs;
+            s->rhs = bin;
             if (consume_semi)
                 expect(Tok::Semi, ";");
             return s;
@@ -501,56 +650,34 @@ class Parser
           default:
             break;
         }
-        auto s = makeStmt(AstStmtKind::ExprStmt);
-        s->rhs = std::move(lhs);
+        AstStmt *s = makeStmt(AstStmtKind::ExprStmt);
+        s->rhs = lhs;
         if (consume_semi)
             expect(Tok::Semi, ";");
         return s;
     }
 
-    /** RHS of '=' — an expression (chained assignment unsupported). */
-    AstExprPtr parseAssignRhs() { return parseExpr(); }
-
-    AstExprPtr
+    AstExpr *
     makeExpr(AstExprKind k)
     {
-        auto e = std::make_unique<AstExpr>();
+        AstExpr *e = arena_.make<AstExpr>();
         e->kind = k;
         e->line = line();
         return e;
     }
 
-    static AstExprPtr
-    cloneExpr(const AstExpr &e)
-    {
-        auto out = std::make_unique<AstExpr>();
-        out->kind = e.kind;
-        out->line = e.line;
-        out->text = e.text;
-        out->number = e.number;
-        if (e.a)
-            out->a = cloneExpr(*e.a);
-        if (e.b)
-            out->b = cloneExpr(*e.b);
-        if (e.c)
-            out->c = cloneExpr(*e.c);
-        for (const auto &arg : e.args)
-            out->args.push_back(cloneExpr(*arg));
-        return out;
-    }
+    const AstExpr *parseExpr() { return parseTernary(); }
 
-    AstExprPtr parseExpr() { return parseTernary(); }
-
-    AstExprPtr
+    const AstExpr *
     parseTernary()
     {
-        auto cond = parseBinary(0);
+        const AstExpr *cond = parseBinary(0);
         if (kind() != Tok::Question)
             return cond;
         Nest nest(*this);
-        auto e = makeExpr(AstExprKind::Ternary);
+        AstExpr *e = makeExpr(AstExprKind::Ternary);
         advance();
-        e->a = std::move(cond);
+        e->a = cond;
         e->b = parseExpr();
         expect(Tok::Colon, ":");
         e->c = parseTernary();
@@ -576,26 +703,26 @@ class Parser
         }
     }
 
-    AstExprPtr
+    const AstExpr *
     parseBinary(int min_prec)
     {
-        auto lhs = parseUnary();
+        const AstExpr *lhs = parseUnary();
         Nest chain(*this, 0);
         while (true) {
             int prec = precedence(kind());
             if (prec < 0 || prec < min_prec)
                 return lhs;
             chain.deeper();
-            auto e = makeExpr(AstExprKind::Binary);
+            AstExpr *e = makeExpr(AstExprKind::Binary);
             e->text = opName(kind());
             advance();
-            e->a = std::move(lhs);
+            e->a = lhs;
             e->b = parseBinary(prec + 1);
-            lhs = std::move(e);
+            lhs = e;
         }
     }
 
-    AstExprPtr
+    const AstExpr *
     parseUnary()
     {
         switch (kind()) {
@@ -604,7 +731,7 @@ class Parser
           // Prefix inc/dec used as an expression: value is nondet.
           case Tok::PlusPlus: case Tok::MinusMinus: {
             Nest nest(*this);
-            auto e = makeExpr(AstExprKind::Unary);
+            AstExpr *e = makeExpr(AstExprKind::Unary);
             e->text = opName(kind());
             advance();
             e->a = parseUnary();
@@ -614,7 +741,7 @@ class Parser
             Nest nest(*this);
             advance();
             // sizeof(type-or-expr): consume parenthesized blob.
-            auto e = makeExpr(AstExprKind::Number);
+            AstExpr *e = makeExpr(AstExprKind::Number);
             e->number = 8;
             if (accept(Tok::LParen)) {
                 int depth = 1;
@@ -656,7 +783,7 @@ class Parser
      * heuristic is only consulted for `(ident * ...)` / `(ident)` forms.
      */
     bool
-    looksCastLike() const
+    looksCastLike()
     {
         size_t off = 1;  // at ident
         off++;
@@ -679,59 +806,62 @@ class Parser
         }
     }
 
-    AstExprPtr
+    const AstExpr *
     parsePostfix()
     {
-        auto e = parsePrimary();
+        const AstExpr *e = parsePrimary();
         Nest chain(*this, 0);
         while (true) {
             switch (kind()) {
               case Tok::Arrow:
               case Tok::Dot: {
                 chain.deeper();
-                auto f = makeExpr(AstExprKind::Field);
+                AstExpr *f = makeExpr(AstExprKind::Field);
                 advance();
                 if (kind() != Tok::Ident)
                     err("expected field name");
-                f->text = ir::Name(cur().text);
+                f->text = intern(cur().text);
                 advance();
-                f->a = std::move(e);
-                e = std::move(f);
+                f->a = e;
+                e = f;
                 break;
               }
               case Tok::LParen: {
                 chain.deeper();
-                auto call = makeExpr(AstExprKind::Call);
+                AstExpr *call = makeExpr(AstExprKind::Call);
                 advance();
-                call->a = std::move(e);
+                call->a = e;
+                size_t mark = exprs_.size();
                 while (kind() != Tok::RParen) {
-                    call->args.push_back(parseExpr());
+                    const AstExpr *arg = parseExpr();
+                    exprs_.push_back(arg);
                     if (!accept(Tok::Comma))
                         break;
                 }
                 expect(Tok::RParen, ")");
-                e = std::move(call);
+                call->args = takeList(exprs_, mark);
+                e = call;
                 break;
               }
               case Tok::LBracket: {
                 chain.deeper();
-                auto idx = makeExpr(AstExprKind::Index);
+                AstExpr *idx = makeExpr(AstExprKind::Index);
                 advance();
-                idx->a = std::move(e);
+                idx->a = e;
                 idx->b = parseExpr();
                 expect(Tok::RBracket, "]");
-                e = std::move(idx);
+                e = idx;
                 break;
               }
               case Tok::PlusPlus:
               case Tok::MinusMinus: {
                 // Postfix inc/dec as an expression: nondet value.
                 chain.deeper();
-                auto u = makeExpr(AstExprKind::Unary);
+                AstExpr *u = makeExpr(AstExprKind::Unary);
                 u->text = opName(kind());
                 advance();
-                u->a = std::move(e);
-                e = std::move(u);
+                u->a = e;
+                e = u;
                 break;
               }
               default:
@@ -740,33 +870,35 @@ class Parser
         }
     }
 
-    AstExprPtr
+    const AstExpr *
     parsePrimary()
     {
         switch (kind()) {
           case Tok::Ident: {
-            auto e = AstExpr::ident(ir::Name(cur().text), line());
+            AstExpr *e = makeExpr(AstExprKind::Ident);
+            e->text = intern(cur().text);
             advance();
             return e;
           }
           case Tok::Number: {
-            auto e = AstExpr::num(cur().number, line());
+            AstExpr *e = makeExpr(AstExprKind::Number);
+            e->number = cur().number;
             advance();
             return e;
           }
           case Tok::String: {
-            auto e = makeExpr(AstExprKind::String);
+            AstExpr *e = makeExpr(AstExprKind::String);
             advance();
             return e;
           }
           case Tok::KwNull: {
-            auto e = makeExpr(AstExprKind::Null);
+            AstExpr *e = makeExpr(AstExprKind::Null);
             advance();
             return e;
           }
           case Tok::KwTrue:
           case Tok::KwFalse: {
-            auto e = makeExpr(AstExprKind::Bool);
+            AstExpr *e = makeExpr(AstExprKind::Bool);
             e->number = kind() == Tok::KwTrue ? 1 : 0;
             advance();
             return e;
@@ -774,7 +906,7 @@ class Parser
           case Tok::LParen: {
             Nest nest(*this);
             advance();
-            auto e = parseExpr();
+            const AstExpr *e = parseExpr();
             expect(Tok::RParen, ")");
             return e;
           }
@@ -783,8 +915,16 @@ class Parser
         }
     }
 
-    std::vector<Token> toks_;
-    size_t pos_ = 0;
+    TokenQueue toks_;
+    AstArena &arena_;
+    NameCache name_cache_;
+    // Lists under construction, one stack per element type: a nested
+    // list pushes above its parent's entries and takes them off again
+    // when it moves into the arena.
+    std::vector<const AstStmt *> stmts_;
+    std::vector<const AstExpr *> exprs_;
+    std::vector<ir::Name> names_;
+    std::vector<AstParam> params_;
     int depth_ = 0;   ///< tree levels open (Nest)
 };
 
@@ -794,8 +934,9 @@ AstUnit
 parseUnit(std::string_view source)
 {
     obs::failpoint("frontend.parse");
-    Parser p(tokenize(source));
-    return p.parse();
+    AstUnit unit;
+    Parser(source, unit.arena).parse(unit.functions);
+    return unit;
 }
 
 } // namespace rid::frontend

@@ -1,6 +1,12 @@
 /**
  * @file
  * Recursive-descent parser for Kernel-C.
+ *
+ * The parser pulls tokens from a Lexer through a small lookahead ring,
+ * builds each unit's tree in that unit's arena (lists are gathered on
+ * reusable scratch stacks and copied into the arena once complete), and
+ * interns identifiers through a per-unit cache in front of ir::Name's
+ * process-wide table. None of this allocates per token or per node.
  */
 
 #ifndef RID_FRONTEND_PARSER_H
@@ -16,10 +22,12 @@ namespace rid::frontend {
  *
  * Struct/enum/union definitions and typedefs at file scope are skipped;
  * function prototypes and definitions are retained. The returned tree
- * holds interned names, never views of @p source.
+ * holds interned names, never views of @p source, and lives in the
+ * unit's arena.
  *
- * @throws ParseError on syntax errors and on nesting deeper than the
- *         parser's limit.
+ * @throws ParseError on lexical and syntax errors and on nesting deeper
+ *         than the parser's limit. A file's first lexical error is
+ *         reported ahead of any syntax error, wherever the two are.
  */
 AstUnit parseUnit(std::string_view source);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 namespace rid::kernel {
 
@@ -47,12 +48,12 @@ condMentions(const frontend::AstExpr *cond, const std::string &var)
     if (cond->kind == frontend::AstExprKind::Ident && cond->text == var)
         return true;
     for (const frontend::AstExpr *child :
-         {cond->a.get(), cond->b.get(), cond->c.get()}) {
+         {cond->a, cond->b, cond->c}) {
         if (child && condMentions(child, var))
             return true;
     }
-    for (const auto &arg : cond->args)
-        if (condMentions(arg.get(), var))
+    for (const frontend::AstExpr *arg : cond->args)
+        if (condMentions(arg, var))
             return true;
     return false;
 }
@@ -120,15 +121,15 @@ scanFunction(const frontend::AstFunction &fn,
     //   if (<cond mentioning ret>) <error-branch>
     // and classify the error branch by whether it calls a put before
     // escaping.
-    std::function<void(const std::vector<frontend::AstStmtPtr> &)> walkList =
-        [&](const std::vector<frontend::AstStmtPtr> &stmts) {
+    std::function<void(std::span<const frontend::AstStmt *const>)> walkList =
+        [&](std::span<const frontend::AstStmt *const> stmts) {
         for (size_t i = 0; i < stmts.size(); i++) {
             const frontend::AstStmt &s = *stmts[i];
             // Recurse into nested bodies.
             if (s.kind == frontend::AstStmtKind::Block)
                 walkList(s.body);
             for (const frontend::AstStmt *sub :
-                 {s.then_body.get(), s.else_body.get(), s.loop_body.get()}) {
+                 {s.then_body, s.else_body, s.loop_body}) {
                 if (sub) {
                     if (sub->kind == frontend::AstStmtKind::Block)
                         walkList(sub->body);
@@ -141,14 +142,14 @@ scanFunction(const frontend::AstFunction &fn,
             std::string api;
             if (s.kind == frontend::AstStmtKind::Assign && s.lhs &&
                 s.lhs->kind == frontend::AstExprKind::Ident &&
-                isCallTo(s.rhs.get(), get_family)) {
+                isCallTo(s.rhs, get_family)) {
                 var = s.lhs->text;
                 api = s.rhs->a->text;
                 line = s.line;
             } else if (s.kind == frontend::AstStmtKind::Decl) {
                 for (size_t d = 0; d < s.names.size(); d++) {
                     if (d < s.inits.size() &&
-                        isCallTo(s.inits[d].get(), get_family)) {
+                        isCallTo(s.inits[d], get_family)) {
                         var = s.names[d];
                         api = s.inits[d]->a->text;
                         line = s.line;
@@ -162,7 +163,7 @@ scanFunction(const frontend::AstFunction &fn,
             for (size_t j = i + 1; j < stmts.size(); j++) {
                 const frontend::AstStmt &check = *stmts[j];
                 if (check.kind != frontend::AstStmtKind::If ||
-                    !condMentions(check.cond.get(), var)) {
+                    !condMentions(check.cond, var)) {
                     continue;
                 }
                 if (!check.then_body || !treeEscapes(*check.then_body))

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "frontend/parser.h"
 
 namespace rid::frontend {
@@ -74,7 +77,7 @@ TEST(Parser, DeclWithMultipleDeclarators)
     ASSERT_EQ(body.body.size(), 1u);
     const AstStmt &decl = *body.body[0];
     EXPECT_EQ(decl.kind, AstStmtKind::Decl);
-    EXPECT_EQ(decl.names,
+    EXPECT_EQ(std::vector<ir::Name>(decl.names.begin(), decl.names.end()),
               (std::vector<ir::Name>{"a", "b", "c"}));
     EXPECT_NE(decl.inits[0], nullptr);
     EXPECT_EQ(decl.inits[1], nullptr);
@@ -261,6 +264,92 @@ TEST(Parser, StaticInlineFunctions)
         "static inline int f(void) { return 0; }");
     ASSERT_EQ(unit.functions.size(), 1u);
     EXPECT_TRUE(unit.functions[0].is_definition);
+}
+
+TEST(ParserArena, MoveAssignedUnitKeepsItsTree)
+{
+    AstUnit unit;
+    EXPECT_TRUE(unit.functions.empty());
+    unit = parseUnit("int f(int a) { int b = g(a, h(a)); return b; }");
+    AstUnit moved = std::move(unit);
+    unit = std::move(moved);
+    ASSERT_EQ(unit.functions.size(), 1u);
+    int calls = 0, idents = 0;
+    forEachExpr(*unit.functions[0].body, [&](const AstExpr &e) {
+        calls += e.kind == AstExprKind::Call;
+        idents += e.kind == AstExprKind::Ident;
+    });
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(idents, 5);  // g, a, h, a, b
+}
+
+TEST(ParserArena, ListsLargerThanAChunk)
+{
+    // 20,000 statements and 5,000 arguments: each list is bigger than
+    // an arena chunk, and the nodes fill many chunks.
+    std::string src = "int f(int a) {\n";
+    for (int i = 0; i < 20000; i++)
+        src += "  a = a + " + std::to_string(i) + ";\n";
+    src += "  return g(";
+    for (int i = 0; i < 5000; i++)
+        src += (i ? ", " : "") + std::to_string(i);
+    src += ");\n}\n";
+    AstUnit unit = parseUnit(src);
+    const AstStmt &body = *unit.functions[0].body;
+    ASSERT_EQ(body.body.size(), 20001u);
+    for (size_t i = 0; i < 20000; i++) {
+        const AstStmt &s = *body.body[i];
+        ASSERT_EQ(s.kind, AstStmtKind::Assign);
+        EXPECT_EQ(s.line, static_cast<int>(i) + 2);
+        EXPECT_EQ(s.rhs->b->number, static_cast<int64_t>(i));
+    }
+    const AstExpr &call = *body.body[20000]->rhs;
+    ASSERT_EQ(call.args.size(), 5000u);
+    for (size_t i = 0; i < 5000; i++)
+        EXPECT_EQ(call.args[i]->number, static_cast<int64_t>(i));
+}
+
+TEST(ParserArena, ErrorHalfWayFreesThePartialTree)
+{
+    // Under LeakSanitizer, the nodes built before the error must go with
+    // the unit's arena.
+    std::string src;
+    for (int i = 0; i < 200; i++)
+        src += "int f" + std::to_string(i) + "(int a) { return g(a, a); }\n";
+    src += "int broken(void) { return 1 +; }\n";
+    for (int i = 0; i < 200; i++)
+        src += "int h" + std::to_string(i) + "(int a) { return a; }\n";
+    try {
+        parseUnit(src);
+        FAIL() << "expected ParseError";
+    } catch (const ParseError &e) {
+        EXPECT_EQ(e.line(), 201);
+    }
+}
+
+TEST(ParserArena, NestingLimitIsExact)
+{
+    // Each nested block statement is one level; the body's own braces
+    // are not.
+    auto nested = [](int depth) {
+        return "void f(void) { " + std::string(depth, '{') +
+               std::string(depth, '}') + " }";
+    };
+    AstUnit unit = parseUnit(nested(256));
+    int blocks = 0;
+    forEachStmt(*unit.functions[0].body, [&](const AstStmt &s) {
+        blocks += s.kind == AstStmtKind::Block;
+    });
+    EXPECT_EQ(blocks, 257);
+    try {
+        parseUnit(nested(257));
+        FAIL() << "expected ParseError";
+    } catch (const ParseError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "nesting deeper than 256 levels"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // anonymous namespace
