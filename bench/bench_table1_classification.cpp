@@ -66,15 +66,19 @@ main(int argc, char **argv)
     auto t4 = std::chrono::steady_clock::now();
 
     size_t cat1 = 0, cat2_analyzed = 0, cat2_skipped = 0, cat3 = 0;
-    for (const auto &fn : tool.module().functions()) {
-        if (fn->isDeclaration())
+    // Counted from skeletons: only category-2 bodies are read (and so
+    // built), for their branch counts.
+    const rid::ir::Module &mod = tool.module();
+    for (size_t k = 0; k < mod.size(); k++) {
+        if (mod.skeleton(k).declaration)
             continue;
-        switch (classifier.categoryOf(fn->name())) {
+        switch (classifier.categoryOf(static_cast<int>(k))) {
           case rid::analysis::Category::RefcountChanging:
             cat1++;
             break;
           case rid::analysis::Category::Affecting:
-            if (fn->countCondBranches() <= opts.max_cat2_branches)
+            if (mod.function(k).countCondBranches() <=
+                opts.max_cat2_branches)
                 cat2_analyzed++;
             else
                 cat2_skipped++;

@@ -390,13 +390,14 @@ main(int argc, char **argv)
     if (dump_ir)
         std::printf("%s\n", tool.module().str().c_str());
     if (!dot_cfg.empty()) {
-        const rid::ir::Function *fn = tool.module().find(dot_cfg);
-        if (!fn || fn->isDeclaration()) {
+        const rid::ir::Module &mod = tool.module();
+        int k = mod.indexOf(dot_cfg);
+        if (k < 0 || mod.skeleton(k).declaration) {
             std::fprintf(stderr, "ridc: no definition of %s\n",
                          dot_cfg.c_str());
             return 2;
         }
-        std::printf("%s", rid::analysis::cfgToDot(*fn).c_str());
+        std::printf("%s", rid::analysis::cfgToDot(mod.function(k)).c_str());
         return 0;
     }
     if (dot_callgraph) {

@@ -32,7 +32,9 @@
 # under ASan (tokens view the source buffer; AST nodes and lists live in
 # the unit's arena; the AST and IR hold interned names), runs the end-to-end, injection and
 # Python/C baseline suites under ASan (frozen IR: call arguments and
-# blocks are views into each function's one allocation),
+# blocks are views into each function's one allocation), runs the
+# lazy-module suite under TSan and ASan (IR built on first read, once,
+# from several threads),
 # refreshes BENCH_performance.json
 # at the repo root (the microbenchmarks themselves are skipped via a
 # non-matching filter — only the trajectory-record workload runs,
@@ -71,15 +73,18 @@ echo "== determinism suite, run 2/2 =="
 # every access the determinism suite and the scheduler tests make. The
 # summary suite adds concurrent first lookups of one defaulted function,
 # which race to build its summary. The smt cache suite races eight
-# threads building the same terms in the process-wide term pool.
-echo "== sanitizer smoke (TSan determinism suite + SCC scheduler + summary db + term pool) =="
+# threads building the same terms in the process-wide term pool. The
+# lazy-module suite races eight threads reading the same functions' IR
+# for the first time, which the module builds once under a stripe lock.
+echo "== sanitizer smoke (TSan determinism suite + SCC scheduler + summary db + term pool + IR built on first read) =="
 cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
 cmake --build build-tsan -j --target test_analyzer_determinism \
-    --target test_summary --target test_smt_cache
+    --target test_summary --target test_smt_cache --target test_ir_lazy
 ./build-tsan/tests/test_analyzer_determinism
 ./build-tsan/tests/test_summary
 ./build-tsan/tests/test_smt_cache
+./build-tsan/tests/test_ir_lazy
 
 echo "== robustness chaos suite =="
 ./build/tests/test_robustness_chaos
@@ -172,6 +177,16 @@ cmake --build build-asan -j --target test_core_e2e --target test_injection \
 ./build-asan/tests/test_core_e2e
 ./build-asan/tests/test_injection
 ./build-asan/tests/test_pyc_baseline
+
+# A module committed from source keeps skeletons whose callee lists
+# live in module-owned chunks, frees each function's IR at commit, and
+# builds it again from a view of the retained source on first read; a
+# definition that replaces a declaration frees the old entry's IR. ASan
+# checks that no skeleton, span or rebuilt function outlives what it
+# points into, and LeakSanitizer that a failed build keeps nothing.
+echo "== sanitizer smoke (ASan+UBSan skeletons and IR built on first read) =="
+cmake --build build-asan -j --target test_ir_lazy
+./build-asan/tests/test_ir_lazy
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

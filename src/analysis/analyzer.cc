@@ -34,11 +34,11 @@ class ModuleSlots final : public summary::DefaultSlots
     }
     const std::string &nameOf(int slot) const override
     {
-        return mod_.functions()[slot]->name();
+        return mod_.skeleton(slot).name.str();
     }
     bool returnsValue(int slot) const override
     {
-        return mod_.functions()[slot]->returnsValue();
+        return mod_.skeleton(slot).returns_value;
     }
 
   private:
@@ -93,6 +93,9 @@ Analyzer::Analyzer(const ir::Module &mod, summary::SummaryDb &db,
     ins_.functions_defaulted =
         &m.counter("rid_functions_defaulted_total",
                    "Functions given the default summary unanalyzed.");
+    ins_.ir_functions_lowered =
+        &m.counter("rid_ir_functions_lowered_total",
+                   "Functions whose IR was built on first read.");
     ins_.functions_truncated =
         &m.counter("rid_functions_truncated_total",
                    "Functions whose path/subcase caps truncated analysis.");
@@ -235,6 +238,7 @@ Analyzer::refreshStatsFromRegistry()
 {
     stats_.functions_analyzed = ins_.functions_analyzed->value();
     stats_.functions_defaulted = ins_.functions_defaulted->value();
+    stats_.functions_lowered = ins_.ir_functions_lowered->value();
     stats_.functions_truncated = ins_.functions_truncated->value();
     stats_.functions_timeout = ins_.functions_timeout->value();
     stats_.functions_degraded = ins_.functions_degraded->value();
@@ -294,7 +298,6 @@ std::vector<BugReport>
 Analyzer::fallBack(int node, FnStatus status, const std::string &reason,
                    bool persist)
 {
-    const ir::Function &fn = *functionOf(node);
     if (tracked(node))
         db_.markDefaulted(node);
     obs::Counter *counter = status == FnStatus::Timeout
@@ -303,33 +306,36 @@ Analyzer::fallBack(int node, FnStatus status, const std::string &reason,
                                 ? ins_.functions_degraded
                                 : ins_.functions_error;
     counter->inc();
-    recordDiagnostic({fn.name(), status, reason});
+    recordDiagnostic({nameOf(node), status, reason});
     if (persist)
         recordToStore(node, status, reason, false, nullptr, {});
     return {};
 }
 
-const ir::Function *
-Analyzer::functionOf(int node) const
+const std::string &
+Analyzer::nameOf(int node) const
 {
-    const auto &fns = mod_.functions();
-    return static_cast<size_t>(node) < fns.size() ? fns[node].get()
-                                                  : nullptr;
+    return mod_.skeleton(node).name.str();
 }
 
 uint64_t
 Analyzer::bodyFingerprint(int node)
 {
-    const ir::Function &fn = *functionOf(node);
+    // A module committed from source for a store run fingerprinted every
+    // function while its IR was at hand, so no category-3 body is built
+    // just to key its default record.
+    const ir::Skeleton &sk = mod_.skeleton(node);
+    if (sk.fingerprinted)
+        return mod_.committedFingerprint(node);
     // Without a store only the report stamps need a fingerprint, once per
     // function, so there is no table to fill.
     if (node_fp_.empty())
-        return fn.fingerprint();
+        return mod_.function(node).fingerprint();
     // 0 marks "not computed yet"; a body that really hashes to 0 is just
     // re-rendered on each use.
     uint64_t &fp = node_fp_[node];
     if (!fp)
-        fp = fn.fingerprint();
+        fp = mod_.function(node).fingerprint();
     return fp;
 }
 
@@ -342,7 +348,7 @@ Analyzer::recordToStore(int node, FnStatus status, const std::string &reason,
     if (!store_)
         return;
     size_t n = store_->record(
-        {functionOf(node)->name(), bodyFingerprint(node), store_config_fp_},
+        {nameOf(node), bodyFingerprint(node), store_config_fp_},
         status, reason, defaulted, summary, reports);
     if (n > 0 && ins_.store_record_bytes)
         ins_.store_record_bytes->observe(static_cast<double>(n));
@@ -351,10 +357,10 @@ Analyzer::recordToStore(int node, FnStatus status, const std::string &reason,
 std::vector<BugReport>
 Analyzer::analyzeFunction(int node, double deadline_seconds, uint64_t fuel)
 {
-    const ir::Function &fn = *functionOf(node);
+    const std::string &name = nameOf(node);
     obs::Span fn_span("function", "analyze-function");
-    fn_span.arg("fn", fn.name());
-    obs::FailpointScope fp_scope(fn.name());
+    fn_span.arg("fn", name);
+    obs::FailpointScope fp_scope(name);
 
     // Child of the run budget: expires at the earlier of its own
     // deadline/fuel and the run's. A generous budget that never fires
@@ -377,7 +383,7 @@ Analyzer::analyzeFunction(int node, double deadline_seconds, uint64_t fuel)
 std::vector<BugReport>
 Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
 {
-    const ir::Function &fn = *functionOf(node);
+    const ir::Function &fn = mod_.function(node);
     const obs::Budget *budget = fn_budget.unlimited() ? nullptr : &fn_budget;
     smt::Solver solver = makeSolver(budget);
 
@@ -571,7 +577,7 @@ Analyzer::run()
     db_.bindDefaults(std::make_unique<ModuleSlots>(mod_));
     tracked_.resize(mod_.size());
     for (size_t k = 0; k < mod_.size(); k++)
-        tracked_[k] = !mod_.functions()[k]->isDeclaration();
+        tracked_[k] = !mod_.skeleton(k).declaration;
     for (const std::string &name : db_.predefinedNames())
         if (int k = mod_.indexOf(name); k >= 0)
             tracked_[k] = 0;
@@ -587,7 +593,10 @@ Analyzer::run()
     if (classifier_)
         stats_.categories = classifier_->stats();
 
-    auto shouldAnalyze = [this](int node, const ir::Function &fn) {
+    // Of the functions decided here, only category-2 ones have their IR
+    // read (for the branch count), so a category-3 function is never
+    // built.
+    auto shouldAnalyze = [this](int node) {
         if (!tracked(node))
             return false;
         if (!opts_.classify)
@@ -598,7 +607,8 @@ Analyzer::run()
           case Category::Affecting:
             // Selective analysis: only simple value-filtering helpers
             // (Section 5.2).
-            return fn.countCondBranches() <= opts_.max_cat2_branches;
+            return mod_.function(node).countCondBranches() <=
+                   opts_.max_cat2_branches;
           case Category::Other:
             return false;
         }
@@ -636,13 +646,14 @@ Analyzer::run()
                     if (cs != scc && !scc_clean[cs])
                         clean = false;
                 }
-                const ir::Function *fn = functionOf(member);
-                if (!fn || !tracked(member))
+                if (static_cast<size_t>(member) >= mod_.size() ||
+                    !tracked(member))
                     continue; // declarations/specs: fixed via config_fp
-                ctx.want_analyze = shouldAnalyze(member, *fn);
+                ctx.want_analyze = shouldAnalyze(member);
                 FunctionStore::Action &a = resume_plan_[member];
                 a = store_->lookup(
-                    {fn->name(), bodyFingerprint(member), store_config_fp_},
+                    {nameOf(member), bodyFingerprint(member),
+                     store_config_fp_},
                     ctx, domain_table_);
                 if (a.plan != FunctionStore::Plan::Load &&
                     a.plan != FunctionStore::Plan::Quarantine)
@@ -660,11 +671,10 @@ Analyzer::run()
     }
 
     auto processNode = [&](int node) -> std::vector<BugReport> {
-        const ir::Function *fn = functionOf(node);
-        if (!fn)
-            return {};
+        if (static_cast<size_t>(node) >= mod_.size())
+            return {};   // an undeclared call target
         try {
-            obs::FailpointScope fp_scope(fn->name());
+            obs::FailpointScope fp_scope(nameOf(node));
             const bool is_tracked = tracked(node);
 
             // Each node is visited exactly once per run; moving its Action
@@ -689,7 +699,7 @@ Analyzer::run()
                 }
                 if (action.status != FnStatus::Ok)
                     recordDiagnostic(
-                        {fn->name(), action.status, action.reason});
+                        {nameOf(node), action.status, action.reason});
                 return std::move(action.reports);
             }
             if (have_plan &&
@@ -703,7 +713,7 @@ Analyzer::run()
             if (store_ && is_tracked)
                 ins_.store_misses->inc();
 
-            if (!shouldAnalyze(node, *fn)) {
+            if (!shouldAnalyze(node)) {
                 if (is_tracked) {
                     db_.markDefaulted(node);
                     ins_.functions_defaulted->inc();
@@ -847,6 +857,10 @@ Analyzer::run()
     storeCheckpoint();
     stats_.analyze_seconds = secondsSince(t1);
     ins_.analyze_seconds->set(stats_.analyze_seconds);
+    // Builds are counted by the module, and synced by delta so repeated
+    // run() calls do not double-count.
+    ins_.ir_functions_lowered->inc(mod_.lowered() - lowered_synced_);
+    lowered_synced_ = mod_.lowered();
     refreshStatsFromRegistry();
     // Per-domain report accounting for this run (the registry's
     // counter() is get-or-create, so dynamically named per-domain

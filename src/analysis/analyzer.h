@@ -291,6 +291,10 @@ struct AnalyzerStats
     ClassifierStats categories;
     size_t functions_analyzed = 0;
     size_t functions_defaulted = 0;
+    /** Module functions whose IR was built on first read so far
+     *  (rid_ir_functions_lowered_total). In a default run these are the
+     *  category-1 and category-2 definitions; category 3 never is. */
+    size_t functions_lowered = 0;
     size_t paths_enumerated = 0;
     size_t entries_computed = 0;
     /** Basic blocks stepped during symbolic execution; each CFG-tree
@@ -423,6 +427,7 @@ class Analyzer
     {
         obs::Counter *functions_analyzed;
         obs::Counter *functions_defaulted;
+        obs::Counter *ir_functions_lowered;
         obs::Counter *functions_truncated;
         obs::Counter *functions_timeout;
         obs::Counter *functions_degraded;
@@ -494,10 +499,9 @@ class Analyzer
     /** Derive the legacy AnalyzerStats counters from the registry. */
     void refreshStatsFromRegistry();
 
-    /** The function of call-graph node @p node (null for an undeclared
-     *  call target). Node k < mod_.size() is mod_.functions()[k] (see
-     *  CallGraph's constructor), so this is an index, not a lookup. */
-    const ir::Function *functionOf(int node) const;
+    /** Name of module function @p node (node k < mod_.size() is module
+     *  function k, see CallGraph), read from its skeleton. */
+    const std::string &nameOf(int node) const;
 
     /** Body fingerprint of node @p node's function. With a store it is
      *  rendered at most once per run: the resume plan, the store record
@@ -546,6 +550,8 @@ class Analyzer
     /** Store ioStats() snapshot already synced into the registry (keeps
      *  repeated run() calls from double-counting). */
     FunctionStore::IoStats store_io_synced_;
+    /** Module::lowered() already synced into the registry. */
+    size_t lowered_synced_ = 0;
 };
 
 } // namespace rid::analysis

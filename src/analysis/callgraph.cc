@@ -23,20 +23,13 @@ CallGraph::resolve(const std::string &name)
 CallGraph::CallGraph(const ir::Module &mod)
     : mod_(mod), edges_(mod.size()), redges_(mod.size())
 {
-    const auto &fns = mod.functions();
-    for (int from = 0; from < static_cast<int>(fns.size()); from++) {
-        const ir::Function &fn = *fns[from];
-        for (ir::BlockId b = 0; b < static_cast<int>(fn.numBlocks()); b++) {
-            for (const auto &in : fn.block(b).instrs) {
-                if (in.op != ir::Opcode::Call)
-                    continue;
-                int to = resolve(in.callee);
-                auto &out = edges_[from];
-                if (std::find(out.begin(), out.end(), to) == out.end()) {
-                    out.push_back(to);
-                    redges_[to].push_back(from);
-                }
-            }
+    // Skeleton callees are already distinct and in first-call order, and
+    // distinct names are distinct nodes.
+    for (int from = 0; from < static_cast<int>(mod.size()); from++) {
+        for (ir::Name callee : mod.skeleton(from).callees()) {
+            int to = resolve(callee);
+            edges_[from].push_back(to);
+            redges_[to].push_back(from);
         }
     }
 
@@ -109,10 +102,9 @@ CallGraph::CallGraph(const ir::Module &mod)
 const std::string &
 CallGraph::nameOf(int node) const
 {
-    const auto &fns = mod_.functions();
-    if (node >= 0 && static_cast<size_t>(node) < fns.size())
-        return fns[node]->name();
-    return undeclared_.at(static_cast<size_t>(node) - fns.size());
+    if (node >= 0 && static_cast<size_t>(node) < mod_.size())
+        return mod_.skeleton(node).name.str();
+    return undeclared_.at(static_cast<size_t>(node) - mod_.size());
 }
 
 int

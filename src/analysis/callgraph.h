@@ -13,9 +13,10 @@
  *
  * Function identity: node k < mod.size() is module function k, and call
  * targets without any declaration get nodes after them, in first-call
- * order. The graph borrows the module's names and resolves callees
- * through Module::indexOf, the one name lookup; only the undeclared
- * targets have a (small) name table of their own.
+ * order. The graph is built from the module's skeletons, so it reads no
+ * IR: it borrows their names and resolves their callees through
+ * Module::indexOf, the one name lookup; only the undeclared targets have
+ * a (small) name table of their own.
  */
 
 #ifndef RID_ANALYSIS_CALLGRAPH_H
@@ -34,7 +35,7 @@ class CallGraph
   public:
     /** Build from a module; every defined or declared function is a node,
      *  and call targets without any declaration get synthetic nodes.
-     *  Node k < mod.size() is mod.functions()[k] (module order), so a
+     *  Node k < mod.size() is module function k (module order), so a
      *  caller can index its own per-function tables by node; the
      *  synthetic nodes come after them. @p mod must outlive the graph
      *  and stay unchanged while it is used. */

@@ -79,11 +79,10 @@ FunctionClassifier::FunctionClassifier(
     std::vector<bool> affecting(n, false);
     std::vector<int> topo(order.rbegin(), order.rend());
     for (int node : topo) {
-        if (!rc_changing[node] || static_cast<size_t>(node) >= mod_.size())
+        if (!rc_changing[node] || static_cast<size_t>(node) >= mod_.size() ||
+            mod_.skeleton(node).declaration)
             continue;
-        const ir::Function &fn = *mod_.functions()[node];
-        if (fn.isDeclaration())
-            continue;
+        const ir::Function &fn = mod_.function(node);
         auto isRcCall = [&](const ir::Instruction &in) {
             int callee = cg.nodeOf(in.callee);
             return callee >= 0 && rc_changing[callee];
@@ -142,7 +141,7 @@ FunctionClassifier::functionsIn(Category c) const
     std::vector<std::string> out;
     for (size_t k = 0; k < categories_.size(); k++)
         if (categories_[k] == c)
-            out.push_back(mod_.functions()[k]->name());
+            out.push_back(mod_.skeleton(k).name.str());
     return out;
 }
 

@@ -18,6 +18,11 @@
  * arguments of category-1 calls, and marks callees invoked inside the
  * slice as category 2.
  *
+ * Phase one needs only the call graph's edges, which come from the
+ * module's skeletons; phase two is the only reader of IR, and reads it
+ * for category-1 definitions alone, so no category-3 function is ever
+ * built (see ir::Module).
+ *
  * Function identity: categories are stored per call-graph node, and node
  * k is module function k (see CallGraph). A name resolves through
  * Module::indexOf; the classifier keeps no name table of its own.

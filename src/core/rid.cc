@@ -1,5 +1,6 @@
 #include "core/rid.h"
 
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -211,6 +212,8 @@ RunResult::statsJson() const
     w.key("analyzed").value(uint64_t{s.functions_analyzed});
     w.key("defaulted").value(uint64_t{s.functions_defaulted});
     w.key("truncated").value(uint64_t{s.functions_truncated});
+    // Additive key: functions whose IR was built on first read.
+    w.key("lowered").value(uint64_t{s.functions_lowered});
     w.endObject();
     w.key("paths_enumerated").value(uint64_t{s.paths_enumerated});
     w.key("entries_computed").value(uint64_t{s.entries_computed});
@@ -351,13 +354,36 @@ RunResult::statsJson() const
     return w.str();
 }
 
+/**
+ * The (name, source) pair and the LowerOptions of every committed unit.
+ * addSource() commits exactly one unit per retained source, so a
+ * skeleton's unit indexes both lists. Nothing is appended while a run
+ * reads them, so builds on several threads need no lock here.
+ */
+struct Rid::Retained final : ir::Lowering
+{
+    std::vector<std::pair<std::string, std::string>> sources;
+    std::vector<frontend::LowerOptions> options;
+
+    std::unique_ptr<ir::Function>
+    lower(const ir::Skeleton &fn) const override
+    {
+        return frontend::lowerSpan(sources.at(fn.unit).second, fn.span,
+                                   options.at(fn.unit));
+    }
+};
+
 Rid::Rid(analysis::AnalyzerOptions opts, frontend::LowerOptions lower_opts)
-    : opts_(opts), lower_opts_(lower_opts)
-{}
+    : opts_(opts), lower_opts_(lower_opts),
+      retained_(std::make_shared<Retained>())
+{
+    module_.setLowering(retained_);
+}
 
 void
 Rid::loadSpecText(const std::string &text)
 {
+    load_seeds_.reset();
     summary::loadSpecsInto(text, db_);
 }
 
@@ -375,16 +401,37 @@ Rid::loadSpecFile(const std::string &path)
 void
 Rid::addSource(std::string kernel_c_source)
 {
-    // The unit's functions are committed only once every one of them has
-    // lowered and verified, so a rejected unit leaves the module as it was
-    // and does not use up a unit ordinal.
-    module_.commit(frontend::lowerFunctions(
-        frontend::parseUnit(kernel_c_source), lower_opts_));
-    // Retained past the commit so a later triage run can re-lower the
-    // unit at higher precision; only committed units are kept (the
-    // tolerant path must not feed triage a unit the run rejected), so
-    // a function's unit() indexes sources_.
-    sources_.emplace_back(std::string(), std::move(kernel_c_source));
+    if (kernel_c_source.size() > UINT32_MAX)
+        throw frontend::ParseError("source larger than 4 GiB", 0);
+    // The whole unit is lowered here, so every lowering-time check still
+    // rejects the file. Its functions are committed only once every one
+    // of them has lowered and verified, so a rejected unit leaves the
+    // module as it was and does not use up a unit ordinal. The commit
+    // keeps skeletons and spans and frees the IR, except for direct
+    // callers of the APIs whose summaries change a counter (category 1
+    // in any run without a --domains filter); a store keys every
+    // tracked function by its fingerprint, so take those while the IR
+    // is at hand.
+    frontend::AstUnit ast = frontend::parseUnit(kernel_c_source);
+    std::vector<std::unique_ptr<ir::Function>> fns =
+        frontend::lowerFunctions(ast, lower_opts_);
+    std::vector<ir::SourceSpan> spans;
+    spans.reserve(ast.functions.size());
+    for (const frontend::AstFunction &fn : ast.functions)
+        spans.push_back({fn.begin, fn.end, fn.first_line});
+    if (!load_seeds_) {
+        load_seeds_.emplace();
+        for (const std::string &name : db_.namesWithChanges())
+            load_seeds_->emplace_back(name);
+    }
+    module_.commit(std::move(fns), spans, !opts_.store_path.empty(),
+                   *load_seeds_);
+    // Only committed units are kept (the tolerant path must not feed
+    // triage a unit the run rejected), so a function's unit indexes the
+    // retained lists.
+    retained_->sources.emplace_back(std::string(),
+                                    std::move(kernel_c_source));
+    retained_->options.push_back(lower_opts_);
 }
 
 bool
@@ -430,6 +477,7 @@ Rid::importSummaries(const std::string &spec_text)
     // Imports may reference domains declared in the exporting run (the
     // export prepends their declarations) or in specs already loaded
     // here; either way they are registered before the summaries land.
+    load_seeds_.reset();
     summary::DomainTable known = db_.domains();
     summary::ParsedSpec spec = summary::parseSpecText(spec_text, &known);
     for (const auto &d : spec.domains)
@@ -540,7 +588,7 @@ Rid::run()
         topts.max_paths = opts_.max_paths;
         topts.max_subcases = opts_.max_subcases;
         topts.lower = lower_opts_;
-        triage::TriagePass pass(module_, db_, sources_,
+        triage::TriagePass pass(module_, db_, retained_->sources,
                                 analyzer.queryCache(), topts);
         {
             obs::ScopedTracer scoped(analyzer.tracer().get());

@@ -14,12 +14,21 @@
  * The only required configuration is the set of predefined summaries for
  * the basic refcount APIs (Section 5.1); wrappers are summarized
  * automatically.
+ *
+ * Memory follows Section 5.2's classification: addSource() keeps each
+ * function's skeleton and its span of the retained source, and keeps
+ * IR only for direct callers of the refcount APIs (category 1). Any
+ * other function is lowered again only when something reads its IR
+ * (classification of category-1 bodies, selection of category-2 ones,
+ * the analyzer, --dump-ir, --dot-cfg). Category-3 code is never
+ * lowered twice.
  */
 
 #ifndef RID_CORE_RID_H
 #define RID_CORE_RID_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,9 +123,16 @@ class Rid
      */
     bool loadSpecTolerant(const std::string &name, const std::string &text);
 
-    /** Parse and add a Kernel-C translation unit. The source is kept
-     *  (moved, not copied) for triage. A unit that throws adds nothing.
-     *  @throws frontend::ParseError on syntax errors. */
+    /**
+     * Parse and add a Kernel-C translation unit. The unit is parsed and
+     * lowered whole, so every check that rejects a file runs here, but
+     * the module keeps only its functions' skeletons (and the IR of
+     * those that call a refcount API loaded so far): a function's IR is
+     * rebuilt from its span of the kept source (moved, not copied) when
+     * something first reads it, with the LowerOptions in force now. A
+     * unit that throws adds nothing.
+     * @throws frontend::ParseError on syntax errors.
+     */
     void addSource(std::string kernel_c_source);
 
     /**
@@ -150,7 +166,8 @@ class Rid
     /** Run the analysis over everything added so far. */
     RunResult run();
 
-    /** Access the loaded module (e.g. to print IR). */
+    /** Access the loaded module (e.g. to print IR; reading a function's
+     *  IR builds it). */
     const ir::Module &module() const { return module_; }
 
     /** Access the summary database (specs + computed summaries). */
@@ -167,11 +184,14 @@ class Rid
     ir::Module module_;
     summary::SummaryDb db_;
     std::vector<FileDiagnostic> file_errors_;
-    /** Retained (name, source) pairs of every successfully added unit,
-     *  kept so the triage pass can re-lower reported functions at higher
-     *  precision. addSource() commits exactly one unit per retained
-     *  source, so a function's ir::Function::unit() indexes this list. */
-    std::vector<std::pair<std::string, std::string>> sources_;
+    /** Every successfully added unit's source and lowering options: the
+     *  module's Lowering hook, and the sources the triage pass re-lowers
+     *  reported functions from. Defined in rid.cc. */
+    struct Retained;
+    std::shared_ptr<Retained> retained_;
+    /** The names whose summaries change a counter, as addSource() keeps
+     *  their direct callers' IR; reset whenever summaries load. */
+    std::optional<std::vector<ir::Name>> load_seeds_;
     /** Durable analysis store, opened lazily by the first run() when
      *  AnalyzerOptions::store_path is set and reused by later runs (so
      *  repeated run() calls never re-truncate a fresh store). */

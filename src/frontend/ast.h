@@ -187,7 +187,12 @@ struct AstFunction
     bool is_definition = false;
     bool is_variadic = false;
     const AstStmt *body = nullptr;  ///< Block; null for prototypes
-    int line = 0;
+    int line = 0;                   ///< of the name
+    /** Bytes [begin, end) of the source, from the first token of the
+     *  return type to the closing '}' or ';', starting on first_line. */
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    int first_line = 0;
 };
 
 /** A parsed translation unit: its functions and the arena that holds

@@ -250,9 +250,10 @@ Lexer::next()
     auto at = [&](size_t off) -> char {
         return i_ + off < n ? src[i_ + off] : '\0';
     };
+    size_t begin = i_;   // where the token being scanned starts
     auto token = [&](Tok kind, std::string_view text = {},
                      int64_t num = 0) {
-        return Token{kind, line_, num, text};
+        return Token{kind, line_, num, text, static_cast<uint32_t>(begin)};
     };
     auto punct = [&](Tok kind, size_t len) {
         i_ += len;
@@ -260,6 +261,7 @@ Lexer::next()
     };
 
     while (i_ < n) {
+        begin = i_;
         const char c = src[i_];
         const uint8_t cls = classOf(c);
         if (cls & kBlank) {
@@ -404,6 +406,7 @@ Lexer::next()
             fail(std::string("stray character '") + c + "'", line_);
         }
     }
+    begin = n;
     return token(Tok::End);
 }
 

@@ -66,6 +66,9 @@ struct Token
      *  (escapes verbatim); empty for punctuation and End. Views the
      *  source buffer. */
     std::string_view text;
+    /** Byte offset of the token's first character (of End: the source
+     *  size). A unit's source is under 4 GiB. */
+    uint32_t offset = 0;
 };
 
 /** Error raised by the lexer or parser; carries a source line. */
@@ -85,8 +88,12 @@ class ParseError : public std::runtime_error
 class Lexer
 {
   public:
-    /** Scan @p source, which must outlive the lexer and its tokens. */
-    explicit Lexer(std::string_view source) : src_(source) {}
+    /** Scan @p source, which must outlive the lexer and its tokens,
+     *  counting lines from @p first_line (a function's span starts on
+     *  the line it has in its whole unit). */
+    explicit Lexer(std::string_view source, int first_line = 1)
+        : src_(source), line_(first_line)
+    {}
 
     /**
      * The next token; Tok::End, forever, once the input is used up.

@@ -674,6 +674,16 @@ class FunctionLowerer
     std::vector<std::pair<BlockId, BlockId>> loop_stack_;  // continue,break
 };
 
+/** Lower one parsed function: a declaration for a prototype. */
+std::unique_ptr<ir::Function>
+lowerFunction(const AstFunction &fn, const LowerOptions &opts)
+{
+    if (!fn.is_definition)
+        return ir::Function::declaration(fn.name, paramNames(fn),
+                                         fn.returns_value);
+    return FunctionLowerer(fn, opts).lower();
+}
+
 } // anonymous namespace
 
 std::vector<std::unique_ptr<ir::Function>>
@@ -681,16 +691,23 @@ lowerFunctions(const AstUnit &unit, const LowerOptions &opts)
 {
     std::vector<std::unique_ptr<ir::Function>> fns;
     fns.reserve(unit.functions.size());
-    for (const auto &fn : unit.functions) {
-        if (!fn.is_definition) {
-            fns.push_back(ir::Function::declaration(
-                fn.name, paramNames(fn), fn.returns_value));
-            continue;
-        }
-        FunctionLowerer lowerer(fn, opts);
-        fns.push_back(lowerer.lower());
-    }
+    for (const auto &fn : unit.functions)
+        fns.push_back(lowerFunction(fn, opts));
     return fns;
+}
+
+std::unique_ptr<ir::Function>
+lowerSpan(std::string_view source, const ir::SourceSpan &span,
+          const LowerOptions &opts)
+{
+    if (span.begin > span.end || span.end > source.size())
+        throw ParseError("function span outside its source", span.line);
+    AstUnit unit = parseUnit(
+        source.substr(span.begin, span.end - span.begin), span.line);
+    if (unit.functions.size() != 1)
+        throw ParseError("function span does not hold one function",
+                         span.line);
+    return lowerFunction(unit.functions.front(), opts);
 }
 
 ir::Module

@@ -64,6 +64,19 @@ std::vector<std::unique_ptr<ir::Function>>
 lowerFunctions(const AstUnit &unit, const LowerOptions &opts = {});
 
 /**
+ * Lower the one function whose text is @p span of @p source, a span
+ * parseUnit() recorded, exactly as lowering its whole unit lowers it:
+ * the same IR bytes, fingerprint and instruction lines. Only the span
+ * is lexed and parsed.
+ *
+ * @throws ParseError when the span does not hold exactly one function
+ *         or does not lower.
+ */
+std::unique_ptr<ir::Function> lowerSpan(std::string_view source,
+                                        const ir::SourceSpan &span,
+                                        const LowerOptions &opts = {});
+
+/**
  * Lower a parsed unit into a module of its own: lowerFunctions()
  * committed as the module's unit 0.
  *

@@ -63,7 +63,9 @@ constexpr int kMaxNesting = 256;
 class TokenQueue
 {
   public:
-    explicit TokenQueue(std::string_view source) : lexer_(source) {}
+    TokenQueue(std::string_view source, int first_line)
+        : lexer_(source, first_line)
+    {}
 
     /** The current token; End until the first pop(). */
     const Token &current() const { return cur_; }
@@ -185,8 +187,8 @@ class NameCache
 class Parser
 {
   public:
-    Parser(std::string_view source, AstArena &arena)
-        : toks_(source), arena_(arena)
+    Parser(std::string_view source, int first_line, AstArena &arena)
+        : toks_(source, first_line), arena_(arena)
     {}
 
     /** Parse the whole unit into @p functions. */
@@ -216,7 +218,12 @@ class Parser
     }
     Tok kind() { return cur().kind; }
     int line() { return cur().line; }
-    void advance() { toks_.pop(); }
+    void
+    advance()
+    {
+        consumed_ = cur().offset;
+        toks_.pop();
+    }
 
     [[noreturn]] void
     err(const std::string &msg)
@@ -362,10 +369,14 @@ class Parser
         if (accept(Tok::Semi))
             return;
 
+        const uint32_t begin = cur().offset;
+        const int first_line = line();
         bool returns_void = parseType();
         if (kind() != Tok::Ident)
             err("expected function name");
         AstFunction fn;
+        fn.begin = begin;
+        fn.first_line = first_line;
         fn.name = intern(cur().text);
         fn.returns_value = !returns_void;
         fn.line = line();
@@ -409,11 +420,13 @@ class Parser
 
         if (accept(Tok::Semi)) {
             fn.is_definition = false;
+            fn.end = consumed_ + 1;
             functions.push_back(fn);
             return;
         }
         fn.is_definition = true;
         fn.body = parseBlock();
+        fn.end = consumed_ + 1;   // the closing '}'
         functions.push_back(fn);
     }
 
@@ -926,16 +939,17 @@ class Parser
     std::vector<ir::Name> names_;
     std::vector<AstParam> params_;
     int depth_ = 0;   ///< tree levels open (Nest)
+    uint32_t consumed_ = 0;   ///< offset of the last token advanced past
 };
 
 } // anonymous namespace
 
 AstUnit
-parseUnit(std::string_view source)
+parseUnit(std::string_view source, int first_line)
 {
     obs::failpoint("frontend.parse");
     AstUnit unit;
-    Parser(source, unit.arena).parse(unit.functions);
+    Parser(source, first_line, unit.arena).parse(unit.functions);
     return unit;
 }
 

@@ -25,11 +25,16 @@ namespace rid::frontend {
  * holds interned names, never views of @p source, and lives in the
  * unit's arena.
  *
+ * Each function records its byte span in @p source and the line it
+ * starts on; lines are counted from @p first_line, so parsing one
+ * function's span alone from its first line gives that function the
+ * lines it has in its unit.
+ *
  * @throws ParseError on lexical and syntax errors and on nesting deeper
  *         than the parser's limit. A file's first lexical error is
  *         reported ahead of any syntax error, wherever the two are.
  */
-AstUnit parseUnit(std::string_view source);
+AstUnit parseUnit(std::string_view source, int first_line = 1);
 
 } // namespace rid::frontend
 

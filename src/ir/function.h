@@ -7,12 +7,20 @@
  * last instruction. Functions without a body (externs) carry only their
  * signature and must be covered by predefined summaries or default
  * summaries during analysis.
+ *
+ * A module keeps a Skeleton for every function (name, unit, flags,
+ * callees, source span). Most of a corpus is category-3 code the
+ * analysis never reads, so a unit committed from source keeps only
+ * skeletons and each function's IR is built on first read.
  */
 
 #ifndef RID_IR_FUNCTION_H
 #define RID_IR_FUNCTION_H
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <initializer_list>
 #include <memory>
 #include <span>
@@ -103,9 +111,9 @@ class Function
     bool returnsValue() const { return returnsValue_; }
 
     /** Ordinal of the Module::commit that took this function in (0 for
-     *  functions added one at a time). Rid commits one unit per retained
-     *  source, so a function's unit() indexes that source list. Not part
-     *  of str() or fingerprint(). */
+     *  functions added one at a time), also on its Skeleton. Rid commits
+     *  one unit per retained source, so a function's unit() indexes that
+     *  source list. Not part of str() or fingerprint(). */
     uint32_t unit() const { return unit_; }
 
     bool isDeclaration() const { return blocks_.empty(); }
@@ -196,20 +204,122 @@ static_assert(std::is_trivially_destructible_v<Instruction>);
 static_assert(std::is_trivially_destructible_v<BasicBlock>);
 static_assert(std::is_trivially_destructible_v<Function>);
 
+/** Where a function's text sits in its unit's retained source: the
+ *  bytes [begin, end), the first of which is on line @p line. */
+struct SourceSpan
+{
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    int line = 0;
+};
+
+/**
+ * What the module keeps for every function, with or without its IR:
+ * enough for the call graph, classification phase one, default
+ * summaries and store keys. A function committed from source keeps its
+ * skeleton only, and its IR is rebuilt from the span on first read.
+ */
+struct Skeleton
+{
+    Name name;
+    const Name *callee_names = nullptr;   ///< see callees()
+    /** Source of a function committed without its IR; empty otherwise. */
+    SourceSpan span;
+    uint32_t unit = 0;            ///< see Function::unit()
+    uint32_t num_callees = 0;
+    bool declaration = false;
+    bool returns_value = false;
+    /** Module::committedFingerprint() holds Function::fingerprint(),
+     *  taken at commit only when asked for (a store keys every tracked
+     *  function by it). */
+    bool fingerprinted = false;
+
+    /** Distinct call targets, in the order of their first call in block
+     *  order: the call graph's edge order. */
+    std::span<const Name>
+    callees() const
+    {
+        return {callee_names, num_callees};
+    }
+};
+
+/**
+ * Rebuilds a function's IR from its skeleton's source span. The module
+ * calls it at most once per function, possibly from several threads at
+ * once for different functions, with failpoints suppressed. It lives
+ * outside rid_ir (Rid implements it over its retained sources), so the
+ * IR does not depend on the frontend.
+ */
+class Lowering
+{
+  public:
+    virtual ~Lowering() = default;
+    /** The function @p fn describes, as lowering its whole unit built
+     *  it (same bytes, fingerprint and lines). */
+    virtual std::unique_ptr<Function> lower(const Skeleton &fn) const = 0;
+};
+
+class Module;
+
+/** The module's functions in position order; reading one builds it. */
+class FunctionRange
+{
+  public:
+    class iterator
+    {
+      public:
+        const Function *operator*() const;
+        iterator &
+        operator++()
+        {
+            k_++;
+            return *this;
+        }
+        bool operator==(const iterator &) const = default;
+
+      private:
+        friend class FunctionRange;
+        iterator(const Module *m, size_t k) : m_(m), k_(k) {}
+        const Module *m_;
+        size_t k_;
+    };
+
+    explicit FunctionRange(const Module &m) : m_(&m) {}
+    iterator begin() const { return {m_, 0}; }
+    iterator end() const;
+    size_t size() const;
+    const Function *operator[](size_t k) const;
+
+  private:
+    const Module *m_;
+};
+
 /**
  * A translation unit or a whole corpus: an ordered collection of
  * functions.
  *
- * A function's position in functions() is its identity for the run: the
- * call graph numbers node k as function k, and per-function tables index
- * by it. A definition that replaces a declaration takes the
- * declaration's position, so positions never move. The module's name
- * index is the one name -> function lookup; the call graph and the
- * classifier resolve names through it instead of copying them.
+ * A function's position is its identity for the run: the call graph
+ * numbers node k as function k, and per-function tables index by it. A
+ * definition that replaces a declaration takes the declaration's
+ * position, so positions never move. The module's name index is the one
+ * name -> function lookup; the call graph and the classifier resolve
+ * names through it instead of copying them.
+ *
+ * Every function has a skeleton. Its IR is either committed with it
+ * (commit(unit), addFunction, absorb) or, for a unit committed from
+ * source, freed at commit and rebuilt through the Lowering hook the
+ * first time function() or find() reads it. A build happens once per
+ * function even when several threads ask at the same time; skeletons
+ * never build anything.
  */
 class Module
 {
   public:
+    Module();
+    ~Module();
+    Module(Module &&) noexcept;
+    Module &operator=(Module &&) noexcept;
+
     /** Add one function (unit ordinal 0) under the first-definition-wins
      *  rule; returns a stable non-owning pointer to the kept function. */
     Function *addFunction(std::unique_ptr<Function> fn);
@@ -224,44 +334,158 @@ class Module
      */
     void commit(std::vector<std::unique_ptr<Function>> unit);
 
-    /** Commit @p other's functions as one unit. */
-    void absorb(Module other) { commit(std::move(other.functions_)); }
+    /**
+     * As above, but keep only the kept functions' skeletons, with
+     * @p spans[i] the source of @p unit[i], and free the IR: function()
+     * rebuilds it through the Lowering hook, which must be set. With
+     * @p fingerprint, each kept skeleton also records the function's
+     * fingerprint before its IR goes. A function that calls any of
+     * @p keep_callers_of keeps its IR: Rid passes the refcount APIs,
+     * whose direct callers are category 1 (Section 5.2), so the
+     * analysis reads them anyway and a rebuild would lower them twice.
+     */
+    void commit(std::vector<std::unique_ptr<Function>> unit,
+                std::span<const SourceSpan> spans, bool fingerprint,
+                std::span<const Name> keep_callers_of = {});
 
-    /** Position of @p name in functions(), or -1 when absent. */
+    /** Commit @p other's functions as one unit (building any it has not
+     *  built yet). */
+    void absorb(Module other);
+
+    /** Install the hook that builds functions committed from source. */
+    void setLowering(std::shared_ptr<const Lowering> lowering);
+
+    size_t size() const { return entries_.size(); }
+
+    /** Position of @p name, or -1 when absent. */
     int indexOf(std::string_view name) const;
 
-    Function *find(const std::string &name);
-    const Function *find(const std::string &name) const;
+    /** The skeleton of function @p k; never builds IR. */
+    const Skeleton &skeleton(size_t k) const { return entries_[k].sk; }
 
-    const std::vector<std::unique_ptr<Function>> &functions() const
+    /** The fingerprint function @p k's IR had when it was committed;
+     *  only when skeleton(k).fingerprinted. */
+    uint64_t committedFingerprint(size_t k) const { return fingerprints_[k]; }
+
+    /** The IR of function @p k, built on first read.
+     *  @throws whatever the Lowering hook throws; nothing is kept then. */
+    const Function &
+    function(size_t k) const
     {
-        return functions_;
+        const Entry &e = entries_[k];
+        if (const Function *fn = e.fn.load(std::memory_order_acquire))
+            return *fn;
+        return build(k);
     }
 
-    size_t size() const { return functions_.size(); }
+    /** Whether function @p k's IR exists yet; never builds it. */
+    bool
+    built(size_t k) const
+    {
+        return entries_[k].fn.load(std::memory_order_acquire) != nullptr;
+    }
 
+    /** The IR of the function named @p name (built on first read), or
+     *  null when absent. */
+    const Function *find(std::string_view name) const;
+
+    FunctionRange functions() const { return FunctionRange(*this); }
+
+    /** Functions built on first read so far (not those committed with
+     *  their IR). */
+    size_t lowered() const;
+
+    /** Every function's printed IR, in position order (builds them). */
     std::string str() const;
 
   private:
-    /** One slot of the name index: a position in functions_ (-1 when
-     *  the slot is empty) and the hash of that function's name. */
+    /** One function: its skeleton and, once committed or built, its IR
+     *  (owned). Entries never move. */
+    struct Entry
+    {
+        Entry(const Skeleton &s, Function *f) : sk(s), fn(f) {}
+        Entry(const Entry &) = delete;
+        Entry &operator=(const Entry &) = delete;
+        ~Entry() { delete fn.load(std::memory_order_relaxed); }
+
+        Skeleton sk;
+        mutable std::atomic<Function *> fn;
+    };
+
+    /** One slot of the name index: a position in entries_ (-1 when the
+     *  slot is empty) and the hash of that function's name. */
     struct Slot
     {
         uint32_t hash;
         int32_t pos;
     };
 
+    struct Lazy;
+
     /** The slot holding @p name, or the empty slot where it would go. */
     size_t slotOf(std::string_view name, uint32_t hash) const;
 
-    std::vector<std::unique_ptr<Function>> functions_;
+    /**
+     * Place @p fn under the first-definition-wins rule with unit ordinal
+     * @p unit. With a @p span the IR is freed after its skeleton is
+     * taken (fingerprinted when @p fingerprint) unless @p fn calls one
+     * of @p keep_callers_of; without one it is kept. Returns the kept
+     * function's position.
+     */
+    size_t place(std::unique_ptr<Function> fn, uint32_t unit,
+                 const SourceSpan *span, bool fingerprint,
+                 std::span<const Name> keep_callers_of = {});
+
+    /** Record @p fn's distinct callees, copied into module-owned
+     *  storage, on @p sk. */
+    void storeCallees(const Function &fn, Skeleton &sk);
+
+    /** function()'s slow path: build entry @p k through the hook. */
+    const Function &build(size_t k) const;
+
+    /** A deque, so growing the module never moves or copies an
+     *  entry. */
+    std::deque<Entry> entries_;
     /** name -> position: open addressing with linear probing over a
      *  power-of-two table at most 3/4 full. It hashes spellings, never
      *  addresses, and allocates nothing per function; a definition that
      *  replaces a declaration keeps the declaration's slot as it is. */
     std::vector<Slot> index_;
+    /** Backing store of the skeletons' callee lists: chunks that never
+     *  move, filled in order. */
+    std::vector<std::unique_ptr<Name[]>> callee_chunks_;
+    /** committedFingerprint() by position; empty until one is taken. */
+    std::vector<uint64_t> fingerprints_;
+    size_t callee_chunk_used_ = 0;
+    size_t callee_chunk_size_ = 0;
     uint32_t units_ = 0;                ///< commit() calls so far
+    /** The hook, its build locks and counter; set by setLowering(). */
+    std::unique_ptr<Lazy> lazy_;
 };
+
+inline const Function *
+FunctionRange::iterator::operator*() const
+{
+    return &m_->function(k_);
+}
+
+inline FunctionRange::iterator
+FunctionRange::end() const
+{
+    return {m_, m_->size()};
+}
+
+inline size_t
+FunctionRange::size() const
+{
+    return m_->size();
+}
+
+inline const Function *
+FunctionRange::operator[](size_t k) const
+{
+    return &m_->function(k);
+}
 
 } // namespace rid::ir
 

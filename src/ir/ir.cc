@@ -5,6 +5,8 @@
 #include <charconv>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 
 #include "obs/failpoint.h"
 #include "smt/intern.h"
@@ -427,6 +429,24 @@ Function::declaration(Name name, std::span<const Name> params,
     return allocate(name, params, returns_value, 0);
 }
 
+/** Build locks and the build counter of a module that lowers on first
+ *  read. A function takes the lock of its stripe while it is built, so
+ *  two threads never build it twice and builds of other functions
+ *  mostly do not wait. */
+struct Module::Lazy
+{
+    static constexpr size_t kStripes = 64;
+
+    std::shared_ptr<const Lowering> lowering;
+    std::mutex stripes[kStripes];
+    std::atomic<size_t> lowered{0};
+};
+
+Module::Module() = default;
+Module::~Module() = default;
+Module::Module(Module &&) noexcept = default;
+Module &Module::operator=(Module &&) noexcept = default;
+
 size_t
 Module::slotOf(std::string_view name, uint32_t hash) const
 {
@@ -434,15 +454,43 @@ Module::slotOf(std::string_view name, uint32_t hash) const
     for (size_t i = hash & mask;; i = (i + 1) & mask) {
         const Slot &s = index_[i];
         if (s.pos < 0 ||
-            (s.hash == hash && functions_[s.pos]->name() == name))
+            (s.hash == hash && entries_[s.pos].sk.name == name))
             return i;
     }
 }
 
-Function *
-Module::addFunction(std::unique_ptr<Function> fn)
+void
+Module::storeCallees(const Function &fn, Skeleton &sk)
 {
-    if ((functions_.size() + 1) * 4 > index_.size() * 3) {
+    // Distinct targets in first-call order; a body calls few enough
+    // distinct functions that a linear scan beats a set.
+    thread_local std::vector<Name> seen;
+    seen.clear();
+    for (const BasicBlock &bb : fn.blocks_)
+        for (const Instruction &in : bb.instrs)
+            if (in.op == Opcode::Call &&
+                std::find(seen.begin(), seen.end(), in.callee) == seen.end())
+                seen.push_back(in.callee);
+    sk.num_callees = static_cast<uint32_t>(seen.size());
+    if (seen.empty())
+        return;
+    if (callee_chunk_used_ + seen.size() > callee_chunk_size_) {
+        callee_chunk_size_ = std::max<size_t>(4096, seen.size());
+        callee_chunks_.push_back(std::make_unique<Name[]>(callee_chunk_size_));
+        callee_chunk_used_ = 0;
+    }
+    Name *dst = callee_chunks_.back().get() + callee_chunk_used_;
+    std::copy(seen.begin(), seen.end(), dst);
+    callee_chunk_used_ += seen.size();
+    sk.callee_names = dst;
+}
+
+size_t
+Module::place(std::unique_ptr<Function> fn, uint32_t unit,
+              const SourceSpan *span, bool fingerprint,
+              std::span<const Name> keep_callers_of)
+{
+    if ((entries_.size() + 1) * 4 > index_.size() * 3) {
         std::vector<Slot> old(std::max<size_t>(16, index_.size() * 2),
                               Slot{0, -1});
         old.swap(index_);
@@ -458,27 +506,127 @@ Module::addFunction(std::unique_ptr<Function> fn)
     }
     const uint32_t hash = nameHash(fn->name());
     Slot &s = index_[slotOf(fn->name(), hash)];
-    if (s.pos < 0) {
-        s = {hash, static_cast<int32_t>(functions_.size())};
-        functions_.push_back(std::move(fn));
-        return functions_.back().get();
-    }
     // Keep a definition over a declaration; otherwise first wins. The
     // definition takes the declaration's slot and position.
-    std::unique_ptr<Function> &slot = functions_[s.pos];
-    if (slot->isDeclaration() && !fn->isDeclaration())
-        slot = std::move(fn);
-    return slot.get();
+    Entry *kept = s.pos < 0 ? nullptr : &entries_[s.pos];
+    if (kept && !(kept->sk.declaration && !fn->isDeclaration()))
+        return s.pos;
+
+    fn->unit_ = unit;
+    Skeleton sk;
+    sk.name = fn->name_;
+    sk.unit = unit;
+    sk.declaration = fn->isDeclaration();
+    sk.returns_value = fn->returnsValue();
+    storeCallees(*fn, sk);
+    const size_t pos = kept ? s.pos : entries_.size();
+    bool keep = !span;   // an eager commit keeps its IR
+    if (span) {
+        sk.span = *span;
+        if (fingerprint) {
+            if (fingerprints_.size() <= pos)
+                fingerprints_.resize(pos + 1);
+            fingerprints_[pos] = fn->fingerprint();
+            sk.fingerprinted = true;
+        }
+        for (Name callee : sk.callees())
+            keep = keep || std::ranges::find(keep_callers_of, callee) !=
+                               keep_callers_of.end();
+    }
+    Function *ir = keep ? fn.release() : nullptr;
+    if (!kept) {
+        s = {hash, static_cast<int32_t>(pos)};
+        entries_.emplace_back(sk, ir);
+        return pos;
+    }
+    kept->sk = sk;
+    delete kept->fn.exchange(ir, std::memory_order_relaxed);
+    return pos;
+}
+
+Function *
+Module::addFunction(std::unique_ptr<Function> fn)
+{
+    const size_t k = place(std::move(fn), 0, nullptr, false);
+    function(k);
+    return entries_[k].fn.load(std::memory_order_relaxed);
 }
 
 void
 Module::commit(std::vector<std::unique_ptr<Function>> unit)
 {
     uint32_t ordinal = units_++;
-    for (auto &fn : unit) {
-        fn->unit_ = ordinal;
-        addFunction(std::move(fn));
+    for (auto &fn : unit)
+        place(std::move(fn), ordinal, nullptr, false);
+}
+
+void
+Module::commit(std::vector<std::unique_ptr<Function>> unit,
+               std::span<const SourceSpan> spans, bool fingerprint,
+               std::span<const Name> keep_callers_of)
+{
+    if (!lazy_ || spans.size() != unit.size())
+        throw std::logic_error(
+            "ir::Module: a unit committed from source needs a Lowering "
+            "hook and one span per function");
+    uint32_t ordinal = units_++;
+    for (size_t i = 0; i < unit.size(); i++)
+        place(std::move(unit[i]), ordinal, &spans[i], fingerprint,
+              keep_callers_of);
+}
+
+void
+Module::absorb(Module other)
+{
+    std::vector<std::unique_ptr<Function>> unit;
+    unit.reserve(other.size());
+    for (size_t k = 0; k < other.size(); k++) {
+        other.function(k);
+        unit.emplace_back(other.entries_[k].fn.exchange(
+            nullptr, std::memory_order_relaxed));
     }
+    commit(std::move(unit));
+}
+
+void
+Module::setLowering(std::shared_ptr<const Lowering> lowering)
+{
+    if (!lazy_)
+        lazy_ = std::make_unique<Lazy>();
+    lazy_->lowering = std::move(lowering);
+}
+
+const Function &
+Module::build(size_t k) const
+{
+    const Entry &e = entries_[k];
+    std::lock_guard<std::mutex> lock(lazy_->stripes[k % Lazy::kStripes]);
+    // The stripe lock orders this load after the store of any thread
+    // that built the function first.
+    if (const Function *fn = e.fn.load(std::memory_order_relaxed))
+        return *fn;
+    std::unique_ptr<Function> fn;
+    {
+        // The unit's faults were injected, if at all, when it was first
+        // lowered; a rebuild is not a new frontend run.
+        obs::FailpointSuppressScope suppress;
+        fn = lazy_->lowering->lower(e.sk);
+    }
+    if (!fn || fn->name_ != e.sk.name ||
+        fn->isDeclaration() != e.sk.declaration)
+        throw IrError(e.sk.name.str(), 0,
+                      "rebuilt function does not match its skeleton");
+    fn->unit_ = e.sk.unit;
+    lazy_->lowered.fetch_add(1, std::memory_order_relaxed);
+    Function *built = fn.release();
+    e.fn.store(built, std::memory_order_release);
+    return *built;
+}
+
+size_t
+Module::lowered() const
+{
+    return lazy_ ? lazy_->lowered.load(std::memory_order_relaxed) : 0;
 }
 
 int
@@ -489,26 +637,19 @@ Module::indexOf(std::string_view name) const
     return index_[slotOf(name, nameHash(name))].pos;
 }
 
-Function *
-Module::find(const std::string &name)
-{
-    int k = indexOf(name);
-    return k < 0 ? nullptr : functions_[k].get();
-}
-
 const Function *
-Module::find(const std::string &name) const
+Module::find(std::string_view name) const
 {
     int k = indexOf(name);
-    return k < 0 ? nullptr : functions_[k].get();
+    return k < 0 ? nullptr : &function(k);
 }
 
 std::string
 Module::str() const
 {
     std::string out;
-    for (const auto &fn : functions_) {
-        fn->appendTo(out);
+    for (size_t k = 0; k < size(); k++) {
+        function(k).appendTo(out);
         out += '\n';
     }
     return out;

@@ -81,6 +81,14 @@ Name::Name(std::string_view spelling) : s_(&kEmpty)
     s_ = slot.s;
 }
 
+size_t
+Name::internedCount()
+{
+    InternTable &t = table();
+    std::lock_guard<std::mutex> lock(t.mu);
+    return t.strings.size();
+}
+
 std::ostream &
 operator<<(std::ostream &os, Name n)
 {

@@ -35,6 +35,9 @@ class Name
     Name(const std::string &spelling) : Name(std::string_view(spelling)) {}
     Name(const char *spelling) : Name(std::string_view(spelling)) {}
 
+    /** Distinct spellings interned so far in this process. */
+    static size_t internedCount();
+
     const std::string &str() const { return *s_; }
     operator const std::string &() const { return *s_; }
     bool empty() const { return s_ == &kEmpty; }

@@ -102,10 +102,11 @@ TriagePass::hpExecFor(const std::string &function)
     // Re-lower only the unit the run's module kept this definition from,
     // so the re-derived body is the one the base pass analyzed.
     HpExec exec;
-    const ir::Function *base = mod_.find(function);
-    bool defined = base && !base->isDeclaration();
+    const int base = mod_.indexOf(function);
+    const bool defined = base >= 0 && !mod_.skeleton(base).declaration;
+    const uint32_t unit = defined ? mod_.skeleton(base).unit : 0;
     const ir::Function *fn =
-        defined ? hpUnit(base->unit()).find(function) : nullptr;
+        defined ? hpUnit(unit).find(function) : nullptr;
     if (!fn || fn->isDeclaration()) {
         exec.note = "no higher-precision definition";
     } else {
@@ -140,7 +141,7 @@ TriagePass::hpExecFor(const std::string &function)
     if (defined) {
         // HpExec holds no IR pointers: once the unit's last reported
         // function has executed, its higher-precision IR can go.
-        auto u = hp_units_.find(base->unit());
+        auto u = hp_units_.find(unit);
         if (u->second.pending <= 1)
             hp_units_.erase(u);
         else
@@ -384,9 +385,9 @@ TriagePass::run(std::vector<analysis::BugReport> &reports)
     for (const auto &report : reports) {
         if (isEscapeReport(report) || !counted.insert(report.function).second)
             continue;
-        const ir::Function *fn = mod_.find(report.function);
-        if (fn && !fn->isDeclaration())
-            hp_units_[fn->unit()].pending++;
+        const int k = mod_.indexOf(report.function);
+        if (k >= 0 && !mod_.skeleton(k).declaration)
+            hp_units_[mod_.skeleton(k).unit].pending++;
     }
     for (auto &report : reports)
         triageOne(report);

@@ -32,9 +32,10 @@
  * last). Reports are demoted, never deleted.
  *
  * Only the units that define reported functions are re-lowered: a
- * function's base definition names its retained source (ir::Function::
- * unit()), that one unit is compiled at higher precision on first use,
- * and its IR is freed as soon as its last reported function has run.
+ * function's base definition names its retained source (its skeleton's
+ * unit, so the pass reads no base IR), that one unit is compiled at
+ * higher precision on first use, and its IR is freed as soon as its last
+ * reported function has run.
  *
  * Determinism: the pass runs sequentially, every budget is fuel-only
  * (no wall clock), the solver consumes fuel before consulting the shared

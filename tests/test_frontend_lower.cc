@@ -312,7 +312,7 @@ TEST(LowerCommit, RejectedUnitLeavesTheCorpusModuleAsItWas)
     const ir::Module &mod = tool.module();
     std::vector<const ir::Function *> before;
     for (const auto &fn : mod.functions())
-        before.push_back(fn.get());
+        before.push_back(fn);
     ASSERT_EQ(before.size(), 2u);
     ASSERT_TRUE(mod.find("helper")->isDeclaration());
 
@@ -324,7 +324,7 @@ TEST(LowerCommit, RejectedUnitLeavesTheCorpusModuleAsItWas)
     EXPECT_EQ(tool.fileDiagnostics()[0].file, "second.c");
     ASSERT_EQ(mod.size(), before.size());
     for (size_t k = 0; k < before.size(); k++) {
-        EXPECT_EQ(mod.functions()[k].get(), before[k]);
+        EXPECT_EQ(mod.functions()[k], before[k]);
         EXPECT_EQ(mod.indexOf(before[k]->name()), static_cast<int>(k));
         EXPECT_EQ(before[k]->unit(), 0u);
     }

@@ -199,7 +199,7 @@ TEST(Module, DefinitionReplacesDeclaration)
     // The definition keeps the declaration's position, which is the
     // function's call-graph node.
     EXPECT_EQ(m.indexOf("f"), 0);
-    EXPECT_EQ(m.functions()[0].get(), def);
+    EXPECT_EQ(m.functions()[0], def);
     EXPECT_EQ(m.find("f"), def);
     EXPECT_EQ(m.indexOf("g"), 1);
     EXPECT_EQ(m.indexOf("absent"), -1);
@@ -216,7 +216,7 @@ TEST(Module, DefinitionReplacesDeclaration)
     EXPECT_EQ(merged.indexOf("f"), 1);
     EXPECT_FALSE(merged.functions()[1]->isDeclaration());
     EXPECT_EQ(merged.functions()[1]->unit(), 1u);
-    EXPECT_EQ(merged.find("f"), merged.functions()[1].get());
+    EXPECT_EQ(merged.find("f"), merged.functions()[1]);
     EXPECT_EQ(merged.indexOf("h"), 0);
 }
 
