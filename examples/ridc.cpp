@@ -21,7 +21,8 @@
  *   --list-domains     print the declared effect domains and exit
  *   --max-paths N      path cap per function (default 100)
  *   --max-subcases N   subcase cap per path (default 10)
- *   --threads N        analyze independent SCCs with N workers
+ *   --threads N        analyze independent SCCs with N workers (at
+ *                      most 256)
  *   --deadline S       wall-clock budget for the whole run (seconds;
  *                      functions reached after expiry are defaulted)
  *   --fn-deadline S    per-function wall-clock budget (seconds)
@@ -69,6 +70,10 @@
 #include "summary/domain.h"
 
 namespace {
+
+/** Ceiling of --threads: far above any useful worker count, low enough
+ *  that a typo cannot ask the OS for a thread per SCC of a large run. */
+constexpr int kMaxThreads = 256;
 
 /** The contents of @p path, or nothing when it cannot be opened or read
  *  (a directory, say). A regular file is read with one read into a
@@ -124,6 +129,9 @@ usage()
                  "            [--provenance FILE] [--store DIR] "
                  "[--resume]\n"
                  "            [--triage] [--triage-fuel N] [--top N]\n"
+                 "            [--model-bits] [--model-stores]\n"
+                 "            [--json] [--grouped] [--dot-callgraph] "
+                 "[--dot-cfg FN]\n"
                  "            [--dump-ir] [--summaries] file.c ...\n"
                  "       ridc explain <fingerprint|all> <journal.jsonl>\n"
                  "       ridc diff-runs <old.jsonl> <new.jsonl>\n");
@@ -131,23 +139,25 @@ usage()
 }
 
 /** The value of numeric flag @p flag, parsed over the whole of @p text.
- *  Junk, a negative or non-finite value, and 0 when @p zero_ok is false
- *  are usage errors (exit 2). */
+ *  Junk, a negative or non-finite value, a value above @p max, and 0
+ *  when @p zero_ok is false are usage errors (exit 2). */
 template <typename T>
 T
 parseNumber(const std::string &flag, const std::string &text,
-            bool zero_ok = true)
+            bool zero_ok = true, T max = std::numeric_limits<T>::max())
 {
     T value{};
     const char *end = text.data() + text.size();
     auto [ptr, ec] = std::from_chars(text.data(), end, value);
     // The range test also rejects NaN and infinity.
-    if (ec != std::errc() || ptr != end ||
-        !(value >= 0 && value <= std::numeric_limits<T>::max()) ||
+    if (ec != std::errc() || ptr != end || !(value >= 0 && value <= max) ||
         (!zero_ok && value == 0)) {
-        std::fprintf(stderr, "ridc: %s expects a %s number, got '%s'\n",
+        std::string bound = max == std::numeric_limits<T>::max()
+                                ? ""
+                                : " up to " + std::to_string(max);
+        std::fprintf(stderr, "ridc: %s expects a %s number%s, got '%s'\n",
                      flag.c_str(), zero_ok ? "non-negative" : "positive",
-                     text.c_str());
+                     bound.c_str(), text.c_str());
         std::exit(2);
     }
     return value;
@@ -277,7 +287,7 @@ main(int argc, char **argv)
         else if (arg == "--max-subcases")
             opts.max_subcases = parseNumber<int>(arg, next(), false);
         else if (arg == "--threads")
-            opts.threads = parseNumber<int>(arg, next(), false);
+            opts.threads = parseNumber<int>(arg, next(), false, kMaxThreads);
         else if (arg == "--no-classify")
             opts.classify = false;
         else if (arg == "--deadline")

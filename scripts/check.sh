@@ -17,12 +17,13 @@
 # its never-freed nodes must stay reachable, not leak).
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
-# tree, building only the chaos test), runs the tree-executor unit suite
-# under the same sanitizers — including the engine differential
-# (TreeExecDifferential: executeFunctionTree vs its enumerate-then-replay
-# reference on every function of the determinism corpus) — since the COW
-# store and persistent condition chain are exactly the kind of shared-
-# ownership code ASan exists for, runs the summary-compaction unit
+# tree, building only the chaos test), runs the tree-executor, symbolic-
+# execution and paper-conformance suites under the same sanitizers —
+# including the engine golden (TreeExecDifferential: executeFunctionTree
+# against the recorded enumerate-then-replay output on every function of
+# the determinism corpus) — since the COW store and persistent condition
+# chain are exactly the kind of shared-ownership code ASan exists for,
+# runs the summary-compaction unit
 # suite plus the compaction/interning determinism differentials under
 # ASan (the sharded instantiation cache is shared mutable state), runs
 # the triage suite under ASan (per-unit higher-precision module lifetime),
@@ -111,10 +112,14 @@ cmake --build build-asan -j --target test_store
 ./build-asan/tests/test_store
 
 echo "== sanitizer smoke (ASan+UBSan prefix-sharing engine) =="
-cmake --build build-asan -j --target test_analysis_tree_exec
-# The whole suite, so the engine differential (TreeExecDifferential.*)
-# cannot drop out of the run unnoticed the way a stale filter would.
+cmake --build build-asan -j --target test_analysis_tree_exec \
+    --target test_analysis_symexec --target test_paper_conformance
+# The whole suites, so the engine golden (TreeExecDifferential.*) cannot
+# drop out of the run unnoticed the way a stale filter would. The
+# symbolic-execution and Figure 2 suites drive the same engine.
 ./build-asan/tests/test_analysis_tree_exec
+./build-asan/tests/test_analysis_symexec
+./build-asan/tests/test_paper_conformance
 
 # The sharded instantiation cache is cross-thread shared mutable state
 # (per-shard mutexes guarding LRU lists), and compaction runs solver

@@ -831,8 +831,10 @@ Analyzer::run()
         }
     };
     {
+        // More workers than SCCs would only wait on the ready queue.
+        const int workers = std::max(1, std::min(opts_.threads, num_sccs));
         std::vector<std::jthread> helpers;
-        for (int w = 1; w < opts_.threads; w++) {
+        for (int w = 1; w < workers; w++) {
             helpers.emplace_back([&]() {
                 obs::ScopedTracer worker_scoped(tracer_.get());
                 work();

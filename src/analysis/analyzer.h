@@ -186,8 +186,9 @@ struct AnalyzerOptions
      *  Disabled: every defined function is fully analyzed. */
     bool classify = true;
     /** Workers of the SCC scheduler: the calling thread plus
-     *  threads - 1 helpers (values below 1 mean 1). Reports, summaries
-     *  and store records do not depend on it. */
+     *  threads - 1 helpers, capped at the number of SCCs (values below
+     *  1 mean 1). Reports, summaries and store records do not depend
+     *  on it. */
     int threads = 1;
     /** Compact each computed summary before it enters the database:
      *  merge entries indistinguishable at every call boundary (identical

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "analysis/cow.h"
+#include "analysis/paths.h"
 #include "frontend/lower.h"
 #include "obs/budget.h"
 #include "obs/failpoint.h"
@@ -23,47 +24,14 @@ using smt::ExprKind;
 using smt::Formula;
 using summary::SummaryEntry;
 
-/** A constraint part, tagged with the branch instruction that added it so
- *  a re-executed branch (unrolled loop) can replace its old condition. */
-struct ConsPart
-{
-    const ir::Instruction *source = nullptr;  // null: call constraint
-    Formula formula;
-};
-
-/** One symbolic execution state (Section 4.4). */
-struct State
-{
-    std::vector<ConsPart> cons_parts;
-    summary::ChangeMap changes;
-    summary::StoreSet stores;
-    std::map<std::string, Expr> vmap;
-    std::vector<int> change_lines;
-    /** Callee summaries instantiated along this path (provenance). */
-    std::vector<std::string> callees;
-    /** Per-call-site execution counts, for deterministic temp naming. */
-    std::map<const ir::Instruction *, int> call_occurrence;
-
-    Formula
-    consFormula() const
-    {
-        std::vector<Formula> parts;
-        parts.reserve(cons_parts.size());
-        for (const auto &p : cons_parts)
-            parts.push_back(p.formula);
-        return Formula::conj(std::move(parts));
-    }
-};
-
 /**
  * Instantiate one callee summary entry for a call site (Algorithm 1):
  * formal→actual substitution, opaque-return decision, result binding
- * and local-store filtering. Both engines funnel every entry through
- * here, so the instantiation is computed identically whether or not an
- * InstCache is attached — a hit returns the exact value a fresh
- * computation would, keyed by stable fingerprints and verified
- * structurally. @p slot is the call site's temp, which stands for an
- * opaque or unsummarized result. @p instantiated counts from-scratch
+ * and local-store filtering. The instantiation is computed identically
+ * whether or not an InstCache is attached — a hit returns the exact
+ * value a fresh computation would, keyed by stable fingerprints and
+ * verified structurally. @p slot is the call site's temp, which stands
+ * for an opaque or unsummarized result. @p instantiated counts from-scratch
  * computations only (cache misses), the quantity the interning exists
  * to reduce.
  */
@@ -116,16 +84,9 @@ instantiateCallEntry(const summary::FunctionSummary &callee,
     return out;
 }
 
-const Expr *
-vmapFind(const std::map<std::string, Expr> &vmap, const std::string &name)
-{
-    auto it = vmap.find(name);
-    return it == vmap.end() ? nullptr : &it->second;
-}
-
-/** Orders interned names by handle. The tree executor's value map is
- *  only probed, never iterated into output, so an address order is safe
- *  there and spares comparing spellings. */
+/** Orders interned names by handle. The value map is only probed,
+ *  never iterated into output, so an address order is safe and spares
+ *  comparing spellings. */
 struct NameIdLess
 {
     bool
@@ -137,21 +98,13 @@ struct NameIdLess
 
 using TreeVMap = CowMap<ir::Name, Expr, NameIdLess>;
 
-const Expr *
-vmapFind(const TreeVMap &vmap, ir::Name name)
-{
-    return vmap.lookup(name);
-}
-
-/** Evaluate an operand under a state's vmap (plain map for the replay
- *  engine, copy-on-write map for the prefix-sharing engine). */
-template <class VMap>
+/** Evaluate an operand under a state's value map. */
 Expr
-valueOf(const ir::Value &v, const ir::Function &fn, const VMap &vmap)
+valueOf(const ir::Value &v, const ir::Function &fn, const TreeVMap &vmap)
 {
     switch (v.kind()) {
       case ir::ValueKind::Var: {
-        if (const Expr *bound = vmapFind(vmap, v.varName()))
+        if (const Expr *bound = vmap.lookup(v.varName()))
             return *bound;
         // Default valuation: formal arguments are argument atoms, other
         // names are unconstrained locals.
@@ -340,14 +293,12 @@ projectEntryLocals(SummaryEntry &entry)
 /**
  * Finish one state that reached a Return: append the return-value
  * constraint to @p parts, project locals out and stamp provenance.
- * Shared by both engines so the emitted entries are identical.
  */
 SummaryEntry
 finishReturnState(const Expr &retval, std::vector<Formula> parts,
                   summary::ChangeMap changes, summary::StoreSet stores,
                   std::vector<int> change_lines,
-                  std::vector<std::string> callees, int return_line,
-                  int path_index)
+                  std::vector<std::string> callees, int return_line)
 {
     SummaryEntry entry;
     entry.changes = std::move(changes);
@@ -380,211 +331,8 @@ finishReturnState(const Expr &retval, std::vector<Formula> parts,
     entry.origin.change_lines = std::move(change_lines);
     entry.origin.callees = std::move(callees);
     entry.origin.return_line = return_line;
-    entry.origin.path_index = path_index;
     return entry;
 }
-
-} // anonymous namespace
-
-smt::Formula
-projectLocals(const smt::Formula &cons)
-{
-    SummaryEntry e;
-    e.cons = cons;
-    projectEntryLocals(e);
-    return e.cons;
-}
-
-ExecResult
-executePath(const ir::Function &fn, const Path &path, int path_index,
-            const summary::SummaryDb &db, smt::Solver &solver,
-            const ExecOptions &opts)
-{
-    obs::failpoint("analysis.symexec.path");
-    obs::Span span("phase", "symexec-path");
-    span.arg("fn", fn.name());
-    span.arg("path", std::to_string(path_index));
-
-    ExecResult result;
-
-    State initial;
-    for (const auto &p : fn.params())
-        initial.vmap[p] = Expr::arg(p);
-
-    std::vector<State> states{std::move(initial)};
-
-    auto pruneState = [&](const State &s) {
-        return opts.prune_infeasible && !solver.isSat(s.consFormula());
-    };
-
-    for (size_t step = 0; step < path.blocks.size(); step++) {
-        if (opts.budget && opts.budget->expired()) {
-            result.deadline_hit = true;
-            return result;
-        }
-        ir::BlockId b = path.blocks[step];
-        const auto &bb = fn.block(b);
-        result.blocks_executed++;
-        for (size_t idx = 0; idx < bb.instrs.size(); idx++) {
-            const ir::Instruction &in = bb.instrs[idx];
-            switch (in.op) {
-              case ir::Opcode::Assign:
-                for (auto &s : states)
-                    s.vmap[in.dst] = valueOf(in.a, fn, s.vmap);
-                break;
-              case ir::Opcode::FieldLoad:
-                for (auto &s : states) {
-                    Expr base = valueOf(in.a, fn, s.vmap);
-                    if (base.isConst() || base.isBoolean()) {
-                        // Field of a constant: unconstrained.
-                        s.vmap[in.dst] = tempAtom('f', b, idx);
-                    } else {
-                        s.vmap[in.dst] = Expr::field(base, in.field);
-                    }
-                }
-                break;
-              case ir::Opcode::FieldStore:
-                // Extension (Section 5.4): a store to a caller-visible
-                // structure is an observable path effect. Stores to
-                // local objects are invisible outside and are dropped.
-                for (auto &s : states) {
-                    Expr base = valueOf(in.a, fn, s.vmap);
-                    if (base && !base.isConst() && !base.isBoolean() &&
-                        !base.mentionsLocalState()) {
-                        s.stores.insert(Expr::field(base, in.field));
-                    }
-                }
-                break;
-              case ir::Opcode::Random:
-                for (auto &s : states) {
-                    int occ = s.call_occurrence[&in]++;
-                    s.vmap[in.dst] = tempAtom('r', b, idx, occ);
-                }
-                break;
-              case ir::Opcode::Cmp:
-                for (auto &s : states) {
-                    Expr l = valueOf(in.a, fn, s.vmap);
-                    Expr r = valueOf(in.b, fn, s.vmap);
-                    Expr c = makeCmp(in.pred, l, r);
-                    if (c)
-                        s.vmap[in.dst] = c;
-                    else
-                        s.vmap[in.dst] = tempAtom('b', b, idx);
-                }
-                break;
-              case ir::Opcode::Branch:
-                break;
-              case ir::Opcode::CondBranch: {
-                assert(step + 1 < path.blocks.size());
-                bool taken = path.blocks[step + 1] == in.target;
-                std::vector<State> kept;
-                for (auto &s : states) {
-                    Expr cond;
-                    if (in.a.isVar()) {
-                        cond = valueOf(in.a, fn, s.vmap);
-                    }
-                    Formula lit = branchCondition(cond, taken);
-                    // Replace any condition this instruction added on an
-                    // earlier (unrolled) execution (Figure 6).
-                    std::erase_if(s.cons_parts, [&in](const ConsPart &p) {
-                        return p.source == &in;
-                    });
-                    s.cons_parts.push_back(ConsPart{&in, lit});
-                    if (!pruneState(s))
-                        kept.push_back(std::move(s));
-                }
-                states = std::move(kept);
-                break;
-              }
-              case ir::Opcode::Call: {
-                if (in.callee == frontend::kAssertFailFn) {
-                    states.clear();
-                    break;
-                }
-                const summary::FunctionSummary *callee = db.find(in.callee);
-                std::vector<State> next;
-                for (auto &s : states) {
-                    std::vector<Expr> actuals;
-                    actuals.reserve(in.args.size());
-                    for (const auto &a : in.args)
-                        actuals.push_back(valueOf(a, fn, s.vmap));
-                    int occ = s.call_occurrence[&in]++;
-                    Expr slot = tempAtom('c', b, idx, occ);
-
-                    if (!callee) {
-                        // No summary at all: default behaviour inline.
-                        if (!in.dst.empty())
-                            s.vmap[in.dst] = slot;
-                        next.push_back(std::move(s));
-                        continue;
-                    }
-                    for (size_t ei = 0; ei < callee->entries.size();
-                         ei++) {
-                        if (static_cast<int>(next.size()) >=
-                            opts.max_subcases) {
-                            result.truncated = true;
-                            break;
-                        }
-                        summary::CallInstantiation inst =
-                            instantiateCallEntry(
-                                *callee, ei, actuals, slot,
-                                !in.dst.empty(), opts.inst_cache,
-                                result.entries_instantiated);
-
-                        State forked = s;
-                        forked.callees.push_back(in.callee);
-                        forked.cons_parts.push_back(
-                            ConsPart{nullptr, inst.cons});
-                        for (const auto &[rc, delta] : inst.changes) {
-                            forked.changes[rc] += delta;
-                            forked.change_lines.push_back(in.line);
-                        }
-                        for (const auto &store : inst.stores)
-                            forked.stores.insert(store);
-                        if (!in.dst.empty())
-                            forked.vmap[in.dst] =
-                                inst.result ? inst.result : slot;
-                        if (!pruneState(forked))
-                            next.push_back(std::move(forked));
-                    }
-                }
-                states = std::move(next);
-                break;
-              }
-              case ir::Opcode::Return: {
-                for (auto &s : states) {
-                    Expr retval = valueOf(in.a, fn, s.vmap);
-                    std::vector<Formula> parts;
-                    parts.reserve(s.cons_parts.size());
-                    for (auto &p : s.cons_parts)
-                        parts.push_back(p.formula);
-                    if (static_cast<int>(result.entries.size()) <
-                        opts.max_subcases) {
-                        result.entries.push_back(finishReturnState(
-                            retval, std::move(parts), s.changes, s.stores,
-                            s.change_lines, s.callees, in.line,
-                            path_index));
-                    } else {
-                        result.truncated = true;
-                    }
-                }
-                return result;
-              }
-            }
-            if (states.empty())
-                return result;
-            if (static_cast<int>(states.size()) > opts.max_subcases) {
-                states.resize(opts.max_subcases);
-                result.truncated = true;
-            }
-        }
-    }
-    // A path must end in a Return (verified IR guarantees a terminator on
-    // every block; enumeration stops at Return blocks).
-    return result;
-}
-
-namespace {
 
 /** One prefix-sharing execution state. The path condition is a
  *  persistent chain and the value map a copy-on-write overlay, so a
@@ -607,8 +355,9 @@ struct TreeState
  * enumerator would unfold (same loop-unroll bound, same assert-fail
  * skipping, same child order), executing every tree edge exactly once
  * and forking the state set at conditional branches. Completed paths
- * surface in enumeration order with the exact entries replay would
- * produce, so the two engines are output-identical; see DESIGN.md.
+ * surface in enumeration order, and their entries are what the paper's
+ * per-path replay (§4.4) produces; tests/golden/tree_exec_entries.golden
+ * pins them. See DESIGN.md.
  */
 class TreeExecutor
 {
@@ -760,8 +509,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
             // Terminator: fork the state set per viable side. The side
             // order matches the enumerator's successor order, and the
             // condition literal replaces any literal this instruction
-            // asserted on an earlier (unrolled) execution, exactly as
-            // replay does with its tagged part vector (Figure 6).
+            // asserted on an earlier (unrolled) execution (Figure 6).
             std::vector<ir::BlockId> sides;
             for (ir::BlockId sb : {in.target, in.target_else})
                 if (enterable(sb))
@@ -787,8 +535,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                 }
                 if (kept.empty()) {
                     // Infeasible side: the whole subtree below it is
-                    // skipped. Replay enumerates and re-executes every
-                    // path through it just to watch each die here.
+                    // skipped.
                     res_.subtrees_pruned++;
                     continue;
                 }
@@ -852,8 +599,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
             break;
           }
           case ir::Opcode::Return: {
-            // One feasible path completed (replay fires this site once
-            // per executed path).
+            // One feasible path completed.
             obs::failpoint("analysis.symexec.path");
             for (auto &s : states) {
                 Expr retval = valueOf(in.a, fn_, s.vmap);
@@ -861,7 +607,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                     opts_.max_subcases) {
                     step.outcome.entries.push_back(finishReturnState(
                         retval, s.cons.parts(), s.changes, s.stores,
-                        s.change_lines, s.callees, in.line, 0));
+                        s.change_lines, s.callees, in.line));
                 } else {
                     res_.truncated = true;
                 }
@@ -924,6 +670,15 @@ TreeExecutor::dfs(ir::BlockId b, std::vector<TreeState> states)
 }
 
 } // anonymous namespace
+
+smt::Formula
+projectLocals(const smt::Formula &cons)
+{
+    SummaryEntry e;
+    e.cons = cons;
+    projectEntryLocals(e);
+    return e.cons;
+}
 
 TreeExecResult
 executeFunctionTree(const ir::Function &fn, const summary::SummaryDb &db,

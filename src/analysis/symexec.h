@@ -9,16 +9,20 @@
  * value is bound to the atom [0], conditions on local state are projected
  * out (by equality substitution where possible, otherwise by dropping the
  * literal — a sound weakening), and the entry is recorded.
+ *
+ * The paper enumerates a function's paths and replays each one. The
+ * executor here walks the CFG tree instead, stepping every shared prefix
+ * once and forking the state set at conditional branches; it produces
+ * the same entries in the same order (tests/golden/tree_exec_entries.golden
+ * holds the per-path replay's output over the determinism corpus).
  */
 
 #ifndef RID_ANALYSIS_SYMEXEC_H
 #define RID_ANALYSIS_SYMEXEC_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "analysis/paths.h"
 #include "ir/function.h"
 #include "smt/solver.h"
 #include "summary/db.h"
@@ -26,90 +30,41 @@
 
 namespace rid::analysis {
 
-struct ExecOptions
-{
-    /** Cap on summary entries produced from a single path ("subcases" in
-     *  the paper's configuration; default 10 — Section 6.1). */
-    int max_subcases = 10;
-    /** Discard states whose constraint is unsatisfiable as soon as the
-     *  branch/entry constraint is added. */
-    bool prune_infeasible = true;
-    /** Optional cooperative budget checked once per executed block;
-     *  expiry stops execution and sets ExecResult::deadline_hit. Not
-     *  owned; must outlive the call. */
-    const obs::Budget *budget = nullptr;
-    /** Optional shared callee-instantiation cache (summary/inst_cache.h);
-     *  null instantiates every call entry from scratch. Semantically
-     *  invisible either way. Not owned; must outlive the call. */
-    summary::InstCache *inst_cache = nullptr;
-};
-
-struct ExecResult
-{
-    std::vector<summary::SummaryEntry> entries;
-    /** True if max_subcases truncated the expansion. */
-    bool truncated = false;
-    /** True if the budget expired mid-path. The partial entries are
-     *  timing-dependent; the caller must discard them and degrade the
-     *  function rather than merge them into its summary. */
-    bool deadline_hit = false;
-    /** Basic blocks stepped while executing this path. Under replay a
-     *  shared prefix is re-stepped once per path; the prefix-sharing
-     *  engine's counter measures the redundancy it removes. */
-    uint64_t blocks_executed = 0;
-    /** Callee summary entries instantiated from scratch (inst-cache
-     *  misses when a cache is attached; every call entry without). */
-    uint64_t entries_instantiated = 0;
-};
-
-/**
- * Execute one path of @p fn symbolically and produce its summary entries.
- *
- * @param fn      the function (definition)
- * @param path    the block sequence to follow
- * @param path_index index recorded in entry provenance
- * @param db      summary database for callee lookup. A callee without a
- *                summary (undefined, or not yet run in the caller's SCC)
- *                returns a fresh temp and adds no callee-chain entry, no
- *                instantiation and no subcase cap; a defaulted callee's
- *                summary does all three
- * @param solver  satisfiability checker used for pruning
- */
-ExecResult executePath(const ir::Function &fn, const Path &path,
-                       int path_index, const summary::SummaryDb &db,
-                       smt::Solver &solver, const ExecOptions &opts);
-
 /**
  * Project local state out of an entry constraint: rewrite Local/Temp
  * atoms into argument/return terms where an equality in @p cons allows
  * it, then drop any literal still mentioning local state. Exposed for
- * testing and used by executePath().
+ * testing; every summary entry the executor emits is projected this way.
  */
 smt::Formula projectLocals(const smt::Formula &cons);
 
 /** Options of the prefix-sharing tree executor. */
 struct TreeExecOptions
 {
-    /** Cap on summary entries / live states per path (as ExecOptions). */
+    /** Cap on summary entries / live states per path ("subcases" in
+     *  the paper's configuration; default 10 — Section 6.1). */
     int max_subcases = 10;
     /** Prune a state as soon as its condition becomes unsatisfiable;
      *  with prefix sharing this also skips the whole CFG subtree below
      *  an infeasible branch side. */
     bool prune_infeasible = true;
-    /** Checked once per executed tree node (executePath checks once per
-     *  replayed block). */
+    /** Optional cooperative budget checked once per executed tree node;
+     *  expiry stops the walk and sets TreeExecResult::deadline_hit. Not
+     *  owned; must outlive the call. */
     const obs::Budget *budget = nullptr;
     /** Cap on completed paths; with pruning enabled only feasible
      *  completed paths count against it. */
     int max_paths = 100;
     /** Loop unrolling: max times one block may appear on a path. */
     int max_visits = 2;
-    /** Optional shared callee-instantiation cache; as ExecOptions. */
+    /** Optional shared callee-instantiation cache (summary/inst_cache.h);
+     *  null instantiates every call entry from scratch. Semantically
+     *  invisible either way. Not owned; must outlive the call. */
     summary::InstCache *inst_cache = nullptr;
 };
 
-/** The summary entries of one completed feasible path, in the order
- *  executePath would emit them. */
+/** The summary entries of one completed feasible path, one per
+ *  surviving state in state-set order. */
 struct PathOutcome
 {
     std::vector<summary::SummaryEntry> entries;
@@ -117,8 +72,8 @@ struct PathOutcome
 
 struct TreeExecResult
 {
-    /** Completed paths in DFS order — outcome i holds exactly the
-     *  entries executePath would produce for the i-th feasible path. */
+    /** Completed paths in DFS order, which is the path enumerator's
+     *  order (analysis/paths.h) with infeasible paths left out. */
     std::vector<PathOutcome> completed;
     /** A deterministic cap (max_paths or max_subcases) cut the tree. */
     bool truncated = false;
@@ -135,19 +90,23 @@ struct TreeExecResult
     /** Branch sides (and mid-block state-set deaths) skipped because the
      *  path condition became unsatisfiable. */
     uint64_t subtrees_pruned = 0;
-    /** Callee summary entries instantiated from scratch (as ExecResult;
-     *  cache hits are not counted). */
+    /** Callee summary entries instantiated from scratch (inst-cache
+     *  misses when a cache is attached; every call entry without). */
     uint64_t entries_instantiated = 0;
 };
 
 /**
  * Execute every path of @p fn in one depth-first walk of the CFG tree,
  * forking state at conditional branches instead of replaying shared
- * prefixes per path. This is the analyzer's engine. It is equivalent to
- * enumeratePaths + executePath per path, which remain as its test
- * reference: completed outcomes appear in enumeration order and
- * concatenate to the same entry list (infeasible paths contribute no
- * entries under either).
+ * prefixes per path. Completed outcomes appear in the path enumerator's
+ * order; an infeasible path contributes no outcome.
+ *
+ * @param db      summary database for callee lookup. A callee without a
+ *                summary (undefined, or not yet run in the caller's SCC)
+ *                returns a fresh temp and adds no callee-chain entry, no
+ *                instantiation and no subcase cap; a defaulted callee's
+ *                summary does all three
+ * @param solver  satisfiability checker used for pruning
  */
 TreeExecResult executeFunctionTree(const ir::Function &fn,
                                    const summary::SummaryDb &db,

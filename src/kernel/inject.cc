@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "analysis/paths.h"
 #include "analysis/symexec.h"
 #include "frontend/lower.h"
 #include "kernel/domain_specs.h"
@@ -176,12 +175,11 @@ InjectionEngine::viable(const std::string &source,
     summary::loadSpecsInto(allocSpecText(), db);
     smt::Solver solver;
 
-    auto paths = analysis::enumeratePaths(*fn, 512);
-    analysis::ExecOptions opts;
-    for (size_t i = 0; i < paths.paths.size(); i++) {
-        auto result = analysis::executePath(
-            *fn, paths.paths[i], static_cast<int>(i), db, solver, opts);
-        for (const auto &entry : result.entries) {
+    analysis::TreeExecOptions opts;
+    opts.max_paths = 512;
+    auto result = analysis::executeFunctionTree(*fn, db, solver, opts);
+    for (const auto &path : result.completed) {
+        for (const auto &entry : path.entries) {
             for (const auto &[key, delta] : entry.changes) {
                 if (key.domain != domain || delta == 0)
                     continue;

@@ -91,8 +91,8 @@ class InjectionEngine
     const Stats &stats() const { return stats_; }
 
     /**
-     * The viability filter: compile @p source standalone, enumerate and
-     * symbolically execute the paths of @p function with the bundled
+     * The viability filter: compile @p source standalone, symbolically
+     * execute up to 512 feasible paths of @p function with the bundled
      * ref/lock/alloc specs loaded, and accept iff some feasible path
      * has a nonzero net change on a non-Ret-rooted counter in
      * @p domain. This checks reachability of the injected bug, not

@@ -34,7 +34,7 @@ struct FunctionCost
     double solver_seconds = 0;
     uint64_t solver_queries = 0;
     /** Basic blocks stepped during symbolic execution (each CFG-tree
-     *  edge once under prefix sharing; once per path under replay). */
+     *  edge once: a prefix shared by several paths is stepped once). */
     uint64_t blocks_executed = 0;
     /** State-set forks at conditional branches (prefix sharing). */
     uint64_t forks = 0;

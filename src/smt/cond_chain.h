@@ -22,8 +22,8 @@
  * therefore Fourier-Motzkin tie-breaking.
  *
  * Conjuncts are tagged with an opaque source key so a re-executed
- * branch (loop unrolled once) can replace its earlier condition, as
- * the replay engine does with erase_if over its part vector.
+ * branch (loop unrolled once) can replace its earlier condition
+ * (Figure 6).
  */
 
 #ifndef RID_SMT_COND_CHAIN_H

@@ -21,7 +21,7 @@
  * one mutex each, shared by every SCC-level worker of a run. Hits verify the full key (fingerprints AND the actual/result
  * expressions structurally) before use, so a 64-bit collision degrades
  * to a miss, never a wrong instantiation. The cache is semantically
- * invisible: with it on or off the engines produce byte-identical
+ * invisible: with it on or off the executor produces byte-identical
  * entries — pinned by the determinism differential suite.
  */
 

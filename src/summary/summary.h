@@ -91,9 +91,8 @@ struct EntryOrigin
     /** Index of the enumerated path this entry came from (-1: merged). */
     int path_index = -1;
     /** Callee-summary instantiation chain: names of the callees whose
-     *  summaries were instantiated along the path, in execution order
-     *  (both engines record the identical sequence). Never printed or
-     *  serialized — provenance only (obs/provenance.h). */
+     *  summaries were instantiated along the path, in execution order.
+     *  Never printed or serialized — provenance only (obs/provenance.h). */
     std::vector<std::string> callees;
 };
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/paths.h"
 #include "analysis/symexec.h"
 #include "frontend/lower.h"
 #include "summary/spec.h"
@@ -30,16 +29,13 @@ summarize(const std::string &source, const std::string &fn_name,
     if (!specs.empty())
         summary::loadSpecsInto(specs, db);
     smt::Solver solver;
-    ExecOptions opts;
+    TreeExecOptions opts;
     opts.max_subcases = max_subcases;
     std::vector<summary::SummaryEntry> entries;
-    auto paths = enumeratePaths(*fn, 100);
-    for (size_t i = 0; i < paths.paths.size(); i++) {
-        auto result = executePath(*fn, paths.paths[i],
-                                  static_cast<int>(i), db, solver, opts);
-        for (auto &e : result.entries)
+    auto result = executeFunctionTree(*fn, db, solver, opts);
+    for (auto &path : result.completed)
+        for (auto &e : path.entries)
             entries.push_back(std::move(e));
-    }
     return entries;
 }
 
@@ -248,13 +244,12 @@ TEST(SymExec, SubcaseCapTruncates)
     summary::SummaryDb db;
     summary::loadSpecsInto(spec, db);
     smt::Solver solver;
-    ExecOptions opts;
+    TreeExecOptions opts;
     opts.max_subcases = 5;
-    auto paths = enumeratePaths(*m.find("f"), 100);
-    auto result =
-        executePath(*m.find("f"), paths.paths[0], 0, db, solver, opts);
+    auto result = executeFunctionTree(*m.find("f"), db, solver, opts);
     EXPECT_TRUE(result.truncated);
-    EXPECT_LE(result.entries.size(), 5u);
+    ASSERT_EQ(result.completed.size(), 1u);  // straight-line: one path
+    EXPECT_LE(result.completed[0].entries.size(), 5u);
 }
 
 TEST(SymExec, UnknownCalleeIsUnconstrained)

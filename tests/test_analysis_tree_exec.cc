@@ -3,10 +3,11 @@
  * Unit tests for the prefix-sharing tree executor and its supporting
  * data structures: the copy-on-write value map (analysis/cow.h), the
  * persistent path-condition chain (smt/cond_chain.h) plus its
- * Solver::checkChain contract, the executeFunctionTree equivalence
- * with its enumerate-then-replay reference (on hand-written functions
- * and on every function of the determinism corpus after a full run),
- * the blocks/forks/pruned counters, and
+ * Solver::checkChain contract, the executeFunctionTree output against
+ * the paper's enumerate-then-replay engine's recorded output (inline for
+ * hand-written functions; tests/golden/tree_exec_entries.golden for
+ * every function of the determinism corpus after a full run), the
+ * blocks/forks/pruned counters, and
  * the feasible-only truncation semantics (with pruning enabled,
  * max_paths counts only feasible completed paths and the truncation
  * diagnostic says how many infeasible subtrees were pruned).
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -103,7 +106,7 @@ TEST(CondChain, FormulaMatchesConjOfParts)
     // The equivalence contract: formula() is structurally identical to
     // Formula::conj of the raw parts in push order — True parts dropped,
     // duplicate conjuncts deduplicated, same fingerprint (so the solver
-    // query cache keys match between engines).
+    // query cache keys match a batch-built conjunction's).
     int tag_a = 0, tag_b = 0;
     CondChain chain;
     chain = chain.extended(&tag_a, lit("x", Pred::Gt, 5));
@@ -162,8 +165,8 @@ TEST(CondChain, FalsePartLatchesUntilRemoved)
 TEST(CondChain, CheckChainMatchesCheckVerdictAndStats)
 {
     // checkChain must reproduce check(formula()) exactly: verdict AND
-    // statistics (queries, theory checks, disjunction branches), so the
-    // two engines stay byte-identical under fuel budgets.
+    // statistics (queries, theory checks, disjunction branches), so
+    // incremental checking changes nothing under fuel budgets.
     std::vector<std::vector<Formula>> cases = {
         {},                                            // trivially true
         {lit("x", Pred::Gt, 5), lit("x", Pred::Lt, 10)},   // sat
@@ -189,6 +192,11 @@ TEST(CondChain, CheckChainMatchesCheckVerdictAndStats)
 }
 
 // ------------------------------------------- tree-vs-replay equivalence
+//
+// The expected entries below and in tests/golden/tree_exec_entries.golden
+// are the output of the paper's enumerate-then-replay engine (one
+// symbolic execution per enumerated path), recorded while it still lived
+// beside the tree walk and the two agreed entry for entry.
 
 const char *kSpec = R"(
 summary pm_get(dev) -> int {
@@ -198,33 +206,6 @@ summary pm_put(dev) -> int {
   entry { cons: true; change: [dev].pm -= 1; return: [0]; }
 }
 )";
-
-struct EngineRun
-{
-    std::vector<std::string> entries;  // SummaryEntry::str() in order
-    bool truncated = false;
-    uint64_t blocks = 0;
-};
-
-EngineRun
-runReplay(const ir::Function &fn, const summary::SummaryDb &db)
-{
-    Solver solver;
-    analysis::ExecOptions opts;
-    EngineRun out;
-    auto paths = analysis::enumeratePaths(fn, 100);
-    out.truncated = paths.truncated;
-    for (size_t i = 0; i < paths.paths.size(); i++) {
-        auto r = analysis::executePath(fn, paths.paths[i],
-                                       static_cast<int>(i), db, solver,
-                                       opts);
-        out.truncated = out.truncated || r.truncated;
-        out.blocks += r.blocks_executed;
-        for (const auto &e : r.entries)
-            out.entries.push_back(e.str());
-    }
-    return out;
-}
 
 analysis::TreeExecResult
 runTree(const ir::Function &fn, const summary::SummaryDb &db)
@@ -277,6 +258,22 @@ int correlated(struct device *dev, int a) {
 }
 )";
 
+/** Replay's entries for kBranchySource, one per path. */
+const std::vector<std::string> kBranchyEntries = {
+    "cons: [a] > 0 && [b] > 0; changes: (none); return: [0]",
+    "cons: [a] > 0 && [b] <= 0; changes: [dev].pm:+1; return: [0]",
+    "cons: [a] <= 0 && [b] > 0; changes: [dev].pm:-1; return: [0]",
+    "cons: [a] <= 0 && [b] <= 0; changes: (none); return: [0]",
+};
+
+/** Replay's entries for kCorrelatedSource: the a > 0 && a < 0 path
+ *  has no model and contributes none. */
+const std::vector<std::string> kCorrelatedEntries = {
+    "cons: [a] > 0 && [a] >= 0; changes: [dev].pm:+1; return: [0]",
+    "cons: [a] <= 0 && [a] < 0; changes: [dev].pm:-1; return: [0]",
+    "cons: [a] <= 0 && [a] >= 0 && [0] == 0; changes: (none); return: 0",
+};
+
 class TreeExecTest : public ::testing::Test
 {
   protected:
@@ -302,24 +299,25 @@ class TreeExecTest : public ::testing::Test
 TEST_F(TreeExecTest, MatchesReplayOnBranchyFunction)
 {
     const ir::Function *fn = compile(kBranchySource, "branchy");
-    EngineRun replay = runReplay(*fn, db_);
     auto tree = runTree(*fn, db_);
-    EXPECT_EQ(treeEntries(tree), replay.entries);
-    EXPECT_EQ(tree.truncated, replay.truncated);
+    EXPECT_EQ(treeEntries(tree), kBranchyEntries);
     EXPECT_FALSE(tree.truncated);
     EXPECT_EQ(tree.completed.size(), 4u);
 }
 
 TEST_F(TreeExecTest, SharesPrefixBlocksAndCountsForks)
 {
-    // Replay steps the shared prefix once per path; the tree walk steps
-    // every CFG-tree edge exactly once, so it must execute strictly
-    // fewer blocks while producing the same entries.
+    // Replay steps every block of every path, so on this function, whose
+    // paths are all feasible, it steps the sum of the path lengths. The
+    // tree walk steps every CFG-tree edge exactly once, so it must
+    // execute strictly fewer blocks while producing the same entries.
     const ir::Function *fn = compile(kBranchySource, "branchy");
-    EngineRun replay = runReplay(*fn, db_);
     auto tree = runTree(*fn, db_);
+    uint64_t replay_blocks = 0;
+    for (const auto &path : analysis::enumeratePaths(*fn, 100).paths)
+        replay_blocks += path.blocks.size();
     EXPECT_GT(tree.blocks_executed, 0u);
-    EXPECT_LT(tree.blocks_executed, replay.blocks);
+    EXPECT_LT(tree.blocks_executed, replay_blocks);
     EXPECT_GT(tree.forks, 0u);  // both diamonds fork the state set
     EXPECT_EQ(tree.subtrees_pruned, 0u);  // all four paths feasible
 }
@@ -327,11 +325,10 @@ TEST_F(TreeExecTest, SharesPrefixBlocksAndCountsForks)
 TEST_F(TreeExecTest, PrunesContradictedSubtrees)
 {
     const ir::Function *fn = compile(kCorrelatedSource, "correlated");
-    EngineRun replay = runReplay(*fn, db_);
     auto tree = runTree(*fn, db_);
-    // Same entries under both engines — pruning only skips work that
-    // could never produce one (a > 0 && a < 0 has no model).
-    EXPECT_EQ(treeEntries(tree), replay.entries);
+    // Replay's entries — pruning only skips work that could never
+    // produce one (a > 0 && a < 0 has no model).
+    EXPECT_EQ(treeEntries(tree), kCorrelatedEntries);
     EXPECT_GT(tree.subtrees_pruned, 0u);
     // Only the three feasible paths complete.
     EXPECT_EQ(tree.completed.size(), 3u);
@@ -369,13 +366,14 @@ void usb_autopm_put_interface(struct usb_interface *i);
 
 TEST(TreeExecDifferential, MatchesReplayOnEveryFunctionOfTheCorpus)
 {
-    // The analyzer runs only executeFunctionTree; enumeratePaths +
-    // executePath stay as its reference semantics. After a default run
-    // over the determinism corpus, every defined function must produce
-    // the same entries, in the same order, under both against the run's
-    // final summary database. A function whose structural paths exceed
-    // the cap is skipped: there the enumerator counts infeasible paths
-    // against the cap and the tree walk does not (see
+    // After a default run over the determinism corpus, every defined
+    // function must produce, against the run's final summary database,
+    // the entries the per-path replay engine produced, in the same order
+    // and with the same truncation flag. Each golden record is a line
+    // `function <name> truncated <0|1> entries <n>` followed by the n
+    // entries' SummaryEntry::str(). A function whose structural paths
+    // exceed the cap is not in the golden: there the enumerator counts
+    // infeasible paths against the cap and the tree walk does not (see
     // TreeExecTruncation below).
     Rid tool;
     tool.loadSpecText(kernel::dpmSpecText());
@@ -387,19 +385,47 @@ TEST(TreeExecDifferential, MatchesReplayOnEveryFunctionOfTheCorpus)
     RunResult result = tool.run();
     const summary::SummaryDb &db = tool.summaries();
 
+    std::string got;
     size_t compared = 0, with_entries = 0;
     for (const auto &fn : tool.module().functions()) {
         if (fn->isDeclaration() || db.hasPredefined(fn->name()))
             continue;
         if (analysis::enumeratePaths(*fn, 100).truncated)
             continue;
-        EngineRun replay = runReplay(*fn, db);
         auto tree = runTree(*fn, db);
-        ASSERT_EQ(treeEntries(tree), replay.entries) << fn->name();
-        EXPECT_EQ(tree.truncated, replay.truncated) << fn->name();
+        std::vector<std::string> entries = treeEntries(tree);
+        got += "function " + std::string(fn->name()) + " truncated " +
+               (tree.truncated ? "1" : "0") + " entries " +
+               std::to_string(entries.size()) + "\n";
+        for (const auto &e : entries)
+            got += e + "\n";
         compared++;
-        if (!replay.entries.empty())
+        if (!entries.empty())
             with_entries++;
+    }
+
+    std::ifstream in(RID_TEST_GOLDEN_DIR "/tree_exec_entries.golden",
+                     std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden file";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    if (got != golden.str()) {
+        // Name the first record that differs rather than dumping both.
+        std::istringstream g(golden.str()), t(got);
+        std::string gl, tl, function;
+        for (int line = 1; std::getline(g, gl) && std::getline(t, tl);
+             line++) {
+            if (tl.rfind("function ", 0) == 0)
+                function = tl;
+            if (gl != tl) {
+                ADD_FAILURE() << "line " << line << " (" << function
+                              << "): got '" << tl << "', golden '" << gl
+                              << "'";
+                break;
+            }
+        }
+        FAIL() << "tree walk differs from the golden: " << got.size()
+               << " bytes vs " << golden.str().size();
     }
     // Non-vacuity: at least every function the run analyzed was compared.
     EXPECT_GE(compared, result.stats.functions_analyzed);

@@ -12,8 +12,8 @@
  * on a representative corpus (the synthetic DPM corpus plus the paper's
  * Figure 9 wrapper example). The SccScheduler tests drive the scheduler
  * through deep chains, wide fan-ins and wrapper chains at 8 workers. The
- * engine itself is checked against its enumerate-then-replay reference
- * in test_analysis_tree_exec.cc.
+ * engine itself is checked against the recorded output of the paper's
+ * enumerate-then-replay engine in test_analysis_tree_exec.cc.
  */
 
 #include <gtest/gtest.h>

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/rid.h"
 #include "kernel/dpm_specs.h"
 
@@ -218,6 +222,38 @@ int op(struct device *dev);
     // The spec (always +1) drives the analysis, so the bug is found
     // even though the local body claims otherwise.
     EXPECT_EQ(result.reports.size(), 1u);
+}
+
+TEST(AnalyzerOptions, ThreadsBeyondTheSccCountChangeNothing)
+{
+    // The scheduler starts one worker per SCC at most, so a thread count
+    // far above the module's few SCCs asks the OS for a handful of
+    // helper threads and reports exactly what one worker does.
+    const char *source = R"(
+int f(struct device *dev) {
+    int r = pm_runtime_get_sync(dev);
+    if (r < 0)
+        return r;
+    r = op(dev);
+    pm_runtime_put(dev);
+    return r;
+}
+int g(struct device *dev) {
+    return f(dev);
+}
+int op(struct device *dev);
+)";
+    auto reportLines = [&](int threads) {
+        analysis::AnalyzerOptions opts;
+        opts.threads = threads;
+        std::vector<std::string> lines;
+        for (const auto &r : runWith(source, opts).reports)
+            lines.push_back(r.str());
+        return lines;
+    };
+    std::vector<std::string> one = reportLines(1);
+    EXPECT_FALSE(one.empty());
+    EXPECT_EQ(reportLines(std::numeric_limits<int>::max()), one);
 }
 
 } // anonymous namespace

@@ -411,6 +411,28 @@ TEST(RidcCli, NumericFlagsRejectGarbage)
     EXPECT_NE(ok.output.find("unbalanced at return"), std::string::npos);
 }
 
+TEST(RidcCli, ThreadsAboveTheCeilingAreAUsageError)
+{
+    // --threads is capped at 256 workers: a larger count is a usage
+    // error (exit 2) that names the ceiling, and the ceiling itself
+    // scans.
+    std::string lock = writeTemp("cli_lock.spec",
+                                 kernel::lockSpecText());
+    std::string src = writeTemp("cli_lock.c", kLockLeakSource);
+    for (const char *value : {"100000", "257"}) {
+        CliResult r = runCli("--spec " + lock + " --threads " + value +
+                             " " + src);
+        EXPECT_EQ(r.exit_code, 2) << value << ": " << r.output;
+        EXPECT_NE(r.output.find("ridc: --threads expects a positive "
+                                "number up to 256"),
+                  std::string::npos)
+            << value << ": " << r.output;
+    }
+    CliResult ok = runCli("--spec " + lock + " --threads 256 " + src);
+    EXPECT_EQ(ok.exit_code, 1) << ok.output;
+    EXPECT_NE(ok.output.find("unbalanced at return"), std::string::npos);
+}
+
 TEST(RidcCli, KeepGoingSkipsAnUnreadableFile)
 {
     // Under --keep-going a path that cannot be opened is one more

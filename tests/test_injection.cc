@@ -330,6 +330,58 @@ TEST(InjectedCorpus, ShardedAndResidentLayoutsAgree)
     EXPECT_EQ(log.injections.size(), resident.injections.size());
 }
 
+/** FNV-1a 64 over one `function\tdomain\tkind\tline\n` line per
+ *  admitted injection, in emission order. */
+uint64_t
+truthDigest(const std::vector<Injection> &injections)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto &i : injections) {
+        std::string line = i.function + "\t" + i.domain + "\t" +
+                           injectionKindName(i.kind) + "\t" +
+                           std::to_string(i.line) + "\n";
+        for (unsigned char c : line) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(InjectedCorpus, PinnedCorpusAtFixedScaleAndSeed)
+{
+    // The viability filter decides which rewrites are admitted, so the
+    // admitted set is pinned: engine statistics and a digest of the truth
+    // records for the calibrated plan at the scoring harness's default
+    // scale and seed, and for a plan large enough to attempt every host.
+    struct Pinned
+    {
+        double scale;
+        bool every_host;
+        InjectionEngine::Stats stats;
+        uint64_t digest;
+    };
+    const Pinned pinned[] = {
+        {0.05, false, {47, 47, 0, 0}, 0xefdf2fb46f554bb0ull},
+        {0.01, true, {21, 21, 0, 0}, 0x192ee2ccb552761eull},
+    };
+    for (const auto &p : pinned) {
+        auto mix = CorpusMix::cleanCalibrated(p.scale);
+        auto plan = InjectionPlan::calibrated(mix);
+        if (p.every_host)
+            for (auto &[kind, count] : plan.counts)
+                count = 100000;
+        InjectedCorpus injected = generateInjectedCorpus(mix, plan, 0x101);
+        SCOPED_TRACE(p.scale);
+        EXPECT_EQ(injected.stats.attempted, p.stats.attempted);
+        EXPECT_EQ(injected.stats.applied, p.stats.applied);
+        EXPECT_EQ(injected.stats.rejected_rewrite, p.stats.rejected_rewrite);
+        EXPECT_EQ(injected.stats.rejected_unviable,
+                  p.stats.rejected_unviable);
+        EXPECT_EQ(truthDigest(injected.injections), p.digest);
+    }
+}
+
 TEST(Census, CountsDomainsAndInjections)
 {
     auto mix = CorpusMix::cleanCalibrated(0.002);

@@ -49,7 +49,8 @@ struct FooAnalysis
     summary::SummaryDb db;
     smt::Solver solver;
     analysis::PathEnumResult paths;
-    std::vector<std::vector<summary::SummaryEntry>> per_path;
+    /** completed[i].entries: the summary entries of feasible path i. */
+    analysis::TreeExecResult tree;
 
     FooAnalysis()
     {
@@ -57,13 +58,8 @@ struct FooAnalysis
         foo = module.find("foo");
         summary::loadSpecsInto(kCalleeSpecs, db);
         paths = analysis::enumeratePaths(*foo, 100);
-        analysis::ExecOptions opts;
-        for (size_t i = 0; i < paths.paths.size(); i++) {
-            auto result = analysis::executePath(
-                *foo, paths.paths[i], static_cast<int>(i), db, solver,
-                opts);
-            per_path.push_back(std::move(result.entries));
-        }
+        tree = analysis::executeFunctionTree(*foo, db, solver,
+                                             analysis::TreeExecOptions{});
     }
 };
 
@@ -79,7 +75,7 @@ TEST(PaperFigure2, StepOneEnumeratesExactlyTwoPaths)
 TEST(PaperFigure2, StepTwoSubcaseStructure)
 {
     FooAnalysis a;
-    ASSERT_EQ(a.per_path.size(), 2u);
+    ASSERT_EQ(a.tree.completed.size(), 2u);
 
     // Figure 2: the increment path (v > 0) keeps only reg_read's first
     // entry (its second forces v == -1, contradicting v > 0), and
@@ -89,8 +85,8 @@ TEST(PaperFigure2, StepTwoSubcaseStructure)
     // reg_read entry) and v == -1 (second entry), neither changing a
     // refcount.
     std::vector<summary::SummaryEntry> with_change, without_change;
-    for (const auto &entries : a.per_path) {
-        for (const auto &e : entries) {
+    for (const auto &path : a.tree.completed) {
+        for (const auto &e : path.entries) {
             if (e.changes.empty())
                 without_change.push_back(e);
             else
@@ -109,8 +105,8 @@ TEST(PaperFigure2, StepTwoProjectionRemovesLocalV)
     // After the summaries are calculated, conditions on the local v are
     // removed (Section 3.3.3): every entry constraint mentions only
     // [dev] and [0].
-    for (const auto &entries : a.per_path) {
-        for (const auto &e : entries) {
+    for (const auto &path : a.tree.completed) {
+        for (const auto &e : path.entries) {
             EXPECT_FALSE(e.cons.mentionsLocalState()) << e.cons.str();
             for (const auto &lit : e.cons.literals()) {
                 bool only_interface = lit.containsIf([](const smt::Expr
@@ -128,8 +124,8 @@ TEST(PaperFigure2, StepTwoEntriesBindReturnValue)
 {
     FooAnalysis a;
     // Every entry in the figure carries [0] == 0 (both paths return 0).
-    for (const auto &entries : a.per_path) {
-        for (const auto &e : entries) {
+    for (const auto &path : a.tree.completed) {
+        for (const auto &e : path.entries) {
             smt::Solver s;
             smt::Formula returns_one = e.cons.land(smt::Formula::lit(
                 smt::Expr::cmp(smt::Pred::Eq, smt::Expr::ret(),
@@ -145,8 +141,8 @@ TEST(PaperFigure2, StepThreeDetectsTheInconsistentPair)
 {
     FooAnalysis a;
     std::vector<summary::SummaryEntry> all;
-    for (auto &entries : a.per_path)
-        for (auto &e : entries)
+    for (auto &path : a.tree.completed)
+        for (auto &e : path.entries)
             all.push_back(e);
 
     auto result = analysis::checkAndMerge("foo", std::move(all), a.solver);
@@ -164,8 +160,8 @@ TEST(PaperFigure2, FinalSummaryIsConsistentSet)
 {
     FooAnalysis a;
     std::vector<summary::SummaryEntry> all;
-    for (auto &entries : a.per_path)
-        for (auto &e : entries)
+    for (auto &path : a.tree.completed)
+        for (auto &e : path.entries)
             all.push_back(e);
     auto result = analysis::checkAndMerge("foo", std::move(all), a.solver);
 
