@@ -14,7 +14,8 @@
 # are exactly what TSan checks; the summary suite runs there too, and
 # under ASan+UBSan, for the defaults built on first lookup, and so does
 # the smt cache suite, for the shared term pool (under LeakSanitizer
-# its never-freed nodes must stay reachable, not leak).
+# its never-freed nodes must stay reachable, not leak) and the sharded
+# LRU under both memo caches.
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
 # tree, building only the chaos test), runs the tree-executor, symbolic-
@@ -26,7 +27,9 @@
 # runs the summary-compaction unit
 # suite plus the compaction/interning determinism differentials under
 # ASan (the sharded instantiation cache is shared mutable state), runs
-# the triage suite under ASan (per-unit higher-precision module lifetime),
+# the triage suite under ASan (per-function higher-precision IR lifetime),
+# runs the observability suites under ASan (the JSON reader they and
+# `ridc explain` share),
 # runs the call-graph and classifier suites under ASan (the call graph
 # borrows the module's names), runs the frontend suites, the AST readers'
 # suites, the IR suite, the seeded frontend fuzz and the diagnostics golden
@@ -74,7 +77,8 @@ echo "== determinism suite, run 2/2 =="
 # every access the determinism suite and the scheduler tests make. The
 # summary suite adds concurrent first lookups of one defaulted function,
 # which race to build its summary. The smt cache suite races eight
-# threads building the same terms in the process-wide term pool. The
+# threads building the same terms in the process-wide term pool, and
+# threads sharing one query cache (the ShardedLru both caches use). The
 # lazy-module suite races eight threads reading the same functions' IR
 # for the first time, which the module builds once under a stripe lock.
 echo "== sanitizer smoke (TSan determinism suite + SCC scheduler + summary db + term pool + IR built on first read) =="
@@ -131,12 +135,23 @@ cmake --build build-asan -j --target test_summary_compact \
 ./build-asan/tests/test_analyzer_determinism \
     --gtest_filter='*Compaction*:*Interning*'
 
-# The triage pass lowers each reporting unit on demand and frees it once
-# its last reported function has run; ASan checks that no higher-
-# precision IR is touched after its unit is gone.
-echo "== sanitizer smoke (ASan+UBSan per-unit triage lowering) =="
+# The triage pass lowers each reported function from a view of its
+# retained source and frees the IR once the function has run; ASan
+# checks that no higher-precision IR is touched after it is gone.
+echo "== sanitizer smoke (ASan+UBSan per-function triage lowering) =="
 cmake --build build-asan -j --target test_triage
 ./build-asan/tests/test_triage
+
+# One strict JSON reader serves `ridc explain`/`diff-runs` and every
+# observability suite that reads back an exported document; ASan checks
+# that it never reads past the text it is given, torn and malformed
+# journal lines included.
+echo "== sanitizer smoke (ASan+UBSan JSON reader) =="
+cmake --build build-asan -j --target test_obs_provenance \
+    --target test_obs_trace --target test_obs_metrics
+./build-asan/tests/test_obs_provenance
+./build-asan/tests/test_obs_trace
+./build-asan/tests/test_obs_metrics
 
 # The call graph borrows the module's function names instead of copying
 # them, and the classifier indexes categories by call-graph node; ASan
@@ -304,9 +319,11 @@ grep -q 'skipped 1 malformed line' "$torn_err"
 # Kill-and-resume differential on the real binary: SIGKILL a store-backed
 # scan mid-run, resume from the surviving log, and require the resumed
 # run's reports to be byte-identical to an uninterrupted scan's with a
-# nonzero store hit count. The kill lands at a fraction of the measured
-# cold wall time; later fractions retry in case an early cut killed the
-# scan before anything durable was recorded.
+# nonzero store hit count. The kill lands at a fraction of the wall time
+# of a complete cold store-backed scan, the kind of scan being cut (a
+# store-less scan is much shorter, so fractions of its time can all land
+# before the first durable checkpoint); later fractions retry in case an
+# early cut killed the scan before anything durable was recorded.
 echo "== kill-and-resume smoke =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -f "$trace_json" "$metrics_prom" "$prov_src" "$prov_journal" \
@@ -314,13 +331,19 @@ trap 'rm -f "$trace_json" "$metrics_prom" "$prov_src" "$prov_journal" \
 ./build/examples/corpus_dump 0.2 0x101 "$smoke_dir/src" > /dev/null
 mapfile -t smoke_srcs < <(find "$smoke_dir/src" -name '*.c' | sort)
 
-cold_start=$(date +%s%N)
 rc=0
 ./build/examples/ridc --builtin-dpm "${smoke_srcs[@]}" \
     > "$smoke_dir/cold.out" 2> /dev/null || rc=$?
 test "$rc" -eq 1     # 1 = reports found; anything else is a real failure
-cold_wall_ns=$(( $(date +%s%N) - cold_start ))
 test -s "$smoke_dir/cold.out"
+
+cold_start=$(date +%s%N)
+rc=0
+./build/examples/ridc --builtin-dpm --store "$smoke_dir/store" \
+    "${smoke_srcs[@]}" > "$smoke_dir/stored.out" 2> /dev/null || rc=$?
+test "$rc" -eq 1
+cold_wall_ns=$(( $(date +%s%N) - cold_start ))
+cmp -s "$smoke_dir/cold.out" "$smoke_dir/stored.out"
 
 resume_ok=0
 for frac in 0.5 0.75 0.9; do

@@ -72,16 +72,10 @@ Analyzer::Analyzer(const ir::Module &mod, summary::SummaryDb &db,
                    AnalyzerOptions opts)
     : mod_(mod), db_(db), opts_(opts)
 {
-    if (opts_.use_query_cache) {
-        smt::QueryCache::Options cache_opts;
-        cache_opts.capacity = opts_.query_cache_capacity;
-        query_cache_ = std::make_shared<smt::QueryCache>(cache_opts);
-    }
-    if (opts_.intern_instantiations) {
-        summary::InstCache::Options inst_opts;
-        inst_opts.capacity = opts_.inst_cache_capacity;
-        inst_cache_ = std::make_shared<summary::InstCache>(inst_opts);
-    }
+    if (opts_.use_query_cache)
+        query_cache_ = std::make_shared<smt::QueryCache>();
+    if (opts_.intern_instantiations)
+        inst_cache_ = std::make_shared<summary::InstCache>();
     tracer_ = opts_.tracer;
     if (!tracer_ && !opts_.trace_path.empty())
         tracer_ = std::make_shared<obs::Tracer>();

@@ -201,8 +201,6 @@ struct AnalyzerOptions
      *  across all SCC workers (summary/inst_cache.h).
      *  Semantically invisible; only instantiation cost changes. */
     bool intern_instantiations = true;
-    /** Capacity of the shared instantiation cache (entries). */
-    size_t inst_cache_capacity = 1 << 16;
     /** Effect domains to check (summary/domain.h); empty = all declared
      *  domains. Effects of unlisted domains are stripped from computed
      *  summaries and their seed specs are ignored by the classifier, so
@@ -213,8 +211,6 @@ struct AnalyzerOptions
      *  the IPP phase. Results are identical with
      *  the cache on or off; only repeated-query cost changes. */
     bool use_query_cache = true;
-    /** Capacity of the shared query cache (entries). */
-    size_t query_cache_capacity = 1 << 16;
     /** Optional stronger-property check run on every computed summary
      *  (Sections 2.1 / 4.5); its reports are appended to the IPP ones.
      *  See makeEscapeRuleCheck(). */

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json_reader.h"
 #include "obs/json_writer.h"
 
 namespace rid::obs {
@@ -135,234 +136,12 @@ renderJournal(std::vector<ProvenanceRecord> records)
 }
 
 // ----------------------------------------------------------------- parse
+//
+// Each journal line is one document for the strict reader of
+// obs/json_reader.h; a malformed line throws "provenance journal: <what>
+// at offset <N>".
 
 namespace {
-
-/** Minimal strict JSON value/parser, just enough for journal lines
- *  (mirrors tests/obs_test_util.h, which is test-only and cannot be
- *  included from the library). */
-struct JsonValue
-{
-    enum Kind { Null, Bool, Number, String, Array, Object } kind = Null;
-    bool boolean = false;
-    double number = 0;
-    std::string string;
-    std::vector<JsonValue> items;
-    std::map<std::string, JsonValue> members;
-
-    const JsonValue *
-    find(const std::string &key) const
-    {
-        auto it = members.find(key);
-        return it == members.end() ? nullptr : &it->second;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why) const
-    {
-        throw std::runtime_error("provenance journal: " + why +
-                                 " at offset " + std::to_string(pos_));
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            pos_++;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        pos_++;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        skipWs();
-        char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"') {
-            JsonValue v;
-            v.kind = JsonValue::String;
-            v.string = parseString();
-            return v;
-        }
-        if (c == 't' || c == 'f') {
-            JsonValue v;
-            v.kind = JsonValue::Bool;
-            const char *word = c == 't' ? "true" : "false";
-            for (const char *p = word; *p; p++)
-                expect(*p);
-            v.boolean = c == 't';
-            return v;
-        }
-        if (c == 'n') {
-            for (const char *p = "null"; *p; p++)
-                expect(*p);
-            return JsonValue{};
-        }
-        return parseNumber();
-    }
-
-    JsonValue
-    parseObject()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Object;
-        expect('{');
-        skipWs();
-        if (peek() == '}') {
-            pos_++;
-            return v;
-        }
-        while (true) {
-            skipWs();
-            std::string key = parseString();
-            skipWs();
-            expect(':');
-            v.members[key] = parseValue();
-            skipWs();
-            if (peek() == ',') {
-                pos_++;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Array;
-        expect('[');
-        skipWs();
-        if (peek() == ']') {
-            pos_++;
-            return v;
-        }
-        while (true) {
-            v.items.push_back(parseValue());
-            skipWs();
-            if (peek() == ',') {
-                pos_++;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            char e = text_[pos_++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    fail("bad \\u escape");
-                int code = 0;
-                for (int i = 0; i < 4; i++) {
-                    char h = static_cast<char>(
-                        std::tolower(text_[pos_++]));
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= h - '0';
-                    else if (h >= 'a' && h <= 'f')
-                        code |= h - 'a' + 10;
-                    else
-                        fail("bad \\u escape");
-                }
-                // Journal strings only escape control characters.
-                out += static_cast<char>(code);
-                break;
-              }
-              default:
-                fail("unknown escape");
-            }
-        }
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        size_t start = pos_;
-        if (peek() == '-')
-            pos_++;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            pos_++;
-        if (pos_ == start)
-            fail("expected number");
-        JsonValue v;
-        v.kind = JsonValue::Number;
-        v.number = std::stod(text_.substr(start, pos_ - start));
-        return v;
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-};
 
 const JsonValue &
 require(const JsonValue &obj, const std::string &key)
@@ -390,10 +169,10 @@ witnessOf(const JsonValue &v)
     WitnessPath p;
     p.cons = require(v, "cons").string;
     p.delta = static_cast<int>(require(v, "delta").number);
-    for (const auto &line : require(v, "lines").items)
+    for (const auto &line : require(v, "lines").array)
         p.lines.push_back(static_cast<int>(line.number));
     p.return_line = static_cast<int>(require(v, "return_line").number);
-    for (const auto &c : require(v, "callees").items)
+    for (const auto &c : require(v, "callees").array)
         p.callees.push_back(c.string);
     return p;
 }
@@ -420,7 +199,7 @@ recordOf(const JsonValue &v)
         r.has_path_b = true;
         r.path_b = witnessOf(*pb);
     }
-    for (const auto &q : require(v, "queries").items) {
+    for (const auto &q : require(v, "queries").array) {
         QueryRecord qr;
         qr.fingerprint = fpOf(require(q, "fingerprint"));
         qr.result = require(q, "result").string;
@@ -443,8 +222,7 @@ parseJournal(const std::string &text)
     while (std::getline(lines, line)) {
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        JsonParser parser(line);
-        out.push_back(recordOf(parser.parse()));
+        out.push_back(recordOf(parseJson(line, "provenance journal")));
     }
     return out;
 }
@@ -462,8 +240,8 @@ parseJournalTolerant(const std::string &text)
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
         try {
-            JsonParser parser(line);
-            out.records.push_back(recordOf(parser.parse()));
+            out.records.push_back(
+                recordOf(parseJson(line, "provenance journal")));
         } catch (const std::exception &e) {
             out.skipped_lines++;
             if (out.errors.size() < kMaxErrors)

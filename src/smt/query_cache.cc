@@ -6,95 +6,29 @@
 
 namespace rid::smt {
 
-QueryCache::QueryCache(Options opts)
-{
-    size_t cap = opts.capacity ? opts.capacity : 1;
-    shard_capacity_ = (cap + kShards - 1) / kShards;
-    if (shard_capacity_ == 0)
-        shard_capacity_ = 1;
-}
-
 std::optional<SatResult>
 QueryCache::lookup(const Formula &f, uint8_t pass)
 {
-    uint64_t fp = f.fingerprint();
-    Shard &shard = shards_[shardOf(fp)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(fp);
-    if (it == shard.index.end()) {
-        shard.misses++;
+    std::optional<Verdict> hit = lru_.lookup(f);
+    if (!hit)
         return std::nullopt;
-    }
-    Entry &entry = *it->second;
-    if (!entry.formula.equals(f)) {
-        shard.collisions++;
-        shard.misses++;
-        return std::nullopt;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    shard.hits++;
-    if (entry.pass != pass)
-        shard.cross_pass_hits++;
-    return entry.result;
+    if (hit->pass != pass)
+        cross_pass_hits_.fetch_add(1, std::memory_order_relaxed);
+    return hit->result;
 }
 
 void
 QueryCache::insert(const Formula &f, SatResult result, uint8_t pass)
 {
     obs::failpoint("smt.query_cache.insert");
-    uint64_t fp = f.fingerprint();
-    Shard &shard = shards_[shardOf(fp)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(fp);
-    if (it != shard.index.end()) {
-        // Same fingerprint already cached: refresh (same formula) or
-        // overwrite (collision — keep the newest verdict, the older
-        // formula will simply re-solve on its next query).
-        Entry &entry = *it->second;
-        if (!entry.formula.equals(f)) {
-            shard.collisions++;
-            entry.formula = f;
-        }
-        entry.result = result;
-        entry.pass = pass;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return;
-    }
-    shard.lru.push_front(Entry{fp, f, result, pass});
-    shard.index[fp] = shard.lru.begin();
-    shard.insertions++;
-    if (shard.lru.size() > shard_capacity_) {
-        shard.index.erase(shard.lru.back().fp);
-        shard.lru.pop_back();
-        shard.evictions++;
-    }
+    lru_.insert(f, Verdict{result, pass});
 }
 
 QueryCache::Stats
 QueryCache::stats() const
 {
-    Stats total;
-    for (const Shard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.insertions += s.insertions;
-        total.evictions += s.evictions;
-        total.collisions += s.collisions;
-        total.cross_pass_hits += s.cross_pass_hits;
-        total.entries += s.lru.size();
-    }
-    return total;
-}
-
-void
-QueryCache::clear()
-{
-    for (Shard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        s.lru.clear();
-        s.index.clear();
-    }
+    return Stats{lru_.stats(),
+                 cross_pass_hits_.load(std::memory_order_relaxed)};
 }
 
 } // namespace rid::smt

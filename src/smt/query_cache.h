@@ -16,22 +16,22 @@
  * budget-independent), which isSat() maps to the same conservative
  * answer; see DESIGN.md "Solver query cache".
  *
- * Concurrency. The cache is sharded by fingerprint; each shard holds an
- * independent mutex, LRU list and index, so worker threads touching
- * different formulas rarely contend. One instance is shared by every
- * Solver the Analyzer creates, across SCC-level workers.
+ * Concurrency. The verdicts live in a ShardedLru (smt/sharded_lru.h):
+ * sixteen fingerprint-selected shards, each with its own mutex, so
+ * worker threads touching different formulas rarely contend. One
+ * instance is shared by every Solver the Analyzer creates, across
+ * SCC-level workers.
  */
 
 #ifndef RID_SMT_QUERY_CACHE_H
 #define RID_SMT_QUERY_CACHE_H
 
+#include <atomic>
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "smt/formula.h"
+#include "smt/sharded_lru.h"
 
 namespace rid::smt {
 
@@ -46,26 +46,12 @@ class QueryCache
         size_t capacity = 1 << 16;
     };
 
-    struct Stats
+    struct Stats : LruStats
     {
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t insertions = 0;
-        uint64_t evictions = 0;
-        /** Fingerprint matched but formula differed (treated as miss). */
-        uint64_t collisions = 0;
         /** Hits on an entry inserted by a *different* pass (the pass
          *  label of Solver::Options::cache_pass): how much the IPP /
          *  balanced / triage phases actually share verdicts. */
         uint64_t cross_pass_hits = 0;
-        size_t entries = 0;
-
-        double
-        hitRate() const
-        {
-            uint64_t lookups = hits + misses;
-            return lookups ? static_cast<double>(hits) / lookups : 0.0;
-        }
 
         /** Fraction of hits that crossed a pass boundary. */
         double
@@ -77,7 +63,7 @@ class QueryCache
     };
 
     QueryCache() : QueryCache(Options()) {}
-    explicit QueryCache(Options opts);
+    explicit QueryCache(Options opts) : lru_(opts.capacity) {}
 
     /**
      * Cached verdict for @p f, or nullopt. Promotes the entry to MRU.
@@ -96,45 +82,17 @@ class QueryCache
     /** Aggregate counters across shards. */
     Stats stats() const;
 
-    /** Drop all entries (counters are kept). */
-    void clear();
-
-    size_t capacity() const { return shard_capacity_ * kShards; }
+    size_t capacity() const { return lru_.capacity(); }
 
   private:
-    static constexpr size_t kShards = 16;
-
-    struct Entry
+    struct Verdict
     {
-        uint64_t fp;
-        Formula formula;  // for verification of fingerprint hits
         SatResult result;
         uint8_t pass;  // cache_pass label of the inserting solver
     };
 
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::list<Entry> lru;  // front = most recently used
-        std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t insertions = 0;
-        uint64_t evictions = 0;
-        uint64_t collisions = 0;
-        uint64_t cross_pass_hits = 0;
-    };
-
-    static size_t
-    shardOf(uint64_t fp)
-    {
-        // Bits disjoint from both the intern tables' shard selector
-        // (high bits) and the index's own hashing of the full value.
-        return (fp >> 43) & (kShards - 1);
-    }
-
-    size_t shard_capacity_;
-    Shard shards_[kShards];
+    ShardedLru<Formula, Verdict, 43> lru_;
+    std::atomic<uint64_t> cross_pass_hits_{0};
 };
 
 } // namespace rid::smt

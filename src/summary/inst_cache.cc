@@ -1,13 +1,11 @@
 #include "summary/inst_cache.h"
 
-#include <algorithm>
-
 #include "smt/intern.h"
 
 namespace rid::summary {
 
 uint64_t
-InstCache::Key::fingerprint() const
+InstKey::fingerprint() const
 {
     using smt::fpCombine;
     uint64_t h = smt::fpBytes("rid-inst-key-v1");
@@ -21,7 +19,7 @@ InstCache::Key::fingerprint() const
 }
 
 bool
-InstCache::Key::equals(const Key &o) const
+InstKey::equals(const InstKey &o) const
 {
     if (summary_fp != o.summary_fp || entry_index != o.entry_index ||
         wants_result != o.wants_result || !slot.equals(o.slot) ||
@@ -32,73 +30,6 @@ InstCache::Key::equals(const Key &o) const
         if (!actuals[i].equals(o.actuals[i]))
             return false;
     return true;
-}
-
-InstCache::InstCache(Options opts)
-    : shard_capacity_(std::max<size_t>(1, opts.capacity / kShards))
-{}
-
-std::optional<CallInstantiation>
-InstCache::lookup(const Key &key)
-{
-    uint64_t fp = key.fingerprint();
-    Shard &shard = shards_[shardOf(fp)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(fp);
-    if (it == shard.index.end()) {
-        shard.misses++;
-        return std::nullopt;
-    }
-    if (!it->second->key.equals(key)) {
-        shard.collisions++;
-        shard.misses++;
-        return std::nullopt;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    shard.hits++;
-    return it->second->inst;
-}
-
-void
-InstCache::insert(const Key &key, const CallInstantiation &inst)
-{
-    uint64_t fp = key.fingerprint();
-    Shard &shard = shards_[shardOf(fp)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(fp);
-    if (it != shard.index.end()) {
-        // Refresh (or displace a colliding key; either way the newest
-        // instantiation wins and moves to MRU).
-        it->second->key = key;
-        it->second->inst = inst;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return;
-    }
-    if (shard.lru.size() >= shard_capacity_) {
-        Entry &victim = shard.lru.back();
-        shard.index.erase(victim.fp);
-        shard.lru.pop_back();
-        shard.evictions++;
-    }
-    shard.lru.push_front(Entry{fp, key, inst});
-    shard.index[fp] = shard.lru.begin();
-    shard.insertions++;
-}
-
-InstCache::Stats
-InstCache::stats() const
-{
-    Stats total;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        total.hits += shard.hits;
-        total.misses += shard.misses;
-        total.insertions += shard.insertions;
-        total.evictions += shard.evictions;
-        total.collisions += shard.collisions;
-        total.entries += shard.lru.size();
-    }
-    return total;
 }
 
 } // namespace rid::summary

@@ -17,25 +17,23 @@
  * formulas are (smt/intern.h). Wrappers then instantiate once per
  * *shape*, not once per path.
  *
- * Concurrency mirrors smt::QueryCache: fingerprint-sharded LRU shards,
- * one mutex each, shared by every SCC-level worker of a run. Hits verify the full key (fingerprints AND the actual/result
- * expressions structurally) before use, so a 64-bit collision degrades
- * to a miss, never a wrong instantiation. The cache is semantically
- * invisible: with it on or off the executor produces byte-identical
- * entries — pinned by the determinism differential suite.
+ * The entries live in an smt::ShardedLru (smt/sharded_lru.h), shared
+ * by every SCC-level worker of a run. Hits verify the full key
+ * (fingerprints AND the actual/result expressions structurally) before
+ * use, so a 64-bit collision degrades to a miss, never a wrong
+ * instantiation. The cache is semantically invisible: with it on or off
+ * the executor produces byte-identical entries — pinned by the
+ * determinism differential suite.
  */
 
 #ifndef RID_SUMMARY_INST_CACHE_H
 #define RID_SUMMARY_INST_CACHE_H
 
 #include <cstdint>
-#include <list>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/formula.h"
+#include "smt/sharded_lru.h"
 #include "summary/summary.h"
 
 namespace rid::summary {
@@ -55,7 +53,28 @@ struct CallInstantiation
     smt::Expr result;
 };
 
-class InstCache
+/** Full lookup key of an instantiation; kept by the cache for
+ *  collision verification. */
+struct InstKey
+{
+    /** FunctionSummary::fingerprint of the callee. */
+    uint64_t summary_fp = 0;
+    /** Index of the instantiated entry in the callee summary. */
+    size_t entry_index = 0;
+    /** Caller-side expressions of the actual arguments. */
+    std::vector<smt::Expr> actuals;
+    /** The call site's result slot (the `c<b>_<i>_<occ>` temp). */
+    smt::Expr slot;
+    /** The call site binds a destination variable. */
+    bool wants_result = false;
+
+    uint64_t fingerprint() const;
+    bool equals(const InstKey &o) const;
+};
+
+/** lookup() returns the cached instantiation for a key (promoted to
+ *  MRU); insert() records one, evicting the shard's LRU entry if full. */
+class InstCache : public smt::ShardedLru<InstKey, CallInstantiation, 37>
 {
   public:
     struct Options
@@ -64,90 +83,11 @@ class InstCache
         size_t capacity = 1 << 16;
     };
 
-    struct Stats
-    {
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t insertions = 0;
-        uint64_t evictions = 0;
-        /** Key fingerprint matched but the verified key differed
-         *  (treated as a miss). */
-        uint64_t collisions = 0;
-        size_t entries = 0;
-
-        double
-        hitRate() const
-        {
-            uint64_t lookups = hits + misses;
-            return lookups ? static_cast<double>(hits) / lookups : 0.0;
-        }
-    };
-
-    /** Full lookup key; kept by the cache for collision verification. */
-    struct Key
-    {
-        /** FunctionSummary::fingerprint of the callee. */
-        uint64_t summary_fp = 0;
-        /** Index of the instantiated entry in the callee summary. */
-        size_t entry_index = 0;
-        /** Caller-side expressions of the actual arguments. */
-        std::vector<smt::Expr> actuals;
-        /** The call site's result slot (the `c<b>_<i>_<occ>` temp). */
-        smt::Expr slot;
-        /** The call site binds a destination variable. */
-        bool wants_result = false;
-
-        uint64_t fingerprint() const;
-        bool equals(const Key &o) const;
-    };
+    using Key = InstKey;
+    using Stats = smt::LruStats;
 
     InstCache() : InstCache(Options()) {}
-    explicit InstCache(Options opts);
-
-    /** Cached instantiation for @p key, or nullopt. Promotes to MRU. */
-    std::optional<CallInstantiation> lookup(const Key &key);
-
-    /** Record the instantiation for @p key, evicting the shard's LRU
-     *  entry if full. */
-    void insert(const Key &key, const CallInstantiation &inst);
-
-    /** Aggregate counters across shards. */
-    Stats stats() const;
-
-    size_t capacity() const { return shard_capacity_ * kShards; }
-
-  private:
-    static constexpr size_t kShards = 16;
-
-    struct Entry
-    {
-        uint64_t fp;
-        Key key;
-        CallInstantiation inst;
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::list<Entry> lru;  // front = most recently used
-        std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t insertions = 0;
-        uint64_t evictions = 0;
-        uint64_t collisions = 0;
-    };
-
-    static size_t
-    shardOf(uint64_t fp)
-    {
-        // Bit range disjoint from the query cache's selector and from
-        // the unordered_map's own hashing of the full fingerprint.
-        return (fp >> 37) & (kShards - 1);
-    }
-
-    size_t shard_capacity_;
-    Shard shards_[kShards];
+    explicit InstCache(Options opts) : ShardedLru(opts.capacity) {}
 };
 
 } // namespace rid::summary

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "analysis/symexec.h"
+#include "frontend/parser.h"
 #include "obs/failpoint.h"
 #include "obs/trace.h"
 
@@ -65,29 +66,47 @@ TriagePass::makeSolver(const obs::Budget *budget) const
     return solver;
 }
 
-const ir::Module &
-TriagePass::hpUnit(uint32_t unit)
+std::unique_ptr<ir::Function>
+TriagePass::lowerHp(const std::string &function)
 {
-    HpUnit &u = hp_units_[unit];
-    if (u.lowered)
-        return u.module;
-    u.lowered = true;
-    stats_.hp_units_lowered++;
+    // Re-lower only the definition the run's module kept, from its own
+    // unit's retained source, so the re-derived body is the one the base
+    // pass analyzed.
+    const int base = mod_.indexOf(function);
+    if (base < 0 || mod_.skeleton(base).declaration)
+        return nullptr;
+    const ir::Skeleton &sk = mod_.skeleton(base);
+    if (sk.unit >= sources_.size())
+        return nullptr;
     obs::Span span("triage", "hp-lower");
-    span.arg("unit", std::to_string(unit));
+    span.arg("function", function);
+    if (units_read_.insert(sk.unit).second)
+        stats_.hp_units_lowered++;
     frontend::LowerOptions hp = opts_.lower;
     hp.model_bit_tests = true;
     hp.model_field_stores = true;
-    // A unit the higher-precision lowering cannot handle (or one with no
-    // retained source) stays empty: its functions triage as `unverified`
-    // (no hp definition), which is the TP-safe direction.
-    if (unit < sources_.size()) {
-        try {
-            u.module = frontend::compile(sources_[unit].second, hp);
-        } catch (const std::exception &) {
+    // A definition the higher-precision lowering cannot handle triages
+    // as `unverified` (no hp definition), which is the TP-safe direction;
+    // the other functions of its unit are not affected.
+    try {
+        const std::string &source = sources_[sk.unit].second;
+        ir::SourceSpan where = sk.span;
+        if (where.end == 0) {
+            // An eagerly committed unit (Module::absorb) keeps no spans:
+            // take the unit's first definition of the name, the one the
+            // module kept.
+            const frontend::AstUnit unit = frontend::parseUnit(source);
+            for (const auto &fn : unit.functions) {
+                if (fn.is_definition && fn.name == sk.name) {
+                    where = {fn.begin, fn.end, fn.first_line};
+                    break;
+                }
+            }
         }
+        return frontend::lowerSpan(source, where, hp);
+    } catch (const std::exception &) {
+        return nullptr;
     }
-    return u.module;
 }
 
 const TriagePass::HpExec &
@@ -99,15 +118,9 @@ TriagePass::hpExecFor(const std::string &function)
 
     obs::Span span("triage", "hp-exec");
     span.arg("function", function);
-    // Re-lower only the unit the run's module kept this definition from,
-    // so the re-derived body is the one the base pass analyzed.
     HpExec exec;
-    const int base = mod_.indexOf(function);
-    const bool defined = base >= 0 && !mod_.skeleton(base).declaration;
-    const uint32_t unit = defined ? mod_.skeleton(base).unit : 0;
-    const ir::Function *fn =
-        defined ? hpUnit(unit).find(function) : nullptr;
-    if (!fn || fn->isDeclaration()) {
+    const std::unique_ptr<ir::Function> fn = lowerHp(function);
+    if (!fn) {
         exec.note = "no higher-precision definition";
     } else {
         // Fuel-only budget: the re-execution must be deterministic, so
@@ -138,15 +151,6 @@ TriagePass::hpExecFor(const std::string &function)
     }
     if (!exec.complete)
         stats_.hp_functions_incomplete++;
-    if (defined) {
-        // HpExec holds no IR pointers: once the unit's last reported
-        // function has executed, its higher-precision IR can go.
-        auto u = hp_units_.find(unit);
-        if (u->second.pending <= 1)
-            hp_units_.erase(u);
-        else
-            u->second.pending--;
-    }
     return hp_cache_.emplace(function, std::move(exec)).first->second;
 }
 
@@ -377,18 +381,6 @@ TriagePass::run(std::vector<analysis::BugReport> &reports)
     auto t0 = std::chrono::steady_clock::now();
     obs::Span span("triage", "run");
     stats_.ran = true;
-    // Count each unit's distinct reported functions that will reach
-    // hpExecFor, so the unit is freed right after its last one runs. A
-    // function whose every report faults keeps its unit until the pass
-    // ends.
-    std::set<std::string> counted;
-    for (const auto &report : reports) {
-        if (isEscapeReport(report) || !counted.insert(report.function).second)
-            continue;
-        const int k = mod_.indexOf(report.function);
-        if (k >= 0 && !mod_.skeleton(k).declaration)
-            hp_units_[mod_.skeleton(k).unit].pending++;
-    }
     for (auto &report : reports)
         triageOne(report);
 

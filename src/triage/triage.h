@@ -31,11 +31,12 @@
  * reports get a deterministic 1-based rank (confirmed first, refuted
  * last). Reports are demoted, never deleted.
  *
- * Only the units that define reported functions are re-lowered: a
- * function's base definition names its retained source (its skeleton's
- * unit, so the pass reads no base IR), that one unit is compiled at
- * higher precision on first use, and its IR is freed as soon as its last
- * reported function has run.
+ * Only the reported functions themselves are re-lowered: a function's
+ * skeleton names its retained source and the span of its kept
+ * definition (so the pass reads no base IR), and frontend::lowerSpan
+ * lowers just that span at higher precision. The IR lives only while
+ * its function executes, and a fault while lowering one function
+ * degrades that function's reports alone.
  *
  * Determinism: the pass runs sequentially, every budget is fuel-only
  * (no wall clock), the solver consumes fuel before consulting the shared
@@ -51,6 +52,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,9 +104,9 @@ struct TriageStats
      *  source, truncated/budget-stopped execution, compile fault); their
      *  reports stay `unverified`. */
     size_t hp_functions_incomplete = 0;
-    /** Retained units compiled at higher precision: one per distinct
-     *  unit that defines a re-executed function (a unit whose lowering
-     *  threw still counts). */
+    /** Retained units whose source was re-read for a higher-precision
+     *  lowering: one per distinct unit that defines a re-executed
+     *  function (a lowering that threw still counts). */
     size_t hp_units_lowered = 0;
     size_t extension_searches = 0;
     size_t downstream_releases_found = 0;
@@ -156,17 +158,6 @@ class TriagePass
         std::string note;
     };
 
-    /** One retained unit's higher-precision lowering. */
-    struct HpUnit
-    {
-        bool lowered = false;
-        /** Empty when the higher-precision lowering threw. */
-        ir::Module module;
-        /** Distinct reported functions of the unit not yet executed; the
-         *  unit is freed when the last one has its HpExec. */
-        size_t pending = 0;
-    };
-
     struct Verdict
     {
         analysis::Tier tier = analysis::Tier::Unverified;
@@ -175,7 +166,7 @@ class TriagePass
 
     void triageOne(analysis::BugReport &report);
     const HpExec &hpExecFor(const std::string &function);
-    const ir::Module &hpUnit(uint32_t unit);
+    std::unique_ptr<ir::Function> lowerHp(const std::string &function);
     Verdict checkInconsistent(const analysis::BugReport &report,
                               const HpExec &hp, smt::Solver &solver,
                               const obs::Budget &budget);
@@ -192,8 +183,8 @@ class TriagePass
     TriageOptions opts_;
     TriageStats stats_;
 
-    /** Live higher-precision units, keyed by unit ordinal. */
-    std::map<uint32_t, HpUnit> hp_units_;
+    /** Units whose retained source has been re-read (hp_units_lowered). */
+    std::set<uint32_t> units_read_;
     std::map<std::string, HpExec> hp_cache_;
     std::unique_ptr<analysis::CallGraph> callgraph_;
 };

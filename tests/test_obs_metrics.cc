@@ -14,9 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
-#include "obs_test_util.h"
 
 namespace rid {
 namespace {
@@ -239,8 +239,8 @@ TEST(MetricsRegistry, JsonExportParses)
     reg.gauge("rid_b_seconds").set(2.5);
     reg.histogram("rid_c_seconds", "", {1.0}).observe(0.5);
 
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(reg.json(), doc)) << reg.json();
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(reg.json())) << reg.json();
     ASSERT_TRUE(doc.isObject());
     ASSERT_EQ(doc.members.size(), 3u);
 
@@ -371,8 +371,8 @@ TEST(MetricsRegistry, OverflowSeriesAppearInExposition)
               std::string::npos);
     EXPECT_EQ(text.find("rid_dropped_total"), std::string::npos);
 
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(reg.json(), doc));
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(reg.json()));
     const auto *overflow =
         doc.find(obs::MetricsRegistry::kOverflowCounter);
     ASSERT_NE(overflow, nullptr);
@@ -408,8 +408,8 @@ TEST(JsonWriter, EscapesStrings)
     EXPECT_EQ(w.str(),
               "{\"quote\\\"key\":\"line\\nbreak\\tand \\\\ backslash\"}");
 
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(w.str(), doc));
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(w.str()));
     ASSERT_EQ(doc.members.size(), 1u);
     EXPECT_EQ(doc.members[0].first, "quote\"key");
     EXPECT_EQ(doc.members[0].second.string,
@@ -424,8 +424,8 @@ TEST(JsonWriter, ControlBytesUseUnicodeEscapes)
     EXPECT_EQ(obs::jsonEscape(s), "a\\u0001b");
     obs::JsonWriter w;
     w.value(s);
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(w.str(), doc));
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(w.str()));
     EXPECT_EQ(doc.string, s);
 }
 

@@ -12,8 +12,8 @@
 
 #include "core/rid.h"
 #include "kernel/dpm_specs.h"
+#include "obs/json_reader.h"
 #include "obs/profile.h"
-#include "obs_test_util.h"
 
 namespace rid {
 namespace {
@@ -97,8 +97,8 @@ TEST(Profile, RenderingsAreWellFormed)
     EXPECT_NE(text.find("alpha"), std::string::npos) << text;
     EXPECT_NE(text.find("beta"), std::string::npos) << text;
 
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(profile.json(), doc))
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(profile.json()))
         << profile.json();
     ASSERT_TRUE(doc.isObject());
     EXPECT_EQ(doc.find("functions_ranked")->number, 2.0);
@@ -173,8 +173,8 @@ TEST(Profile, StatsJsonIncludesProfileAndStaysParseable)
 {
     RunResult result = figure9Run({});
     std::string json = result.statsJson();
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(json, doc)) << json;
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(json)) << json;
     ASSERT_TRUE(doc.isObject());
     // Pre-existing schema keys must survive the rewrite onto JsonWriter.
     for (const char *key : {"reports", "functions", "paths_enumerated",

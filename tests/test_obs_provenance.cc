@@ -25,8 +25,8 @@
 #include "kernel/inject.h"
 #include "kernel/score.h"
 #include "core/report_format.h"
+#include "obs/json_reader.h"
 #include "obs/provenance.h"
-#include "obs_test_util.h"
 
 namespace rid {
 namespace {
@@ -85,8 +85,8 @@ TEST(ProvenanceRecordTest, JsonIsWellFormedAndRoundTrips)
     r.budget = "budget: fuel";
     r.status = "timeout";
 
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(r.json(), doc)) << r.json();
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(r.json())) << r.json();
     ASSERT_TRUE(doc.isObject());
     EXPECT_EQ(doc.find("fingerprint")->string, obs::fpHex(r.fingerprint));
     EXPECT_EQ(doc.find("tool")->string, "rid");
@@ -105,8 +105,8 @@ TEST(ProvenanceRecordTest, SinglePathRecordOmitsPathB)
     r.path_b = obs::WitnessPath{};
     r.kind = "unbalanced";
     r.queries.clear();
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(r.json(), doc));
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(r.json()));
     EXPECT_EQ(doc.find("path_b"), nullptr);
     auto parsed = obs::parseJournal(r.json());
     ASSERT_EQ(parsed.size(), 1u);
@@ -132,6 +132,63 @@ TEST(ProvenanceJournal, MalformedInputThrows)
                  std::runtime_error);  // missing required keys
     EXPECT_THROW(obs::parseJournal("[1, 2]"), std::runtime_error);
     EXPECT_TRUE(obs::parseJournal("\n  \n").empty());
+}
+
+/** The message parseJournal throws for @p text, or "" when it parses. */
+std::string
+journalError(const std::string &text)
+{
+    try {
+        obs::parseJournal(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ProvenanceJournal, NumbersAreStrictAndErrorsNameTheOffset)
+{
+    std::vector<obs::ProvenanceRecord> records;
+    for (uint64_t fp : {7ull, 3ull, 9ull})
+        records.push_back(sampleRecord(fp));
+    std::string journal = obs::renderJournal(records);
+
+    // Edit line 2's first witness delta (+1) into `1-2`: not a JSON
+    // number, so the line must not read as a record with delta 1.
+    const size_t line2 = journal.find('\n') + 1;
+    const std::string key = "\"delta\":1,";
+    const size_t at = journal.find(key, line2);
+    ASSERT_NE(at, std::string::npos);
+    std::string edited = journal;
+    edited.replace(at, key.size(), "\"delta\":1-2,");
+    const size_t offset = at + key.size() - 1 - line2;  // the '-'
+    const std::string why =
+        "provenance journal: expected '}' at offset " +
+        std::to_string(offset);
+    EXPECT_EQ(journalError(edited), why);
+
+    obs::JournalRecovery rec = obs::parseJournalTolerant(edited);
+    ASSERT_EQ(rec.records.size(), 2u);
+    // Lines are in fingerprint order: 3, 7 (edited), 9.
+    EXPECT_EQ(rec.records[0].fingerprint, 3u);
+    EXPECT_EQ(rec.records[1].fingerprint, 9u);
+    EXPECT_EQ(rec.skipped_lines, 1u);
+    ASSERT_EQ(rec.errors.size(), 1u);
+    EXPECT_EQ(rec.errors[0], "line 2: " + why);
+
+    // The other failure classes keep their messages.
+    EXPECT_EQ(journalError("{not json"),
+              "provenance journal: expected '\"' at offset 1");
+    EXPECT_EQ(journalError("{\"fingerprint\": \"0x1\""),
+              "provenance journal: unexpected end at offset 21");
+    EXPECT_EQ(journalError("{} x"),
+              "provenance journal: trailing characters at offset 3");
+    EXPECT_EQ(journalError("{\"fingerprint\": \"0x1\"}"),
+              "provenance journal: record missing key 'tool'");
+    EXPECT_EQ(journalError("{\"fingerprint\": \"0xzz\"}"),
+              "provenance journal: bad fingerprint '0xzz'");
+    EXPECT_EQ(journalError("{\"a\": \"\\q\"}"),
+              "provenance journal: unknown escape at offset 9");
 }
 
 TEST(ProvenanceJournal, TolerantParseRecoversCompleteRecordsFromTornTail)
@@ -444,9 +501,9 @@ TEST_F(ProvenanceEndToEnd, ReportJsonCarriesTheFingerprint)
     ASSERT_FALSE(result.reports.empty());
     std::remove(path.c_str());
 
-    testutil::JsonValue doc;
-    ASSERT_TRUE(testutil::parseJson(toJson(result.reports[0]), doc));
-    const testutil::JsonValue *fp = doc.find("fingerprint");
+    obs::JsonValue doc;
+    ASSERT_NO_THROW(doc = obs::parseJson(toJson(result.reports[0])));
+    const obs::JsonValue *fp = doc.find("fingerprint");
     ASSERT_NE(fp, nullptr);
     EXPECT_EQ(fp->string, obs::fpHex(result.reports[0].fingerprint));
 }

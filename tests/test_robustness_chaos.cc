@@ -623,9 +623,12 @@ TEST_F(RobustnessChaosTest, StoreAppendChaosIsAbsorbedAndResumable)
 
 /**
  * Triage chaos: a deterministic fault at the refutation site of one
- * report demotes exactly that report to `unverified` — the victim's
- * report survives (demoted, never deleted) and every bystander's tier
- * and rank are byte-identical to the clean triaged run's.
+ * report, or in the higher-precision lowering of its function, demotes
+ * exactly that report to `unverified` — the victim's report survives
+ * (demoted, never deleted) and every bystander's tier and rank are
+ * byte-identical to the clean triaged run's, although all three
+ * reported functions share one unit and the lowering victim is triaged
+ * before the other two.
  */
 TEST_F(RobustnessChaosTest, TriageFaultDegradesOnlyTheVictimReport)
 {
@@ -673,8 +676,6 @@ int autopm_get_1(struct intf *i) {
 }
 void autopm_put_1(struct intf *i);
 )";
-    const std::string victim = "tp_missing_put";
-
     auto makeRun = [&](const std::string &failpoints) {
         analysis::AnalyzerOptions opts;
         opts.triage = true;
@@ -682,37 +683,56 @@ void autopm_put_1(struct intf *i);
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
         tool.addSource(source);
-        return tool.run();
+        RunResult result = tool.run();
+        FailpointRegistry::instance().disarm();
+        return result;
     };
 
     RunResult clean = makeRun("");
-    FailpointRegistry::instance().disarm();
-    RunResult chaos =
-        makeRun("analysis.triage.refute@" + victim + "=always");
-
     ASSERT_EQ(clean.reports.size(), 3u);
-    ASSERT_EQ(chaos.reports.size(), 3u);
     EXPECT_EQ(clean.triage.faults, 0u);
-    EXPECT_EQ(chaos.triage.faults, 1u);
-
     std::map<std::string, const analysis::BugReport *> clean_by_fn;
     for (const auto &r : clean.reports)
         clean_by_fn[r.function] = &r;
-    for (const auto &r : chaos.reports) {
-        ASSERT_TRUE(clean_by_fn.count(r.function)) << r.function;
-        const analysis::BugReport *c = clean_by_fn[r.function];
-        if (r.function == victim) {
-            // The clean run confirms the bug; the faulted run falls
-            // back to the unverified safety floor.
-            EXPECT_EQ(c->tier, analysis::Tier::Confirmed);
-            EXPECT_EQ(r.tier, analysis::Tier::Unverified);
-            continue;
+
+    auto expectOnlyVictimMoves = [&](const RunResult &chaos,
+                                     const std::string &victim,
+                                     analysis::Tier clean_tier) {
+        ASSERT_EQ(chaos.reports.size(), 3u);
+        for (const auto &r : chaos.reports) {
+            ASSERT_TRUE(clean_by_fn.count(r.function)) << r.function;
+            const analysis::BugReport *c = clean_by_fn[r.function];
+            if (r.function == victim) {
+                // The faulted run falls back to the unverified safety
+                // floor.
+                EXPECT_EQ(c->tier, clean_tier);
+                EXPECT_EQ(r.tier, analysis::Tier::Unverified);
+                continue;
+            }
+            // Bystanders byte-identical, rank included (the victim's
+            // tier flip keeps the ranking order either way).
+            EXPECT_EQ(r.str(), c->str()) << victim;
+            EXPECT_EQ(r.rank, c->rank) << victim;
         }
-        // Bystanders byte-identical, rank included (the victim's tier
-        // flip keeps it ranked ahead of the refuted pair either way).
-        EXPECT_EQ(r.str(), c->str());
-        EXPECT_EQ(r.rank, c->rank);
-    }
+    };
+
+    // The clean run confirms the real bug; a refutation fault on it
+    // demotes it.
+    RunResult refute_fault =
+        makeRun("analysis.triage.refute@tp_missing_put=always");
+    EXPECT_EQ(refute_fault.triage.faults, 1u);
+    expectOnlyVictimMoves(refute_fault, "tp_missing_put",
+                          analysis::Tier::Confirmed);
+
+    // The clean run refutes the bit-test FP; a parse fault while its
+    // definition is re-lowered leaves it without a higher-precision
+    // body. The base run keeps its IR (it calls a counter-changing API
+    // directly), so only triage parses it again.
+    RunResult lower_fault = makeRun("frontend.parse@fp_bitmask_fn=always");
+    EXPECT_EQ(lower_fault.triage.faults, 0u);
+    EXPECT_EQ(lower_fault.triage.hp_functions_incomplete, 1u);
+    expectOnlyVictimMoves(lower_fault, "fp_bitmask_fn",
+                          analysis::Tier::Refuted);
 }
 
 } // anonymous namespace

@@ -318,17 +318,6 @@ TEST(QueryCache, CapacityBoundsResidencyAndEvicts)
     EXPECT_LE(resident.size(), cache.capacity());
 }
 
-TEST(QueryCache, ClearDropsEntries)
-{
-    QueryCache cache;
-    FormulaGen gen(3);
-    Formula f = gen.formula(2);
-    cache.insert(f, SatResult::Sat);
-    cache.clear();
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_FALSE(cache.lookup(f).has_value());
-}
-
 TEST(SolverCache, AttachedSolverCountsHitsAndMisses)
 {
     auto cache = std::make_shared<QueryCache>();

@@ -8,10 +8,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "core/rid.h"
+#include "kernel/domain_specs.h"
 #include "kernel/dpm_specs.h"
+#include "pyc/pyc_specs.h"
 #include "summary/db.h"
 #include "summary/domain.h"
 #include "summary/spec.h"
@@ -822,6 +826,50 @@ TEST(SummaryDefaults, ExportRendersDefaultsInNameOrder)
     // caller's analysis looked up both helpers; lonely is rendered
     // without being built into the database.
     EXPECT_EQ(tool.summaries().defaultsMaterialized(), 2u);
+}
+
+/**
+ * Everything a spec text declares, rendered canonically: the domain
+ * declarations, then each summary's signature and serialized entries.
+ * Comments and layout do not show.
+ */
+std::string
+canonicalSpec(const std::string &text)
+{
+    ParsedSpec spec = parseSpecText(text);
+    std::ostringstream out;
+    for (const DomainInfo &d : spec.domains)
+        out << "domain " << d.name << " policy "
+            << static_cast<int>(d.policy) << "\n";
+    for (const ParsedSummary &p : spec.summaries) {
+        out << "params";
+        for (const std::string &param : p.params)
+            out << " " << param;
+        out << (p.returns_value ? " -> value\n" : " -> void\n")
+            << serializeSummary(p.summary);
+    }
+    return out.str();
+}
+
+/** Each built-in spec text is the spec file shipped beside it, apart
+ *  from comments: the same domains and the same summaries. */
+TEST(SpecDrift, BuiltinSpecTextsMatchTheirFiles)
+{
+    const std::pair<const std::string &, const char *> pairs[] = {
+        {kernel::dpmSpecText(), "dpm.spec"},
+        {pyc::pycSpecText(), "pythonc.spec"},
+        {kernel::lockSpecText(), "lock.spec"},
+        {kernel::allocSpecText(), "kmalloc.spec"},
+    };
+    for (const auto &[builtin, file] : pairs) {
+        std::ifstream in(std::string(RID_TEST_SPECS_DIR) + "/" + file);
+        std::stringstream text;
+        text << in.rdbuf();
+        ASSERT_FALSE(text.str().empty()) << file;
+        EXPECT_FALSE(parseSpecText(text.str()).summaries.empty()) << file;
+        EXPECT_EQ(canonicalSpec(builtin), canonicalSpec(text.str()))
+            << file;
+    }
 }
 
 } // anonymous namespace

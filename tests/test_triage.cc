@@ -14,11 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analyzer.h"
 #include "core/report_format.h"
 #include "core/rid.h"
+#include "frontend/lower.h"
 #include "kernel/domain_specs.h"
 #include "kernel/dpm_specs.h"
 #include "obs/provenance.h"
+#include "summary/spec.h"
+#include "triage/triage.h"
 
 namespace rid {
 namespace {
@@ -240,6 +244,35 @@ TEST(TriageTest, OnlyTheDefiningUnitIsReLowered)
     RunResult clean = runUnits(opts, {kCleanUnitA, kCleanUnitB});
     EXPECT_TRUE(clean.reports.empty());
     EXPECT_EQ(clean.triage.hp_units_lowered, 0u);
+}
+
+TEST(TriageTest, EagerlyAbsorbedUnitsFindTheirDefinitions)
+{
+    // Units lowered eagerly and absorbed (the benchmark harness's path)
+    // keep no spans: triage finds each definition in its unit's source
+    // and reaches the tiers of a run committed from source.
+    analysis::AnalyzerOptions opts;
+    opts.triage = true;
+    RunResult spanned = runUnits(opts, {kCleanUnitA, kTriageSample});
+
+    summary::SummaryDb db;
+    summary::loadSpecsInto(kernel::dpmSpecText(), db);
+    ir::Module mod;
+    std::vector<std::pair<std::string, std::string>> sources;
+    for (const char *unit : {kCleanUnitA, kTriageSample}) {
+        mod.absorb(frontend::compile(unit));
+        sources.emplace_back("", unit);
+    }
+    analysis::Analyzer analyzer(mod, db, analysis::AnalyzerOptions{});
+    analyzer.run();
+    std::vector<analysis::BugReport> reports = analyzer.reports();
+    triage::TriagePass pass(mod, db, sources, analyzer.queryCache());
+    pass.run(reports);
+    ASSERT_EQ(reports.size(), spanned.reports.size());
+    for (size_t i = 0; i < reports.size(); i++)
+        EXPECT_EQ(reports[i].str(), spanned.reports[i].str());
+    EXPECT_EQ(pass.stats().hp_functions_incomplete, 0u);
+    EXPECT_EQ(pass.stats().hp_units_lowered, 1u);
 }
 
 TEST(TriageTest, DuplicateDefinitionTriagesTheFirstUnitsBody)
