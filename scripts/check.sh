@@ -15,7 +15,8 @@
 # under ASan+UBSan, for the defaults built on first lookup, and so does
 # the smt cache suite, for the shared term pool (under LeakSanitizer
 # its never-freed nodes must stay reachable, not leak) and the sharded
-# LRU under both memo caches.
+# LRU under both memo caches; the store suite runs there for its
+# four-worker store scan and resume.
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
 # tree, building only the chaos test), runs the tree-executor, symbolic-
@@ -81,15 +82,19 @@ echo "== determinism suite, run 2/2 =="
 # threads sharing one query cache (the ShardedLru both caches use). The
 # lazy-module suite races eight threads reading the same functions' IR
 # for the first time, which the module builds once under a stripe lock.
-echo "== sanitizer smoke (TSan determinism suite + SCC scheduler + summary db + term pool + IR built on first read) =="
+# The store suite runs a cold store scan and its resume with four
+# workers, which append records and read the module's fingerprints.
+echo "== sanitizer smoke (TSan determinism suite + SCC scheduler + summary db + term pool + IR built on first read + store) =="
 cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
 cmake --build build-tsan -j --target test_analyzer_determinism \
-    --target test_summary --target test_smt_cache --target test_ir_lazy
+    --target test_summary --target test_smt_cache --target test_ir_lazy \
+    --target test_store
 ./build-tsan/tests/test_analyzer_determinism
 ./build-tsan/tests/test_summary
 ./build-tsan/tests/test_smt_cache
 ./build-tsan/tests/test_ir_lazy
+./build-tsan/tests/test_store
 
 echo "== robustness chaos suite =="
 ./build/tests/test_robustness_chaos

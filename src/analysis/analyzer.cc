@@ -312,27 +312,6 @@ Analyzer::nameOf(int node) const
     return mod_.skeleton(node).name.str();
 }
 
-uint64_t
-Analyzer::bodyFingerprint(int node)
-{
-    // A module committed from source for a store run fingerprinted every
-    // function while its IR was at hand, so no category-3 body is built
-    // just to key its default record.
-    const ir::Skeleton &sk = mod_.skeleton(node);
-    if (sk.fingerprinted)
-        return mod_.committedFingerprint(node);
-    // Without a store only the report stamps need a fingerprint, once per
-    // function, so there is no table to fill.
-    if (node_fp_.empty())
-        return mod_.function(node).fingerprint();
-    // 0 marks "not computed yet"; a body that really hashes to 0 is just
-    // re-rendered on each use.
-    uint64_t &fp = node_fp_[node];
-    if (!fp)
-        fp = mod_.function(node).fingerprint();
-    return fp;
-}
-
 void
 Analyzer::recordToStore(int node, FnStatus status, const std::string &reason,
                         bool defaulted,
@@ -342,7 +321,7 @@ Analyzer::recordToStore(int node, FnStatus status, const std::string &reason,
     if (!store_)
         return;
     size_t n = store_->record(
-        {nameOf(node), bodyFingerprint(node), store_config_fp_},
+        {nameOf(node), mod_.fingerprint(node), store_config_fp_},
         status, reason, defaulted, summary, reports);
     if (n > 0 && ins_.store_record_bytes)
         ins_.store_record_bytes->observe(static_cast<double>(n));
@@ -452,7 +431,7 @@ Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
         // escape-rule reports get theirs too). Every fingerprint input is
         // byte-stable across threads/cache settings, so the
         // stamps are as deterministic as the reports themselves.
-        uint64_t fn_fp = bodyFingerprint(node);
+        uint64_t fn_fp = mod_.fingerprint(node);
         for (auto &r : ipp.reports) {
             r.function_fp = fn_fp;
             r.fingerprint = r.computeFingerprint(fn_fp);
@@ -567,7 +546,6 @@ Analyzer::run()
         return CallGraph(mod_);
     }();
 
-    node_fp_.assign(store_ ? cg.size() : 0, 0);
     db_.bindDefaults(std::make_unique<ModuleSlots>(mod_));
     tracked_.resize(mod_.size());
     for (size_t k = 0; k < mod_.size(); k++)
@@ -646,7 +624,7 @@ Analyzer::run()
                 ctx.want_analyze = shouldAnalyze(member);
                 FunctionStore::Action &a = resume_plan_[member];
                 a = store_->lookup(
-                    {nameOf(member), bodyFingerprint(member),
+                    {nameOf(member), mod_.fingerprint(member),
                      store_config_fp_},
                     ctx, domain_table_);
                 if (a.plan != FunctionStore::Plan::Load &&

@@ -500,11 +500,6 @@ class Analyzer
      *  function k, see CallGraph), read from its skeleton. */
     const std::string &nameOf(int node) const;
 
-    /** Body fingerprint of node @p node's function. With a store it is
-     *  rendered at most once per run: the resume plan, the store record
-     *  and the report stamps share it. */
-    uint64_t bodyFingerprint(int node);
-
     /** Persist node @p node's outcome to the store (no-op without one).
      *  Never throws; a storage fault is the store's to absorb. */
     void recordToStore(int node, FnStatus status, const std::string &reason,
@@ -534,10 +529,6 @@ class Analyzer
     /** Durable store (null = persistence off) and its config key part. */
     std::shared_ptr<FunctionStore> store_;
     uint64_t store_config_fp_ = 0;
-    /** Body fingerprints indexed by call-graph node, sized by run() when
-     *  a store is attached (empty otherwise). 0 until first computed;
-     *  each slot is written only by the worker processing its node. */
-    std::vector<uint64_t> node_fp_;
     /** Resume plan, indexed by call-graph node and built bottom-up over
      *  the SCC condensation before the traversal: for each tracked
      *  function, what to do with it (empty unless resuming). Each slot is

@@ -33,70 +33,11 @@ CallGraph::CallGraph(const ir::Module &mod)
         }
     }
 
-    // Tarjan's SCC algorithm, iterative to survive deep call chains.
-    const int n = static_cast<int>(edges_.size());
-    scc_of_.assign(n, -1);
-    std::vector<int> index(n, -1), lowlink(n, 0);
-    std::vector<bool> on_stack(n, false);
-    std::vector<int> stack;
-    int next_index = 0;
-
-    struct Frame
-    {
-        int node;
-        size_t child = 0;
-    };
-
-    for (int root = 0; root < n; root++) {
-        if (index[root] != -1)
-            continue;
-        std::vector<Frame> frames{{root, 0}};
-        index[root] = lowlink[root] = next_index++;
-        stack.push_back(root);
-        on_stack[root] = true;
-        while (!frames.empty()) {
-            Frame &f = frames.back();
-            if (f.child < edges_[f.node].size()) {
-                int child = edges_[f.node][f.child++];
-                if (index[child] == -1) {
-                    index[child] = lowlink[child] = next_index++;
-                    stack.push_back(child);
-                    on_stack[child] = true;
-                    frames.push_back({child, 0});
-                } else if (on_stack[child]) {
-                    lowlink[f.node] =
-                        std::min(lowlink[f.node], index[child]);
-                }
-            } else {
-                if (lowlink[f.node] == index[f.node]) {
-                    std::vector<int> members;
-                    while (true) {
-                        int w = stack.back();
-                        stack.pop_back();
-                        on_stack[w] = false;
-                        members.push_back(w);
-                        if (w == f.node)
-                            break;
-                    }
-                    std::sort(members.begin(), members.end());
-                    int scc = static_cast<int>(sccs_.size());
-                    for (int w : members)
-                        scc_of_[w] = scc;
-                    sccs_.push_back(std::move(members));
-                }
-                int node = f.node;
-                frames.pop_back();
-                if (!frames.empty()) {
-                    lowlink[frames.back().node] =
-                        std::min(lowlink[frames.back().node],
-                                 lowlink[node]);
-                }
-            }
-        }
-    }
-    // Tarjan emits SCCs in reverse topological order of the condensation
-    // (an SCC is finished only after everything it reaches), so scc ids
-    // already satisfy: callee scc id < caller scc id.
+    sccs_ = stronglyConnected(edges_);
+    scc_of_.assign(edges_.size(), -1);
+    for (size_t scc = 0; scc < sccs_.size(); scc++)
+        for (int w : sccs_[scc])
+            scc_of_[w] = static_cast<int>(scc);
 }
 
 const std::string &
@@ -126,6 +67,72 @@ CallGraph::reverseTopoOrder() const
         for (int node : scc)
             order.push_back(node);
     return order;
+}
+
+std::vector<std::vector<int>>
+stronglyConnected(const std::vector<std::vector<int>> &edges)
+{
+    // Tarjan's SCC algorithm, iterative to survive deep call chains.
+    const int n = static_cast<int>(edges.size());
+    std::vector<std::vector<int>> sccs;
+    std::vector<int> index(n, -1), lowlink(n, 0);
+    std::vector<bool> on_stack(n, false);
+    std::vector<int> stack;
+    int next_index = 0;
+
+    struct Frame
+    {
+        int node;
+        size_t child = 0;
+    };
+
+    for (int root = 0; root < n; root++) {
+        if (index[root] != -1)
+            continue;
+        std::vector<Frame> frames{{root, 0}};
+        index[root] = lowlink[root] = next_index++;
+        stack.push_back(root);
+        on_stack[root] = true;
+        while (!frames.empty()) {
+            Frame &f = frames.back();
+            if (f.child < edges[f.node].size()) {
+                int child = edges[f.node][f.child++];
+                if (index[child] == -1) {
+                    index[child] = lowlink[child] = next_index++;
+                    stack.push_back(child);
+                    on_stack[child] = true;
+                    frames.push_back({child, 0});
+                } else if (on_stack[child]) {
+                    lowlink[f.node] =
+                        std::min(lowlink[f.node], index[child]);
+                }
+            } else {
+                if (lowlink[f.node] == index[f.node]) {
+                    std::vector<int> members;
+                    while (true) {
+                        int w = stack.back();
+                        stack.pop_back();
+                        on_stack[w] = false;
+                        members.push_back(w);
+                        if (w == f.node)
+                            break;
+                    }
+                    std::sort(members.begin(), members.end());
+                    sccs.push_back(std::move(members));
+                }
+                int node = f.node;
+                frames.pop_back();
+                if (!frames.empty()) {
+                    lowlink[frames.back().node] =
+                        std::min(lowlink[frames.back().node],
+                                 lowlink[node]);
+                }
+            }
+        }
+    }
+    // Tarjan emits an SCC only after everything it reaches, so the list
+    // is in reverse topological order of the condensation.
+    return sccs;
 }
 
 } // namespace rid::analysis

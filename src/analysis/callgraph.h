@@ -30,6 +30,16 @@
 
 namespace rid::analysis {
 
+/**
+ * Strongly connected components of the graph whose node k has the
+ * successors @p edges[k], each with its members sorted, in reverse
+ * topological order of the condensation: a component comes after every
+ * component it reaches. Iterative, so deep chains do not overflow the
+ * stack.
+ */
+std::vector<std::vector<int>>
+stronglyConnected(const std::vector<std::vector<int>> &edges);
+
 class CallGraph
 {
   public:

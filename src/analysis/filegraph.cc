@@ -4,6 +4,7 @@
 #include <functional>
 #include <utility>
 
+#include "analysis/callgraph.h"
 #include "frontend/parser.h"
 #include "obs/failpoint.h"
 
@@ -53,67 +54,15 @@ FileGraph::schedule() const
 {
     const int n = static_cast<int>(files_.size());
 
-    // Tarjan SCC over the dependency edges (iterative).
-    std::vector<int> scc_of(n, -1), index(n, -1), lowlink(n, 0);
-    std::vector<bool> on_stack(n, false);
-    std::vector<int> stack;
-    std::vector<std::vector<int>> sccs;
-    int next_index = 0;
-
-    struct Frame
-    {
-        int node;
-        size_t child = 0;
-    };
-    for (int root = 0; root < n; root++) {
-        if (index[root] != -1)
-            continue;
-        std::vector<Frame> frames{{root, 0}};
-        index[root] = lowlink[root] = next_index++;
-        stack.push_back(root);
-        on_stack[root] = true;
-        while (!frames.empty()) {
-            Frame &f = frames.back();
-            if (f.child < deps_[f.node].size()) {
-                int child = deps_[f.node][f.child++];
-                if (index[child] == -1) {
-                    index[child] = lowlink[child] = next_index++;
-                    stack.push_back(child);
-                    on_stack[child] = true;
-                    frames.push_back({child, 0});
-                } else if (on_stack[child]) {
-                    lowlink[f.node] =
-                        std::min(lowlink[f.node], index[child]);
-                }
-            } else {
-                if (lowlink[f.node] == index[f.node]) {
-                    std::vector<int> members;
-                    while (true) {
-                        int w = stack.back();
-                        stack.pop_back();
-                        on_stack[w] = false;
-                        members.push_back(w);
-                        if (w == f.node)
-                            break;
-                    }
-                    std::sort(members.begin(), members.end());
-                    for (int w : members)
-                        scc_of[w] = static_cast<int>(sccs.size());
-                    sccs.push_back(std::move(members));
-                }
-                int node = f.node;
-                frames.pop_back();
-                if (!frames.empty()) {
-                    lowlink[frames.back().node] = std::min(
-                        lowlink[frames.back().node], lowlink[node]);
-                }
-            }
-        }
-    }
+    const std::vector<std::vector<int>> sccs = stronglyConnected(deps_);
+    std::vector<int> scc_of(n, -1);
+    for (size_t s = 0; s < sccs.size(); s++)
+        for (int member : sccs[s])
+            scc_of[member] = static_cast<int>(s);
 
     // Stratify: an SCC's level is one above the deepest SCC it depends
-    // on. Tarjan emits SCCs in reverse topological order of the
-    // dependency edges, so a single pass suffices.
+    // on. The SCCs come in reverse topological order of the dependency
+    // edges, so a single pass suffices.
     std::vector<int> level(sccs.size(), 0);
     for (size_t s = 0; s < sccs.size(); s++) {
         for (int member : sccs[s]) {

@@ -355,27 +355,28 @@ RunResult::statsJson() const
 }
 
 /**
- * The (name, source) pair and the LowerOptions of every committed unit.
- * addSource() commits exactly one unit per retained source, so a
- * skeleton's unit indexes both lists. Nothing is appended while a run
- * reads them, so builds on several threads need no lock here.
+ * The Rid's LowerOptions and the (name, source) pair of every committed
+ * unit. addSource() commits exactly one unit per retained source, so a
+ * skeleton's unit indexes the list. Nothing is appended while a run
+ * reads it, so builds on several threads need no lock here.
  */
 struct Rid::Retained final : ir::Lowering
 {
+    explicit Retained(frontend::LowerOptions opts) : options(opts) {}
+
+    const frontend::LowerOptions options;
     std::vector<std::pair<std::string, std::string>> sources;
-    std::vector<frontend::LowerOptions> options;
 
     std::unique_ptr<ir::Function>
     lower(const ir::Skeleton &fn) const override
     {
         return frontend::lowerSpan(sources.at(fn.unit).second, fn.span,
-                                   options.at(fn.unit));
+                                   options);
     }
 };
 
 Rid::Rid(analysis::AnalyzerOptions opts, frontend::LowerOptions lower_opts)
-    : opts_(opts), lower_opts_(lower_opts),
-      retained_(std::make_shared<Retained>())
+    : opts_(opts), retained_(std::make_shared<Retained>(lower_opts))
 {
     module_.setLowering(retained_);
 }
@@ -414,24 +415,19 @@ Rid::addSource(std::string kernel_c_source)
     // is at hand.
     frontend::AstUnit ast = frontend::parseUnit(kernel_c_source);
     std::vector<std::unique_ptr<ir::Function>> fns =
-        frontend::lowerFunctions(ast, lower_opts_);
-    std::vector<ir::SourceSpan> spans;
-    spans.reserve(ast.functions.size());
-    for (const frontend::AstFunction &fn : ast.functions)
-        spans.push_back({fn.begin, fn.end, fn.first_line});
+        frontend::lowerFunctions(ast, retained_->options);
     if (!load_seeds_) {
         load_seeds_.emplace();
         for (const std::string &name : db_.namesWithChanges())
             load_seeds_->emplace_back(name);
     }
-    module_.commit(std::move(fns), spans, !opts_.store_path.empty(),
-                   *load_seeds_);
+    module_.commit(std::move(fns), frontend::spansOf(ast),
+                   !opts_.store_path.empty(), *load_seeds_);
     // Only committed units are kept (the tolerant path must not feed
     // triage a unit the run rejected), so a function's unit indexes the
-    // retained lists.
+    // retained list.
     retained_->sources.emplace_back(std::string(),
                                     std::move(kernel_c_source));
-    retained_->options.push_back(lower_opts_);
 }
 
 bool
@@ -587,7 +583,7 @@ Rid::run()
         topts.max_extension_functions = opts_.triage_max_extension_functions;
         topts.max_paths = opts_.max_paths;
         topts.max_subcases = opts_.max_subcases;
-        topts.lower = lower_opts_;
+        topts.lower = retained_->options;
         triage::TriagePass pass(module_, db_, retained_->sources,
                                 analyzer.queryCache(), topts);
         {

@@ -129,8 +129,8 @@ class Rid
      * the module keeps only its functions' skeletons (and the IR of
      * those that call a refcount API loaded so far): a function's IR is
      * rebuilt from its span of the kept source (moved, not copied) when
-     * something first reads it, with the LowerOptions in force now. A
-     * unit that throws adds nothing.
+     * something first reads it, with the LowerOptions this Rid was built
+     * with. A unit that throws adds nothing.
      * @throws frontend::ParseError on syntax errors.
      */
     void addSource(std::string kernel_c_source);
@@ -175,16 +175,12 @@ class Rid
 
     analysis::AnalyzerOptions &options() { return opts_; }
 
-    /** Abstraction extensions (Section 5.4); adjust before addSource(). */
-    frontend::LowerOptions &lowerOptions() { return lower_opts_; }
-
   private:
     analysis::AnalyzerOptions opts_;
-    frontend::LowerOptions lower_opts_;
     ir::Module module_;
     summary::SummaryDb db_;
     std::vector<FileDiagnostic> file_errors_;
-    /** Every successfully added unit's source and lowering options: the
+    /** The LowerOptions and every successfully added unit's source: the
      *  module's Lowering hook, and the sources the triage pass re-lowers
      *  reported functions from. Defined in rid.cc. */
     struct Retained;

@@ -696,6 +696,16 @@ lowerFunctions(const AstUnit &unit, const LowerOptions &opts)
     return fns;
 }
 
+std::vector<ir::SourceSpan>
+spansOf(const AstUnit &unit)
+{
+    std::vector<ir::SourceSpan> spans;
+    spans.reserve(unit.functions.size());
+    for (const AstFunction &fn : unit.functions)
+        spans.push_back({fn.begin, fn.end, fn.first_line});
+    return spans;
+}
+
 std::unique_ptr<ir::Function>
 lowerSpan(std::string_view source, const ir::SourceSpan &span,
           const LowerOptions &opts)
@@ -714,7 +724,7 @@ ir::Module
 lowerUnit(const AstUnit &unit, const LowerOptions &opts)
 {
     ir::Module mod;
-    mod.commit(lowerFunctions(unit, opts));
+    mod.commit(lowerFunctions(unit, opts), spansOf(unit));
     return mod;
 }
 

@@ -13,6 +13,12 @@
  *  - `assert(e)` constrains the path: the failing branch jumps to an
  *    `__assert_fail` call, and the analysis discards such paths;
  *  - short-circuit && and || become control flow.
+ *
+ * A lowered unit enters an ir::Module through Module::commit with the
+ * spans its parse recorded (spansOf), so every function that came from
+ * source can be lowered again on its own (lowerSpan): the module rebuilds
+ * the IR it did not keep that way, and triage re-lowers a reported
+ * function at higher precision.
  */
 
 #ifndef RID_FRONTEND_LOWER_H
@@ -63,6 +69,10 @@ struct LowerOptions
 std::vector<std::unique_ptr<ir::Function>>
 lowerFunctions(const AstUnit &unit, const LowerOptions &opts = {});
 
+/** The source span parseUnit() recorded for each of @p unit's functions,
+ *  in order: the spans ir::Module::commit takes with lowerFunctions(). */
+std::vector<ir::SourceSpan> spansOf(const AstUnit &unit);
+
 /**
  * Lower the one function whose text is @p span of @p source, a span
  * parseUnit() recorded, exactly as lowering its whole unit lowers it:
@@ -78,7 +88,8 @@ std::unique_ptr<ir::Function> lowerSpan(std::string_view source,
 
 /**
  * Lower a parsed unit into a module of its own: lowerFunctions()
- * committed as the module's unit 0.
+ * committed with spansOf() as the module's unit 0. The module has no
+ * Lowering hook, so it keeps every function's IR.
  *
  * @throws ParseError for constructs that cannot be lowered.
  */

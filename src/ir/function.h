@@ -8,10 +8,12 @@
  * signature and must be covered by predefined summaries or default
  * summaries during analysis.
  *
- * A module keeps a Skeleton for every function (name, unit, flags,
- * callees, source span). Most of a corpus is category-3 code the
- * analysis never reads, so a unit committed from source keeps only
- * skeletons and each function's IR is built on first read.
+ * A module keeps a Skeleton for every function: its one identity record
+ * (name, unit, flags, callees, source span and, in a store run, body
+ * fingerprint). Most of a corpus is category-3 code the analysis never
+ * reads, so a module with a Lowering hook keeps only the skeletons of
+ * the functions committed with their source, and builds a function's IR
+ * when it is first read.
  */
 
 #ifndef RID_IR_FUNCTION_H
@@ -110,12 +112,6 @@ class Function
     std::span<const Name> params() const { return params_; }
     bool returnsValue() const { return returnsValue_; }
 
-    /** Ordinal of the Module::commit that took this function in (0 for
-     *  functions added one at a time), also on its Skeleton. Rid commits
-     *  one unit per retained source, so a function's unit() indexes that
-     *  source list. Not part of str() or fingerprint(). */
-    uint32_t unit() const { return unit_; }
-
     bool isDeclaration() const { return blocks_.empty(); }
 
     const BasicBlock &
@@ -195,7 +191,6 @@ class Function
     std::span<const Name> params_;
     std::span<const BasicBlock> blocks_;
     bool returnsValue_;
-    uint32_t unit_ = 0;                 ///< fills returnsValue_'s padding
 };
 
 // A frozen function owns nothing but its one allocation, so freeing it
@@ -214,25 +209,26 @@ struct SourceSpan
 };
 
 /**
- * What the module keeps for every function, with or without its IR:
- * enough for the call graph, classification phase one, default
- * summaries and store keys. A function committed from source keeps its
- * skeleton only, and its IR is rebuilt from the span on first read.
+ * What the module keeps for every function, with or without its IR: the
+ * function's identity, and enough for the call graph, classification
+ * phase one, default summaries and store keys.
  */
 struct Skeleton
 {
     Name name;
     const Name *callee_names = nullptr;   ///< see callees()
-    /** Source of a function committed without its IR; empty otherwise. */
+    /** Where the function's text is in its unit's source; empty (end 0)
+     *  for a function committed without one. */
     SourceSpan span;
-    uint32_t unit = 0;            ///< see Function::unit()
+    /** Ordinal of the Module::commit that took the function in. Rid
+     *  commits one unit per retained source, so it indexes that list. */
+    uint32_t unit = 0;
     uint32_t num_callees = 0;
     bool declaration = false;
     bool returns_value = false;
-    /** Module::committedFingerprint() holds Function::fingerprint(),
-     *  taken at commit only when asked for (a store keys every tracked
-     *  function by it). */
-    bool fingerprinted = false;
+    /** Function::fingerprint(), when the commit took it (a store keys
+     *  every tracked function by it); 0 otherwise. */
+    uint64_t fingerprint = 0;
 
     /** Distinct call targets, in the order of their first call in block
      *  order: the call graph's edge order. */
@@ -305,9 +301,9 @@ class FunctionRange
  * name -> function lookup; the call graph and the classifier resolve
  * names through it instead of copying them.
  *
- * Every function has a skeleton. Its IR is either committed with it
- * (commit(unit), addFunction, absorb) or, for a unit committed from
- * source, freed at commit and rebuilt through the Lowering hook the
+ * Every function enters through commit() and has a skeleton. Its IR is
+ * either kept, or, for a function committed with its span into a module
+ * with a Lowering hook, freed at commit and rebuilt through the hook the
  * first time function() or find() reads it. A build happens once per
  * function even when several threads ask at the same time; skeletons
  * never build anything.
@@ -320,36 +316,30 @@ class Module
     Module(Module &&) noexcept;
     Module &operator=(Module &&) noexcept;
 
-    /** Add one function (unit ordinal 0) under the first-definition-wins
-     *  rule; returns a stable non-owning pointer to the kept function. */
-    Function *addFunction(std::unique_ptr<Function> fn);
-
     /**
-     * Take in one unit's functions, in order, under the same rule
-     * (definitions win over declarations; duplicate definitions keep the
-     * first). The unit is stamped with the next unit ordinal, so a kept
-     * function's unit() names the commit it came from. A caller commits
+     * Take in one unit's functions, in order: definitions win over
+     * declarations, and duplicate definitions keep the first. The kept
+     * skeletons are stamped with the next unit ordinal. A caller commits
      * a unit only once all of it has lowered and verified, so a rejected
      * unit leaves the module untouched.
-     */
-    void commit(std::vector<std::unique_ptr<Function>> unit);
-
-    /**
-     * As above, but keep only the kept functions' skeletons, with
-     * @p spans[i] the source of @p unit[i], and free the IR: function()
-     * rebuilds it through the Lowering hook, which must be set. With
-     * @p fingerprint, each kept skeleton also records the function's
-     * fingerprint before its IR goes. A function that calls any of
-     * @p keep_callers_of keeps its IR: Rid passes the refcount APIs,
-     * whose direct callers are category 1 (Section 5.2), so the
+     *
+     * @p spans, when not empty, holds the source of each of @p unit's
+     * functions. A function committed with its span keeps only its
+     * skeleton when the module has a Lowering hook, and function()
+     * rebuilds its IR; otherwise it keeps its IR. A function that calls
+     * any of @p keep_callers_of keeps its IR too: Rid passes the refcount
+     * APIs, whose direct callers are category 1 (Section 5.2), so the
      * analysis reads them anyway and a rebuild would lower them twice.
+     * With @p fingerprint, each kept skeleton records the function's
+     * fingerprint while its IR is at hand.
      */
     void commit(std::vector<std::unique_ptr<Function>> unit,
-                std::span<const SourceSpan> spans, bool fingerprint,
+                std::span<const SourceSpan> spans = {},
+                bool fingerprint = false,
                 std::span<const Name> keep_callers_of = {});
 
-    /** Commit @p other's functions as one unit (building any it has not
-     *  built yet). */
+    /** Commit @p other's functions with their spans as one unit
+     *  (building any it has not built yet). */
     void absorb(Module other);
 
     /** Install the hook that builds functions committed from source. */
@@ -363,9 +353,15 @@ class Module
     /** The skeleton of function @p k; never builds IR. */
     const Skeleton &skeleton(size_t k) const { return entries_[k].sk; }
 
-    /** The fingerprint function @p k's IR had when it was committed;
-     *  only when skeleton(k).fingerprinted. */
-    uint64_t committedFingerprint(size_t k) const { return fingerprints_[k]; }
+    /** Function::fingerprint() of function @p k: the one its commit
+     *  took, or else rendered from its IR (which builds it). */
+    uint64_t
+    fingerprint(size_t k) const
+    {
+        // A body that really hashes to 0 is rendered on each call.
+        const uint64_t fp = entries_[k].sk.fingerprint;
+        return fp ? fp : function(k).fingerprint();
+    }
 
     /** The IR of function @p k, built on first read.
      *  @throws whatever the Lowering hook throws; nothing is kept then. */
@@ -425,16 +421,11 @@ class Module
     /** The slot holding @p name, or the empty slot where it would go. */
     size_t slotOf(std::string_view name, uint32_t hash) const;
 
-    /**
-     * Place @p fn under the first-definition-wins rule with unit ordinal
-     * @p unit. With a @p span the IR is freed after its skeleton is
-     * taken (fingerprinted when @p fingerprint) unless @p fn calls one
-     * of @p keep_callers_of; without one it is kept. Returns the kept
-     * function's position.
-     */
-    size_t place(std::unique_ptr<Function> fn, uint32_t unit,
-                 const SourceSpan *span, bool fingerprint,
-                 std::span<const Name> keep_callers_of = {});
+    /** Place @p fn, with source @p span, under commit()'s rules and
+     *  with unit ordinal @p unit. */
+    void place(std::unique_ptr<Function> fn, uint32_t unit,
+               const SourceSpan &span, bool fingerprint,
+               std::span<const Name> keep_callers_of);
 
     /** Record @p fn's distinct callees, copied into module-owned
      *  storage, on @p sk. */
@@ -454,8 +445,6 @@ class Module
     /** Backing store of the skeletons' callee lists: chunks that never
      *  move, filled in order. */
     std::vector<std::unique_ptr<Name[]>> callee_chunks_;
-    /** committedFingerprint() by position; empty until one is taken. */
-    std::vector<uint64_t> fingerprints_;
     size_t callee_chunk_used_ = 0;
     size_t callee_chunk_size_ = 0;
     uint32_t units_ = 0;                ///< commit() calls so far

@@ -485,9 +485,9 @@ Module::storeCallees(const Function &fn, Skeleton &sk)
     sk.callee_names = dst;
 }
 
-size_t
+void
 Module::place(std::unique_ptr<Function> fn, uint32_t unit,
-              const SourceSpan *span, bool fingerprint,
+              const SourceSpan &span, bool fingerprint,
               std::span<const Name> keep_callers_of)
 {
     if ((entries_.size() + 1) * 4 > index_.size() * 3) {
@@ -510,54 +510,31 @@ Module::place(std::unique_ptr<Function> fn, uint32_t unit,
     // definition takes the declaration's slot and position.
     Entry *kept = s.pos < 0 ? nullptr : &entries_[s.pos];
     if (kept && !(kept->sk.declaration && !fn->isDeclaration()))
-        return s.pos;
+        return;
 
-    fn->unit_ = unit;
     Skeleton sk;
     sk.name = fn->name_;
+    sk.span = span;
     sk.unit = unit;
     sk.declaration = fn->isDeclaration();
     sk.returns_value = fn->returnsValue();
+    if (fingerprint)
+        sk.fingerprint = fn->fingerprint();
     storeCallees(*fn, sk);
-    const size_t pos = kept ? s.pos : entries_.size();
-    bool keep = !span;   // an eager commit keeps its IR
-    if (span) {
-        sk.span = *span;
-        if (fingerprint) {
-            if (fingerprints_.size() <= pos)
-                fingerprints_.resize(pos + 1);
-            fingerprints_[pos] = fn->fingerprint();
-            sk.fingerprinted = true;
-        }
-        for (Name callee : sk.callees())
-            keep = keep || std::ranges::find(keep_callers_of, callee) !=
-                               keep_callers_of.end();
-    }
+    // Only a function the hook can rebuild from its source gives up its
+    // IR.
+    bool keep = !lazy_ || span.end == 0;
+    for (Name callee : sk.callees())
+        keep = keep || std::ranges::find(keep_callers_of, callee) !=
+                           keep_callers_of.end();
     Function *ir = keep ? fn.release() : nullptr;
     if (!kept) {
-        s = {hash, static_cast<int32_t>(pos)};
+        s = {hash, static_cast<int32_t>(entries_.size())};
         entries_.emplace_back(sk, ir);
-        return pos;
+        return;
     }
     kept->sk = sk;
     delete kept->fn.exchange(ir, std::memory_order_relaxed);
-    return pos;
-}
-
-Function *
-Module::addFunction(std::unique_ptr<Function> fn)
-{
-    const size_t k = place(std::move(fn), 0, nullptr, false);
-    function(k);
-    return entries_[k].fn.load(std::memory_order_relaxed);
-}
-
-void
-Module::commit(std::vector<std::unique_ptr<Function>> unit)
-{
-    uint32_t ordinal = units_++;
-    for (auto &fn : unit)
-        place(std::move(fn), ordinal, nullptr, false);
 }
 
 void
@@ -565,13 +542,14 @@ Module::commit(std::vector<std::unique_ptr<Function>> unit,
                std::span<const SourceSpan> spans, bool fingerprint,
                std::span<const Name> keep_callers_of)
 {
-    if (!lazy_ || spans.size() != unit.size())
+    if (!spans.empty() && spans.size() != unit.size())
         throw std::logic_error(
-            "ir::Module: a unit committed from source needs a Lowering "
-            "hook and one span per function");
+            "ir::Module: a unit committed with spans needs one per "
+            "function");
     uint32_t ordinal = units_++;
     for (size_t i = 0; i < unit.size(); i++)
-        place(std::move(unit[i]), ordinal, &spans[i], fingerprint,
+        place(std::move(unit[i]), ordinal,
+              spans.empty() ? SourceSpan{} : spans[i], fingerprint,
               keep_callers_of);
 }
 
@@ -579,13 +557,16 @@ void
 Module::absorb(Module other)
 {
     std::vector<std::unique_ptr<Function>> unit;
+    std::vector<SourceSpan> spans;
     unit.reserve(other.size());
+    spans.reserve(other.size());
     for (size_t k = 0; k < other.size(); k++) {
         other.function(k);
         unit.emplace_back(other.entries_[k].fn.exchange(
             nullptr, std::memory_order_relaxed));
+        spans.push_back(other.entries_[k].sk.span);
     }
-    commit(std::move(unit));
+    commit(std::move(unit), spans);
 }
 
 void
@@ -616,7 +597,6 @@ Module::build(size_t k) const
         fn->isDeclaration() != e.sk.declaration)
         throw IrError(e.sk.name.str(), 0,
                       "rebuilt function does not match its skeleton");
-    fn->unit_ = e.sk.unit;
     lazy_->lowered.fetch_add(1, std::memory_order_relaxed);
     Function *built = fn.release();
     e.fn.store(built, std::memory_order_release);

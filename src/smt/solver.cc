@@ -109,19 +109,15 @@ tighten(FmCons &c)
 
 } // anonymous namespace
 
+template <typename Solve>
 SatResult
-Solver::check(const Formula &f)
+Solver::query(const Formula &f, Solve &&solve)
 {
     stats_.queries++;
-    if (f.isTrue()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Sat, false,
-                                true, 0};
-        return SatResult::Sat;
-    }
-    if (f.isFalse()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unsat, false,
-                                true, 0};
-        return SatResult::Unsat;
+    if (f.isTrue() || f.isFalse()) {
+        SatResult r = f.isTrue() ? SatResult::Sat : SatResult::Unsat;
+        last_query_ = QueryInfo{f.fingerprint(), r, false, true, 0};
+        return r;
     }
     obs::failpoint("smt.solver.check");
     // Budget gate before any real work *and* before the cache: a
@@ -150,11 +146,7 @@ Solver::check(const Formula &f)
         }
     }
     if (!cached_hit) {
-        Formula n = f.nnf();
-        std::vector<LinLit> acc;
-        VarSpace space;
-        int budget = opts_.max_branches;
-        r = enumerate(n, acc, space, budget);
+        r = solve();
         if (cache_)
             cache_->insert(f, r, opts_.cache_pass);
     }
@@ -170,6 +162,17 @@ Solver::check(const Formula &f)
         span.arg("cache", "hit");
     last_query_ = QueryInfo{f.fingerprint(), r, cached_hit, false, 1};
     return r;
+}
+
+SatResult
+Solver::check(const Formula &f)
+{
+    return query(f, [&] {
+        std::vector<LinLit> acc;
+        VarSpace space;
+        int budget = opts_.max_branches;
+        return enumerate(f.nnf(), acc, space, budget);
+    });
 }
 
 bool
@@ -187,43 +190,7 @@ Solver::checkChain(const CondChain &chain)
         // produced by the executors; decided by the batch path.
         return check(chain.formula());
     }
-    stats_.queries++;
-    Formula f = chain.formula();
-    if (f.isTrue()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Sat, false,
-                                true, 0};
-        return SatResult::Sat;
-    }
-    if (f.isFalse()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unsat, false,
-                                true, 0};
-        return SatResult::Unsat;
-    }
-    obs::failpoint("smt.solver.check");
-    // Same budget gate as check(): fuel before the cache, Unknown
-    // without polluting shared verdicts.
-    if (budget_ && (!budget_->consumeFuel() || budget_->expiredNow())) {
-        stats_.budget_stops++;
-        stats_.unknowns++;
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unknown,
-                                false, false, 1};
-        return SatResult::Unknown;
-    }
-    obs::Span span(opts_.trace_queries ? obs::currentTracer() : nullptr,
-                   "smt", "solver-query");
-    auto t0 = std::chrono::steady_clock::now();
-    SatResult r;
-    bool cached_hit = false;
-    if (cache_) {
-        if (auto cached = cache_->lookup(f, opts_.cache_pass)) {
-            stats_.cache_hits++;
-            cached_hit = true;
-            r = *cached;
-        } else {
-            stats_.cache_misses++;
-        }
-    }
-    if (!cached_hit) {
+    return query(chain.formula(), [&] {
         // The chain already holds the literals check() would collect
         // from nnf(f)'s top level, in the same order and against the
         // same VarSpace id assignment; only pending disjunctions are
@@ -232,30 +199,14 @@ Solver::checkChain(const CondChain &chain)
         std::vector<Formula> pendings;
         VarSpace space;
         chain.materialize(acc, pendings, space);
+        if (pendings.empty())
+            return theoryCheck(acc);
+        // conj of the pending Ors reproduces the single-pending
+        // recursion / first-Or distribution of the And case.
         int budget = opts_.max_branches;
-        if (pendings.empty()) {
-            r = theoryCheck(acc);
-        } else {
-            // conj of the pending Ors reproduces the single-pending
-            // recursion / first-Or distribution of the And case.
-            r = enumerate(Formula::conj(std::move(pendings)), acc, space,
-                          budget);
-        }
-        if (cache_)
-            cache_->insert(f, r, opts_.cache_pass);
-    }
-    uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    stats_.solve_ns += ns;
-    if (latency_hist_)
-        latency_hist_->observe(ns * 1e-9);
-    span.arg("result", satResultName(r));
-    if (cached_hit)
-        span.arg("cache", "hit");
-    last_query_ = QueryInfo{f.fingerprint(), r, cached_hit, false, 1};
-    return r;
+        return enumerate(Formula::conj(std::move(pendings)), acc, space,
+                         budget);
+    });
 }
 
 bool

@@ -200,6 +200,14 @@ class Solver
     const QueryInfo &lastQuery() const { return last_query_; }
 
   private:
+    /**
+     * The one query path of check() and checkChain(): the trivial
+     * answers, the failpoint, the budget gate, then the span, timing,
+     * cache lookup and insert, latency histogram and lastQuery() around
+     * @p solve, which decides @p f on a cache miss.
+     */
+    template <typename Solve>
+    SatResult query(const Formula &f, Solve &&solve);
     SatResult enumerate(const Formula &f, std::vector<LinLit> &acc,
                         VarSpace &space, int &branch_budget);
     SatResult theoryCheck(std::vector<LinLit> lits);

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "analysis/symexec.h"
-#include "frontend/parser.h"
 #include "obs/failpoint.h"
 #include "obs/trace.h"
 
@@ -89,21 +88,7 @@ TriagePass::lowerHp(const std::string &function)
     // as `unverified` (no hp definition), which is the TP-safe direction;
     // the other functions of its unit are not affected.
     try {
-        const std::string &source = sources_[sk.unit].second;
-        ir::SourceSpan where = sk.span;
-        if (where.end == 0) {
-            // An eagerly committed unit (Module::absorb) keeps no spans:
-            // take the unit's first definition of the name, the one the
-            // module kept.
-            const frontend::AstUnit unit = frontend::parseUnit(source);
-            for (const auto &fn : unit.functions) {
-                if (fn.is_definition && fn.name == sk.name) {
-                    where = {fn.begin, fn.end, fn.first_line};
-                    break;
-                }
-            }
-        }
-        return frontend::lowerSpan(source, where, hp);
+        return frontend::lowerSpan(sources_[sk.unit].second, sk.span, hp);
     } catch (const std::exception &) {
         return nullptr;
     }

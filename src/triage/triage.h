@@ -125,12 +125,11 @@ struct TriageStats
 /**
  * The triage pass. Construct once per run with the run's module, summary
  * database (computed summaries included), retained (name, source) pairs
- * — one per ir::Module::commit, in commit order, so a function's
- * unit() indexes them — and the shared solver-verdict cache (null when
- * the cache is off), then
- * run() over the run's reports: tiers are stamped, deciding refutation
- * queries are appended to each report's evidence, and the report vector
- * is re-ordered by rank.
+ * — one per ir::Module::commit, in commit order, so a skeleton's unit
+ * indexes them — and the shared solver-verdict cache (null when the
+ * cache is off), then run() over the run's reports: tiers are stamped,
+ * deciding refutation queries are appended to each report's evidence,
+ * and the report vector is re-ordered by rank.
  */
 class TriagePass
 {

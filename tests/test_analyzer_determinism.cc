@@ -352,6 +352,22 @@ class InjectedDeterminismTest : public ::testing::Test
         return digest;
     }
 
+    /** The provenance journal of one triaged run at @p threads. */
+    static std::string
+    triageJournal(int threads)
+    {
+        analysis::AnalyzerOptions opts;
+        opts.threads = threads;
+        opts.triage = true;
+        Rid tool(opts);
+        tool.loadSpecText(kernel::dpmSpecText());
+        tool.loadSpecText(kernel::lockSpecText());
+        tool.loadSpecText(kernel::allocSpecText());
+        for (const auto &file : triage_injected_.corpus.files)
+            tool.addSource(file.text);
+        return obs::renderJournal(provenanceRecords(tool.run()));
+    }
+
     struct ScoredRun
     {
         std::string digest;
@@ -510,6 +526,37 @@ TEST_F(InjectedDeterminismTest, FingerprintsAreConfigInvariant)
                 << "threads=" << threads << " cache=" << cache;
         }
     }
+}
+
+/** @p journal with every query's cache_hit flag blanked. */
+std::string
+maskCacheHits(std::string journal)
+{
+    for (const std::string flag :
+         {"\"cache_hit\":true", "\"cache_hit\":false"}) {
+        for (size_t at = journal.find(flag); at != std::string::npos;
+             at = journal.find(flag, at))
+            journal.replace(at, flag.size(), "\"cache_hit\":_");
+    }
+    return journal;
+}
+
+TEST_F(InjectedDeterminismTest, JournalDiffersAcrossThreadsOnlyInCacheHitFlags)
+{
+    // The journal's determinism contract (docs/PROVENANCE.md): runs at
+    // one thread journal the same bytes. Above one thread the workers
+    // share the query cache, so whether a query was answered from it
+    // depends on which worker solved its formula first: only the
+    // per-query cache_hit flags may differ.
+    const std::string one = triageJournal(1);
+    ASSERT_NE(one.find("\"cache_hit\":"), std::string::npos);
+    ASSERT_NE(one.find("\"tier\":"), std::string::npos);
+    EXPECT_EQ(triageJournal(1), one);
+    const std::string masked = maskCacheHits(one);
+    ASSERT_EQ(masked.find("\"cache_hit\":t"), std::string::npos);
+    ASSERT_EQ(masked.find("\"cache_hit\":f"), std::string::npos);
+    for (int run = 0; run < 2; run++)
+        EXPECT_EQ(maskCacheHits(triageJournal(4)), masked) << "run " << run;
 }
 
 TEST_F(AnalyzerDeterminismTest, CacheDoesNotChangeReportCount)

@@ -326,7 +326,7 @@ TEST(LowerCommit, RejectedUnitLeavesTheCorpusModuleAsItWas)
     for (size_t k = 0; k < before.size(); k++) {
         EXPECT_EQ(mod.functions()[k], before[k]);
         EXPECT_EQ(mod.indexOf(before[k]->name()), static_cast<int>(k));
-        EXPECT_EQ(before[k]->unit(), 0u);
+        EXPECT_EQ(mod.skeleton(k).unit, 0u);
     }
     EXPECT_TRUE(mod.find("helper")->isDeclaration());
     EXPECT_EQ(mod.indexOf("extra"), -1);
@@ -339,14 +339,14 @@ TEST(LowerCommit, RejectedUnitLeavesTheCorpusModuleAsItWas)
     EXPECT_EQ(mod.size(), 2u);
     EXPECT_EQ(mod.indexOf("helper"), 0);
     EXPECT_FALSE(mod.find("helper")->isDeclaration());
-    EXPECT_EQ(mod.find("helper")->unit(), 1u);
-    EXPECT_EQ(mod.find("user")->unit(), 0u);
+    EXPECT_EQ(mod.skeleton(mod.indexOf("helper")).unit, 1u);
+    EXPECT_EQ(mod.skeleton(mod.indexOf("user")).unit, 0u);
 }
 
 TEST(LowerCommit, RejectedFileDoesNotShiftTheTriageUnits)
 {
     // Units count committed files only, so with a rejected file between
-    // two accepted ones a function's unit() still indexes the retained
+    // two accepted ones a skeleton's unit still indexes the retained
     // sources, and triage re-lowers the unit that defines it: the
     // bit-test false positive is refuted only by its own body.
     analysis::AnalyzerOptions opts;
@@ -370,9 +370,9 @@ TEST(LowerCommit, RejectedFileDoesNotShiftTheTriageUnits)
         "    return 0;\n"
         "}\n"
         "void mark_async_0(struct device *dev);\n"));
-    const ir::Function *fn = tool.module().find("fp_bitmask_fn");
-    ASSERT_NE(fn, nullptr);
-    EXPECT_EQ(fn->unit(), 1u);
+    const int k = tool.module().indexOf("fp_bitmask_fn");
+    ASSERT_GE(k, 0);
+    EXPECT_EQ(tool.module().skeleton(k).unit, 1u);
 
     RunResult result = tool.run();
     ASSERT_EQ(result.reports.size(), 1u);

@@ -200,18 +200,15 @@ class CopyLowering final : public ir::Lowering
     std::string source_;
 };
 
-/** Commit @p source as one unit of @p mod from source spans. */
+/** Commit @p source as one unit of @p mod with its source spans. */
 void
 commitFromSource(ir::Module &mod, const std::string &source,
                  bool fingerprint = false,
                  std::vector<ir::Name> keep_callers_of = {})
 {
     frontend::AstUnit unit = frontend::parseUnit(source);
-    std::vector<ir::SourceSpan> spans;
-    for (const auto &fn : unit.functions)
-        spans.push_back({fn.begin, fn.end, fn.first_line});
-    mod.commit(frontend::lowerFunctions(unit), spans, fingerprint,
-               keep_callers_of);
+    mod.commit(frontend::lowerFunctions(unit), frontend::spansOf(unit),
+               fingerprint, keep_callers_of);
 }
 
 const std::string kUnit = "int helper(int a);\n"
@@ -256,8 +253,8 @@ TEST(LazyModule, SkeletonsWithoutIrUntilFirstRead)
     EXPECT_EQ(mod.find("f"), &built);
     EXPECT_EQ(hook->calls.load(), 1);
     EXPECT_TRUE(hook->suppressed.load());
-    EXPECT_EQ(built.fingerprint(), mod.committedFingerprint(k));
-    EXPECT_TRUE(f.fingerprinted);
+    EXPECT_EQ(f.fingerprint, built.fingerprint());
+    EXPECT_EQ(mod.fingerprint(k), built.fingerprint());
     EXPECT_EQ(built.str(), frontend::compile(kUnit).find("f")->str());
     EXPECT_FALSE(mod.built(mod.indexOf("g")));
 }
@@ -279,11 +276,19 @@ TEST(LazyModule, CallersOfKeptNamesKeepTheirIr)
 
 TEST(LazyModule, FingerprintOnlyWhenAsked)
 {
+    // Without one taken at commit, fingerprint() renders the IR, which
+    // builds it.
+    auto hook = std::make_shared<CopyLowering>(kUnit);
     ir::Module mod;
-    mod.setLowering(std::make_shared<CopyLowering>(kUnit));
+    mod.setLowering(hook);
     commitFromSource(mod, kUnit);
-    for (size_t k = 0; k < mod.size(); k++)
-        EXPECT_FALSE(mod.skeleton(k).fingerprinted);
+    const ir::Module eager = frontend::compile(kUnit);
+    for (size_t k = 0; k < mod.size(); k++) {
+        EXPECT_EQ(mod.skeleton(k).fingerprint, 0u);
+        EXPECT_EQ(mod.fingerprint(k), eager.function(k).fingerprint());
+        EXPECT_TRUE(mod.built(k));
+    }
+    EXPECT_EQ(hook->calls.load(), static_cast<int>(mod.size()));
 }
 
 TEST(LazyModule, FailedBuildKeepsNothingAndRetries)
@@ -312,20 +317,40 @@ TEST(LazyModule, RebuildMustMatchTheSkeleton)
     EXPECT_FALSE(mod.built(0));
 }
 
-TEST(LazyModule, CommitFromSourceNeedsTheHook)
+TEST(LazyModule, SpansWithoutAHookKeepIr)
 {
+    // Without a hook nothing could rebuild a function, so a commit with
+    // spans keeps every function's IR, and the skeletons keep the spans.
     ir::Module mod;
-    EXPECT_THROW(commitFromSource(mod, kUnit), std::logic_error);
-    EXPECT_EQ(mod.size(), 0u);
+    commitFromSource(mod, kUnit);
+    ASSERT_EQ(mod.size(), 3u);
+    const frontend::AstUnit unit = frontend::parseUnit(kUnit);
+    for (size_t k = 0; k < mod.size(); k++) {
+        EXPECT_TRUE(mod.built(k));
+        EXPECT_EQ(mod.skeleton(k).span.begin, unit.functions[k].begin);
+        EXPECT_EQ(mod.skeleton(k).span.end, unit.functions[k].end);
+        EXPECT_EQ(mod.skeleton(k).span.line, unit.functions[k].first_line);
+    }
+    EXPECT_EQ(mod.lowered(), 0u);
+    EXPECT_EQ(mod.str(), frontend::compile(kUnit).str());
+
+    // Spans must match the unit one for one.
+    const std::vector<ir::SourceSpan> one{{0, 1, 1}};
+    EXPECT_THROW(mod.commit(frontend::lowerFunctions(unit), one),
+                 std::logic_error);
+    EXPECT_EQ(mod.size(), 3u);
 }
 
 TEST(LazyModule, EagerCommitsAndAbsorbKeepIr)
 {
     // Eagerly lowered modules have every function built and count no
-    // builds; absorbing a lazy module builds its functions first.
+    // builds, and keep each function's span; absorbing a lazy module
+    // builds its functions first and carries their spans.
     ir::Module eager = frontend::compile(kUnit);
-    for (size_t k = 0; k < eager.size(); k++)
+    for (size_t k = 0; k < eager.size(); k++) {
         EXPECT_TRUE(eager.built(k));
+        EXPECT_GT(eager.skeleton(k).span.end, 0u);
+    }
     EXPECT_EQ(eager.lowered(), 0u);
     EXPECT_EQ(eager.skeleton(eager.indexOf("f")).callees().size(), 2u);
 
@@ -335,8 +360,12 @@ TEST(LazyModule, EagerCommitsAndAbsorbKeepIr)
     ir::Module corpus;
     corpus.absorb(std::move(lazy));
     ASSERT_EQ(corpus.size(), 3u);
-    for (size_t k = 0; k < corpus.size(); k++)
+    for (size_t k = 0; k < corpus.size(); k++) {
         EXPECT_TRUE(corpus.built(k));
+        EXPECT_EQ(corpus.skeleton(k).span.begin, eager.skeleton(k).span.begin);
+        EXPECT_EQ(corpus.skeleton(k).span.end, eager.skeleton(k).span.end);
+        EXPECT_EQ(corpus.skeleton(k).span.line, eager.skeleton(k).span.line);
+    }
     EXPECT_EQ(corpus.str(), frontend::compile(kUnit).str());
 }
 
@@ -355,7 +384,6 @@ TEST(LazyModule, DefinitionReplacesLazyDeclaration)
     EXPECT_FALSE(mod.skeleton(k).declaration);
     EXPECT_EQ(mod.skeleton(k).unit, 1u);
     EXPECT_FALSE(mod.function(k).isDeclaration());
-    EXPECT_EQ(mod.function(k).unit(), 1u);
 }
 
 // ----------------------------------------------------------------------
@@ -448,10 +476,14 @@ TEST(LazyRid, StoreRunsFingerprintAtLoad)
     auto tool = loadedTool(opts);
     const ir::Module &mod = tool->module();
     for (size_t k = 0; k < mod.size(); k += 97) {
-        ASSERT_TRUE(mod.skeleton(k).fingerprinted);
-        EXPECT_EQ(mod.committedFingerprint(k), mod.function(k).fingerprint());
+        ASSERT_NE(mod.skeleton(k).fingerprint, 0u);
+        // The fingerprint taken at load builds nothing.
+        const bool had_ir = mod.built(k);
+        const uint64_t fp = mod.fingerprint(k);
+        EXPECT_EQ(mod.built(k), had_ir);
+        EXPECT_EQ(fp, mod.function(k).fingerprint());
     }
-    EXPECT_FALSE(loadedTool()->module().skeleton(0).fingerprinted);
+    EXPECT_EQ(loadedTool()->module().skeleton(0).fingerprint, 0u);
 }
 
 TEST(LazyRid, BuildingAddsNoInternsAndInjectsNoFaults)

@@ -228,6 +228,31 @@ TEST(Solver, BranchBudgetYieldsUnknown)
     EXPECT_NE(r, SatResult::Unsat);  // must not claim unsat on a budget
 }
 
+TEST(Solver, LiteralOutsideLinearArithmeticKeepsSiblingConstraints)
+{
+    // x > 0 && x < 0 && ((a == b) == (c == d) || y > 0) is Unsat. The
+    // Or's first child is not linear, so it is checked as unconstrained
+    // against the collected literals; the second child must still see
+    // x > 0 and x < 0.
+    Formula nonlinear = Formula::lit(Expr::cmp(
+        Pred::Eq, Expr::cmp(Pred::Eq, Expr::arg("a"), Expr::arg("b")),
+        Expr::cmp(Pred::Eq, Expr::arg("c"), Expr::arg("d"))));
+    Formula alt = nonlinear.lor(lit("y", Pred::Gt, 0));
+    Formula f = Formula::conj(
+        {lit("x", Pred::Gt, 0), lit("x", Pred::Lt, 0), alt});
+
+    Solver s;
+    EXPECT_EQ(s.check(f), SatResult::Unsat);
+
+    Solver chained;
+    CondChain chain = CondChain()
+                          .extended(nullptr, lit("x", Pred::Gt, 0))
+                          .extended(nullptr, lit("x", Pred::Lt, 0))
+                          .extended(nullptr, alt);
+    ASSERT_EQ(chain.formula().fingerprint(), f.fingerprint());
+    EXPECT_EQ(chained.checkChain(chain), SatResult::Unsat);
+}
+
 TEST(Solver, IsSatTreatsUnknownAsSat)
 {
     Solver::Options opts;

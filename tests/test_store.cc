@@ -292,12 +292,13 @@ class StoreEndToEnd : public ::testing::Test
 
     static std::unique_ptr<Rid>
     makeTool(const std::string &store_dir, bool resume,
-             const std::string &failpoints = "")
+             const std::string &failpoints = "", int threads = 1)
     {
         analysis::AnalyzerOptions opts;
         opts.store_path = store_dir;
         opts.resume = resume;
         opts.failpoints = failpoints;
+        opts.threads = threads;
         auto tool = std::make_unique<Rid>(opts);
         tool->loadSpecText(kernel::dpmSpecText());
         for (const auto &file : corpus_.files)
@@ -385,6 +386,51 @@ TEST_F(StoreEndToEnd, WarmResumeReplaysEverythingByteIdentically)
     // surfaces the same per-function records either way.
     EXPECT_EQ(warm_result.diagnostics.size(),
               cold_result.diagnostics.size());
+}
+
+TEST_F(StoreEndToEnd, FourWorkerStoreMatchesOneWorkerAndResumesAtEither)
+{
+    // Reports in output order with their identities: the same at every
+    // thread count (the journal is not, as its cache_hit flags vary).
+    auto ordered = [](const RunResult &result) {
+        std::string out;
+        for (const auto &report : result.reports)
+            out += report.str() + " " +
+                   std::to_string(report.fingerprint) + "\n";
+        return out;
+    };
+    const std::string dir1 = freshDir("threads_1");
+    auto one = makeTool(dir1, /*resume=*/false);
+    RunResult one_result = one->run();
+    ASSERT_FALSE(one_result.reports.empty());
+    // A cold scan misses once per tracked function.
+    const size_t tracked = one_result.stats.store.misses;
+    ASSERT_GT(tracked, 0u);
+
+    // Four workers append records while they read the module's
+    // fingerprints.
+    const std::string dir4 = freshDir("threads_4");
+    auto four = makeTool(dir4, /*resume=*/false, "", /*threads=*/4);
+    RunResult four_result = four->run();
+    EXPECT_EQ(ordered(four_result), ordered(one_result));
+    EXPECT_EQ(digestOf(*four, four_result), digestOf(*one, one_result));
+    EXPECT_EQ(four_result.stats.store.misses, tracked);
+    EXPECT_EQ(four_result.stats.store.failed_writes, 0u);
+
+    // The 4-thread store replays every tracked function, resumed with
+    // four workers or with one (a warm resume appends nothing, so both
+    // read the store as the cold scan wrote it).
+    for (int threads : {4, 1}) {
+        SCOPED_TRACE("resume at threads=" + std::to_string(threads));
+        auto warm = makeTool(dir4, /*resume=*/true, "", threads);
+        RunResult warm_result = warm->run();
+        EXPECT_EQ(ordered(warm_result), ordered(one_result));
+        EXPECT_EQ(digestOf(*warm, warm_result), digestOf(*one, one_result));
+        EXPECT_EQ(warm_result.stats.store.hits, tracked);
+        EXPECT_EQ(warm_result.stats.store.misses, 0u);
+        EXPECT_EQ(warm_result.stats.functions_analyzed, 0u);
+        EXPECT_EQ(warm_result.stats.store.bytes_appended, 0u);
+    }
 }
 
 TEST_F(StoreEndToEnd, KilledRunResumesToByteIdenticalReports)
