@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "analysis/analyzer.h"
 #include "analysis/paths.h"
@@ -28,7 +29,6 @@
 #include "frontend/lower.h"
 #include "kernel/dpm_specs.h"
 #include "kernel/generator.h"
-#include "smt/query_cache.h"
 #include "smt/solver.h"
 #include "summary/spec.h"
 
@@ -178,8 +178,7 @@ BM_AnalyzeCorpusQueryCache(benchmark::State &state)
     // The repeated-overlap workload: the IPP phase restarts its pairwise
     // scan after every merge/drop and symbolic execution re-checks
     // growing path prefixes, so the same formulas are solved over and
-    // over. Arg(1) attaches the shared memoized query cache; Arg(0) is
-    // the uncached baseline.
+    // over; the shared query cache answers the repeats.
     auto mix = rid::kernel::CorpusMix::paperCalibrated(0.01);
     auto corpus = rid::kernel::generateCorpus(mix);
     rid::ir::Module module;
@@ -190,9 +189,7 @@ BM_AnalyzeCorpusQueryCache(benchmark::State &state)
     for (auto _ : state) {
         rid::summary::SummaryDb db;
         rid::summary::loadSpecsInto(rid::kernel::dpmSpecText(), db);
-        rid::analysis::AnalyzerOptions opts;
-        opts.use_query_cache = state.range(0) != 0;
-        rid::analysis::Analyzer analyzer(module, db, opts);
+        rid::analysis::Analyzer analyzer(module, db);
         analyzer.run();
         theory_checks = analyzer.stats().solver.theory_checks;
         hits = analyzer.stats().query_cache.hits;
@@ -201,8 +198,7 @@ BM_AnalyzeCorpusQueryCache(benchmark::State &state)
     state.counters["theory_checks"] = static_cast<double>(theory_checks);
     state.counters["cache_hits"] = static_cast<double>(hits);
 }
-BENCHMARK(BM_AnalyzeCorpusQueryCache)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyzeCorpusQueryCache)->Unit(benchmark::kMillisecond);
 
 /** Wrapper-heavy corpus: the callee-summary hot path. Boosted wrapper
  *  trios and get/put drivers make `summary::instantiate` the dominant
@@ -227,11 +223,10 @@ wrapperHeavyMix()
 void
 BM_AnalyzeCorpusInterning(benchmark::State &state)
 {
-    // The callee-instantiation workload: Arg(1) attaches the shared
-    // instantiation cache (summary/inst_cache.h), Arg(0) instantiates
-    // every callee entry from scratch. Reports and summaries are
-    // byte-identical either way (determinism suite); only the number of
-    // from-scratch instantiations changes.
+    // The callee-instantiation workload: the shared instantiation cache
+    // (summary/inst_cache.h) answers repeated callee-entry
+    // instantiations; "entries_instantiated" counts the ones built from
+    // scratch.
     auto corpus = rid::kernel::generateCorpus(wrapperHeavyMix());
     rid::ir::Module module;
     for (const auto &file : corpus.files)
@@ -241,9 +236,7 @@ BM_AnalyzeCorpusInterning(benchmark::State &state)
     for (auto _ : state) {
         rid::summary::SummaryDb db;
         rid::summary::loadSpecsInto(rid::kernel::dpmSpecText(), db);
-        rid::analysis::AnalyzerOptions opts;
-        opts.intern_instantiations = state.range(0) != 0;
-        rid::analysis::Analyzer analyzer(module, db, opts);
+        rid::analysis::Analyzer analyzer(module, db);
         analyzer.run();
         instantiated = analyzer.stats().entries_instantiated;
         hits = analyzer.stats().inst_cache.hits;
@@ -253,8 +246,7 @@ BM_AnalyzeCorpusInterning(benchmark::State &state)
         static_cast<double>(instantiated);
     state.counters["inst_cache_hits"] = static_cast<double>(hits);
 }
-BENCHMARK(BM_AnalyzeCorpusInterning)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyzeCorpusInterning)->Unit(benchmark::kMillisecond);
 
 void
 BM_AnalyzeCorpusThreads(benchmark::State &state)
@@ -279,6 +271,24 @@ BM_AnalyzeCorpusThreads(benchmark::State &state)
 BENCHMARK(BM_AnalyzeCorpusThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+/** Load the DPM spec and @p corpus into a Rid built with @p opts, and
+ *  run it; returns the result and the run's wall seconds. */
+std::pair<rid::RunResult, double>
+timedRun(const rid::kernel::Corpus &corpus,
+         rid::analysis::AnalyzerOptions opts = {})
+{
+    rid::Rid tool(std::move(opts));
+    tool.loadSpecText(rid::kernel::dpmSpecText());
+    for (const auto &file : corpus.files)
+        tool.addSource(file.text);
+    auto t0 = std::chrono::steady_clock::now();
+    rid::RunResult result = tool.run();
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    return {std::move(result), wall};
+}
+
 void
 BM_AnalyzeCorpusResume(benchmark::State &state)
 {
@@ -294,11 +304,7 @@ BM_AnalyzeCorpusResume(benchmark::State &state)
         rid::analysis::AnalyzerOptions opts;
         opts.store_path = dir;
         opts.resume = resume;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : corpus.files)
-            tool.addSource(file.text);
-        return tool.run();
+        return timedRun(corpus, opts).first;
     };
     rid::RunResult cold = runOnce(false);
     double hit_rate = 0;
@@ -318,18 +324,17 @@ BENCHMARK(BM_AnalyzeCorpusResume)->Unit(benchmark::kMillisecond);
 
 /**
  * Machine-readable trajectory record: run the repeated-overlap corpus
- * workload with the query cache off and on, and write solver/cache
- * counters and per-phase wall times to BENCH_performance.json. The
- * schema is documented in DESIGN.md ("Solver query cache"); each field
- * under "cache_off"/"cache_on" is RunResult::statsJson(). A further pair of runs measures the provenance
- * journal cost (journal off vs on; see docs/PROVENANCE.md) —
- * "provenance_overhead" is the relative symexec slowdown journal-on —
- * and the durable-store resume differential ("resume_hit_rate",
- * cold/warm "symexec_seconds_resume_*"; see docs/STORE.md). The last
- * pair runs the wrapper-heavy mix with instantiation interning off and
- * on ("entries_instantiated_off"/"_on", "summary_entries_compacted",
- * "symexec_seconds_inst_off"/"_on"; see DESIGN.md "Summary compaction
- * and instantiation interning").
+ * workload and write solver/cache counters and per-phase wall times to
+ * BENCH_performance.json. The schema is documented in DESIGN.md
+ * ("Solver query cache"); "cache_on" is RunResult::statsJson(). A
+ * further pair of runs measures the provenance journal cost (journal off
+ * vs on; see docs/PROVENANCE.md) — "provenance_overhead" is the relative
+ * symexec slowdown journal-on — and the durable-store resume
+ * differential ("resume_hit_rate", cold/warm "symexec_seconds_resume_*";
+ * see docs/STORE.md). The wrapper-heavy mix measures instantiation
+ * interning ("entries_instantiated_off"/"_on", "summary_entries_compacted";
+ * see DESIGN.md "Summary compaction and instantiation interning"), and a
+ * triaged run the cross-pass query-cache sharing.
  */
 void
 writeBenchJson(const char *path)
@@ -337,37 +342,17 @@ writeBenchJson(const char *path)
     auto mix = rid::kernel::CorpusMix::paperCalibrated(0.01);
     auto corpus = rid::kernel::generateCorpus(mix);
 
-    auto runOnce = [&](bool cache, const std::string &provenance = "") {
-        rid::analysis::AnalyzerOptions opts;
-        opts.use_query_cache = cache;
-        opts.provenance_path = provenance;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : corpus.files)
-            tool.addSource(file.text);
-        auto t0 = std::chrono::steady_clock::now();
-        rid::RunResult result = tool.run();
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        return std::pair<rid::RunResult, double>(std::move(result), wall);
-    };
-
-    auto [off, off_wall] = runOnce(false);
-    auto [on, on_wall] = runOnce(true);
-
-    uint64_t checks_off = off.stats.solver.theory_checks;
+    auto [on, on_wall] = timedRun(corpus);
     uint64_t checks_on = on.stats.solver.theory_checks;
-    double reduction =
-        checks_off ? 1.0 - static_cast<double>(checks_on) / checks_off
-                   : 0.0;
 
     // Provenance journal overhead: the journal is rendered and written
     // after analysis, so the symbolic-execution phase should be all but
     // untouched (acceptance bound: <10% symexec overhead journal-on).
     std::string journal_path = std::string(path) + ".provenance.jsonl";
-    auto [joff, joff_wall] = runOnce(true);
-    auto [jon, jon_wall] = runOnce(true, journal_path);
+    rid::analysis::AnalyzerOptions journal_opts;
+    journal_opts.provenance_path = journal_path;
+    auto [joff, joff_wall] = timedRun(corpus);
+    auto [jon, jon_wall] = timedRun(corpus, journal_opts);
     double journal_overhead =
         joff.stats.symexec_seconds > 0
             ? jon.stats.symexec_seconds / joff.stats.symexec_seconds - 1.0
@@ -380,85 +365,44 @@ writeBenchJson(const char *path)
     // symbolic-execution time (docs/STORE.md).
     std::string store_dir = std::string(path) + ".store";
     std::filesystem::remove_all(store_dir);
-    auto runStore = [&](bool resume) {
-        rid::analysis::AnalyzerOptions opts;
-        opts.store_path = store_dir;
-        opts.resume = resume;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : corpus.files)
-            tool.addSource(file.text);
-        auto t0 = std::chrono::steady_clock::now();
-        rid::RunResult result = tool.run();
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        return std::pair<rid::RunResult, double>(std::move(result), wall);
-    };
-    auto [store_cold, store_cold_wall] = runStore(false);
-    auto [store_warm, store_warm_wall] = runStore(true);
+    rid::analysis::AnalyzerOptions store_opts;
+    store_opts.store_path = store_dir;
+    auto [store_cold, store_cold_wall] = timedRun(corpus, store_opts);
+    store_opts.resume = true;
+    auto [store_warm, store_warm_wall] = timedRun(corpus, store_opts);
     std::filesystem::remove_all(store_dir);
 
-    // Instantiation-interning differential on the wrapper-heavy mix
-    // (the callee-summary hot path): same corpus, interning off vs on.
-    // Compaction stays at its default (on) for both runs, so
+    // Instantiation interning on the wrapper-heavy mix (the
+    // callee-summary hot path). Every lookup of the shared cache is one
+    // instantiation an uncached walk would build from scratch, so
+    // hits + misses is the uncached count and misses the cached one.
+    // Compaction stays at its default (on), so
     // "summary_entries_compacted" records how much the bottom-up pass
     // shrinks what callers instantiate. Acceptance bound:
-    // entries_instantiated_on <= 0.5 * entries_instantiated_off with
-    // byte-identical reports (scripts/check.sh gates the ratio).
-    auto wcorpus = rid::kernel::generateCorpus(wrapperHeavyMix());
-    auto runInst = [&](bool intern) {
-        rid::analysis::AnalyzerOptions opts;
-        opts.intern_instantiations = intern;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : wcorpus.files)
-            tool.addSource(file.text);
-        auto t0 = std::chrono::steady_clock::now();
-        rid::RunResult result = tool.run();
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        return std::pair<rid::RunResult, double>(std::move(result), wall);
-    };
-    auto [inst_off, inst_off_wall] = runInst(false);
-    auto [inst_on, inst_on_wall] = runInst(true);
+    // instantiation_reduction >= 0.5 (scripts/check.sh gates it).
+    auto [inst_on, inst_on_wall] =
+        timedRun(rid::kernel::generateCorpus(wrapperHeavyMix()));
+    const auto &ic = inst_on.stats.inst_cache;
+    uint64_t ei_off = ic.hits + ic.misses;
+    uint64_t ei_on = inst_on.stats.entries_instantiated;
+    double inst_reduction =
+        ei_off ? 1.0 - static_cast<double>(ei_on) / ei_off : 0.0;
 
     // Triage differential: the same scaled corpus with the automated
     // triage pass on (shared query cache). "cross_pass_cache_hit_rate"
     // is the fraction of cache hits answered across passes — triage
     // queries re-hitting main-analysis verdicts (docs/TRIAGE.md).
-    auto runTriage = [&]() {
-        rid::analysis::AnalyzerOptions opts;
-        opts.triage = true;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : corpus.files)
-            tool.addSource(file.text);
-        auto t0 = std::chrono::steady_clock::now();
-        rid::RunResult result = tool.run();
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        return std::pair<rid::RunResult, double>(std::move(result), wall);
-    };
-    auto [triage_run, triage_wall] = runTriage();
-    uint64_t ei_off = inst_off.stats.entries_instantiated;
-    uint64_t ei_on = inst_on.stats.entries_instantiated;
-    double inst_reduction =
-        ei_off ? 1.0 - static_cast<double>(ei_on) / ei_off : 0.0;
+    rid::analysis::AnalyzerOptions triage_opts;
+    triage_opts.triage = true;
+    auto [triage_run, triage_wall] = timedRun(corpus, triage_opts);
 
     std::ofstream out(path);
     out << "{\n";
     out << "  \"workload\": \"synthetic DPM corpus (scale 0.01), "
            "repeated-overlap IPP + feasibility pruning\",\n";
-    out << "  \"cache_off\": " << off.statsJson() << ",\n";
     out << "  \"cache_on\": " << on.statsJson() << ",\n";
-    out << "  \"wall_seconds_off\": " << off_wall << ",\n";
     out << "  \"wall_seconds_on\": " << on_wall << ",\n";
-    out << "  \"theory_checks_off\": " << checks_off << ",\n";
     out << "  \"theory_checks_on\": " << checks_on << ",\n";
-    out << "  \"theory_check_reduction\": " << reduction << ",\n";
     out << "  \"cache_hit_rate\": " << on.stats.query_cache.hitRate()
         << ",\n";
     out << "  \"wall_seconds_journal_off\": " << joff_wall << ",\n";
@@ -478,19 +422,14 @@ writeBenchJson(const char *path)
         << ",\n";
     out << "  \"resume_store_bytes\": "
         << store_cold.stats.store.bytes_appended << ",\n";
-    out << "  \"inst_off\": " << inst_off.statsJson() << ",\n";
     out << "  \"inst_on\": " << inst_on.statsJson() << ",\n";
-    out << "  \"wall_seconds_inst_off\": " << inst_off_wall << ",\n";
     out << "  \"wall_seconds_inst_on\": " << inst_on_wall << ",\n";
     out << "  \"entries_instantiated_off\": " << ei_off << ",\n";
     out << "  \"entries_instantiated_on\": " << ei_on << ",\n";
     out << "  \"instantiation_reduction\": " << inst_reduction << ",\n";
-    out << "  \"inst_cache_hit_rate\": "
-        << inst_on.stats.inst_cache.hitRate() << ",\n";
+    out << "  \"inst_cache_hit_rate\": " << ic.hitRate() << ",\n";
     out << "  \"summary_entries_compacted\": "
         << inst_on.stats.summary_entries_compacted << ",\n";
-    out << "  \"symexec_seconds_inst_off\": "
-        << inst_off.stats.symexec_seconds << ",\n";
     out << "  \"symexec_seconds_inst_on\": "
         << inst_on.stats.symexec_seconds << ",\n";
     out << "  \"triage_on\": " << triage_run.statsJson() << ",\n";
@@ -504,12 +443,11 @@ writeBenchJson(const char *path)
     out << "  \"cross_pass_cache_hit_rate\": "
         << triage_run.stats.query_cache.crossPassRate() << "\n";
     out << "}\n";
-    std::printf("wrote %s (theory checks %llu -> %llu, hit rate %.2f; "
+    std::printf("wrote %s (%llu theory checks, query-cache hit rate %.2f; "
                 "resume hit rate %.2f, warm symexec %.3fs; "
                 "interning: instantiations %llu -> %llu (-%.0f%%), "
                 "%llu entries compacted)\n",
-                path, static_cast<unsigned long long>(checks_off),
-                static_cast<unsigned long long>(checks_on),
+                path, static_cast<unsigned long long>(checks_on),
                 on.stats.query_cache.hitRate(),
                 store_warm.stats.store.hitRate(),
                 store_warm.stats.symexec_seconds,

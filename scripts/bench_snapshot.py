@@ -23,7 +23,6 @@ import sys
 # ridbench medians instead (ridbench/README.md).
 FIELDS = [
     "workload",
-    "theory_check_reduction",
     "cache_hit_rate",
     "resume_hit_rate",
     "resume_store_bytes",
@@ -66,8 +65,6 @@ def main() -> int:
     for field in FIELDS:
         if field in record:
             snap[field] = record[field]
-    if "cache_off" in record and "reports" in record["cache_off"]:
-        snap["reports_cache_off"] = record["cache_off"]["reports"]
 
     # BENCH_truth.json (the injected-truth scoring harness): keep the
     # dimensionless per-run scores and scale markers; per-domain detail

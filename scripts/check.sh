@@ -4,8 +4,8 @@
 #
 # This is the exact line ROADMAP.md documents as "Tier-1 verify", followed
 # by two back-to-back runs of the analyzer determinism suite (which itself
-# compares ordered report lists across threads {1,2,4,8} x query-cache
-# {on,off} x tracing {off,on}, and drives the SCC scheduler through deep
+# compares ordered report lists across threads {1,2,4,8} x tracing
+# {off,on}, and drives the SCC scheduler through deep
 # chains and wide fan-ins at 8 workers); running the binary twice catches
 # run-to-run nondeterminism that a single in-process comparison cannot
 # (e.g. ASLR-dependent container ordering). The same suite then runs under
@@ -218,18 +218,21 @@ RID_BENCH_JSON="$PWD/BENCH_performance.json" \
     ./build/bench/bench_performance --benchmark_filter='^$none'
 test -s BENCH_performance.json
 
-# Interning must never be a pessimization: the cached run may not
-# execute more from-scratch instantiations than the uncached one.
+# Interning must pay on the wrapper-heavy mix: the shared cache must
+# answer at least half of the callee-entry instantiations an uncached
+# walk would build (its hits + misses), the bound bench_performance
+# states.
 if command -v python3 > /dev/null; then
     python3 - BENCH_performance.json <<'EOF'
 import json, sys
 record = json.load(open(sys.argv[1]))
 off = record["entries_instantiated_off"]
 on = record["entries_instantiated_on"]
-assert on <= off, \
-    f"interning regressed: {on} instantiations with cache > {off} without"
-print(f"instantiation gate: {off} -> {on} (reduction "
-      f"{record['instantiation_reduction']:.2f}x)")
+reduction = record["instantiation_reduction"]
+assert reduction >= 0.5, \
+    f"interning pays too little: {off} -> {on} instantiations " \
+    f"(reduction {reduction:.2f} < 0.5)"
+print(f"instantiation gate: {off} -> {on} (reduction {reduction:.2f})")
 EOF
 fi
 

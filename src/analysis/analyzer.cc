@@ -10,6 +10,7 @@
 #include <mutex>
 #include <numeric>
 #include <queue>
+#include <stdexcept>
 #include <thread>
 
 #include "analysis/callgraph.h"
@@ -72,10 +73,6 @@ Analyzer::Analyzer(const ir::Module &mod, summary::SummaryDb &db,
                    AnalyzerOptions opts)
     : mod_(mod), db_(db), opts_(opts)
 {
-    if (opts_.use_query_cache)
-        query_cache_ = std::make_shared<smt::QueryCache>();
-    if (opts_.intern_instantiations)
-        inst_cache_ = std::make_shared<summary::InstCache>();
     tracer_ = opts_.tracer;
     if (!tracer_ && !opts_.trace_path.empty())
         tracer_ = std::make_shared<obs::Tracer>();
@@ -161,6 +158,26 @@ Analyzer::Analyzer(const ir::Module &mod, summary::SummaryDb &db,
         "rid_ipp_seconds", "Per-function IPP check-and-merge wall time.");
     ins_.solver_query_seconds = &m.histogram(
         "rid_solver_query_seconds", "Solver query latency (seconds).");
+    // The shared caches count their own traffic; these gauges read it
+    // there on every exposition, so they include later passes that share
+    // the query cache (triage).
+    auto bindCache = [&m](const std::string &cache, const std::string &what,
+                          std::function<smt::LruStats()> read) {
+        const std::string prefix = "rid_" + cache + "_";
+        m.gauge(prefix + "hits", "Shared " + what + " hits.").bind([read] {
+            return static_cast<double>(read().hits);
+        });
+        m.gauge(prefix + "misses", "Shared " + what + " misses.")
+            .bind([read] { return static_cast<double>(read().misses); });
+        m.gauge(prefix + "entries", "Resident " + what + " entries.")
+            .bind([read] { return static_cast<double>(read().entries); });
+        m.gauge(prefix + "evictions", "Shared " + what + " evictions.")
+            .bind([read] { return static_cast<double>(read().evictions); });
+    };
+    bindCache("query_cache", "query-cache",
+              [cache = query_cache_] { return cache->stats(); });
+    bindCache("inst_cache", "instantiation-cache",
+              [cache = inst_cache_] { return cache->stats(); });
 
     store_ = opts_.store;
     if (store_) {
@@ -227,34 +244,55 @@ Analyzer::addSolverStats(const smt::Solver::Stats &s)
     ins_.solver_budget_stops->inc(s.budget_stops);
 }
 
-void
-Analyzer::refreshStatsFromRegistry()
+AnalyzerStats
+Analyzer::stats() const
 {
-    stats_.functions_analyzed = ins_.functions_analyzed->value();
-    stats_.functions_defaulted = ins_.functions_defaulted->value();
-    stats_.functions_lowered = ins_.ir_functions_lowered->value();
-    stats_.functions_truncated = ins_.functions_truncated->value();
-    stats_.functions_timeout = ins_.functions_timeout->value();
-    stats_.functions_degraded = ins_.functions_degraded->value();
-    stats_.functions_error = ins_.functions_error->value();
-    stats_.paths_enumerated = ins_.paths_enumerated->value();
-    stats_.entries_computed = ins_.entries_computed->value();
-    stats_.blocks_executed = ins_.blocks_executed->value();
-    stats_.state_forks = ins_.state_forks->value();
-    stats_.subtrees_pruned = ins_.subtrees_pruned->value();
-    stats_.entries_instantiated = ins_.entries_instantiated->value();
-    stats_.summary_entries_compacted =
-        ins_.summary_entries_compacted->value();
-    stats_.symexec_seconds = ins_.symexec_seconds->sum();
-    stats_.ipp_seconds = ins_.ipp_seconds->sum();
-    stats_.solver.queries = ins_.solver_queries->value();
-    stats_.solver.theory_checks = ins_.solver_theory_checks->value();
-    stats_.solver.branches = ins_.solver_branches->value();
-    stats_.solver.unknowns = ins_.solver_unknowns->value();
-    stats_.solver.cache_hits = ins_.solver_cache_hits->value();
-    stats_.solver.cache_misses = ins_.solver_cache_misses->value();
-    stats_.solver.solve_ns = ins_.solver_solve_ns->value();
-    stats_.solver.budget_stops = ins_.solver_budget_stops->value();
+    AnalyzerStats s;
+    if (classifier_)
+        s.categories = classifier_->stats();
+    s.functions_analyzed = ins_.functions_analyzed->value();
+    s.functions_defaulted = ins_.functions_defaulted->value();
+    s.functions_lowered = mod_.lowered();
+    s.paths_enumerated = ins_.paths_enumerated->value();
+    s.entries_computed = ins_.entries_computed->value();
+    s.blocks_executed = ins_.blocks_executed->value();
+    s.state_forks = ins_.state_forks->value();
+    s.subtrees_pruned = ins_.subtrees_pruned->value();
+    s.functions_truncated = ins_.functions_truncated->value();
+    s.functions_timeout = ins_.functions_timeout->value();
+    s.functions_degraded = ins_.functions_degraded->value();
+    s.functions_error = ins_.functions_error->value();
+    s.classify_seconds = ins_.classify_seconds->value();
+    s.analyze_seconds = ins_.analyze_seconds->value();
+    s.symexec_seconds = ins_.symexec_seconds->sum();
+    s.ipp_seconds = ins_.ipp_seconds->sum();
+    s.entries_instantiated = ins_.entries_instantiated->value();
+    s.summary_entries_compacted = ins_.summary_entries_compacted->value();
+    s.solver.queries = ins_.solver_queries->value();
+    s.solver.theory_checks = ins_.solver_theory_checks->value();
+    s.solver.branches = ins_.solver_branches->value();
+    s.solver.unknowns = ins_.solver_unknowns->value();
+    s.solver.cache_hits = ins_.solver_cache_hits->value();
+    s.solver.cache_misses = ins_.solver_cache_misses->value();
+    s.solver.solve_ns = ins_.solver_solve_ns->value();
+    s.solver.budget_stops = ins_.solver_budget_stops->value();
+    s.query_cache = query_cache_->stats();
+    s.inst_cache = inst_cache_->stats();
+    for (const BugReport &r : reports_)
+        s.reports_by_domain[r.domain]++;
+    if (store_) {
+        FunctionStore::IoStats io = store_->ioStats();
+        s.store.active = true;
+        s.store.hits = ins_.store_hits->value();
+        s.store.misses = ins_.store_misses->value();
+        s.store.retried = ins_.store_retries->value();
+        s.store.quarantined = ins_.store_quarantined->value();
+        s.store.torn_frames = io.torn_frames;
+        s.store.loaded_records = io.loaded_records;
+        s.store.failed_writes = io.failed_writes;
+        s.store.bytes_appended = io.bytes_appended;
+    }
+    return s;
 }
 
 std::vector<obs::FunctionCost>
@@ -519,6 +557,9 @@ Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
 void
 Analyzer::run()
 {
+    if (ran_)
+        throw std::logic_error("Analyzer::run() called twice");
+    ran_ = true;
     obs::ScopedTracer scoped(tracer_.get());
     obs::Span run_span("pipeline", "run");
 
@@ -560,10 +601,7 @@ Analyzer::run()
             classifier_ =
                 std::make_unique<FunctionClassifier>(mod_, cg, seeds);
     }
-    stats_.classify_seconds = secondsSince(t0);
-    ins_.classify_seconds->set(stats_.classify_seconds);
-    if (classifier_)
-        stats_.categories = classifier_->stats();
+    ins_.classify_seconds->set(secondsSince(t0));
 
     // Of the functions decided here, only category-2 ones have their IR
     // read (for the branch count), so a category-3 function is never
@@ -589,7 +627,6 @@ Analyzer::run()
 
     auto t1 = std::chrono::steady_clock::now();
     obs::Span analyze_span("pipeline", "analyze");
-    size_t reports_before = reports_.size();
 
     // Resume plan, built bottom-up over the SCC condensation before the
     // traversal. An SCC is *clean* when every tracked member replays from
@@ -600,7 +637,6 @@ Analyzer::run()
     // (the default summary it applies is callee-independent); a Retry
     // re-runs by definition and dirties its callers, since a successful
     // retry changes the summary its callers saw.
-    resume_plan_.clear();
     if (store_ && opts_.resume) {
         obs::Span plan_span("pipeline", "resume-plan");
         resume_plan_.resize(cg.size());
@@ -822,88 +858,25 @@ Analyzer::run()
         std::vector<BugReport> sorted;
         sorted.reserve(order.size());
         for (size_t k : order)
-            sorted.push_back(std::move(reports_[reports_before + k]));
-        std::move(sorted.begin(), sorted.end(),
-                  reports_.begin() + reports_before);
+            sorted.push_back(std::move(reports_[k]));
+        reports_ = std::move(sorted);
     }
     if (failure)
         std::rethrow_exception(failure);
     storeCheckpoint();
-    stats_.analyze_seconds = secondsSince(t1);
-    ins_.analyze_seconds->set(stats_.analyze_seconds);
-    // Builds are counted by the module, and synced by delta so repeated
-    // run() calls do not double-count.
-    ins_.ir_functions_lowered->inc(mod_.lowered() - lowered_synced_);
-    lowered_synced_ = mod_.lowered();
-    refreshStatsFromRegistry();
-    // Per-domain report accounting for this run (the registry's
-    // counter() is get-or-create, so dynamically named per-domain
-    // counters are safe to mint here).
-    stats_.reports_by_domain.clear();
-    for (size_t k = reports_before; k < reports_.size(); k++)
-        stats_.reports_by_domain[reports_[k].domain]++;
-    for (const auto &[dom, n] : stats_.reports_by_domain) {
+    ins_.analyze_seconds->set(secondsSince(t1));
+    // Builds, store frames and reports are counted where they happen;
+    // the registry gets their totals once, for the metrics dump.
+    ins_.ir_functions_lowered->inc(mod_.lowered());
+    if (store_)
+        ins_.store_torn_frames->inc(store_->ioStats().torn_frames);
+    // The registry's counter() is get-or-create, so dynamically named
+    // per-domain counters are safe to mint here.
+    for (const auto &[dom, n] : stats().reports_by_domain) {
         metrics_
             ->counter("rid_reports_" + dom + "_total",
                       "Bug reports in effect domain '" + dom + "'.")
             .inc(n);
-    }
-    if (query_cache_) {
-        stats_.query_cache = query_cache_->stats();
-        const auto &qc = stats_.query_cache;
-        metrics_
-            ->gauge("rid_query_cache_hits",
-                    "Shared query-cache hits (snapshot).")
-            .set(static_cast<double>(qc.hits));
-        metrics_
-            ->gauge("rid_query_cache_misses",
-                    "Shared query-cache misses (snapshot).")
-            .set(static_cast<double>(qc.misses));
-        metrics_
-            ->gauge("rid_query_cache_entries",
-                    "Resident query-cache entries.")
-            .set(static_cast<double>(qc.entries));
-        metrics_
-            ->gauge("rid_query_cache_evictions",
-                    "Query-cache evictions (snapshot).")
-            .set(static_cast<double>(qc.evictions));
-    }
-    if (inst_cache_) {
-        stats_.inst_cache = inst_cache_->stats();
-        const auto &ic = stats_.inst_cache;
-        metrics_
-            ->gauge("rid_inst_cache_hits",
-                    "Shared instantiation-cache hits (snapshot).")
-            .set(static_cast<double>(ic.hits));
-        metrics_
-            ->gauge("rid_inst_cache_misses",
-                    "Shared instantiation-cache misses (snapshot).")
-            .set(static_cast<double>(ic.misses));
-        metrics_
-            ->gauge("rid_inst_cache_entries",
-                    "Resident instantiation-cache entries.")
-            .set(static_cast<double>(ic.entries));
-        metrics_
-            ->gauge("rid_inst_cache_evictions",
-                    "Instantiation-cache evictions (snapshot).")
-            .set(static_cast<double>(ic.evictions));
-    }
-    if (store_) {
-        FunctionStore::IoStats io = store_->ioStats();
-        // Sync by delta against the last snapshot: repeated run() calls
-        // against one Analyzer must not double-count.
-        ins_.store_torn_frames->inc(io.torn_frames -
-                                    store_io_synced_.torn_frames);
-        store_io_synced_ = io;
-        stats_.store.active = true;
-        stats_.store.hits = ins_.store_hits->value();
-        stats_.store.misses = ins_.store_misses->value();
-        stats_.store.retried = ins_.store_retries->value();
-        stats_.store.quarantined = ins_.store_quarantined->value();
-        stats_.store.torn_frames = io.torn_frames;
-        stats_.store.loaded_records = io.loaded_records;
-        stats_.store.failed_writes = io.failed_writes;
-        stats_.store.bytes_appended = io.bytes_appended;
     }
 }
 

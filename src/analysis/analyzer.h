@@ -197,20 +197,11 @@ struct AnalyzerOptions
      *  the summary check, so reports and diagnostics are byte-identical
      *  with the pass on or off — pinned by the determinism suite. */
     bool compact_summaries = true;
-    /** Hash-cons callee-entry instantiations in a sharded cache shared
-     *  across all SCC workers (summary/inst_cache.h).
-     *  Semantically invisible; only instantiation cost changes. */
-    bool intern_instantiations = true;
     /** Effect domains to check (summary/domain.h); empty = all declared
      *  domains. Effects of unlisted domains are stripped from computed
      *  summaries and their seed specs are ignored by the classifier, so
      *  enabling only `ref` reproduces the pre-domain run exactly. */
     std::vector<std::string> enabled_domains;
-    /** Share one memoized solver-verdict cache (smt/query_cache.h)
-     *  between every solver of the run — across SCC scheduler workers and
-     *  the IPP phase. Results are identical with
-     *  the cache on or off; only repeated-query cost changes. */
-    bool use_query_cache = true;
     /** Optional stronger-property check run on every computed summary
      *  (Sections 2.1 / 4.5); its reports are appended to the IPP ones.
      *  See makeEscapeRuleCheck(). */
@@ -283,6 +274,12 @@ struct AnalyzerOptions
     int triage_max_extension_functions = 64;
 };
 
+/**
+ * A view of one run's statistics, assembled by Analyzer::stats() from
+ * where each number is counted: the metrics registry, the classifier,
+ * the module's build count, the two shared caches, the store's I/O
+ * accounting and the report list.
+ */
 struct AnalyzerStats
 {
     ClassifierStats categories;
@@ -317,20 +314,21 @@ struct AnalyzerStats
     /** Wall time of the IPP check-and-merge phase, summed per function. */
     double ipp_seconds = 0;
     /** Callee summary entries instantiated from scratch during symbolic
-     *  execution (inst-cache misses when interning is on). */
+     *  execution (the instantiation cache's misses). */
     size_t entries_instantiated = 0;
     /** Summary entries removed by bottom-up compaction (merged into a
      *  disjunctive sibling or dropped as unsatisfiable). */
     size_t summary_entries_compacted = 0;
     /** Solver counters aggregated over every solver of the run. */
     smt::Solver::Stats solver;
-    /** Shared query-cache counters (zero when the cache is off). */
+    /** Shared query-cache counters, read from the cache itself: they
+     *  include every later user of Analyzer::queryCache(), such as the
+     *  triage pass. */
     smt::QueryCache::Stats query_cache;
-    /** Shared instantiation-cache counters (zero when interning is
-     *  off). */
+    /** Shared instantiation-cache counters. */
     summary::InstCache::Stats inst_cache;
-    /** Reports per effect domain from the most recent run() (name-
-     *  ordered; domains with zero reports are omitted). */
+    /** Reports per effect domain (name-ordered; domains with zero
+     *  reports are omitted). */
     std::map<std::string, size_t> reports_by_domain;
     /** Durable-store accounting (zero when no store is configured). */
     struct StoreStats
@@ -376,28 +374,21 @@ class Analyzer
     Analyzer(const ir::Module &mod, summary::SummaryDb &db,
              AnalyzerOptions opts = {});
 
-    /** Run the full pipeline; reports accumulate across calls. */
+    /** Run the full pipeline. An Analyzer runs once: a second call
+     *  throws std::logic_error. */
     void run();
 
     const std::vector<BugReport> &reports() const { return reports_; }
-    const AnalyzerStats &stats() const { return stats_; }
 
-    /** Classification result (valid after run() when classify is on). */
-    const FunctionClassifier *classifier() const
-    {
-        return classifier_.get();
-    }
+    /** The run's statistics, read on each call from where they are
+     *  counted (see AnalyzerStats); call after run(). */
+    AnalyzerStats stats() const;
 
-    /** The shared solver-verdict cache (null when disabled). */
+    /** The solver-verdict cache shared by every solver of the run
+     *  (never null); later passes may share it too. */
     const std::shared_ptr<smt::QueryCache> &queryCache() const
     {
         return query_cache_;
-    }
-
-    /** The shared instantiation cache (null when interning is off). */
-    const std::shared_ptr<summary::InstCache> &instCache() const
-    {
-        return inst_cache_;
     }
 
     /** The run's span tracer (null when tracing is off). */
@@ -493,9 +484,6 @@ class Analyzer
     /** Add one (sub)run's solver counters to the registry. */
     void addSolverStats(const smt::Solver::Stats &s);
 
-    /** Derive the legacy AnalyzerStats counters from the registry. */
-    void refreshStatsFromRegistry();
-
     /** Name of module function @p node (node k < mod_.size() is module
      *  function k, see CallGraph), read from its skeleton. */
     const std::string &nameOf(int node) const;
@@ -513,10 +501,13 @@ class Analyzer
     /** Per-run snapshot of the db's declared effect domains. */
     summary::DomainTable domain_table_;
     std::vector<BugReport> reports_;
-    AnalyzerStats stats_;
+    /** run() has started; a second call throws. */
+    bool ran_ = false;
     std::unique_ptr<FunctionClassifier> classifier_;
-    std::shared_ptr<smt::QueryCache> query_cache_;
-    std::shared_ptr<summary::InstCache> inst_cache_;
+    const std::shared_ptr<smt::QueryCache> query_cache_ =
+        std::make_shared<smt::QueryCache>();
+    const std::shared_ptr<summary::InstCache> inst_cache_ =
+        std::make_shared<summary::InstCache>();
     std::shared_ptr<obs::Tracer> tracer_;
     std::shared_ptr<obs::MetricsRegistry> metrics_;
     Instruments ins_;
@@ -535,11 +526,6 @@ class Analyzer
      *  moved out once by the worker processing its node, so workers need
      *  no lock. */
     std::vector<FunctionStore::Action> resume_plan_;
-    /** Store ioStats() snapshot already synced into the registry (keeps
-     *  repeated run() calls from double-counting). */
-    FunctionStore::IoStats store_io_synced_;
-    /** Module::lowered() already synced into the registry. */
-    size_t lowered_synced_ = 0;
 };
 
 } // namespace rid::analysis

@@ -9,12 +9,6 @@
 
 namespace rid {
 
-std::string
-jsonEscape(const std::string &text)
-{
-    return obs::jsonEscape(text);
-}
-
 namespace {
 
 void
@@ -102,8 +96,20 @@ toJson(const RunResult &result)
     w.key("analyze_seconds").value(result.stats.analyze_seconds);
     w.endObject();
     // Additive key: degradation records (empty arrays in a clean run).
-    w.key("diagnostics").beginArray();
-    for (const auto &d : result.diagnostics) {
+    writeDiagnostics(w, "diagnostics", result.diagnostics, "file_errors",
+                     result.file_errors);
+    w.endObject();
+    return w.str();
+}
+
+void
+writeDiagnostics(obs::JsonWriter &w, const char *functions_key,
+                 const std::vector<analysis::FunctionDiagnostic> &functions,
+                 const char *files_key,
+                 const std::vector<FileDiagnostic> &files)
+{
+    w.key(functions_key).beginArray();
+    for (const auto &d : functions) {
         w.beginObject();
         w.key("function").value(d.function);
         w.key("status").value(analysis::fnStatusName(d.status));
@@ -111,16 +117,14 @@ toJson(const RunResult &result)
         w.endObject();
     }
     w.endArray();
-    w.key("file_errors").beginArray();
-    for (const auto &f : result.file_errors) {
+    w.key(files_key).beginArray();
+    for (const auto &f : files) {
         w.beginObject();
         w.key("file").value(f.file);
         w.key("reason").value(f.reason);
         w.endObject();
     }
     w.endArray();
-    w.endObject();
-    return w.str();
 }
 
 std::string

@@ -13,19 +13,27 @@
 #define RID_CORE_REPORT_FORMAT_H
 
 #include <string>
+#include <vector>
 
 #include "core/rid.h"
+#include "obs/json_writer.h"
 
 namespace rid {
-
-/** Escape a string for inclusion in a JSON string literal. */
-std::string jsonEscape(const std::string &text);
 
 /** Render one report as a JSON object. */
 std::string toJson(const analysis::BugReport &report);
 
 /** Render a full run (reports + statistics) as a JSON document. */
 std::string toJson(const RunResult &result);
+
+/** Write @p functions as an array of {function, status, reason} objects
+ *  under @p functions_key, then @p files as an array of {file, reason}
+ *  objects under @p files_key: the degradation records of toJson() and
+ *  RunResult::statsJson(). */
+void writeDiagnostics(
+    obs::JsonWriter &w, const char *functions_key,
+    const std::vector<analysis::FunctionDiagnostic> &functions,
+    const char *files_key, const std::vector<FileDiagnostic> &files);
 
 /**
  * Render a run as a grouped listing: reports bucketed per function,

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "core/report_format.h"
 #include "frontend/lower.h"
 #include "frontend/parser.h"
 #include "obs/failpoint.h"
@@ -288,23 +289,7 @@ RunResult::statsJson() const
     w.key("error").value(uint64_t{s.functions_error});
     w.key("not_ok").value(not_ok);
     w.endObject();
-    w.key("functions").beginArray();
-    for (const auto &d : diagnostics) {
-        w.beginObject();
-        w.key("function").value(d.function);
-        w.key("status").value(analysis::fnStatusName(d.status));
-        w.key("reason").value(d.reason);
-        w.endObject();
-    }
-    w.endArray();
-    w.key("files").beginArray();
-    for (const auto &f : file_errors) {
-        w.beginObject();
-        w.key("file").value(f.file);
-        w.key("reason").value(f.reason);
-        w.endObject();
-    }
-    w.endArray();
+    writeDiagnostics(w, "functions", diagnostics, "files", file_errors);
     w.endObject();
     // Triage accounting (additive key; present only when the triage pass
     // ran). Tier counts partition `reports`.
@@ -561,7 +546,6 @@ Rid::run()
     analyzer.run();
     RunResult result;
     result.reports = analyzer.reports();
-    result.stats = analyzer.stats();
     result.diagnostics = analyzer.diagnostics();
     result.file_errors = file_errors_;
     result.profile =
@@ -591,11 +575,9 @@ Rid::run()
             pass.run(result.reports);
         }
         result.triage = pass.stats();
-        // The cache snapshot in AnalyzerStats predates the pass; refresh
-        // it so statsJson's cross-pass counters see the triage traffic.
-        if (analyzer.queryCache())
-            result.stats.query_cache = analyzer.queryCache()->stats();
     }
+    // Read after triage: the query cache counts the pass's traffic too.
+    result.stats = analyzer.stats();
     if (!opts_.trace_path.empty() && analyzer.tracer())
         writeTextFile(opts_.trace_path,
                       analyzer.tracer()->chromeTraceJson(), "trace");

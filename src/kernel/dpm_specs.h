@@ -18,7 +18,7 @@
 
 namespace rid::kernel {
 
-/** Spec text for the DPM APIs, parseable by summary::parseSpecs(). */
+/** Spec text for the DPM APIs, parseable by summary::parseSpecText(). */
 const std::string &dpmSpecText();
 
 /** Names of the pm_runtime_get-family APIs (used by the Section 6.3

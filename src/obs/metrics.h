@@ -9,10 +9,11 @@
  * pay a few atomic adds per update. The registry map itself is
  * mutex-guarded; instrument it once, cache the reference.
  *
- * The analyzer keeps one registry per run and fills the legacy
- * AnalyzerStats struct from it when the run finishes, so the
- * RunResult::statsJson() schema is unchanged while every counter gains
- * a Prometheus exposition.
+ * The analyzer keeps one registry per run and counts into it as it
+ * goes. Numbers another component already counts (the shared caches'
+ * hits and misses) are exposed through gauges bound to that component,
+ * so there is no second copy to keep in step. AnalyzerStats is a view
+ * assembled from these sources on each read, not a stored copy.
  */
 
 #ifndef RID_OBS_METRICS_H
@@ -20,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,16 +41,25 @@ class Counter
     std::atomic<uint64_t> v_{0};
 };
 
-/** Settable floating-point metric. */
+/** Settable floating-point metric, or a view of a number counted
+ *  elsewhere (bind()). */
 class Gauge
 {
   public:
     void set(double v) { v_.store(v, std::memory_order_relaxed); }
     void add(double d);
-    double value() const { return v_.load(std::memory_order_relaxed); }
+    /** Read the value from @p source on every value() from now on (what
+     *  Prometheus clients call a gauge function); set() and add() no
+     *  longer show. Bind before the gauge is shared between threads. */
+    void bind(std::function<double()> source) { source_ = std::move(source); }
+    double value() const
+    {
+        return source_ ? source_() : v_.load(std::memory_order_relaxed);
+    }
 
   private:
     std::atomic<double> v_{0.0};
+    std::function<double()> source_;
 };
 
 /**

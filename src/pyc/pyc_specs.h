@@ -14,7 +14,7 @@
 
 namespace rid::pyc {
 
-/** Spec text for the Python/C APIs, parseable by summary::parseSpecs(). */
+/** Spec text for the Python/C APIs, parseable by summary::parseSpecText(). */
 const std::string &pycSpecText();
 
 /** Reference-behaviour attributes of one API (cpychecker-style). */

@@ -19,6 +19,7 @@
 #ifndef RID_SMT_SHARDED_LRU_H
 #define RID_SMT_SHARDED_LRU_H
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -67,12 +68,12 @@ class ShardedLru
         auto it = shard.index.find(fp);
         if (it == shard.index.end() || !it->second->key.equals(key)) {
             if (it != shard.index.end())
-                shard.counts.collisions++;
-            shard.counts.misses++;
+                bump(shard.collisions);
+            bump(shard.misses);
             return std::nullopt;
         }
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        shard.counts.hits++;
+        bump(shard.hits);
         return it->second->value;
     }
 
@@ -93,26 +94,30 @@ class ShardedLru
         }
         shard.lru.push_front(Entry{fp, key, std::move(value)});
         shard.index[fp] = shard.lru.begin();
-        shard.counts.insertions++;
+        bump(shard.insertions);
         if (shard.lru.size() > shard_capacity_) {
             shard.index.erase(shard.lru.back().fp);
             shard.lru.pop_back();
-            shard.counts.evictions++;
+            bump(shard.evictions);
         }
+        shard.entries.store(shard.lru.size(), std::memory_order_relaxed);
     }
 
+    /** Sums the shards' counters without taking their locks, so a
+     *  reader never waits on (or deadlocks against) a lookup; the
+     *  metrics exposition reads it, also from the exit-flush handler. */
     LruStats
     stats() const
     {
+        constexpr auto relaxed = std::memory_order_relaxed;
         LruStats total;
         for (const Shard &s : shards_) {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            total.hits += s.counts.hits;
-            total.misses += s.counts.misses;
-            total.insertions += s.counts.insertions;
-            total.evictions += s.counts.evictions;
-            total.collisions += s.counts.collisions;
-            total.entries += s.lru.size();
+            total.hits += s.hits.load(relaxed);
+            total.misses += s.misses.load(relaxed);
+            total.insertions += s.insertions.load(relaxed);
+            total.evictions += s.evictions.load(relaxed);
+            total.collisions += s.collisions.load(relaxed);
+            total.entries += s.entries.load(relaxed);
         }
         return total;
     }
@@ -131,12 +136,24 @@ class ShardedLru
 
     struct Shard
     {
-        mutable std::mutex mutex;
+        std::mutex mutex;
         std::list<Entry> lru;  // front = most recently used
         std::unordered_map<uint64_t, typename std::list<Entry>::iterator>
             index;
-        LruStats counts;  // entries unused: lru.size() is the count
+        // Written under the mutex, read by stats() without it.
+        std::atomic<uint64_t> hits{0};
+        std::atomic<uint64_t> misses{0};
+        std::atomic<uint64_t> insertions{0};
+        std::atomic<uint64_t> evictions{0};
+        std::atomic<uint64_t> collisions{0};
+        std::atomic<size_t> entries{0};  // lru.size()
     };
+
+    static void
+    bump(std::atomic<uint64_t> &counter)
+    {
+        counter.fetch_add(1, std::memory_order_relaxed);
+    }
 
     const size_t shard_capacity_;
     Shard shards_[kShards];

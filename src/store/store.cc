@@ -288,10 +288,11 @@ configFingerprint(const summary::SummaryDb &db,
     // Summaries imported before the run (separate-file seeds).
     h = fpCombine(h, fpBytes(db.saveComputed()));
 
-    // Output-affecting analyzer options. Threading and cache toggles
-    // are excluded: the determinism suite pins them output-identical. The summary-check hook contributes
-    // only its presence — two different callbacks hash alike, so runs
-    // alternating checks over one store must use distinct directories.
+    // Output-affecting analyzer options. The thread count is excluded:
+    // the determinism suite pins it output-identical. The summary-check
+    // hook contributes only its presence — two different callbacks hash
+    // alike, so runs alternating checks over one store must use distinct
+    // directories.
     h = fpCombine(h, static_cast<uint64_t>(
                          static_cast<int64_t>(opts.max_paths)));
     h = fpCombine(h, static_cast<uint64_t>(
@@ -301,12 +302,11 @@ configFingerprint(const summary::SummaryDb &db,
     h = fpCombine(h, static_cast<uint64_t>(opts.prune_infeasible));
     h = fpCombine(h, static_cast<uint64_t>(opts.classify));
     // compact_summaries changes the stored summary shape, so a resume
-    // across a flip must re-analyze. intern_instantiations is
-    // output-invisible but hashed anyway — flipping it mid-store is a
-    // config change, and a spurious re-analysis is cheaper than trusting
-    // the differential suite forever.
+    // across a flip must re-analyze. The constant 1 stands where a since
+    // removed interning toggle (always on) was hashed, so existing
+    // stores keep their fingerprint and still resume.
     h = fpCombine(h, static_cast<uint64_t>(opts.compact_summaries));
-    h = fpCombine(h, static_cast<uint64_t>(opts.intern_instantiations));
+    h = fpCombine(h, uint64_t{1});
     h = fpCombine(h, static_cast<uint64_t>(opts.enabled_domains.size()));
     for (const auto &d : opts.enabled_domains)
         h = fpCombine(h, fpBytes(d));

@@ -44,8 +44,8 @@ constexpr uint8_t kFrameCheckpoint = 2;
  * predefined/imported summary, and the output-affecting AnalyzerOptions
  * (caps, classification, enabled domains, summary-check presence). A
  * stale fingerprint misses every key, falling back to clean re-analysis.
- * Thread and cache toggles are excluded — the determinism suite pins
- * them output-identical.
+ * The thread count is excluded — the determinism suite pins it
+ * output-identical.
  */
 uint64_t configFingerprint(const summary::SummaryDb &db,
                            const analysis::AnalyzerOptions &opts);

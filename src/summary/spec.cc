@@ -460,12 +460,6 @@ parseSpecText(const std::string &text, const DomainTable *known)
     return p.parse();
 }
 
-std::vector<ParsedSummary>
-parseSpecs(const std::string &text)
-{
-    return parseSpecText(text).summaries;
-}
-
 void
 loadSpecsInto(const std::string &text, SummaryDb &db)
 {

@@ -90,15 +90,12 @@ struct ParsedSpec
 ParsedSpec parseSpecText(const std::string &text,
                          const DomainTable *known = nullptr);
 
-/** Compatibility wrapper: parse and return just the summaries. */
-std::vector<ParsedSummary> parseSpecs(const std::string &text);
-
 /** Parse spec text, register its domain declarations and every summary
  *  as predefined in @p db.
  *  @throws SpecError also when a summary name is already predefined. */
 void loadSpecsInto(const std::string &text, SummaryDb &db);
 
-/** Serialize one summary in the spec format (round-trips via parseSpecs).
+/** Serialize one summary in the spec format (round-trips via parseSpecText).
  *  Formal parameter names are recovered from argument atoms. */
 std::string serializeSummary(const FunctionSummary &s);
 

@@ -28,7 +28,9 @@
 #include "kernel/dpm_specs.h"
 #include "kernel/generator.h"
 #include "smt/cond_chain.h"
+#include "smt/query_cache.h"
 #include "smt/solver.h"
+#include "summary/inst_cache.h"
 #include "summary/spec.h"
 
 namespace rid {
@@ -207,11 +209,17 @@ summary pm_put(dev) -> int {
 }
 )";
 
+/** One tree walk of @p fn, optionally through a shared query cache and
+ *  a shared instantiation cache (none by default). */
 analysis::TreeExecResult
-runTree(const ir::Function &fn, const summary::SummaryDb &db)
+runTree(const ir::Function &fn, const summary::SummaryDb &db,
+        std::shared_ptr<smt::QueryCache> query_cache = nullptr,
+        summary::InstCache *inst_cache = nullptr)
 {
     Solver solver;
+    solver.attachCache(std::move(query_cache));
     analysis::TreeExecOptions opts;
+    opts.inst_cache = inst_cache;
     return analysis::executeFunctionTree(fn, db, solver, opts);
 }
 
@@ -374,7 +382,10 @@ TEST(TreeExecDifferential, MatchesReplayOnEveryFunctionOfTheCorpus)
     // entries' SummaryEntry::str(). A function whose structural paths
     // exceed the cap is not in the golden: there the enumerator counts
     // infeasible paths against the cap and the tree walk does not (see
-    // TreeExecTruncation below).
+    // TreeExecTruncation below). The walk runs twice: with no caches,
+    // and with one query cache and one instantiation cache shared across
+    // every function, as the analyzer shares them, so the golden pins
+    // both caches as pure memoization.
     Rid tool;
     tool.loadSpecText(kernel::dpmSpecText());
     tool.addSource(kFigure9Source);
@@ -385,52 +396,63 @@ TEST(TreeExecDifferential, MatchesReplayOnEveryFunctionOfTheCorpus)
     RunResult result = tool.run();
     const summary::SummaryDb &db = tool.summaries();
 
-    std::string got;
-    size_t compared = 0, with_entries = 0;
-    for (const auto &fn : tool.module().functions()) {
-        if (fn->isDeclaration() || db.hasPredefined(fn->name()))
-            continue;
-        if (analysis::enumeratePaths(*fn, 100).truncated)
-            continue;
-        auto tree = runTree(*fn, db);
-        std::vector<std::string> entries = treeEntries(tree);
-        got += "function " + std::string(fn->name()) + " truncated " +
-               (tree.truncated ? "1" : "0") + " entries " +
-               std::to_string(entries.size()) + "\n";
-        for (const auto &e : entries)
-            got += e + "\n";
-        compared++;
-        if (!entries.empty())
-            with_entries++;
-    }
-
     std::ifstream in(RID_TEST_GOLDEN_DIR "/tree_exec_entries.golden",
                      std::ios::binary);
     ASSERT_TRUE(in) << "missing golden file";
     std::ostringstream golden;
     golden << in.rdbuf();
-    if (got != golden.str()) {
-        // Name the first record that differs rather than dumping both.
-        std::istringstream g(golden.str()), t(got);
-        std::string gl, tl, function;
-        for (int line = 1; std::getline(g, gl) && std::getline(t, tl);
-             line++) {
-            if (tl.rfind("function ", 0) == 0)
-                function = tl;
-            if (gl != tl) {
-                ADD_FAILURE() << "line " << line << " (" << function
-                              << "): got '" << tl << "', golden '" << gl
-                              << "'";
-                break;
-            }
+
+    auto query_cache = std::make_shared<smt::QueryCache>();
+    summary::InstCache inst_cache;
+    for (bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "shared caches" : "no caches");
+        std::string got;
+        size_t compared = 0, with_entries = 0;
+        for (const auto &fn : tool.module().functions()) {
+            if (fn->isDeclaration() || db.hasPredefined(fn->name()))
+                continue;
+            if (analysis::enumeratePaths(*fn, 100).truncated)
+                continue;
+            auto tree = cached ? runTree(*fn, db, query_cache, &inst_cache)
+                               : runTree(*fn, db);
+            std::vector<std::string> entries = treeEntries(tree);
+            got += "function " + std::string(fn->name()) + " truncated " +
+                   (tree.truncated ? "1" : "0") + " entries " +
+                   std::to_string(entries.size()) + "\n";
+            for (const auto &e : entries)
+                got += e + "\n";
+            compared++;
+            if (!entries.empty())
+                with_entries++;
         }
-        FAIL() << "tree walk differs from the golden: " << got.size()
-               << " bytes vs " << golden.str().size();
+        if (got != golden.str()) {
+            // Name the first record that differs rather than dumping both.
+            std::istringstream g(golden.str()), t(got);
+            std::string gl, tl, function;
+            for (int line = 1; std::getline(g, gl) && std::getline(t, tl);
+                 line++) {
+                if (tl.rfind("function ", 0) == 0)
+                    function = tl;
+                if (gl != tl) {
+                    ADD_FAILURE() << "line " << line << " (" << function
+                                  << "): got '" << tl << "', golden '" << gl
+                                  << "'";
+                    break;
+                }
+            }
+            ADD_FAILURE() << "tree walk differs from the golden: "
+                          << got.size() << " bytes vs "
+                          << golden.str().size();
+        }
+        // Non-vacuity: at least every function the run analyzed was
+        // compared.
+        EXPECT_GE(compared, result.stats.functions_analyzed);
+        EXPECT_GT(with_entries, 0u);
     }
-    // Non-vacuity: at least every function the run analyzed was compared.
-    EXPECT_GE(compared, result.stats.functions_analyzed);
-    EXPECT_GT(with_entries, 0u);
     EXPECT_GT(result.stats.functions_analyzed, 0u);
+    // The shared caches were exercised, not just attached.
+    EXPECT_GT(query_cache->stats().hits, 0u);
+    EXPECT_GT(inst_cache.stats().hits, 0u);
 }
 
 // --------------------------------- feasible-only truncation semantics

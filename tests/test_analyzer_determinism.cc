@@ -6,14 +6,15 @@
  * only runs an SCC once its callee SCCs are done and emits reports in
  * SCC-id order, and the IPP drop choice depends on the entries alone.
  * This suite pins those guarantees down across the option matrix: SCC
- * threads in {1, 2, 4, 8} x query cache {on, off} (plus budgets, faults,
- * domain filters, compaction and interning) must all produce
- * byte-identical ordered report lists AND byte-identical summary exports
- * on a representative corpus (the synthetic DPM corpus plus the paper's
- * Figure 9 wrapper example). The SccScheduler tests drive the scheduler
- * through deep chains, wide fan-ins and wrapper chains at 8 workers. The
- * engine itself is checked against the recorded output of the paper's
- * enumerate-then-replay engine in test_analysis_tree_exec.cc.
+ * threads in {1, 2, 4, 8} (plus tracing, budgets, faults, domain filters
+ * and compaction) must all produce byte-identical ordered report lists
+ * AND byte-identical summary exports on a representative corpus (the
+ * synthetic DPM corpus plus the paper's Figure 9 wrapper example). The
+ * SccScheduler tests drive the scheduler through deep chains, wide
+ * fan-ins and wrapper chains at 8 workers. The engine itself, with and
+ * without the shared query and instantiation caches, is checked against
+ * the recorded output of the paper's enumerate-then-replay engine in
+ * test_analysis_tree_exec.cc.
  */
 
 #include <gtest/gtest.h>
@@ -71,19 +72,15 @@ void usb_autopm_put_interface(struct usb_interface *i);
  * spans), which must not perturb any result.
  */
 std::string
-runDigest(const kernel::Corpus &corpus, int threads, bool cache,
-          bool trace = false, double run_deadline = 0,
-          double fn_deadline = 0, uint64_t solver_fuel = 0,
-          const std::string &failpoints = "",
+runDigest(const kernel::Corpus &corpus, int threads, bool trace = false,
+          double run_deadline = 0, double fn_deadline = 0,
+          uint64_t solver_fuel = 0, const std::string &failpoints = "",
           const std::vector<std::string> &enabled_domains = {},
-          bool load_domain_specs = false, bool compact = true,
-          bool intern = true)
+          bool load_domain_specs = false, bool compact = true)
 {
     analysis::AnalyzerOptions opts;
     opts.threads = threads;
-    opts.use_query_cache = cache;
     opts.compact_summaries = compact;
-    opts.intern_instantiations = intern;
     opts.run_deadline_seconds = run_deadline;
     opts.function_deadline_seconds = fn_deadline;
     opts.function_solver_fuel = solver_fuel;
@@ -153,16 +150,14 @@ kernel::Corpus AnalyzerDeterminismTest::multi_corpus_;
 
 TEST_F(AnalyzerDeterminismTest, ThreadsByCacheMatrixIsByteIdentical)
 {
-    std::string baseline = runDigest(corpus_, 1, false);
+    // Every worker count shares one query cache and one instantiation
+    // cache; which worker fills an entry first must not show. (The caches
+    // against no caches: TreeExecDifferential.)
+    std::string baseline = runDigest(corpus_, 1);
     ASSERT_FALSE(baseline.empty());
-    for (int threads : {1, 2, 4, 8}) {
-        for (bool cache : {false, true}) {
-            if (threads == 1 && !cache)
-                continue;  // that is the baseline itself
-            EXPECT_EQ(runDigest(corpus_, threads, cache), baseline)
-                << "threads=" << threads << " cache=" << cache;
-        }
-    }
+    for (int threads : {2, 4, 8})
+        EXPECT_EQ(runDigest(corpus_, threads), baseline)
+            << "threads=" << threads;
 }
 
 TEST_F(AnalyzerDeterminismTest, TracingDoesNotPerturbResults)
@@ -170,9 +165,9 @@ TEST_F(AnalyzerDeterminismTest, TracingDoesNotPerturbResults)
     // Span recording (including per-query solver spans) must be purely
     // observational: the digest stays byte-identical to the untraced
     // baseline at every thread count.
-    std::string baseline = runDigest(corpus_, 1, true);
+    std::string baseline = runDigest(corpus_, 1);
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(corpus_, threads, true, true), baseline)
+        EXPECT_EQ(runDigest(corpus_, threads, true), baseline)
             << "threads=" << threads << " trace=on";
     }
 }
@@ -182,7 +177,7 @@ TEST_F(AnalyzerDeterminismTest, RepeatedRunsAreByteIdentical)
     // Same configuration twice: catches any residual run-to-run
     // nondeterminism (iteration over pointer-keyed containers, races on
     // the shared cache, reports in worker-completion order, ...).
-    EXPECT_EQ(runDigest(corpus_, 4, true), runDigest(corpus_, 4, true));
+    EXPECT_EQ(runDigest(corpus_, 4), runDigest(corpus_, 4));
 }
 
 TEST_F(AnalyzerDeterminismTest, GenerousBudgetIsByteIdenticalToNoBudget)
@@ -192,9 +187,9 @@ TEST_F(AnalyzerDeterminismTest, GenerousBudgetIsByteIdenticalToNoBudget)
     // the solver and symexec must be purely observational until expiry.
     // An hour-scale deadline and huge fuel allowance cannot plausibly
     // fire on this corpus.
-    std::string baseline = runDigest(corpus_, 1, true);
+    std::string baseline = runDigest(corpus_, 1);
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(corpus_, threads, true, false,
+        EXPECT_EQ(runDigest(corpus_, threads, false,
                             /*run_deadline=*/3600,
                             /*fn_deadline=*/3600,
                             /*solver_fuel=*/1ull << 60),
@@ -210,9 +205,9 @@ TEST_F(AnalyzerDeterminismTest, RefOnlyDomainFilterIsByteIdentical)
     // same summaries, same diagnostics — across thread counts. The
     // filter machinery (seed selection, the IPP pre-pass) must be
     // invisible when it selects everything there is.
-    std::string baseline = runDigest(corpus_, 1, false);
+    std::string baseline = runDigest(corpus_, 1);
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(corpus_, threads, false, false, 0, 0, 0, "",
+        EXPECT_EQ(runDigest(corpus_, threads, false, 0, 0, 0, "",
                             {"ref"}),
                   baseline)
             << "threads=" << threads << " domains=ref";
@@ -225,8 +220,8 @@ TEST_F(AnalyzerDeterminismTest, DomainSpecsDoNotPerturbRefScan)
     // balanced-policy domains and so activate the balanced pre-pass)
     // must not change a single byte of the refcount scan when the
     // corpus never calls a lock/alloc primitive.
-    std::string baseline = runDigest(corpus_, 1, false);
-    EXPECT_EQ(runDigest(corpus_, 1, false, false, 0, 0, 0, "", {},
+    std::string baseline = runDigest(corpus_, 1);
+    EXPECT_EQ(runDigest(corpus_, 1, false, 0, 0, 0, "", {},
                         /*load_domain_specs=*/true),
               baseline);
 }
@@ -237,21 +232,21 @@ TEST_F(AnalyzerDeterminismTest, MultiDomainScanIsByteIdentical)
     // with all three domains' specs loaded, must stay byte-identical
     // across the same matrix the refcount corpus is pinned on.
     std::string baseline =
-        runDigest(multi_corpus_, 1, false, false, 0, 0, 0, "", {}, true);
+        runDigest(multi_corpus_, 1, false, 0, 0, 0, "", {}, true);
     ASSERT_NE(baseline.find("unbalanced at return"), std::string::npos)
         << "multi-domain corpus produced no balanced-policy reports";
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(multi_corpus_, threads, true, false, 0, 0, 0,
+        EXPECT_EQ(runDigest(multi_corpus_, threads, false, 0, 0, 0,
                             "", {}, true),
                   baseline)
             << "threads=" << threads << " multi-domain";
     }
     // Filtering the same corpus down to `ref` suppresses every
     // balanced-policy report deterministically.
-    std::string ref_only = runDigest(multi_corpus_, 1, false, false, 0, 0,
+    std::string ref_only = runDigest(multi_corpus_, 1, false, 0, 0,
                                      0, "", {"ref"}, true);
     EXPECT_EQ(ref_only.find("unbalanced at return"), std::string::npos);
-    EXPECT_EQ(runDigest(multi_corpus_, 4, true, false, 0, 0, 0, "",
+    EXPECT_EQ(runDigest(multi_corpus_, 4, false, 0, 0, 0, "",
                         {"ref"}, true),
               ref_only);
 }
@@ -264,14 +259,14 @@ TEST_F(AnalyzerDeterminismTest, CompactionPreservesReportsAndDiagnostics)
     // diagnostics must stay byte-identical to the uncompacted run,
     // across thread counts.
     std::string baseline =
-        stripSummaries(runDigest(corpus_, 1, false, false, 0, 0, 0, "", {},
+        stripSummaries(runDigest(corpus_, 1, false, 0, 0, 0, "", {},
                                  false, /*compact=*/false));
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4}) {
         for (bool compact : {false, true}) {
             if (threads == 1 && !compact)
                 continue;  // the baseline itself
-            EXPECT_EQ(stripSummaries(runDigest(corpus_, threads, false,
+            EXPECT_EQ(stripSummaries(runDigest(corpus_, threads,
                                                false, 0, 0, 0, "", {},
                                                false, compact)),
                       baseline)
@@ -284,23 +279,19 @@ TEST_F(AnalyzerDeterminismTest, InterningIsByteIdenticalIncludingSummaries)
 {
     // The instantiation cache is pure memoization: a hit returns exactly
     // what a fresh instantiate() would have produced, so the FULL digest
-    // — reports, summaries and diagnostics — is byte-identical with the
-    // cache off and on, across thread counts.
-    // (Compaction is off so the summaries section exercises the raw
-    // per-entry path.)
+    // — reports, summaries and diagnostics — is byte-identical however
+    // the workers share it. (Compaction is off so the summaries section
+    // exercises the raw per-entry path; the cache against no cache is
+    // TreeExecDifferential's second pass.)
     std::string baseline =
-        runDigest(corpus_, 1, false, false, 0, 0, 0, "", {}, false,
-                  /*compact=*/false, /*intern=*/false);
+        runDigest(corpus_, 1, false, 0, 0, 0, "", {}, false,
+                  /*compact=*/false);
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4}) {
-        for (bool intern : {false, true}) {
-            if (threads == 1 && !intern)
-                continue;  // the baseline itself
-            EXPECT_EQ(runDigest(corpus_, threads, false, false, 0, 0, 0, "",
-                                {}, false, false, intern),
-                      baseline)
-                << "threads=" << threads << " intern=" << intern;
-        }
+        EXPECT_EQ(runDigest(corpus_, threads, false, 0, 0, 0, "", {}, false,
+                            /*compact=*/false),
+                  baseline)
+            << "threads=" << threads;
     }
 }
 
@@ -330,11 +321,10 @@ class InjectedDeterminismTest : public ::testing::Test
      *  and the tier-suffixed rendering — any tier or rank divergence
      *  across configurations shows up byte-for-byte. */
     static std::string
-    triageDigest(int threads, bool cache)
+    triageDigest(int threads)
     {
         analysis::AnalyzerOptions opts;
         opts.threads = threads;
-        opts.use_query_cache = cache;
         opts.triage = true;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
@@ -377,11 +367,10 @@ class InjectedDeterminismTest : public ::testing::Test
     /** Fingerprints of one run in emission order (one fpHex + report
      *  line per report), asserting every report is stamped. */
     static std::string
-    fingerprintDigest(int threads, bool cache)
+    fingerprintDigest(int threads)
     {
         analysis::AnalyzerOptions opts;
         opts.threads = threads;
-        opts.use_query_cache = cache;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
         tool.loadSpecText(kernel::lockSpecText());
@@ -403,12 +392,11 @@ class InjectedDeterminismTest : public ::testing::Test
     }
 
     static ScoredRun
-    run(int threads, bool compact = true, bool intern = true)
+    run(int threads, bool compact = true)
     {
         analysis::AnalyzerOptions opts;
         opts.threads = threads;
         opts.compact_summaries = compact;
-        opts.intern_instantiations = intern;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
         tool.loadSpecText(kernel::lockSpecText());
@@ -433,23 +421,18 @@ kernel::InjectedCorpus InjectedDeterminismTest::triage_injected_;
 TEST_F(InjectedDeterminismTest, TriageTiersAndRanksAreConfigInvariant)
 {
     // The triage contract: tiers and ranks are byte-identical across
-    // threads {1, 4} x query cache {on, off}. The digest is the
-    // rank-ordered report list, so a rank permutation is as visible as
-    // a tier flip.
-    std::string baseline = triageDigest(1, /*cache=*/false);
+    // threads {1, 4}, whichever worker filled the shared query cache
+    // first. The digest is the rank-ordered report list, so a rank
+    // permutation is as visible as a tier flip. (Triage with and without
+    // the cache: TriageTest.RanksAreStableAcrossRunsAndCacheSettings.)
+    std::string baseline = triageDigest(1);
     ASSERT_FALSE(baseline.empty());
     // Non-vacuity: both tier extremes are present in the baseline.
     ASSERT_NE(baseline.find("{confirmed}"), std::string::npos)
         << baseline;
     ASSERT_NE(baseline.find("{refuted}"), std::string::npos) << baseline;
-    for (int threads : {1, 4}) {
-        for (bool cache : {false, true}) {
-            if (threads == 1 && !cache)
-                continue;  // the baseline itself
-            EXPECT_EQ(triageDigest(threads, cache), baseline)
-                << "threads=" << threads << " cache=" << cache;
-        }
-    }
+    for (int threads : {1, 4})
+        EXPECT_EQ(triageDigest(threads), baseline) << "threads=" << threads;
 }
 
 TEST_F(InjectedDeterminismTest, InjectedScoresAreEngineAndThreadInvariant)
@@ -488,23 +471,21 @@ TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
 {
     // Ground-truth scores on the injected corpus must survive both
     // perf attacks: report digests and per-domain precision/recall are
-    // identical with compaction and interning toggled in every
-    // combination, across threads {1, 4}.
-    ScoredRun baseline = run(1, /*compact=*/false, /*intern=*/false);
+    // identical with compaction on and off, across threads {1, 4}, with
+    // the instantiation cache shared by every worker. (Interning against
+    // none: TreeExecDifferential.)
+    ScoredRun baseline = run(1, /*compact=*/false);
     ASSERT_FALSE(baseline.digest.empty());
     for (int threads : {1, 4}) {
         for (bool compact : {false, true}) {
-            for (bool intern : {false, true}) {
-                if (threads == 1 && !compact && !intern)
-                    continue;  // the baseline itself
-                ScoredRun other = run(threads, compact, intern);
-                EXPECT_EQ(other.digest, baseline.digest)
-                    << "threads=" << threads << " compact=" << compact
-                    << " intern=" << intern;
-                EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
-                EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
-                EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
-            }
+            if (threads == 1 && !compact)
+                continue;  // the baseline itself
+            ScoredRun other = run(threads, compact);
+            EXPECT_EQ(other.digest, baseline.digest)
+                << "threads=" << threads << " compact=" << compact;
+            EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
+            EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
+            EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
         }
     }
 }
@@ -512,20 +493,13 @@ TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
 TEST_F(InjectedDeterminismTest, FingerprintsAreConfigInvariant)
 {
     // The provenance contract: report fingerprints are a stable identity,
-    // byte-identical across threads {1, 4} x query cache {on, off} on the
-    // injected smoke corpus. Any configuration leaking into the
-    // fingerprint recipe (e.g. cache hit/miss evidence) breaks cross-run
-    // diffing and shows up here.
-    std::string baseline = fingerprintDigest(1, /*cache=*/false);
+    // byte-identical across threads {1, 4} on the injected smoke corpus,
+    // although the workers' cache hits and misses differ. Any
+    // configuration leaking into the fingerprint recipe (e.g. cache
+    // hit/miss evidence) breaks cross-run diffing and shows up here.
+    std::string baseline = fingerprintDigest(1);
     ASSERT_FALSE(baseline.empty());
-    for (int threads : {1, 4}) {
-        for (bool cache : {false, true}) {
-            if (threads == 1 && !cache)
-                continue;  // the baseline itself
-            EXPECT_EQ(fingerprintDigest(threads, cache), baseline)
-                << "threads=" << threads << " cache=" << cache;
-        }
-    }
+    EXPECT_EQ(fingerprintDigest(4), baseline);
 }
 
 /** @p journal with every query's cache_hit flag blanked. */
@@ -561,15 +535,15 @@ TEST_F(InjectedDeterminismTest, JournalDiffersAcrossThreadsOnlyInCacheHitFlags)
 
 TEST_F(AnalyzerDeterminismTest, CacheDoesNotChangeReportCount)
 {
-    // Cheap cross-check on the Figure 9 example alone: the cache must
-    // not create or mask reports.
+    // Cheap cross-check on the Figure 9 example alone: the shared caches
+    // must not create or mask reports, here between one worker and four
+    // (the caches against none: TreeExecDifferential).
     kernel::Corpus empty;
-    std::string with = runDigest(empty, 1, true);
-    std::string without = runDigest(empty, 1, false);
-    EXPECT_EQ(with, without);
-    EXPECT_NE(with.find("idmouse_open"), std::string::npos)
+    std::string one = runDigest(empty, 1);
+    EXPECT_EQ(runDigest(empty, 4), one);
+    EXPECT_NE(one.find("idmouse_open"), std::string::npos)
         << "Figure 9 bug not reported; digest:\n"
-        << with;
+        << one;
 }
 
 /** Figure 9's caller with its wrapper call renamed to @p callee: a
@@ -627,8 +601,8 @@ digestAtOneAndEightWorkers(const std::string &source)
 {
     kernel::Corpus corpus;
     corpus.files.push_back({"scheduler.c", source});
-    std::string baseline = runDigest(corpus, 1, true);
-    EXPECT_EQ(runDigest(corpus, 8, true), baseline);
+    std::string baseline = runDigest(corpus, 1);
+    EXPECT_EQ(runDigest(corpus, 8), baseline);
     return baseline;
 }
 

@@ -17,7 +17,7 @@ namespace {
 
 TEST(DpmSpecs, ParseAndHaveExpectedDirections)
 {
-    auto parsed = summary::parseSpecs(dpmSpecText());
+    auto parsed = summary::parseSpecText(dpmSpecText()).summaries;
     EXPECT_GE(parsed.size(), 8u);
     for (const auto &p : parsed) {
         for (const auto &e : p.summary.entries) {
@@ -39,7 +39,7 @@ TEST(DpmSpecs, GetFamilyAlwaysIncrements)
 {
     // The Section 6.3 pitfall: the increment happens even on error, so
     // every entry of a get API must carry the +1.
-    auto parsed = summary::parseSpecs(dpmSpecText());
+    auto parsed = summary::parseSpecText(dpmSpecText()).summaries;
     for (const auto &p : parsed) {
         for (const auto &get : dpmGetFamily()) {
             if (p.summary.function != get)

@@ -416,6 +416,14 @@ TEST(JsonWriter, EscapesStrings)
               "line\nbreak\tand \\ backslash");
 }
 
+TEST(JsonEscape, EscapesSpecials)
+{
+    EXPECT_EQ(obs::jsonEscape("plain"), "plain");
+    EXPECT_EQ(obs::jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(obs::jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(obs::jsonEscape("a\nb"), "a\\nb");
+}
+
 TEST(JsonWriter, ControlBytesUseUnicodeEscapes)
 {
     std::string s = "a";

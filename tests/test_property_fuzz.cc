@@ -288,7 +288,7 @@ TEST_P(SummaryRoundTripTest, RandomSummariesSurviveSerialization)
         }
 
         std::string text = summary::serializeSummary(s);
-        auto parsed = summary::parseSpecs(text);
+        auto parsed = summary::parseSpecText(text).summaries;
         ASSERT_EQ(parsed.size(), 1u) << text;
         const auto &back = parsed[0].summary;
         ASSERT_EQ(back.entries.size(), s.entries.size()) << text;

@@ -36,7 +36,7 @@ runRid(const std::string &source)
 
 TEST(PycSpecs, ParseAndCoverFigure7Apis)
 {
-    auto parsed = summary::parseSpecs(pyc::pycSpecText());
+    auto parsed = summary::parseSpecText(pyc::pycSpecText()).summaries;
     std::set<std::string> names;
     for (const auto &p : parsed)
         names.insert(p.summary.function);
@@ -50,7 +50,7 @@ TEST(PycSpecs, ParseAndCoverFigure7Apis)
 
 TEST(PycSpecs, ConstructorsHaveSuccessAndFailureEntries)
 {
-    auto parsed = summary::parseSpecs(pyc::pycSpecText());
+    auto parsed = summary::parseSpecText(pyc::pycSpecText()).summaries;
     for (const auto &p : parsed) {
         if (p.summary.function == "PyList_New") {
             ASSERT_EQ(p.summary.entries.size(), 2u);

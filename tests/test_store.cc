@@ -263,12 +263,22 @@ TEST(StoreConfig, FingerprintTracksSpecsAndOutputAffectingOptions)
     filtered.enabled_domains = {"ref"};
     EXPECT_NE(base, store::configFingerprint(dpm_db, filtered));
 
-    // Thread and cache toggles are pinned output-identical by the
-    // determinism suite and must NOT invalidate the store.
+    // The thread count is pinned output-identical by the determinism
+    // suite and must NOT invalidate the store.
     analysis::AnalyzerOptions tuned = opts;
     tuned.threads = 4;
-    tuned.use_query_cache = false;
     EXPECT_EQ(base, store::configFingerprint(dpm_db, tuned));
+}
+
+TEST(StoreConfig, FingerprintOfDpmDefaultsIsPinned)
+{
+    // Existing stores resume only while this value holds: options that
+    // leave the analysis (such as the interning toggle, always on) must
+    // keep hashing what they held.
+    summary::SummaryDb dpm_db;
+    summary::loadSpecsInto(kernel::dpmSpecText(), dpm_db);
+    EXPECT_EQ(store::configFingerprint(dpm_db, analysis::AnalyzerOptions{}),
+              0x32cf3959d139bfbaull);
 }
 
 // ----------------------------------------------------------- end to end

@@ -282,11 +282,11 @@ TEST(SummaryDb, FindMissingReturnsNull)
 
 TEST(SpecParser, ParsesTheDpmShape)
 {
-    auto parsed = parseSpecs(R"(
+    auto parsed = parseSpecText(R"(
 summary pm_runtime_get_sync(dev) -> int {
   entry { cons: true; change: [dev].pm += 1; return: [0]; }
 }
-)");
+)").summaries;
     ASSERT_EQ(parsed.size(), 1u);
     const auto &s = parsed[0].summary;
     EXPECT_EQ(s.function, "pm_runtime_get_sync");
@@ -300,12 +300,12 @@ summary pm_runtime_get_sync(dev) -> int {
 
 TEST(SpecParser, MultipleEntriesAndConstraints)
 {
-    auto parsed = parseSpecs(R"(
+    auto parsed = parseSpecText(R"(
 summary PyList_New(len) -> ptr {
   entry { cons: [0] != null; change: [0].rc += 1; return: [0]; }
   entry { cons: [0] == null; return: null; }
 }
-)");
+)").summaries;
     const auto &s = parsed[0].summary;
     ASSERT_EQ(s.entries.size(), 2u);
     EXPECT_EQ(s.entries[0].cons.str(), "[0] != 0");
@@ -314,18 +314,20 @@ summary PyList_New(len) -> ptr {
 
 TEST(SpecParser, VoidFunctionsHaveNoReturn)
 {
-    auto parsed = parseSpecs(
+    auto parsed = parseSpecText(
         "summary Py_INCREF(o) -> void {"
-        " entry { cons: true; change: [o].rc += 1; return: none; } }");
+        " entry { cons: true; change: [o].rc += 1; return: none; } }")
+                      .summaries;
     EXPECT_FALSE(parsed[0].returns_value);
     EXPECT_TRUE(parsed[0].summary.entries[0].ret.empty());
 }
 
 TEST(SpecParser, NegativeChangesAndConstants)
 {
-    auto parsed = parseSpecs(
+    auto parsed = parseSpecText(
         "summary f(a) -> int {"
-        " entry { cons: [0] == -1; change: [a].rc -= 2; return: -1; } }");
+        " entry { cons: [0] == -1; change: [a].rc -= 2; return: -1; } }")
+                      .summaries;
     const auto &e = parsed[0].summary.entries[0];
     EXPECT_EQ(e.changes.begin()->second, -2);
     EXPECT_EQ(e.ret.intValue(), -1);
@@ -333,9 +335,9 @@ TEST(SpecParser, NegativeChangesAndConstants)
 
 TEST(SpecParser, DisjunctionAndNegationInCons)
 {
-    auto parsed = parseSpecs(
+    auto parsed = parseSpecText(
         "summary f(a) -> int {"
-        " entry { cons: [a] == 0 || !([0] < 0) && [a] > 1; } }");
+        " entry { cons: [a] == 0 || !([0] < 0) && [a] > 1; } }").summaries;
     // || binds loosest: a == 0 || (!(..) && a > 1)
     const auto &cons = parsed[0].summary.entries[0].cons;
     EXPECT_EQ(cons.kind(), smt::FormulaKind::Or);
@@ -343,17 +345,17 @@ TEST(SpecParser, DisjunctionAndNegationInCons)
 
 TEST(SpecParser, CommentsAndBlankLines)
 {
-    auto parsed = parseSpecs(
+    auto parsed = parseSpecText(
         "# leading comment\n\n"
         "summary f() -> void { # trailing\n entry { cons: true; "
-        "return: none; } }\n# done\n");
+        "return: none; } }\n# done\n").summaries;
     EXPECT_EQ(parsed.size(), 1u);
 }
 
 TEST(SpecParser, ErrorsCarryLineNumbers)
 {
     try {
-        parseSpecs("summary f() -> int {\n  entry { bogus: 1; }\n}");
+        parseSpecText("summary f() -> int {\n  entry { bogus: 1; }\n}");
         FAIL() << "expected SpecError";
     } catch (const SpecError &e) {
         EXPECT_EQ(e.line(), 2);
@@ -362,26 +364,26 @@ TEST(SpecParser, ErrorsCarryLineNumbers)
 
 TEST(SpecParser, RejectsNonZeroBracketNumbers)
 {
-    EXPECT_THROW(parseSpecs("summary f() -> int {"
-                            " entry { cons: [1] == 0; } }"),
+    EXPECT_THROW(parseSpecText("summary f() -> int {"
+                               " entry { cons: [1] == 0; } }"),
                  SpecError);
 }
 
 TEST(SpecParser, RejectsMissingSummaryKeyword)
 {
-    EXPECT_THROW(parseSpecs("function f() -> int {}"), SpecError);
+    EXPECT_THROW(parseSpecText("function f() -> int {}"), SpecError);
 }
 
 TEST(SpecRoundTrip, SerializeThenParse)
 {
-    auto parsed = parseSpecs(R"(
+    auto parsed = parseSpecText(R"(
 summary usb_autopm_get_interface(intf) -> int {
   entry { cons: [0] < 0; return: [0]; }
   entry { cons: [0] == 0; change: [intf].dev.pm += 1; return: [0]; }
 }
-)");
+)").summaries;
     std::string text = serializeSummary(parsed[0].summary);
-    auto again = parseSpecs(text);
+    auto again = parseSpecText(text).summaries;
     ASSERT_EQ(again.size(), 1u);
     const auto &a = parsed[0].summary;
     const auto &b = again[0].summary;
@@ -397,7 +399,7 @@ TEST(SpecRoundTrip, FlagsSurvive)
 {
     FunctionSummary s = FunctionSummary::defaultFor("f", true);
     s.is_truncated = true;
-    auto again = parseSpecs(serializeSummary(s));
+    auto again = parseSpecText(serializeSummary(s)).summaries;
     EXPECT_TRUE(again[0].summary.is_default);
     EXPECT_TRUE(again[0].summary.is_truncated);
 }
@@ -410,7 +412,7 @@ TEST(SpecRoundTrip, TempAtomsSurvive)
     SummaryEntry e;
     e.changes[smt::Expr::field(smt::Expr::temp("c1_0"), "rc")] = 1;
     s.entries.push_back(e);
-    auto again = parseSpecs(serializeSummary(s));
+    auto again = parseSpecText(serializeSummary(s)).summaries;
     EXPECT_EQ(again[0].summary.entries[0].changes.begin()->first.str(),
               "%c1_0.rc");
 }
@@ -457,8 +459,9 @@ summary spin_lock(l) -> void {
 
 TEST(SpecDomains, UntaggedChangeIsRefDomain)
 {
-    auto parsed = parseSpecs("summary g(a) -> void { entry { cons: true; "
-                             "change: [a].rc += 1; } }");
+    auto parsed = parseSpecText("summary g(a) -> void { entry { cons: true; "
+                                "change: [a].rc += 1; } }")
+                      .summaries;
     const auto &key = parsed[0].summary.entries[0].changes.begin()->first;
     EXPECT_EQ(key.domain, kRefDomain);
     EXPECT_TRUE(key.isRef());

@@ -281,14 +281,14 @@ TEST(CompactionDifferential, ReportsAndDiagnosticsAreIdentical)
 {
     // End-to-end precision/recall preservation smoke: the calibrated
     // corpus must report the same bugs (byte-identical, same order)
-    // with compaction and interning off and on. The determinism suite
-    // pins the same property across thread counts.
+    // with compaction off and on. The determinism suite pins the same
+    // property across thread counts, and TreeExecDifferential the
+    // instantiation cache against none.
     auto corpus =
         kernel::generateCorpus(kernel::CorpusMix::paperCalibrated(0.01));
-    auto runWith = [&](bool compact, bool intern) {
+    auto runWith = [&](bool compact) {
         analysis::AnalyzerOptions opts;
         opts.compact_summaries = compact;
-        opts.intern_instantiations = intern;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
         for (const auto &file : corpus.files)
@@ -304,11 +304,9 @@ TEST(CompactionDifferential, ReportsAndDiagnosticsAreIdentical)
                       "\n";
         return digest;
     };
-    std::string baseline = runWith(false, false);
+    std::string baseline = runWith(false);
     EXPECT_FALSE(baseline.empty());
-    EXPECT_EQ(runWith(true, false), baseline);
-    EXPECT_EQ(runWith(false, true), baseline);
-    EXPECT_EQ(runWith(true, true), baseline);
+    EXPECT_EQ(runWith(true), baseline);
 }
 
 TEST(CompactionDifferential, CompactionShrinksWrapperSummaries)

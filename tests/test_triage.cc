@@ -381,20 +381,35 @@ TEST(TriageTest, FuelExhaustionDegradesToUnverifiedNeverRefuted)
 
 TEST(TriageTest, RanksAreStableAcrossRunsAndCacheSettings)
 {
-    auto digest = [](bool cache) {
-        analysis::AnalyzerOptions opts;
-        opts.triage = true;
-        opts.use_query_cache = cache;
-        RunResult result = runSample(opts, kTriageSample);
+    auto digest = [](const std::vector<analysis::BugReport> &reports) {
         std::string out;
-        for (const auto &r : result.reports)
+        for (const auto &r : reports)
             out += std::to_string(r.rank) + " " + r.str() + "\n";
         return out;
     };
-    std::string baseline = digest(true);
+    analysis::AnalyzerOptions opts;
+    opts.triage = true;
+    std::string baseline = digest(runSample(opts, kTriageSample).reports);
     ASSERT_FALSE(baseline.empty());
-    EXPECT_EQ(digest(true), baseline);
-    EXPECT_EQ(digest(false), baseline);
+    EXPECT_EQ(digest(runSample(opts, kTriageSample).reports), baseline);
+
+    // The pass with no query cache and with the analysis run's cache
+    // (what Rid::run hands it) must rank and tier alike.
+    summary::SummaryDb db;
+    summary::loadSpecsInto(kernel::dpmSpecText(), db);
+    ir::Module mod;
+    mod.absorb(frontend::compile(kTriageSample));
+    std::vector<std::pair<std::string, std::string>> sources = {
+        {"", kTriageSample}};
+    analysis::Analyzer analyzer(mod, db, analysis::AnalyzerOptions{});
+    analyzer.run();
+    for (bool cache : {false, true}) {
+        std::vector<analysis::BugReport> reports = analyzer.reports();
+        triage::TriagePass pass(mod, db, sources,
+                                cache ? analyzer.queryCache() : nullptr);
+        pass.run(reports);
+        EXPECT_EQ(digest(reports), baseline) << "cache=" << cache;
+    }
 }
 
 TEST(TriageTest, ProvenanceTierRoundTripAndReclassifiedDiff)
