@@ -423,7 +423,6 @@ Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
         symexec_span.arg("fn", fn.name());
         TreeExecOptions tree_opts;
         tree_opts.max_subcases = opts_.max_subcases;
-        tree_opts.prune_infeasible = opts_.prune_infeasible;
         tree_opts.budget = budget;
         tree_opts.max_paths = opts_.max_paths;
         tree_opts.max_visits = 2;
@@ -628,71 +627,67 @@ Analyzer::run()
     auto t1 = std::chrono::steady_clock::now();
     obs::Span analyze_span("pipeline", "analyze");
 
-    // Resume plan, built bottom-up over the SCC condensation before the
-    // traversal. An SCC is *clean* when every tracked member replays from
-    // the store (Load) or is quarantined, and every cross-SCC callee's
-    // SCC is clean; a dirty SCC downgrades its members' Loads to Analyze,
-    // so the whole up-cone of any changed/incomplete function re-executes
-    // with fresh callee summaries. Quarantine stands even in a dirty cone
-    // (the default summary it applies is callee-independent); a Retry
-    // re-runs by definition and dirties its callers, since a successful
-    // retry changes the summary its callers saw.
-    if (store_ && opts_.resume) {
-        obs::Span plan_span("pipeline", "resume-plan");
-        resume_plan_.resize(cg.size());
+    // Resume plan of one SCC, decided when a worker takes it. An SCC is
+    // *clean* when every tracked member replays from the store (Load) or
+    // is quarantined, and every cross-SCC callee's SCC is clean; a dirty
+    // SCC downgrades its members' Loads to Analyze, so the whole up-cone
+    // of any changed/incomplete function re-executes with fresh callee
+    // summaries. Quarantine stands even in a dirty cone (the default
+    // summary it applies is callee-independent); a Retry re-runs by
+    // definition and dirties its callers, since a successful retry
+    // changes the summary its callers saw. Callee SCCs finish before
+    // their callers become ready, and the scheduler's mutex hand-off
+    // orders their scc_clean writes before this read. Returns one Action
+    // per member, or none when not resuming.
+    const bool resuming = store_ && opts_.resume;
+    std::vector<char> scc_clean(resuming ? cg.numSccs() : 0, 1);
+    auto planScc = [&](int scc) {
+        std::vector<FunctionStore::Action> plan;
+        if (!resuming)
+            return plan;
+        const std::vector<int> &members = cg.sccMembers(scc);
+        plan.resize(members.size());
         FunctionStore::LookupContext ctx;
         ctx.function_deadline_seconds = opts_.function_deadline_seconds;
         ctx.function_solver_fuel = opts_.function_solver_fuel;
-        // SCC ids are reverse-topological (callees first), so one id-order
-        // sweep sees every callee SCC before its callers.
-        std::vector<char> scc_clean(cg.numSccs(), 1);
-        for (int scc = 0; scc < static_cast<int>(cg.numSccs()); scc++) {
-            bool clean = true;
-            for (int member : cg.sccMembers(scc)) {
-                for (int callee : cg.calleesOf(member)) {
-                    int cs = cg.sccOf(callee);
-                    if (cs != scc && !scc_clean[cs])
-                        clean = false;
-                }
-                if (static_cast<size_t>(member) >= mod_.size() ||
-                    !tracked(member))
-                    continue; // declarations/specs: fixed via config_fp
-                ctx.want_analyze = shouldAnalyze(member);
-                FunctionStore::Action &a = resume_plan_[member];
-                a = store_->lookup(
-                    {nameOf(member), mod_.fingerprint(member),
-                     store_config_fp_},
-                    ctx, domain_table_);
-                if (a.plan != FunctionStore::Plan::Load &&
-                    a.plan != FunctionStore::Plan::Quarantine)
+        bool clean = true;
+        for (size_t i = 0; i < members.size(); i++) {
+            const int member = members[i];
+            for (int callee : cg.calleesOf(member)) {
+                int cs = cg.sccOf(callee);
+                if (cs != scc && !scc_clean[cs])
                     clean = false;
             }
-            if (!clean) {
-                for (int member : cg.sccMembers(scc)) {
-                    auto &a = resume_plan_[member];
-                    if (a.plan == FunctionStore::Plan::Load)
-                        a = FunctionStore::Action{};
-                }
-            }
-            scc_clean[scc] = clean ? 1 : 0;
+            if (static_cast<size_t>(member) >= mod_.size() ||
+                !tracked(member))
+                continue; // declarations/specs: fixed via config_fp
+            ctx.want_analyze = shouldAnalyze(member);
+            plan[i] = store_->lookup(
+                {nameOf(member), mod_.fingerprint(member), store_config_fp_},
+                ctx, domain_table_);
+            if (plan[i].plan != FunctionStore::Plan::Load &&
+                plan[i].plan != FunctionStore::Plan::Quarantine)
+                clean = false;
         }
-    }
+        if (!clean) {
+            for (auto &a : plan)
+                if (a.plan == FunctionStore::Plan::Load)
+                    a = FunctionStore::Action{};
+        }
+        scc_clean[scc] = clean ? 1 : 0;
+        return plan;
+    };
 
-    auto processNode = [&](int node) -> std::vector<BugReport> {
+    // @p action is the node's resume plan; the default one (Analyze)
+    // when not resuming.
+    auto processNode = [&](int node, FunctionStore::Action action)
+        -> std::vector<BugReport> {
         if (static_cast<size_t>(node) >= mod_.size())
             return {};   // an undeclared call target
         try {
             obs::FailpointScope fp_scope(nameOf(node));
             const bool is_tracked = tracked(node);
-
-            // Each node is visited exactly once per run; moving its Action
-            // out leaves every other slot untouched, so concurrent workers
-            // need no lock.
-            FunctionStore::Action action;
-            const bool have_plan = is_tracked && !resume_plan_.empty();
-            if (have_plan)
-                action = std::move(resume_plan_[node]);
-            if (have_plan && action.plan == FunctionStore::Plan::Load) {
+            if (action.plan == FunctionStore::Plan::Load) {
                 // Store hit: replay the recorded outcome and skip symexec.
                 // Counters are not replayed (stats describe work actually
                 // done this run); diagnostics are, so truncation notes
@@ -710,12 +705,11 @@ Analyzer::run()
                         {nameOf(node), action.status, action.reason});
                 return std::move(action.reports);
             }
-            if (have_plan &&
-                action.plan == FunctionStore::Plan::Quarantine) {
+            if (action.plan == FunctionStore::Plan::Quarantine) {
                 // Retry ladder exhausted: conservative default summary,
                 // no symexec, and a provenance note saying why.
                 ins_.store_quarantined->inc();
-                return fallBack(node, FnStatus::Degraded, action.note,
+                return fallBack(node, FnStatus::Degraded, action.reason,
                                 /*persist=*/false);
             }
             if (store_ && is_tracked)
@@ -741,7 +735,7 @@ Analyzer::run()
                         obs::budgetStopName(run_budget_->stopReason()));
             double deadline = opts_.function_deadline_seconds;
             uint64_t fuel = opts_.function_solver_fuel;
-            if (have_plan && action.plan == FunctionStore::Plan::Retry) {
+            if (action.plan == FunctionStore::Plan::Retry) {
                 ins_.store_retries->inc();
                 deadline = action.retry_deadline_seconds;
                 fuel = action.retry_fuel;
@@ -769,7 +763,7 @@ Analyzer::run()
     // ready once every SCC it calls into is done, counted by its pending
     // cross-SCC call edges, and a worker always takes the smallest ready
     // SCC id. SCC ids are reverse-topological, so one worker walks
-    // exactly reverseTopoOrder(); more workers run independent SCCs
+    // them in id order, callees first; more workers run independent SCCs
     // concurrently with no barrier between them.
     const int num_sccs = static_cast<int>(cg.numSccs());
     // mu guards everything the workers share below: the pending counts,
@@ -805,8 +799,15 @@ Analyzer::run()
             lock.unlock();
             std::vector<BugReport> found;
             try {
-                for (int member : cg.sccMembers(scc)) {
-                    for (auto &r : processNode(member))
+                // Planning sits outside every per-function failpoint scope
+                // and fault isolation: a lookup fault fails the run.
+                std::vector<FunctionStore::Action> plan = planScc(scc);
+                const std::vector<int> &members = cg.sccMembers(scc);
+                for (size_t i = 0; i < members.size(); i++) {
+                    for (auto &r : processNode(
+                             members[i], plan.empty()
+                                             ? FunctionStore::Action{}
+                                             : std::move(plan[i])))
                         found.push_back(std::move(r));
                     if (store_ && ++processed % 64 == 0)
                         storeCheckpoint();

@@ -111,6 +111,8 @@ class FunctionStore
         std::vector<BugReport> reports;
         /** Load: the original status/reason, replayed as a diagnostic. */
         FnStatus status = FnStatus::Ok;
+        /** Load: the recorded reason. Quarantine: the provenance note
+         *  of the Degraded diagnostic. */
         std::string reason;
         /** Load: the function was classification-skipped (category 3)
          *  in the recorded run; replay stores the default summary. */
@@ -118,10 +120,6 @@ class FunctionStore
         /** Retry: backoff-laddered budget (0 = keep the run's). */
         double retry_deadline_seconds = 0;
         uint64_t retry_fuel = 0;
-        /** Retry/Quarantine: failed attempts recorded so far. */
-        uint32_t prior_attempts = 0;
-        /** Quarantine: provenance note for the Degraded diagnostic. */
-        std::string note;
     };
 
     /** Run-side context a lookup decision needs. */
@@ -180,8 +178,6 @@ struct AnalyzerOptions
     int max_subcases = 10;
     /** Conditional-branch budget for category-2 functions (paper: 3). */
     int max_cat2_branches = 3;
-    /** Prune infeasible states during symbolic execution. */
-    bool prune_infeasible = true;
     /** Classify first and skip category-3 functions (Section 5.2).
      *  Disabled: every defined function is fully analyzed. */
     bool classify = true;
@@ -520,12 +516,6 @@ class Analyzer
     /** Durable store (null = persistence off) and its config key part. */
     std::shared_ptr<FunctionStore> store_;
     uint64_t store_config_fp_ = 0;
-    /** Resume plan, indexed by call-graph node and built bottom-up over
-     *  the SCC condensation before the traversal: for each tracked
-     *  function, what to do with it (empty unless resuming). Each slot is
-     *  moved out once by the worker processing its node, so workers need
-     *  no lock. */
-    std::vector<FunctionStore::Action> resume_plan_;
 };
 
 } // namespace rid::analysis

@@ -58,17 +58,6 @@ CallGraph::nodeOf(const std::string &name) const
     return it == undeclaredIds_.end() ? -1 : it->second;
 }
 
-std::vector<int>
-CallGraph::reverseTopoOrder() const
-{
-    std::vector<int> order;
-    order.reserve(edges_.size());
-    for (const auto &scc : sccs_)
-        for (int node : scc)
-            order.push_back(node);
-    return order;
-}
-
 std::vector<std::vector<int>>
 stronglyConnected(const std::vector<std::vector<int>> &edges)
 {

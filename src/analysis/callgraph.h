@@ -83,12 +83,6 @@ class CallGraph
         return sccs_.at(scc);
     }
 
-    /**
-     * Nodes in reverse topological order (callees first). Members of a
-     * cycle appear consecutively in deterministic order.
-     */
-    std::vector<int> reverseTopoOrder() const;
-
   private:
     /** Node of call target @p name, minting a synthetic node for a name
      *  the module does not declare. */

@@ -1,23 +1,12 @@
 #include "analysis/classifier.h"
 
+#include <algorithm>
+#include <ranges>
+
 #include "analysis/slicer.h"
 #include "obs/trace.h"
 
 namespace rid::analysis {
-
-const char *
-categoryName(Category c)
-{
-    switch (c) {
-      case Category::RefcountChanging:
-        return "functions with refcount changes";
-      case Category::Affecting:
-        return "functions affecting those with refcount changes";
-      case Category::Other:
-        return "the others";
-    }
-    return "?";
-}
 
 FunctionClassifier::FunctionClassifier(
     const ir::Module &mod, const std::vector<std::string> &seeds)
@@ -40,36 +29,22 @@ FunctionClassifier::FunctionClassifier(
             rc_changing[node] = true;
     }
 
-    // Phase 1: propagate "has refcount changes" in reverse topological
-    // order (callees first). Recursive cycles are handled by iterating a
-    // whole SCC until stable (equivalently: an SCC is refcount-changing
-    // if any member calls a refcount-changing function).
-    auto order = cg.reverseTopoOrder();
-    for (int node : order) {
-        if (rc_changing[node])
-            continue;
-        for (int callee : cg.calleesOf(node)) {
-            if (rc_changing[callee]) {
+    // Phase 1: one sweep over the SCC condensation, callees first (SCC
+    // ids are reverse-topological). An SCC is refcount-changing when any
+    // member is a seed or calls a refcount-changing node; its members all
+    // reach each other, so they share the answer.
+    const int num_sccs = static_cast<int>(cg.numSccs());
+    auto changes = [&](int node) {
+        return rc_changing[node] ||
+               std::ranges::any_of(cg.calleesOf(node), [&](int callee) {
+                   return rc_changing[callee];
+               });
+    };
+    for (int scc = 0; scc < num_sccs; scc++) {
+        const std::vector<int> &members = cg.sccMembers(scc);
+        if (std::ranges::any_of(members, changes))
+            for (int node : members)
                 rc_changing[node] = true;
-                break;
-            }
-        }
-    }
-    // One fixpoint round for cycles whose member order hid the seed.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int node : order) {
-            if (rc_changing[node])
-                continue;
-            for (int callee : cg.calleesOf(node)) {
-                if (rc_changing[callee]) {
-                    rc_changing[node] = true;
-                    changed = true;
-                    break;
-                }
-            }
-        }
     }
 
     // Phase 2: in topological order (callers first), slice every
@@ -77,24 +52,27 @@ FunctionClassifier::FunctionClassifier(
     // arguments of refcount-changing calls; callees invoked inside the
     // slice become category 2.
     std::vector<bool> affecting(n, false);
-    std::vector<int> topo(order.rbegin(), order.rend());
-    for (int node : topo) {
-        if (!rc_changing[node] || static_cast<size_t>(node) >= mod_.size() ||
-            mod_.skeleton(node).declaration)
-            continue;
-        const ir::Function &fn = mod_.function(node);
-        auto isRcCall = [&](const ir::Instruction &in) {
-            int callee = cg.nodeOf(in.callee);
-            return callee >= 0 && rc_changing[callee];
-        };
-        auto slice = backwardSlice(fn, /*include_returns=*/true, isRcCall);
-        for (const auto &ref : slice) {
-            const auto &in = fn.block(ref.block).instrs[ref.index];
-            if (in.op != ir::Opcode::Call)
+    for (int scc = num_sccs - 1; scc >= 0; scc--) {
+        for (int node : cg.sccMembers(scc) | std::views::reverse) {
+            if (!rc_changing[node] ||
+                static_cast<size_t>(node) >= mod_.size() ||
+                mod_.skeleton(node).declaration)
                 continue;
-            int callee = cg.nodeOf(in.callee);
-            if (callee >= 0 && !rc_changing[callee])
-                affecting[callee] = true;
+            const ir::Function &fn = mod_.function(node);
+            auto isRcCall = [&](const ir::Instruction &in) {
+                int callee = cg.nodeOf(in.callee);
+                return callee >= 0 && rc_changing[callee];
+            };
+            auto slice =
+                backwardSlice(fn, /*include_returns=*/true, isRcCall);
+            for (const auto &ref : slice) {
+                const auto &in = fn.block(ref.block).instrs[ref.index];
+                if (in.op != ir::Opcode::Call)
+                    continue;
+                int callee = cg.nodeOf(in.callee);
+                if (callee >= 0 && !rc_changing[callee])
+                    affecting[callee] = true;
+            }
         }
     }
 

@@ -12,8 +12,9 @@
  *   3. Everything else — ignored.
  *
  * Classification is a two-phase pass over the call graph: phase one
- * propagates "has refcount changes" from the API seeds in reverse
- * topological order; phase two walks callers in topological order,
+ * propagates "has refcount changes" from the API seeds in one sweep over
+ * the SCC condensation, callees first (a cycle's members share the
+ * answer); phase two walks callers in topological order,
  * slicing each category-1/2 function on its return values and the actual
  * arguments of category-1 calls, and marks callees invoked inside the
  * slice as category 2.
@@ -44,8 +45,6 @@ enum class Category : uint8_t {
     Affecting,          ///< category 2
     Other,              ///< category 3
 };
-
-const char *categoryName(Category c);
 
 struct ClassifierStats
 {

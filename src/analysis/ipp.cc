@@ -22,19 +22,6 @@ tierName(Tier t)
     return "?";
 }
 
-bool
-tierOf(const std::string &name, Tier &out)
-{
-    for (Tier t : {Tier::Untriaged, Tier::Confirmed, Tier::Unverified,
-                   Tier::LowConfidence, Tier::Refuted}) {
-        if (name == tierName(t)) {
-            out = t;
-            return true;
-        }
-    }
-    return false;
-}
-
 uint64_t
 BugReport::computeFingerprint(uint64_t function_fingerprint) const
 {

@@ -62,9 +62,6 @@ enum class Tier : uint8_t {
  *  "untriaged") used by report_format, provenance and ridc. */
 const char *tierName(Tier t);
 
-/** Parse a tierName() slug. @return false if @p name is unknown */
-bool tierOf(const std::string &name, Tier &out);
-
 /** One reported bug on a tracked counter. */
 struct BugReport
 {

@@ -403,7 +403,7 @@ class TreeExecutor
     bool
     pruneState(const TreeState &s) const
     {
-        return opts_.prune_infeasible && !solver_.isSatChain(s.cons);
+        return !solver_.isSatChain(s.cons);
     }
 
     std::vector<TreeState>

@@ -44,10 +44,6 @@ struct TreeExecOptions
     /** Cap on summary entries / live states per path ("subcases" in
      *  the paper's configuration; default 10 — Section 6.1). */
     int max_subcases = 10;
-    /** Prune a state as soon as its condition becomes unsatisfiable;
-     *  with prefix sharing this also skips the whole CFG subtree below
-     *  an infeasible branch side. */
-    bool prune_infeasible = true;
     /** Optional cooperative budget checked once per executed tree node;
      *  expiry stops the walk and sets TreeExecResult::deadline_hit. Not
      *  owned; must outlive the call. */

@@ -209,9 +209,6 @@ InternStats formulaInternStats();
 /** Combined expression + formula interning stats. */
 InternStats totalInternStats();
 
-/** One-line human-readable rendering of @p s. */
-std::string internStatsStr(const InternStats &s);
-
 } // namespace rid::smt
 
 #endif // RID_SMT_INTERN_H

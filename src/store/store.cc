@@ -299,12 +299,13 @@ configFingerprint(const summary::SummaryDb &db,
                          static_cast<int64_t>(opts.max_subcases)));
     h = fpCombine(h, static_cast<uint64_t>(
                          static_cast<int64_t>(opts.max_cat2_branches)));
-    h = fpCombine(h, static_cast<uint64_t>(opts.prune_infeasible));
+    // The constants 1 stand where since removed toggles that were
+    // always on (pruning, interning) were hashed, so existing stores
+    // keep their fingerprint and still resume.
+    h = fpCombine(h, uint64_t{1});
     h = fpCombine(h, static_cast<uint64_t>(opts.classify));
     // compact_summaries changes the stored summary shape, so a resume
-    // across a flip must re-analyze. The constant 1 stands where a since
-    // removed interning toggle (always on) was hashed, so existing
-    // stores keep their fingerprint and still resume.
+    // across a flip must re-analyze.
     h = fpCombine(h, static_cast<uint64_t>(opts.compact_summaries));
     h = fpCombine(h, uint64_t{1});
     h = fpCombine(h, static_cast<uint64_t>(opts.enabled_domains.size()));
@@ -333,14 +334,14 @@ AnalysisStore::AnalysisStore(Options opts) : opts_(std::move(opts))
     if (ec)
         throw std::runtime_error("store: cannot create directory " +
                                  opts_.path + ": " + ec.message());
-    log_path_ = opts_.path + "/analysis.wal";
+    const std::string log_path = opts_.path + "/analysis.wal";
 
     uint64_t resume_at = 0;
     bool fresh = !opts_.resume;
     if (opts_.resume) {
         // Frames are views into this one buffer; applyFrame copies only
         // the fields an Entry keeps.
-        const std::string bytes = readFile(log_path_);
+        const std::string bytes = readFile(log_path);
         WalScan scan = scanWal(bytes);
         io_.torn_frames += scan.torn_frames;
         if (!scan.header_ok) {
@@ -357,8 +358,8 @@ AnalysisStore::AnalysisStore(Options opts) : opts_(std::move(opts))
             resume_at = scan.durable_size;
         }
     }
-    if (!writer_.open(log_path_, fresh, resume_at))
-        throw std::runtime_error("store: cannot open log " + log_path_);
+    if (!writer_.open(log_path, fresh, resume_at))
+        throw std::runtime_error("store: cannot open log " + log_path);
     // A fresh log's header is not durable until the first checkpoint.
     unsynced_ = fresh;
 }
@@ -415,14 +416,12 @@ AnalysisStore::lookup(const Key &key, const LookupContext &ctx,
     switch (d.kind) {
       case SupervisorDecision::Kind::Quarantine:
         action.plan = Plan::Quarantine;
-        action.prior_attempts = e.attempts;
-        action.note = std::move(d.note);
+        action.reason = std::move(d.note);
         return action;
       case SupervisorDecision::Kind::Retry:
         action.plan = Plan::Retry;
         action.retry_deadline_seconds = d.retry_deadline_seconds;
         action.retry_fuel = d.retry_fuel;
-        action.prior_attempts = e.attempts;
         return action;
       case SupervisorDecision::Kind::LoadEligible:
         break;

@@ -85,9 +85,6 @@ class AnalysisStore : public analysis::FunctionStore
     void checkpoint(uint64_t tag) override;
     IoStats ioStats() const override;
 
-    /** The log file path (tests corrupt it directly). */
-    const std::string &logPath() const { return log_path_; }
-
   private:
     /** In-memory image of the last surviving record per function. */
     struct Entry
@@ -106,7 +103,6 @@ class AnalysisStore : public analysis::FunctionStore
     void applyFrame(const WalFrame &frame);
 
     Options opts_;
-    std::string log_path_;
     WalWriter writer_;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Entry> entries_;

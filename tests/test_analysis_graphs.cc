@@ -66,7 +66,11 @@ TEST(CallGraph, ReverseTopoPutsCalleesFirst)
         "void b(void) { c(); }\n"
         "void c(void) { }\n");
     CallGraph cg(m);
-    auto order = cg.reverseTopoOrder();
+    // The bottom-up walk: SCCs in id order, each one's members in order.
+    std::vector<int> order;
+    for (size_t scc = 0; scc < cg.numSccs(); scc++)
+        for (int node : cg.sccMembers(static_cast<int>(scc)))
+            order.push_back(node);
     auto pos = [&](const char *name) {
         int node = cg.nodeOf(name);
         for (size_t i = 0; i < order.size(); i++)

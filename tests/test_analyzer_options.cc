@@ -2,8 +2,8 @@
  * @file
  * Integration tests for the analyzer's configuration knobs
  * (analysis/analyzer.h): classification tiers, the category-2 branch
- * budget, path/subcase limits, infeasible-path pruning and default
- * summaries for truncated functions.
+ * budget, path/subcase limits and default summaries for truncated
+ * functions.
  */
 
 #include <gtest/gtest.h>
@@ -94,43 +94,6 @@ int driver(struct device *dev, int v) {
     // Deterministic helper result makes the two branches correlate:
     // feasible paths are get+put or neither. No report.
     EXPECT_TRUE(result.reports.empty());
-}
-
-TEST(AnalyzerOptions, PruningOffStillSound)
-{
-    // With infeasible-state pruning disabled the same bug is found; the
-    // unsat overlap check at IPP time filters contradictory pairs.
-    const char *source = R"(
-int f(struct device *dev) {
-    int r = pm_runtime_get_sync(dev);
-    if (r < 0)
-        return r;
-    r = op(dev);
-    pm_runtime_put(dev);
-    return r;
-}
-int op(struct device *dev);
-)";
-    analysis::AnalyzerOptions opts;
-    opts.prune_infeasible = false;
-    RunResult result = runWith(source, opts);
-    EXPECT_EQ(result.reports.size(), 1u);
-}
-
-TEST(AnalyzerOptions, PruningOffFigure10StillMissed)
-{
-    const char *source = R"(
-int irq(struct device *dev) {
-    int r = pm_runtime_get_sync(dev);
-    if (r < 0)
-        return 0;
-    pm_runtime_put(dev);
-    return 1;
-}
-)";
-    analysis::AnalyzerOptions opts;
-    opts.prune_infeasible = false;
-    EXPECT_TRUE(runWith(source, opts).reports.empty());
 }
 
 TEST(AnalyzerOptions, TruncatedFunctionGetsDefaultEntry)

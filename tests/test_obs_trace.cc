@@ -14,7 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/rid.h"
@@ -305,30 +305,25 @@ TEST(Tracer, CheckpointSpansOnlyWhereAStoreCheckpointSyncs)
         for (const auto &file : corpus.files)
             tool.addSource(file.text);
         RunResult result = tool.run();
-        size_t checkpoints = 0, plans = 0;
-        for (const auto &e : tracer->sortedEvents()) {
+        size_t checkpoints = 0;
+        for (const auto &e : tracer->sortedEvents())
             if (std::string(e.cat) == "store" &&
                 std::string(e.name) == "checkpoint")
                 checkpoints++;
-            if (std::string(e.name) == "resume-plan")
-                plans++;
-        }
-        return std::make_tuple(checkpoints, plans, result);
+        return std::make_pair(checkpoints, result);
     };
 
     // The cold run records every tracked function, so checkpoints sync.
-    auto [cold_checkpoints, cold_plans, cold] = storeRun(false);
+    auto [cold_checkpoints, cold] = storeRun(false);
     EXPECT_GT(cold.stats.store.bytes_appended, 0u);
     EXPECT_GE(cold_checkpoints, 1u);
-    EXPECT_EQ(cold_plans, 0u);
 
-    // A warm resume with no edits records nothing: it plans, but no
-    // checkpoint has anything to commit, so none syncs or opens a span.
-    auto [warm_checkpoints, warm_plans, warm] = storeRun(true);
+    // A warm resume with no edits records nothing: no checkpoint has
+    // anything to commit, so none syncs or opens a span.
+    auto [warm_checkpoints, warm] = storeRun(true);
     EXPECT_EQ(warm.stats.store.misses, 0u);
     EXPECT_EQ(warm.stats.store.bytes_appended, 0u);
     EXPECT_EQ(warm_checkpoints, 0u);
-    EXPECT_EQ(warm_plans, 1u);
 }
 
 /** Project an export to its deterministic identity (drop timings). */

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -643,6 +644,126 @@ TEST_F(StoreEndToEnd, ChangedFunctionAndItsCallersReexecute)
     EXPECT_EQ(result.stats.store.hits, 1u);
     EXPECT_EQ(result.stats.store.misses, 2u);
     EXPECT_EQ(result.stats.functions_analyzed, 2u);
+}
+
+/** An edited callee whose caller cone spans four SCCs: `cone_leaf`,
+ *  the cycle {`cone_ping`, `cone_pong`}, `cone_top` and `cone_root`.
+ *  `cone_side` stands alone. @p edited adds a statement to `cone_leaf`
+ *  that changes its body fingerprint, not its behavior. */
+std::string
+coneSource(bool edited)
+{
+    return std::string(R"(
+int cone_leaf(struct device *d, int x) {
+    int s;
+)") + (edited ? "    int note;\n    note = x;\n" : "") + R"(
+    s = pm_runtime_get_sync(d);
+    if (x < 0) {
+        pm_runtime_put(d);
+        return -1;
+    }
+    return 0;
+}
+int cone_pong(struct device *d, int n);
+int cone_ping(struct device *d, int n) {
+    if (n > 0)
+        return cone_pong(d, n - 1);
+    return cone_leaf(d, n);
+}
+int cone_pong(struct device *d, int n) {
+    if (n > 0)
+        return cone_ping(d, n - 1);
+    return 0;
+}
+int cone_top(struct device *d, int n) {
+    int r;
+    r = cone_ping(d, n);
+    if (r)
+        return r;
+    pm_runtime_put(d);
+    return 0;
+}
+int cone_root(struct device *d) {
+    int r;
+    r = cone_top(d, 2);
+    return r;
+}
+int cone_side(struct device *d) {
+    int t;
+    t = pm_runtime_get_sync(d);
+    pm_runtime_put(d);
+    return 0;
+}
+)";
+}
+
+TEST_F(StoreEndToEnd, EditedConeResumesAlikeAtOneAndFourWorkers)
+{
+    // The corpus plus the cone file, against the store in @p dir.
+    auto scan = [](const std::string &dir, bool resume, bool edited,
+                   int threads) {
+        auto tool = makeTool(dir, resume, "", threads);
+        tool->addSource(coneSource(edited));
+        return tool->run();
+    };
+    auto ordered = [](const RunResult &result) {
+        std::string out;
+        for (const auto &report : result.reports)
+            out += report.str() + " " +
+                   std::to_string(report.fingerprint) + "\n";
+        return out;
+    };
+
+    const std::string cold_dir = freshDir("cone_cold");
+    const RunResult cold = scan(cold_dir, false, false, 1);
+    const size_t tracked = cold.stats.store.misses;
+    const std::string cold_wal = slurpFile(cold_dir + "/analysis.wal");
+    const RunResult oracle = scan(freshDir("cone_oracle"), false, true, 1);
+    ASSERT_FALSE(oracle.reports.empty());
+
+    // Both resumes start from a copy of the cold scan's store.
+    const std::vector<std::string> cone = {"cone_leaf", "cone_ping",
+                                           "cone_pong", "cone_root",
+                                           "cone_top"};
+    std::vector<std::vector<std::string>> appended_records;
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("resume at threads=" + std::to_string(threads));
+        const std::string dir =
+            freshDir("cone_resume_" + std::to_string(threads));
+        writeFile(dir + "/analysis.wal", cold_wal);
+        RunResult resumed = scan(dir, true, true, threads);
+        EXPECT_EQ(ordered(resumed), ordered(oracle));
+        // Exactly the edited function and its callers re-execute; the
+        // rest of the corpus, `cone_side` included, replays.
+        EXPECT_EQ(resumed.stats.store.misses, cone.size());
+        EXPECT_EQ(resumed.stats.store.hits, tracked - cone.size());
+        EXPECT_EQ(resumed.stats.store.retried, 0u);
+        EXPECT_EQ(resumed.stats.store.failed_writes, 0u);
+
+        // The records appended past the cold log, each a function frame
+        // whose payload starts with the function name.
+        const std::string wal = slurpFile(dir + "/analysis.wal");
+        ASSERT_EQ(wal.compare(0, cold_wal.size(), cold_wal), 0);
+        std::vector<std::string> records;
+        std::vector<std::string> names;
+        for (const auto &frame : store::scanWal(wal).frames) {
+            if (frame.offset < cold_wal.size() ||
+                frame.type != store::kFrameFunction)
+                continue;
+            records.emplace_back(frame.payload);
+            uint32_t len = 0;
+            for (int k = 0; k < 4; k++)
+                len |= static_cast<uint32_t>(
+                           static_cast<uint8_t>(frame.payload[k]))
+                       << (8 * k);
+            names.emplace_back(frame.payload.substr(4, len));
+        }
+        std::sort(records.begin(), records.end());
+        std::sort(names.begin(), names.end());
+        EXPECT_EQ(names, cone);
+        appended_records.push_back(std::move(records));
+    }
+    EXPECT_EQ(appended_records[0], appended_records[1]);
 }
 
 TEST_F(StoreEndToEnd, EditedResumeCommitsItsRecordsAtASyncedCheckpoint)
