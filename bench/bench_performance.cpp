@@ -348,7 +348,7 @@ writeBenchJson(const char *path)
     // Provenance journal overhead: the journal is rendered and written
     // after analysis, so the symbolic-execution phase should be all but
     // untouched (acceptance bound: <10% symexec overhead journal-on).
-    std::string journal_path = std::string(path) + ".provenance.jsonl";
+    std::string journal_path = std::string(path) + ".provenance.journal";
     rid::analysis::AnalyzerOptions journal_opts;
     journal_opts.provenance_path = journal_path;
     auto [joff, joff_wall] = timedRun(corpus);

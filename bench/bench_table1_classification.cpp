@@ -78,7 +78,7 @@ main(int argc, char **argv)
             break;
           case rid::analysis::Category::Affecting:
             if (mod.function(k).countCondBranches() <=
-                opts.max_cat2_branches)
+                rid::analysis::kMaxCat2Branches)
                 cat2_analyzed++;
             else
                 cat2_skipped++;

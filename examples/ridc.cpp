@@ -8,8 +8,8 @@
  *
  * Subcommands over the provenance journal (--provenance FILE):
  *
- *     ridc explain <fingerprint|all> <journal.jsonl>
- *     ridc diff-runs <old.jsonl> <new.jsonl>
+ *     ridc explain <fingerprint|all> <journal>
+ *     ridc diff-runs <old-journal> <new-journal>
  *
  * Options:
  *   --spec FILE        load predefined summaries (repeatable)
@@ -133,8 +133,8 @@ usage()
                  "            [--json] [--grouped] [--dot-callgraph] "
                  "[--dot-cfg FN]\n"
                  "            [--dump-ir] [--summaries] file.c ...\n"
-                 "       ridc explain <fingerprint|all> <journal.jsonl>\n"
-                 "       ridc diff-runs <old.jsonl> <new.jsonl>\n");
+                 "       ridc explain <fingerprint|all> <journal>\n"
+                 "       ridc diff-runs <old-journal> <new-journal>\n");
     std::exit(2);
 }
 
@@ -182,7 +182,7 @@ readJournal(const std::string &path)
     return std::move(rec.records);
 }
 
-/** ridc explain <fingerprint|all> <journal.jsonl> */
+/** ridc explain <fingerprint|all> <journal> */
 int
 cmdExplain(int argc, char **argv)
 {
@@ -212,7 +212,7 @@ cmdExplain(int argc, char **argv)
     return 0;
 }
 
-/** ridc diff-runs <old.jsonl> <new.jsonl> */
+/** ridc diff-runs <old-journal> <new-journal> */
 int
 cmdDiffRuns(int argc, char **argv)
 {

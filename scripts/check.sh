@@ -11,37 +11,15 @@
 # (e.g. ASLR-dependent container ordering). The same suite then runs under
 # ThreadSanitizer (a `build-tsan` tree configured through CMAKE_CXX_FLAGS),
 # since the scheduler's ready queue and every structure its workers share
-# are exactly what TSan checks; the summary suite runs there too, and
-# under ASan+UBSan, for the defaults built on first lookup, and so does
-# the smt cache suite, for the shared term pool (under LeakSanitizer
-# its never-freed nodes must stay reachable, not leak) and the sharded
-# LRU under both memo caches; the store suite runs there for its
-# four-worker store scan and resume.
+# are exactly what TSan checks; the summary suite runs there too, for
+# the defaults built on first lookup, and so do the smt cache suite,
+# for the shared term pool and the sharded LRU under both memo caches,
+# the lazy-module suite and the store suite, for its four-worker store
+# scan and resume.
 # It then runs the robustness chaos suite (fault injection + budgets),
-# once normally and once under ASan+UBSan (the `asan` preset's build
-# tree, building only the chaos test), runs the tree-executor, symbolic-
-# execution and paper-conformance suites under the same sanitizers —
-# including the engine golden (TreeExecDifferential: executeFunctionTree
-# against the recorded enumerate-then-replay output on every function of
-# the determinism corpus) — since the COW store and persistent condition
-# chain are exactly the kind of shared-ownership code ASan exists for,
-# runs the summary-compaction unit
-# suite plus the compaction/interning determinism differentials under
-# ASan (the sharded instantiation cache is shared mutable state), runs
-# the triage suite under ASan (per-function higher-precision IR lifetime),
-# runs the observability suites under ASan (the JSON reader they and
-# `ridc explain` share),
-# runs the call-graph and classifier suites under ASan (the call graph
-# borrows the module's names), runs the frontend suites, the AST readers'
-# suites, the IR suite, the seeded frontend fuzz and the diagnostics golden
-# under ASan (tokens view the source buffer; AST nodes and lists live in
-# the unit's arena; the AST and IR hold interned names), runs the end-to-end, injection and
-# Python/C baseline suites under ASan (frozen IR: call arguments and
-# blocks are views into each function's one allocation), runs the
-# lazy-module suite under TSan and ASan (IR built on first read, once,
-# from several threads),
-# refreshes BENCH_performance.json
-# at the repo root (the microbenchmarks themselves are skipped via a
+# builds the `asan` preset's tree (ASan+UBSan) and runs every tier-1
+# suite there with ctest, refreshes BENCH_performance.json at the repo
+# root (the microbenchmarks themselves are skipped via a
 # non-matching filter — only the trajectory-record workload runs,
 # including the provenance journal off/on overhead pair plus the
 # durable-store cold/warm resume differential), exercises the tracing path end to end
@@ -99,119 +77,21 @@ cmake --build build-tsan -j --target test_analyzer_determinism \
 echo "== robustness chaos suite =="
 ./build/tests/test_robustness_chaos
 
-echo "== sanitizer smoke (ASan+UBSan chaos run) =="
+# Every tier-1 suite runs under ASan+UBSan too (the `asan` preset's
+# build tree). Most of the code it checks shares ownership or hands out
+# views: the COW store and persistent condition chain, the summary db's
+# defaults built on first lookup at stable addresses, the pooled terms
+# (LeakSanitizer requires them to stay reachable), the sharded caches,
+# tokens over the source buffer, arena-held AST nodes, frozen IR whose
+# call arguments and blocks view one allocation per function, skeletons
+# rebuilt from retained source spans, the store's WAL and the JSON
+# reader over torn journals. Running the whole ctest line, instead of a
+# hand-picked list of suites, means no suite can drop out of the
+# sanitizer run unnoticed.
+echo "== sanitizer run (ASan+UBSan, every tier-1 suite) =="
 cmake -B build-asan -S . -DRID_SANITIZE=ON
-cmake --build build-asan -j --target test_robustness_chaos
-./build-asan/tests/test_robustness_chaos
-
-# A defaulted function's summary is built on its first lookup and must
-# keep its address; ASan checks that no caller reads a freed summary.
-echo "== sanitizer smoke (ASan+UBSan summary db) =="
-cmake --build build-asan -j --target test_summary
-./build-asan/tests/test_summary
-
-# Terms are pooled for the life of the process; the pool keeps every
-# node reachable, so LeakSanitizer must report nothing.
-echo "== sanitizer smoke (ASan+UBSan term pool) =="
-cmake --build build-asan -j --target test_smt_cache
-./build-asan/tests/test_smt_cache
-
-echo "== sanitizer smoke (ASan+UBSan durable store) =="
-cmake --build build-asan -j --target test_store
-./build-asan/tests/test_store
-
-echo "== sanitizer smoke (ASan+UBSan prefix-sharing engine) =="
-cmake --build build-asan -j --target test_analysis_tree_exec \
-    --target test_analysis_symexec --target test_paper_conformance
-# The whole suites, so the engine golden (TreeExecDifferential.*) cannot
-# drop out of the run unnoticed the way a stale filter would. The
-# symbolic-execution and Figure 2 suites drive the same engine.
-./build-asan/tests/test_analysis_tree_exec
-./build-asan/tests/test_analysis_symexec
-./build-asan/tests/test_paper_conformance
-
-# The sharded instantiation cache is cross-thread shared mutable state
-# (per-shard mutexes guarding LRU lists), and compaction runs solver
-# proofs over freshly merged formulas — both are prime ASan territory.
-echo "== sanitizer smoke (ASan+UBSan compaction + interning) =="
-cmake --build build-asan -j --target test_summary_compact \
-    --target test_analyzer_determinism
-./build-asan/tests/test_summary_compact
-./build-asan/tests/test_analyzer_determinism \
-    --gtest_filter='*Compaction*:*Interning*'
-
-# The triage pass lowers each reported function from a view of its
-# retained source and frees the IR once the function has run; ASan
-# checks that no higher-precision IR is touched after it is gone.
-echo "== sanitizer smoke (ASan+UBSan per-function triage lowering) =="
-cmake --build build-asan -j --target test_triage
-./build-asan/tests/test_triage
-
-# One strict JSON reader serves `ridc explain`/`diff-runs` and every
-# observability suite that reads back an exported document; ASan checks
-# that it never reads past the text it is given, torn and malformed
-# journal lines included.
-echo "== sanitizer smoke (ASan+UBSan JSON reader) =="
-cmake --build build-asan -j --target test_obs_provenance \
-    --target test_obs_trace --target test_obs_metrics
-./build-asan/tests/test_obs_provenance
-./build-asan/tests/test_obs_trace
-./build-asan/tests/test_obs_metrics
-
-# The call graph borrows the module's function names instead of copying
-# them, and the classifier indexes categories by call-graph node; ASan
-# checks that neither outlives or over-indexes the module it reads.
-echo "== sanitizer smoke (ASan+UBSan call graph + classifier) =="
-cmake --build build-asan -j --target test_analysis_graphs \
-    --target test_analysis_paths
-./build-asan/tests/test_analysis_graphs
-./build-asan/tests/test_analysis_paths
-
-# Tokens view the source buffer, AST nodes and their child lists live in
-# the unit's arena, and the AST and the IR hold interned name pointers.
-# ASan checks that no token outlives its buffer, that nothing reads a
-# tree after its unit (and arena) is gone, including the call-site
-# scanner and the file graph, which walk the AST; LeakSanitizer checks
-# that a unit rejected half-way frees its partial tree. The frontend fuzz's
-# malformed and deeply nested mutants must end in a ParseError, never a
-# stack overflow or a stray read, and the diagnostics golden pins which
-# error each mutant reports.
-echo "== sanitizer smoke (ASan+UBSan frontend, AST readers, IR names, frontend fuzz) =="
-cmake --build build-asan -j --target test_frontend_lexer \
-    --target test_frontend_parser --target test_frontend_lower \
-    --target test_ir --target test_frontend_fuzz \
-    --target test_frontend_diagnostics --target test_kernel_corpus \
-    --target test_analysis_filegraph
-./build-asan/tests/test_frontend_lexer
-./build-asan/tests/test_frontend_parser
-./build-asan/tests/test_frontend_lower
-./build-asan/tests/test_ir
-./build-asan/tests/test_frontend_fuzz
-./build-asan/tests/test_frontend_diagnostics
-./build-asan/tests/test_kernel_corpus
-./build-asan/tests/test_analysis_filegraph
-
-# Lowered IR is frozen: each function is one exact-size allocation whose
-# blocks, instructions and call arguments are views into it, and a unit
-# reaches the corpus module only once all of it has lowered. These suites
-# compile standalone modules, walk call arguments and free whole runs;
-# ASan checks that no view outlives the function that owns it.
-echo "== sanitizer smoke (ASan+UBSan frozen IR lifetime) =="
-cmake --build build-asan -j --target test_core_e2e --target test_injection \
-    --target test_pyc_baseline
-./build-asan/tests/test_core_e2e
-./build-asan/tests/test_injection
-./build-asan/tests/test_pyc_baseline
-
-# A module committed from source keeps skeletons whose callee lists
-# live in module-owned chunks, frees each function's IR at commit, and
-# builds it again from a view of the retained source on first read; a
-# definition that replaces a declaration frees the old entry's IR. ASan
-# checks that no skeleton, span or rebuilt function outlives what it
-# points into, and LeakSanitizer that a failed build keeps nothing.
-echo "== sanitizer smoke (ASan+UBSan skeletons and IR built on first read) =="
-cmake --build build-asan -j --target test_ir_lazy
-./build-asan/tests/test_ir_lazy
+cmake --build build-asan -j
+(cd build-asan && ctest --output-on-failure -j)
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -206,16 +205,11 @@ Analyzer::Analyzer(const ir::Module &mod, summary::SummaryDb &db,
                          obs::byteSizeBuckets());
     }
 
-    // Arm the process-wide fault-injection registry when asked to, either
-    // programmatically or via the environment. An empty spec leaves any
-    // existing arming alone (tests drive the registry directly).
-    std::string fp_spec = opts_.failpoints;
-    if (fp_spec.empty()) {
-        if (const char *env = std::getenv("RID_FAILPOINTS"))
-            fp_spec = env;
-    }
-    if (!fp_spec.empty())
-        obs::FailpointRegistry::instance().configure(fp_spec,
+    // Arm the process-wide fault-injection registry when asked to. An
+    // empty spec leaves any existing arming alone (tests drive the
+    // registry directly).
+    if (!opts_.failpoints.empty())
+        obs::FailpointRegistry::instance().configure(opts_.failpoints,
                                                      opts_.failpoint_seed);
 }
 
@@ -425,7 +419,6 @@ Analyzer::analyzeFunctionGuarded(int node, const obs::Budget &fn_budget)
         tree_opts.max_subcases = opts_.max_subcases;
         tree_opts.budget = budget;
         tree_opts.max_paths = opts_.max_paths;
-        tree_opts.max_visits = 2;
         tree_opts.inst_cache = inst_cache_.get();
         tree = executeFunctionTree(fn, db_, solver, tree_opts);
     }
@@ -617,7 +610,7 @@ Analyzer::run()
             // Selective analysis: only simple value-filtering helpers
             // (Section 5.2).
             return mod_.function(node).countCondBranches() <=
-                   opts_.max_cat2_branches;
+                   kMaxCat2Branches;
           case Category::Other:
             return false;
         }

@@ -138,7 +138,6 @@ class FunctionStore
         size_t loaded_records = 0;
         size_t torn_frames = 0;
         size_t failed_writes = 0;
-        uint64_t bytes_loaded = 0;
         uint64_t bytes_appended = 0;
     };
 
@@ -170,14 +169,17 @@ class FunctionStore
     virtual IoStats ioStats() const = 0;
 };
 
+/** Conditional-branch budget for category-2 functions: one is analyzed
+ *  only when it has at most this many conditional branches (paper
+ *  Section 5.2: 3). */
+inline constexpr int kMaxCat2Branches = 3;
+
 struct AnalyzerOptions
 {
     /** Path cap per function (paper configuration: 100). */
     int max_paths = 100;
     /** Subcase cap per path (paper configuration: 10). */
     int max_subcases = 10;
-    /** Conditional-branch budget for category-2 functions (paper: 3). */
-    int max_cat2_branches = 3;
     /** Classify first and skip category-3 functions (Section 5.2).
      *  Disabled: every defined function is fully analyzed. */
     bool classify = true;
@@ -234,8 +236,7 @@ struct AnalyzerOptions
     /** Fault-injection spec (obs/failpoint.h grammar, e.g.
      *  "smt.intern@foo=always,frontend.parse=prob@0.1"). Non-empty arms
      *  the process-wide registry in the constructor; empty leaves the
-     *  registry untouched (the RID_FAILPOINTS env var is consulted as a
-     *  fallback). */
+     *  registry untouched. */
     std::string failpoints;
     /** Seed for prob@P failpoint decisions (deterministic per seed). */
     uint64_t failpoint_seed = 0;

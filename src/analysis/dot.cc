@@ -111,42 +111,4 @@ callGraphToDot(const CallGraph &cg, const FunctionClassifier *classifier)
     return os.str();
 }
 
-std::string
-scheduleToDot(const FileSchedule &schedule)
-{
-    std::ostringstream os;
-    os << "digraph schedule {\n";
-    os << "  rankdir=BT;\n";
-    os << "  node [shape=box];\n";
-    int batch_id = 0;
-    std::vector<std::vector<int>> ids_per_level;
-    for (const auto &level : schedule.levels) {
-        ids_per_level.emplace_back();
-        for (const auto &batch : level) {
-            std::ostringstream label;
-            for (const auto &file : batch.files)
-                label << file << "\n";
-            os << "  b" << batch_id << " [label=\""
-               << dotEscape(label.str()) << "\"];\n";
-            ids_per_level.back().push_back(batch_id);
-            batch_id++;
-        }
-    }
-    // Same-rank constraint per level, and level-to-level ordering edges.
-    for (size_t l = 0; l < ids_per_level.size(); l++) {
-        os << "  { rank=same;";
-        for (int id : ids_per_level[l])
-            os << " b" << id << ";";
-        os << " }\n";
-        if (l == 0)
-            continue;
-        for (int from : ids_per_level[l - 1])
-            for (int to : ids_per_level[l])
-                os << "  b" << from << " -> b" << to
-                   << " [style=dashed, arrowhead=none];\n";
-    }
-    os << "}\n";
-    return os.str();
-}
-
 } // namespace rid::analysis

@@ -1,9 +1,9 @@
 /**
  * @file
  * Graphviz (DOT) exports for the analysis data structures: function
- * CFGs, the call graph with SCC clusters and category coloring, and the
- * separate-file analysis schedule. Intended for debugging analyses and
- * for documentation; `ridc --dot-*` exposes them on the command line.
+ * CFGs and the call graph with SCC clusters and category coloring.
+ * Intended for debugging analyses and for documentation; `ridc --dot-*`
+ * exposes them on the command line.
  */
 
 #ifndef RID_ANALYSIS_DOT_H
@@ -13,7 +13,6 @@
 
 #include "analysis/callgraph.h"
 #include "analysis/classifier.h"
-#include "analysis/filegraph.h"
 #include "ir/function.h"
 
 namespace rid::analysis {
@@ -28,9 +27,6 @@ std::string cfgToDot(const ir::Function &fn);
  */
 std::string callGraphToDot(const CallGraph &cg,
                            const FunctionClassifier *classifier = nullptr);
-
-/** Render a separate-file analysis schedule as a layered graph. */
-std::string scheduleToDot(const FileSchedule &schedule);
 
 } // namespace rid::analysis
 

@@ -27,7 +27,6 @@ struct Enumerator
 {
     const ir::Function &fn;
     int max_paths;
-    int max_visits;
     const obs::Budget *budget;
     PathEnumResult result;
     std::vector<ir::BlockId> current;
@@ -44,7 +43,7 @@ struct Enumerator
             result.truncated = true;
             return false;
         }
-        if (visits[b] >= max_visits)
+        if (visits[b] >= kMaxBlockVisits)
             return true;  // prune this continuation, keep enumerating
         const auto &bb = fn.block(b);
         if (blockCallsAssertFail(bb))
@@ -69,14 +68,14 @@ struct Enumerator
 } // anonymous namespace
 
 PathEnumResult
-enumeratePaths(const ir::Function &fn, int max_paths, int max_visits,
+enumeratePaths(const ir::Function &fn, int max_paths,
                const obs::Budget *budget)
 {
     assert(!fn.isDeclaration());
     obs::failpoint("analysis.paths.enumerate");
     obs::Span span("phase", "enumerate-paths");
     span.arg("fn", fn.name());
-    Enumerator e{fn, max_paths, max_visits, budget, {}, {}, {}};
+    Enumerator e{fn, max_paths, budget, {}, {}, {}};
     e.visits.assign(fn.numBlocks(), 0);
     e.dfs(0);
     if (static_cast<int>(e.result.paths.size()) >= max_paths)

@@ -3,10 +3,10 @@
  * Path enumeration (Step I of the per-function analysis, Section 4.2).
  *
  * All entry-to-exit paths of a function are enumerated, with loops
- * unrolled at most once (each block may appear at most twice on a path)
- * and a configurable cap on the number of paths. Paths passing through an
- * __assert_fail call model assertion-failure exits and are skipped, as in
- * the paper's running example.
+ * unrolled at most once (each block may appear at most kMaxBlockVisits
+ * times on a path) and a configurable cap on the number of paths. Paths
+ * passing through an __assert_fail call model assertion-failure exits
+ * and are skipped, as in the paper's running example.
  */
 
 #ifndef RID_ANALYSIS_PATHS_H
@@ -41,18 +41,19 @@ struct PathEnumResult
     bool deadline_hit = false;
 };
 
+/** How many times one block may appear on a path: the paper's
+ *  unroll-loops-once rule. The prefix-sharing executor applies it too. */
+inline constexpr int kMaxBlockVisits = 2;
+
 /**
  * Enumerate paths of @p fn.
  *
  * @param max_paths   cap on the number of returned paths
- * @param max_visits  how many times one block may appear on a path
- *                    (2 = the paper's unroll-loops-once rule)
  * @param budget      optional cooperative budget checked once per visited
  *                    block; expiry stops enumeration and sets
  *                    PathEnumResult::deadline_hit
  */
 PathEnumResult enumeratePaths(const ir::Function &fn, int max_paths,
-                              int max_visits = 2,
                               const obs::Budget *budget = nullptr);
 
 /** True if @p bb contains an __assert_fail call — such blocks model

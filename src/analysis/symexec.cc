@@ -396,7 +396,7 @@ class TreeExecutor
     bool
     enterable(ir::BlockId b) const
     {
-        return visits_[b] < opts_.max_visits &&
+        return visits_[b] < kMaxBlockVisits &&
                !blockCallsAssertFail(fn_.block(b));
     }
 

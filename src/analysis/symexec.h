@@ -51,8 +51,6 @@ struct TreeExecOptions
     /** Cap on completed paths; with pruning enabled only feasible
      *  completed paths count against it. */
     int max_paths = 100;
-    /** Loop unrolling: max times one block may appear on a path. */
-    int max_visits = 2;
     /** Optional shared callee-instantiation cache (summary/inst_cache.h);
      *  null instantiates every call entry from scratch. Semantically
      *  invisible either way. Not owned; must outlive the call. */

@@ -348,7 +348,7 @@ Cpychecker::checkFunctionInner(const ir::Function &fn,
         bindings.untrackable.clear();
     }
 
-    auto paths = analysis::enumeratePaths(fn, opts_.max_paths, 2, budget);
+    auto paths = analysis::enumeratePaths(fn, opts_.max_paths, budget);
     truncated = truncated || paths.truncated;
     deadline_hit = deadline_hit || paths.deadline_hit;
     if (paths.deadline_hit)

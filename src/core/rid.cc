@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/report_format.h"
 #include "frontend/lower.h"
@@ -491,19 +492,19 @@ writeTextFile(const std::string &path, const std::string &contents,
 RunResult
 Rid::run()
 {
+    if (ran_)
+        throw std::logic_error("Rid::run() called twice");
+    ran_ = true;
     analysis::AnalyzerOptions run_opts = opts_;
     if (!run_opts.store && !run_opts.store_path.empty()) {
-        if (!store_) {
-            // The config fingerprint is taken now, after every spec/
-            // domain/summary load, so it keys exactly the inputs this
-            // run will analyze under.
-            store::AnalysisStore::Options sopts;
-            sopts.path = opts_.store_path;
-            sopts.resume = opts_.resume;
-            sopts.config_fp = store::configFingerprint(db_, opts_);
-            store_ = std::make_shared<store::AnalysisStore>(sopts);
-        }
-        run_opts.store = store_;
+        // The config fingerprint is taken now, after every spec/domain/
+        // summary load, so it keys exactly the inputs this run will
+        // analyze under.
+        store::AnalysisStore::Options sopts;
+        sopts.path = opts_.store_path;
+        sopts.resume = opts_.resume;
+        sopts.config_fp = store::configFingerprint(db_, opts_);
+        run_opts.store = std::make_shared<store::AnalysisStore>(sopts);
     }
     analysis::Analyzer analyzer(module_, db_, run_opts);
 

@@ -163,7 +163,8 @@ class Rid
      *  included. */
     std::string exportSummaries() const;
 
-    /** Run the analysis over everything added so far. */
+    /** Run the analysis over everything added so far. A Rid runs once:
+     *  a second call throws std::logic_error. */
     RunResult run();
 
     /** Access the loaded module (e.g. to print IR; reading a function's
@@ -188,10 +189,8 @@ class Rid
     /** The names whose summaries change a counter, as addSource() keeps
      *  their direct callers' IR; reset whenever summaries load. */
     std::optional<std::vector<ir::Name>> load_seeds_;
-    /** Durable analysis store, opened lazily by the first run() when
-     *  AnalyzerOptions::store_path is set and reused by later runs (so
-     *  repeated run() calls never re-truncate a fresh store). */
-    std::shared_ptr<analysis::FunctionStore> store_;
+    /** run() has started; a second call throws. */
+    bool ran_ = false;
 };
 
 } // namespace rid

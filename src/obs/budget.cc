@@ -10,7 +10,6 @@ budgetStopName(BudgetStop s)
       case BudgetStop::Deadline: return "deadline";
       case BudgetStop::Fuel: return "fuel";
       case BudgetStop::Parent: return "parent";
-      case BudgetStop::Cancelled: return "cancelled";
     }
     return "?";
 }
@@ -86,12 +85,6 @@ Budget::consumeFuel(uint64_t n) const
         return false;
     }
     return true;
-}
-
-void
-Budget::cancel() const
-{
-    latch(BudgetStop::Cancelled);
 }
 
 } // namespace rid::obs

@@ -2,8 +2,8 @@
  * @file
  * Cooperative resource budgets: wall-clock deadlines and solver fuel.
  *
- * A Budget is a cancellation token checked at the pipeline's natural
- * yield points — path enumeration, per-block symbolic execution and
+ * A Budget is checked cooperatively at the pipeline's natural yield
+ * points — path enumeration, per-block symbolic execution and
  * solver check() entry. Budgets form a two-level hierarchy: one root
  * budget covers the whole run and each analyzed function gets a child
  * whose expiry is the earlier of its own deadline/fuel and the parent's.
@@ -37,7 +37,6 @@ enum class BudgetStop : uint8_t {
     Deadline,       ///< own wall-clock deadline passed
     Fuel,           ///< own solver fuel ran out
     Parent,         ///< the parent budget expired first
-    Cancelled,      ///< cancel() was called
 };
 
 const char *budgetStopName(BudgetStop s);
@@ -73,10 +72,6 @@ class Budget
      *  BudgetStop::Fuel) when the allowance is exhausted; a budget
      *  without a fuel limit always returns true. */
     bool consumeFuel(uint64_t n = 1) const;
-
-    /** Request cooperative cancellation (e.g. from a signal handler or a
-     *  supervising thread). */
-    void cancel() const;
 
     /** The latched first cause, None while still within limits. */
     BudgetStop stopReason() const

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/json_writer.h"
-
 namespace rid::obs {
 
 namespace {
@@ -251,49 +249,6 @@ MetricsRegistry::prometheusText() const
         }
     }
     return out;
-}
-
-std::string
-MetricsRegistry::json() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    JsonWriter w;
-    w.beginObject();
-    for (const auto &[name, e] : metrics_) {
-        w.key(name).beginObject();
-        switch (e.kind) {
-          case Kind::Counter:
-            w.key("type").value("counter");
-            w.key("value").value(e.counter->value());
-            break;
-          case Kind::Gauge:
-            w.key("type").value("gauge");
-            w.key("value").value(e.gauge->value());
-            break;
-          case Kind::Histogram: {
-            w.key("type").value("histogram");
-            const auto &bounds = e.histogram->bounds();
-            auto counts = e.histogram->bucketCounts();
-            w.key("buckets").beginArray();
-            for (size_t i = 0; i <= bounds.size(); i++) {
-                w.beginObject();
-                if (i < bounds.size())
-                    w.key("le").value(bounds[i]);
-                else
-                    w.key("le").value("+Inf");
-                w.key("count").value(counts[i]);
-                w.endObject();
-            }
-            w.endArray();
-            w.key("sum").value(e.histogram->sum());
-            w.key("count").value(e.histogram->count());
-            break;
-          }
-        }
-        w.endObject();
-    }
-    w.endObject();
-    return w.str();
 }
 
 } // namespace rid::obs

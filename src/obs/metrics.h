@@ -1,7 +1,7 @@
 /**
  * @file
  * Metrics registry: named counters, gauges and fixed-bucket latency
- * histograms with Prometheus text exposition and JSON export.
+ * histograms with Prometheus text exposition.
  *
  * Metric objects are created once through the registry (which hands out
  * stable references — instruments are never destroyed before the
@@ -143,9 +143,6 @@ class MetricsRegistry
 
     /** Prometheus text exposition format, metrics in name order. */
     std::string prometheusText() const;
-
-    /** One JSON object keyed by metric name, in name order. */
-    std::string json() const;
 
   private:
     enum class Kind { Counter, Gauge, Histogram };

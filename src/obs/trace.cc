@@ -155,28 +155,6 @@ Tracer::chromeTraceJson() const
     return w.str();
 }
 
-std::string
-Tracer::jsonl() const
-{
-    std::string out;
-    for (const auto &e : sortedEvents()) {
-        JsonWriter w;
-        w.beginObject();
-        w.key("cat").value(e.cat);
-        w.key("name").value(e.name);
-        w.key("tid").value(uint64_t{e.tid});
-        w.key("seq").value(e.seq);
-        w.key("depth").value(uint64_t{e.depth});
-        w.key("ts_ns").value(e.start_ns);
-        w.key("dur_ns").value(e.dur_ns);
-        writeEventArgs(w, e);
-        w.endObject();
-        out += w.str();
-        out += "\n";
-    }
-    return out;
-}
-
 Tracer *
 currentTracer()
 {

@@ -7,8 +7,7 @@
  * opens a Span; closed spans are appended to a per-thread buffer that
  * only its owner thread writes, so recording takes no lock after a
  * thread's first span. The collected events export as Chrome
- * trace-event JSON (loadable in chrome://tracing and Perfetto) and as a
- * JSONL event log.
+ * trace-event JSON (loadable in chrome://tracing and Perfetto).
  *
  * Disabled tracing is near-zero overhead: instrumentation sites create
  * spans against the ambient thread-local tracer (currentTracer()),
@@ -73,9 +72,6 @@ class Tracer
 
     /** Chrome trace-event JSON ("X" complete events, ts/dur in µs). */
     std::string chromeTraceJson() const;
-
-    /** One JSON object per line, same order as sortedEvents(). */
-    std::string jsonl() const;
 
   private:
     friend class Span;

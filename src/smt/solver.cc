@@ -26,6 +26,13 @@ satResultName(SatResult r)
 
 namespace {
 
+/** Max constraints materialized during one FM elimination. */
+constexpr long kMaxFmConstraints = 20000;
+/** Node cap for the bounded model search fallback. */
+constexpr int kMaxSearchNodes = 100000;
+/** Half-width of the search box for unbounded variables. */
+constexpr int64_t kSearchBound = 64;
+
 /** Combine two SatResults where the caller needs *any* branch sat. */
 SatResult
 anySat(SatResult acc, SatResult next)
@@ -481,7 +488,7 @@ Solver::theoryCheck(std::vector<LinLit> lits)
         if (static_cast<long>(rest.size()) +
                 static_cast<long>(lowers.size()) *
                     static_cast<long>(uppers.size()) >
-            static_cast<long>(opts_.max_fm_constraints)) {
+            kMaxFmConstraints) {
             stats_.unknowns++;
             return SatResult::Unknown;
         }
@@ -540,7 +547,7 @@ Solver::searchFallback(const std::vector<LinLit> &lits)
     // Initial intervals from unit constraints.
     std::map<VarId, std::pair<int64_t, int64_t>> box;
     for (VarId v : vars)
-        box[v] = {-opts_.search_bound, opts_.search_bound};
+        box[v] = {-kSearchBound, kSearchBound};
     for (const auto &l : lits) {
         if (l.expr.terms().size() != 1)
             continue;
@@ -566,7 +573,7 @@ Solver::searchFallback(const std::vector<LinLit> &lits)
     std::map<VarId, int64_t> assignment;
     int nodes = 0;
     std::function<SatResult(size_t)> rec = [&](size_t idx) -> SatResult {
-        if (++nodes > opts_.max_search_nodes)
+        if (++nodes > kMaxSearchNodes)
             return SatResult::Unknown;
         if (idx == vars.size()) {
             for (const auto &l : lits)

@@ -77,12 +77,6 @@ class Solver
     {
         /** Max disjunction/disequality branches explored per query. */
         int max_branches = 4096;
-        /** Max constraints materialized during one FM elimination. */
-        int max_fm_constraints = 20000;
-        /** Node cap for the bounded model search fallback. */
-        int max_search_nodes = 100000;
-        /** Half-width of the search box for unbounded variables. */
-        int64_t search_bound = 64;
         /** Open one obs::Span per non-trivial check() against the
          *  ambient tracer (noisy; for deep trace drill-downs). */
         bool trace_queries = false;
@@ -193,7 +187,6 @@ class Solver
     SatResult checkConj(const std::vector<LinLit> &lits);
 
     const Stats &stats() const { return stats_; }
-    void resetStats() { stats_ = Stats(); }
 
     /** Provenance of the most recent check()/checkChain() call. Valid
      *  until the next query on this solver instance. */

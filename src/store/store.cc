@@ -7,6 +7,7 @@
 #include "obs/failpoint.h"
 #include "obs/trace.h"
 #include "smt/intern.h"
+#include "store/supervisor.h"
 #include "summary/spec.h"
 
 namespace rid::store {
@@ -297,11 +298,12 @@ configFingerprint(const summary::SummaryDb &db,
                          static_cast<int64_t>(opts.max_paths)));
     h = fpCombine(h, static_cast<uint64_t>(
                          static_cast<int64_t>(opts.max_subcases)));
-    h = fpCombine(h, static_cast<uint64_t>(
-                         static_cast<int64_t>(opts.max_cat2_branches)));
-    // The constants 1 stand where since removed toggles that were
-    // always on (pruning, interning) were hashed, so existing stores
-    // keep their fingerprint and still resume.
+    // The category-2 branch budget and the constants 1 stand where
+    // since removed options were hashed (the budget, and the toggles
+    // for pruning and interning, which were always on), so existing
+    // stores keep their fingerprint and still resume.
+    h = fpCombine(h, static_cast<uint64_t>(static_cast<int64_t>(
+                         analysis::kMaxCat2Branches)));
     h = fpCombine(h, uint64_t{1});
     h = fpCombine(h, static_cast<uint64_t>(opts.classify));
     // compact_summaries changes the stored summary shape, so a resume
@@ -354,7 +356,6 @@ AnalysisStore::AnalysisStore(Options opts) : opts_(std::move(opts))
         } else {
             for (const auto &frame : scan.frames)
                 applyFrame(frame);
-            io_.bytes_loaded = scan.durable_size;
             resume_at = scan.durable_size;
         }
     }
@@ -412,7 +413,7 @@ AnalysisStore::lookup(const Key &key, const LookupContext &ctx,
 
     SupervisorDecision d = superviseResume(
         {e.status, e.attempts, e.reason}, ctx.function_deadline_seconds,
-        ctx.function_solver_fuel, opts_.policy);
+        ctx.function_solver_fuel);
     switch (d.kind) {
       case SupervisorDecision::Kind::Quarantine:
         action.plan = Plan::Quarantine;

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "store/supervisor.h"
 #include "store/wal.h"
 
 namespace rid::store {
@@ -62,7 +61,6 @@ class AnalysisStore : public analysis::FunctionStore
          *  and starts fresh. */
         bool resume = false;
         uint64_t config_fp = 0;
-        SupervisorPolicy policy;
     };
 
     /** Open (and, with resume, recover) the store.

@@ -4,6 +4,12 @@ namespace rid::store {
 
 namespace {
 
+/** Failed attempts before quarantine. */
+constexpr uint32_t kMaxAttempts = 3;
+/** Retry budgets when the run configures none. */
+constexpr double kFallbackDeadlineSeconds = 5.0;
+constexpr uint64_t kFallbackFuel = 50000;
+
 bool
 isFailure(analysis::FnStatus s)
 {
@@ -16,13 +22,13 @@ isFailure(analysis::FnStatus s)
 
 SupervisorDecision
 superviseResume(const PriorOutcome &prior, double base_deadline_seconds,
-                uint64_t base_fuel, const SupervisorPolicy &policy)
+                uint64_t base_fuel)
 {
     SupervisorDecision out;
     if (!isFailure(prior.status))
         return out;
 
-    if (prior.attempts >= policy.max_attempts) {
+    if (prior.attempts >= kMaxAttempts) {
         out.kind = SupervisorDecision::Kind::Quarantine;
         out.note = "quarantined after " + std::to_string(prior.attempts) +
                    " failed attempt(s) (last: " +
@@ -34,13 +40,12 @@ superviseResume(const PriorOutcome &prior, double base_deadline_seconds,
     }
 
     // Backoff ladder: halve the budget per prior failed attempt, starting
-    // from the run's budget or — when the run is unbudgeted — the policy
+    // from the run's budget or — when the run is unbudgeted — the
     // fallbacks, so a hung function is bounded from the first retry.
     out.kind = SupervisorDecision::Kind::Retry;
-    double deadline = base_deadline_seconds > 0
-                          ? base_deadline_seconds
-                          : policy.fallback_deadline_seconds;
-    uint64_t fuel = base_fuel > 0 ? base_fuel : policy.fallback_fuel;
+    double deadline = base_deadline_seconds > 0 ? base_deadline_seconds
+                                                : kFallbackDeadlineSeconds;
+    uint64_t fuel = base_fuel > 0 ? base_fuel : kFallbackFuel;
     uint32_t shift = prior.attempts > 62 ? 62 : prior.attempts;
     out.retry_deadline_seconds =
         deadline / static_cast<double>(uint64_t{1} << shift);

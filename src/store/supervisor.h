@@ -1,12 +1,12 @@
 /**
  * @file
- * Supervision policy for resumed analysis: retry/backoff/quarantine.
+ * Supervision of resumed analysis: retry/backoff/quarantine.
  *
  * Functions whose last recorded run ended in `timeout`, `degraded` or
  * `error` are not blindly replayed and not blindly re-run either: each
  * resume climbs a budget-backoff ladder — the per-function deadline and
- * solver fuel are halved per prior failed attempt — until max_attempts
- * failures, after which the function is quarantined: it gets the
+ * solver fuel are halved per prior failed attempt — until 3 failed
+ * attempts, after which the function is quarantined: it gets the
  * conservative default summary and a Degraded diagnostic carrying a
  * provenance note, without ever entering symexec again. One
  * pathological function can therefore never wedge repeated runs
@@ -25,17 +25,6 @@
 #include "analysis/analyzer.h"
 
 namespace rid::store {
-
-struct SupervisorPolicy
-{
-    /** Failed attempts before quarantine. */
-    uint32_t max_attempts = 3;
-    /** Retry budgets when the run configures none (0 = unlimited): a
-     *  previously failed function must not run unbounded again, so the
-     *  ladder starts from these caps instead. */
-    double fallback_deadline_seconds = 5.0;
-    uint64_t fallback_fuel = 50000;
-};
 
 /** The last recorded outcome of a function, as read from the store. */
 struct PriorOutcome
@@ -66,13 +55,14 @@ struct SupervisorDecision
 /**
  * Decide how a resumed run treats a function with prior outcome
  * @p prior, given the run's per-function budget (@p base_deadline_seconds
- * / @p base_fuel; 0 = unlimited, replaced by the policy fallbacks on
- * retry). Halves both per prior failed attempt.
+ * / @p base_fuel). Halves both per prior failed attempt. A run that
+ * configures no budget (0 = unlimited) still bounds a retry: the ladder
+ * then starts from 5 s and 50,000 units of solver fuel, so a previously
+ * failed function never runs unbounded again.
  */
 SupervisorDecision superviseResume(const PriorOutcome &prior,
                                    double base_deadline_seconds,
-                                   uint64_t base_fuel,
-                                   const SupervisorPolicy &policy = {});
+                                   uint64_t base_fuel);
 
 } // namespace rid::store
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/failpoint.h"
 #include "summary/spec.h"
@@ -72,9 +73,8 @@ void
 SummaryDb::bindDefaults(std::unique_ptr<const DefaultSlots> slots)
 {
     std::unique_lock lock(mutex_);
-    for (size_t k = 0; k < num_marks_; k++)
-        if (marks_[k].load() & kDefaulted)
-            materializeLocked(static_cast<int>(k));
+    if (slots_)
+        throw std::logic_error("SummaryDb::bindDefaults: already bound");
     slots_ = std::move(slots);
     num_marks_ = slots_->size();
     marks_ = std::make_unique<std::atomic<uint8_t>[]>(num_marks_);

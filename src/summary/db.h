@@ -64,10 +64,9 @@ class SummaryDb
     void addComputed(FunctionSummary s);
 
     /**
-     * Number default marks by @p slots from now on. Marks made under the
-     * previous numbering are stored as summaries first. Not thread-safe
-     * against markDefaulted(); the analyzer binds once per run, before
-     * its workers start.
+     * Number default marks by @p slots. A db binds once: a second call
+     * throws std::logic_error. Not thread-safe against markDefaulted();
+     * the analyzer binds before its workers start.
      */
     void bindDefaults(std::unique_ptr<const DefaultSlots> slots);
 

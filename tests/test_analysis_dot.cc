@@ -58,21 +58,5 @@ TEST(Dot, CallGraphColorsByCategory)
     EXPECT_NE(dot.find("lightgray"), std::string::npos);
 }
 
-TEST(Dot, ScheduleRanksLevels)
-{
-    FileSymbols lib, app;
-    lib.name = "lib.c";
-    lib.defines = {"helper"};
-    app.name = "app.c";
-    app.defines = {"main_fn"};
-    app.uses = {"helper"};
-    FileGraph graph({lib, app});
-    std::string dot = scheduleToDot(graph.schedule());
-    EXPECT_NE(dot.find("rank=same"), std::string::npos);
-    EXPECT_NE(dot.find("lib.c"), std::string::npos);
-    EXPECT_NE(dot.find("app.c"), std::string::npos);
-    EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-}
-
 } // anonymous namespace
 } // namespace rid::analysis

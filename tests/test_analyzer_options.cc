@@ -29,41 +29,39 @@ runWith(const std::string &source, analysis::AnalyzerOptions opts = {})
 
 TEST(AnalyzerOptions, Cat2BranchBudgetControlsSelectiveAnalysis)
 {
-    // check() guards a refcount operation and has exactly 4 conditional
-    // branches: under the default budget (3) it is skipped, and the
-    // caller sees an unconstrained return -> both caller branches
-    // overlap -> no precision. With budget 4 the helper is analyzed.
-    const char *source = R"(
-int check(int v) {
-    if (v < 0)
-        return 0;
-    if (v < 10)
-        return 1;
-    if (v < 100)
-        return 1;
-    if (v < 1000)
-        return 1;
-    return 0;
-}
-int driver(struct device *dev, int v) {
-    if (check(v)) {
-        pm_runtime_get_noresume(dev);
-        pm_runtime_put_noidle(dev);
-    }
-    return 0;
-}
-)";
-    analysis::AnalyzerOptions skip;
-    RunResult skipped = runWith(source, skip);
-    analysis::AnalyzerOptions full;
-    full.max_cat2_branches = 4;
-    RunResult analyzed = runWith(source, full);
-    // Balanced either way (no reports), but the analyzed variant
-    // summarizes the helper precisely instead of defaulting it.
+    // check() guards a refcount operation, so it is category 2. With
+    // kMaxCat2Branches (3) conditional branches it is analyzed; with one
+    // more it is skipped, and the caller sees an unconstrained return.
+    auto helperWithBranches = [](int branches) {
+        std::string source = "int check(int v) {\n";
+        for (int i = 0; i < branches; i++)
+            source += "    if (v < " + std::to_string(i * 10) +
+                      ")\n        return 1;\n";
+        source += "    return 0;\n"
+                  "}\n"
+                  "int driver(struct device *dev, int v) {\n"
+                  "    if (check(v)) {\n"
+                  "        pm_runtime_get_noresume(dev);\n"
+                  "        pm_runtime_put_noidle(dev);\n"
+                  "    }\n"
+                  "    return 0;\n"
+                  "}\n";
+        return source;
+    };
+    RunResult analyzed =
+        runWith(helperWithBranches(analysis::kMaxCat2Branches));
+    RunResult skipped =
+        runWith(helperWithBranches(analysis::kMaxCat2Branches + 1));
+    // Balanced either way (no reports), but only the simpler helper is
+    // summarized precisely instead of defaulted.
     EXPECT_TRUE(skipped.reports.empty());
     EXPECT_TRUE(analyzed.reports.empty());
-    EXPECT_EQ(analyzed.stats.functions_analyzed,
-              skipped.stats.functions_analyzed + 1);
+    EXPECT_EQ(analyzed.stats.functions_analyzed, 2u);
+    EXPECT_EQ(skipped.stats.functions_analyzed, 1u);
+    EXPECT_EQ(analyzed.stats.categories.affecting, 1u);
+    EXPECT_EQ(skipped.stats.categories.affecting, 1u);
+    EXPECT_EQ(analyzed.stats.functions_defaulted, 0u);
+    EXPECT_EQ(skipped.stats.functions_defaulted, 1u);
 }
 
 TEST(AnalyzerOptions, Cat2SummaryImprovesCallerPrecision)
@@ -88,9 +86,7 @@ int driver(struct device *dev, int v) {
     return 0;
 }
 )";
-    analysis::AnalyzerOptions opts;
-    opts.max_cat2_branches = 3;
-    RunResult result = runWith(source, opts);
+    RunResult result = runWith(source);
     // Deterministic helper result makes the two branches correlate:
     // feasible paths are get+put or neither. No report.
     EXPECT_TRUE(result.reports.empty());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/rid.h"
 #include "frontend/lexer.h"
 #include "kernel/dpm_specs.h"
@@ -323,6 +325,24 @@ TEST(E2E, RunResultStrSummarizes)
     std::string text = tool.run().str();
     EXPECT_NE(text.find("0 report(s)"), std::string::npos);
     EXPECT_NE(text.find("refcount-changing"), std::string::npos);
+}
+
+TEST(E2E, RidRunsOnce)
+{
+    Rid tool;
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.addSource(R"(
+int f(struct device *dev, int flags) {
+    if (flags & 4)
+        pm_runtime_get_noresume(dev);
+    return 0;
+}
+)");
+    EXPECT_EQ(tool.run().reports.size(), 1u);
+    const std::string exported = tool.exportSummaries();
+    EXPECT_THROW(tool.run(), std::logic_error);
+    // The refused call left the summaries as the run wrote them.
+    EXPECT_EQ(tool.exportSummaries(), exported);
 }
 
 TEST(E2E, ReportsAreDeterministicAcrossRuns)

@@ -89,13 +89,37 @@ TEST(BudgetTest, ChildSeesParentDeadline)
 
 TEST(BudgetTest, CancelLatchesAndFirstCauseWins)
 {
-    Budget b(nullptr, 0, 1);
-    b.cancel();
-    EXPECT_TRUE(b.expired());
-    EXPECT_EQ(b.stopReason(), BudgetStop::Cancelled);
-    // A later fuel exhaustion cannot overwrite the first cause.
-    EXPECT_FALSE(b.consumeFuel(2));
-    EXPECT_EQ(b.stopReason(), BudgetStop::Cancelled);
+    // Fuel first: the budget stays expired, and a deadline passing
+    // later does not reach the latch at all.
+    {
+        Budget b(nullptr, 0.001, 1);
+        EXPECT_FALSE(b.consumeFuel(2));
+        EXPECT_TRUE(b.expired());
+        EXPECT_EQ(b.stopReason(), BudgetStop::Fuel);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        EXPECT_TRUE(b.expiredNow());
+        EXPECT_EQ(b.stopReason(), BudgetStop::Fuel);
+    }
+    // Deadline first: exhausting the fuel afterwards latches Fuel, which
+    // must not overwrite the first cause.
+    {
+        Budget b(nullptr, 0.001, 1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        EXPECT_TRUE(b.expiredNow());
+        EXPECT_EQ(b.stopReason(), BudgetStop::Deadline);
+        EXPECT_FALSE(b.consumeFuel(2));
+        EXPECT_EQ(b.stopReason(), BudgetStop::Deadline);
+    }
+    // Parent first: the parent's fuel runs out while the child has its
+    // own left; exhausting the child's own fuel later keeps Parent.
+    {
+        Budget parent(nullptr, 0, 1);
+        Budget child(&parent, 0, 10);
+        EXPECT_FALSE(child.consumeFuel(2));
+        EXPECT_EQ(child.stopReason(), BudgetStop::Parent);
+        EXPECT_FALSE(child.consumeFuel(10));
+        EXPECT_EQ(child.stopReason(), BudgetStop::Parent);
+    }
 }
 
 TEST(BudgetTest, StopReasonNames)
@@ -104,7 +128,6 @@ TEST(BudgetTest, StopReasonNames)
     EXPECT_STREQ(budgetStopName(BudgetStop::Deadline), "deadline");
     EXPECT_STREQ(budgetStopName(BudgetStop::Fuel), "fuel");
     EXPECT_STREQ(budgetStopName(BudgetStop::Parent), "parent");
-    EXPECT_STREQ(budgetStopName(BudgetStop::Cancelled), "cancelled");
 }
 
 // ------------------------------------------------------------ Failpoints

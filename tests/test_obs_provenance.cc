@@ -393,7 +393,7 @@ kernel::InjectedCorpus ProvenanceEndToEnd::injected_;
 
 TEST_F(ProvenanceEndToEnd, JournalRoundTripsAndExplainsEveryReport)
 {
-    std::string path = testing::TempDir() + "prov_e2e.jsonl";
+    std::string path = testing::TempDir() + "prov_e2e.journal";
     RunResult result = runWithJournal(injected_.corpus.files, path);
     ASSERT_FALSE(result.reports.empty());
 
@@ -439,7 +439,7 @@ TEST_F(ProvenanceEndToEnd, JournalRoundTripsAndExplainsEveryReport)
 
     // Deterministic journal bytes: a second identical run renders the
     // byte-identical file, and re-rendering the parsed records does too.
-    std::string path2 = testing::TempDir() + "prov_e2e_2.jsonl";
+    std::string path2 = testing::TempDir() + "prov_e2e_2.journal";
     runWithJournal(injected_.corpus.files, path2);
     EXPECT_EQ(slurp(path2), journal);
     EXPECT_EQ(obs::renderJournal(records), journal);
@@ -459,8 +459,8 @@ TEST_F(ProvenanceEndToEnd, DiffRunsPartitionsAMutatedCorpus)
     std::vector<kernel::SourceFile> new_files(files.begin() + third,
                                               files.end());
 
-    std::string old_path = testing::TempDir() + "prov_old.jsonl";
-    std::string new_path = testing::TempDir() + "prov_new.jsonl";
+    std::string old_path = testing::TempDir() + "prov_old.journal";
+    std::string new_path = testing::TempDir() + "prov_new.journal";
     runWithJournal(old_files, old_path);
     runWithJournal(new_files, new_path);
 
@@ -496,7 +496,7 @@ TEST_F(ProvenanceEndToEnd, DiffRunsPartitionsAMutatedCorpus)
 
 TEST_F(ProvenanceEndToEnd, ReportJsonCarriesTheFingerprint)
 {
-    std::string path = testing::TempDir() + "prov_json.jsonl";
+    std::string path = testing::TempDir() + "prov_json.journal";
     RunResult result = runWithJournal(injected_.corpus.files, path);
     ASSERT_FALSE(result.reports.empty());
     std::remove(path.c_str());

@@ -225,11 +225,9 @@ TEST(Supervisor, UnbudgetedRunsRetryUnderTheFallbackCaps)
     store::SupervisorDecision d = store::superviseResume(
         {analysis::FnStatus::Error, 1, "boom"}, 0, 0);
     ASSERT_EQ(d.kind, store::SupervisorDecision::Kind::Retry);
-    store::SupervisorPolicy defaults;
-    EXPECT_DOUBLE_EQ(d.retry_deadline_seconds,
-                     defaults.fallback_deadline_seconds / 2);
-    EXPECT_EQ(d.retry_fuel, defaults.fallback_fuel / 2);
-    EXPECT_GT(d.retry_fuel, 0u);
+    // One prior failure: half of the 5 s and 50,000-fuel fallback caps.
+    EXPECT_DOUBLE_EQ(d.retry_deadline_seconds, 2.5);
+    EXPECT_EQ(d.retry_fuel, 25000u);
 }
 
 TEST(Supervisor, LadderExhaustionQuarantinesWithAProvenanceNote)

@@ -663,6 +663,83 @@ TEST(SummaryDefaults, ConcurrentLookupsMaterializeOnce)
     }
 }
 
+TEST(SummaryDefaults, DbBindsOnce)
+{
+    SummaryDb db;
+    db.bindDefaults(
+        std::make_unique<NameSlots>(std::vector<std::string>{"first"}));
+    db.markDefaulted(0);
+    EXPECT_THROW(db.bindDefaults(std::make_unique<NameSlots>(
+                     std::vector<std::string>{"second"})),
+                 std::logic_error);
+    // The refused call changed nothing: the first binding's mark is
+    // still unbuilt, and builds on its first lookup.
+    EXPECT_EQ(db.defaultsMaterialized(), 0u);
+    const FunctionSummary *first = db.find("first");
+    ASSERT_NE(first, nullptr);
+    EXPECT_TRUE(first->is_default);
+    EXPECT_EQ(db.find("second"), nullptr);
+}
+
+TEST(SummaryDefaults, DefaultReplacesAStoredSummary)
+{
+    // A summary stored before the binding (an imported one, say) is
+    // marked as stored, so defaulting its function replaces it in place.
+    SummaryDb db;
+    FunctionSummary computed;
+    computed.function = "f";
+    computed.entries.push_back(SummaryEntry{});
+    db.addComputed(computed);
+    db.bindDefaults(
+        std::make_unique<NameSlots>(std::vector<std::string>{"f"}));
+    db.markDefaulted(0);
+    EXPECT_EQ(db.defaultsMaterialized(), 1u);
+    const FunctionSummary *found = db.find("f");
+    ASSERT_NE(found, nullptr);
+    EXPECT_TRUE(found->is_default);
+}
+
+TEST(SummaryDefaults, ComputedReplacesAnUnbuiltDefault)
+{
+    // A summary computed after the mark is the later write: it clears
+    // the mark, and no default is ever built.
+    SummaryDb db;
+    db.bindDefaults(
+        std::make_unique<NameSlots>(std::vector<std::string>{"f"}));
+    db.markDefaulted(0);
+    FunctionSummary computed;
+    computed.function = "f";
+    computed.entries.push_back(SummaryEntry{});
+    db.addComputed(computed);
+    const FunctionSummary *found = db.find("f");
+    ASSERT_NE(found, nullptr);
+    EXPECT_FALSE(found->is_default);
+    EXPECT_EQ(db.defaultsMaterialized(), 0u);
+    // The cleared mark renders no default row next to the computed one.
+    std::string exported = db.saveComputed();
+    EXPECT_EQ(exported.find("default"), std::string::npos) << exported;
+    EXPECT_NE(exported.find("summary f("), std::string::npos) << exported;
+}
+
+TEST(SummaryDefaults, RunDefaultReplacesAnImportedSummary)
+{
+    // No specs, so lonely is category 3 and defaulted by the run, even
+    // though an imported summary for it was already stored.
+    Rid tool;
+    tool.importSummaries("summary lonely(v) -> int {\n"
+                         "  entry { cons: true; return: [0]; }\n"
+                         "}\n");
+    const FunctionSummary *before = tool.summaries().find("lonely");
+    ASSERT_NE(before, nullptr);
+    EXPECT_FALSE(before->is_default);
+    tool.addSource("int lonely(int v) {\n    return v;\n}\n");
+    RunResult result = tool.run();
+    EXPECT_EQ(result.stats.functions_defaulted, 1u);
+    const FunctionSummary *after = tool.summaries().find("lonely");
+    ASSERT_NE(after, nullptr);
+    EXPECT_TRUE(after->is_default);
+}
+
 /** A category-1 caller of two defined category-3 helpers and of an
  *  undefined extern, and a category-3 function nobody calls. */
 const char *kDefaultsSource = R"(
@@ -760,51 +837,6 @@ TEST(SummaryDefaults, SameSccCalleeNotYetRunReadsAbsent)
     ASSERT_NE(pong, nullptr);
     EXPECT_NE(calleeChainMentions(*ping, "pong"),
               calleeChainMentions(*pong, "ping"));
-}
-
-TEST(SummaryDefaults, LaterRunsWriteOverEarlierOnes)
-{
-    // No specs, so every function is category 3 when classifying.
-    Rid tool;
-    tool.addSource("int lonely(int v) {\n    return v;\n}\n");
-    auto lonelyIsDefault = [&tool] {
-        const FunctionSummary *s = tool.summaries().find("lonely");
-        return s && s->is_default;
-    };
-
-    // Defaulted and never looked up, then computed by a run that
-    // analyzes every function: the computed summary is the later write.
-    tool.run();
-    EXPECT_EQ(tool.summaries().defaultsMaterialized(), 0u);
-    tool.options().classify = false;
-    tool.run();
-    EXPECT_FALSE(lonelyIsDefault());
-
-    // Computed, then defaulted again: the default is the later write.
-    tool.options().classify = true;
-    RunResult third = tool.run();
-    EXPECT_EQ(third.stats.functions_defaulted, 1u);
-    EXPECT_TRUE(lonelyIsDefault());
-}
-
-TEST(SummaryDefaults, NextRunSeesTheLastRunsDefaults)
-{
-    // Without specs the first run defaults ping and pong and looks
-    // neither up. The second run analyzes both; the one that runs first
-    // still sees its partner's default from the first run.
-    analysis::AnalyzerOptions opts;
-    opts.compact_summaries = false;
-    Rid tool(opts);
-    tool.addSource(kPingPongSource);
-    tool.run();
-    tool.options().classify = false;
-    tool.run();
-    const FunctionSummary *ping = tool.summaries().find("ping");
-    const FunctionSummary *pong = tool.summaries().find("pong");
-    ASSERT_NE(ping, nullptr);
-    ASSERT_NE(pong, nullptr);
-    EXPECT_TRUE(calleeChainMentions(*ping, "pong"));
-    EXPECT_TRUE(calleeChainMentions(*pong, "ping"));
 }
 
 TEST(SummaryDefaults, ExportRendersDefaultsInNameOrder)
